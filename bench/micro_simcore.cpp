@@ -23,7 +23,7 @@
 //  * credit_batching — flow-control message counts at ack_interval 1 vs.
 //    the batched default vs. 16, via the fabric's total message counter.
 //  * coalesce_budget — fabric messages/element and throughput across frame
-//    budgets (0 = per-element transport .. 8 KiB), pinned (no self-tuning),
+//    budgets (0 = one element per frame .. 8 KiB), pinned (no self-tuning),
 //    plus the self-tuned default the steady_stream scenario runs with.
 //  * obs_enabled     — the steady scenario with the ds::obs layer fully on
 //    (span tracing + metrics): the observability overhead contract. Gated

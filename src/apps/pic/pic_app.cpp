@@ -214,10 +214,10 @@ void run_decoupled_program(Rank& self, const PicConfig& cfg, const Domain& domai
   const std::size_t batch_payload = max_batch - sizeof(PartHeader);
 
   decouple::StreamOptions out_options;  // Block mapping toward the helpers
-  // Both streams ride the default coalesced transport. Outbound particle
+  // Both streams ride the default framed transport. Outbound particle
   // batches are element-sized chunks (typically far above the frame budget,
-  // so they bypass coalescing), but end-of-step markers and small tail
-  // chunks pack into frames with whatever was injected at the same instant.
+  // so each is framed alone), but end-of-step markers and small tail chunks
+  // share frames with whatever was injected at the same instant.
   // The closure protocol's latency is untouched: the same-instant backstop
   // flushes the moment the worker blocks waiting on its closes.
   decouple::StreamOptions back_options;

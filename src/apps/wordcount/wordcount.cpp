@@ -178,13 +178,13 @@ WordcountResult run_decoupled(const WordcountConfig& config,
         return plan.is_helper(r) && r != master;
       });
     const auto master_stage = pipeline.stage(std::vector<int>{master});
-    // Both hops ride the transport defaults: coalescing packs the many
-    // small-to-medium histogram records injected back to back into framed
-    // messages (vocabulary-sized real blocks bypass), and self-tuning keeps
-    // the frame budget matched to the block-size mix while the reducers ack
-    // whole frames instead of per element. Nothing here needs pinning — set
-    // StreamOptions::coalesce_budget = 0 on a hop to recover the paper's
-    // per-element traffic for comparison runs.
+    // Both hops ride the transport defaults: the many small-to-medium
+    // histogram records injected back to back share frames (vocabulary-sized
+    // real blocks are framed alone), and self-tuning keeps the frame budget
+    // matched to the block-size mix while the reducers ack whole frames
+    // instead of per element. Nothing here needs pinning — set
+    // StreamOptions::coalesce_budget = 0 on a hop for one element per frame,
+    // the paper's per-element cost model, in comparison runs.
     const auto blocks = pipeline.raw_stream_between(
         map_stage, master_only ? master_stage : reduce_stage, element_capacity);
     decouple::RawStreamHandle updates;

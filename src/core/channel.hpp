@@ -72,22 +72,18 @@ struct ChannelConfig {
   /// Default credit batch when ack_interval is 0: every 4th element acks.
   static constexpr std::uint32_t kDefaultAckInterval = 4;
 
-  /// Transport-level element coalescing: a producer packs same-destination
-  /// elements injected at the same virtual instant into one framed fabric
-  /// message of up to `coalesce_budget` wire bytes (length-prefixed
-  /// sub-records). Frames flush when the budget or `coalesce_max_elements`
-  /// fills, when the producer terminates or blocks on a credit, and — via a
-  /// same-instant backstop event — the moment the producing fiber yields the
-  /// CPU, so elements are never delayed in virtual time beyond the instant
-  /// they were injected at. Elements too large for the budget bypass
-  /// coalescing and travel as before. 0 disables coalescing entirely
-  /// (per-element messages, the paper's fine-grained default).
+  /// Frame budget: every element travels in a frame — one fabric message
+  /// of length-prefixed sub-records — and a producer packs same-destination
+  /// elements injected at the same virtual instant into one frame of up to
+  /// `coalesce_budget` wire bytes and kCoalesceMaxElements elements. A frame
+  /// leaves once no further element fits, when the producer terminates or
+  /// blocks on a credit, and — via a same-instant backstop event — the
+  /// moment the producing fiber yields the CPU, so elements are never
+  /// delayed in virtual time beyond the instant they were injected at. An
+  /// element larger than the budget travels in a frame of its own. 0 means
+  /// one element per frame: each element pays its injection overhead plus
+  /// one per-message o_s/o_r (the paper's fine-grained cost model).
   std::uint32_t coalesce_budget = kDefaultCoalesceBudget;
-
-  /// Element-count cap per frame (the timeout-equivalent trigger: a frame
-  /// never holds more than this many elements regardless of byte budget).
-  /// 0 picks kDefaultCoalesceMaxElements.
-  std::uint32_t coalesce_max_elements = 0;
 
   /// Self-tuning flow control: when true, the stream drives the coalesce
   /// budget online from the producer's flush-occupancy/inter-arrival
@@ -138,8 +134,9 @@ struct ChannelConfig {
   /// Default frame budget in wire bytes (fits well under the default eager
   /// threshold; ~28 64-byte elements per frame).
   static constexpr std::uint32_t kDefaultCoalesceBudget = 2048;
-  /// Default per-frame element cap when coalesce_max_elements is 0.
-  static constexpr std::uint32_t kDefaultCoalesceMaxElements = 128;
+  /// Element-count cap per frame (a frame never holds more than this many
+  /// elements regardless of byte budget).
+  static constexpr std::uint32_t kCoalesceMaxElements = 128;
   /// Self-tuning may grow a frame budget to at most this multiple of its
   /// configured value; consumers size their receive buffers from the same
   /// bound, so both sides agree without coordination.

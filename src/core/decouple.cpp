@@ -523,7 +523,6 @@ void Pipeline::launch(const RoleFn& role_fn) {
     config.max_inflight = slot.options.max_inflight;
     config.ack_interval = slot.options.ack_interval;
     config.coalesce_budget = slot.options.coalesce_budget;
-    config.coalesce_max_elements = slot.options.coalesce_max_elements;
     config.flow_autotune = slot.options.flow_autotune;
     config.checkpoint_interval = slot.options.checkpoint_interval;
     config.manual_durability = slot.options.manual_durability;

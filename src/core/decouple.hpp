@@ -102,14 +102,12 @@ struct StreamOptions {
   /// (stream::ChannelConfig::kDefaultAckInterval). Ignored without
   /// max_inflight.
   std::uint32_t ack_interval = 0;
-  /// Transport-level element coalescing (see ChannelConfig::coalesce_budget):
-  /// same-instant, same-destination elements pack into one framed fabric
-  /// message of up to this many wire bytes; a same-instant backstop flush
-  /// keeps virtual-time semantics element-exact. 0 disables coalescing
-  /// (per-element messages). Defaults to the library default budget.
+  /// Frame budget (see ChannelConfig::coalesce_budget): same-instant,
+  /// same-destination elements share one frame of up to this many wire
+  /// bytes; a same-instant backstop flush keeps virtual-time semantics
+  /// element-exact. 0 means one element per frame (the paper's per-element
+  /// cost model). Defaults to the library default budget.
   std::uint32_t coalesce_budget = stream::ChannelConfig{}.coalesce_budget;
-  /// Per-frame element cap (0 picks the library default).
-  std::uint32_t coalesce_max_elements = 0;
   /// Self-tuning flow control: drive the coalesce budget (and, when
   /// ack_interval is 0, the consumer's credit batch; and, when max_inflight
   /// is set, the effective credit window — grown on credit stalls, never
@@ -276,7 +274,7 @@ class StreamBase {
   [[nodiscard]] std::uint64_t term_messages_sent() const noexcept {
     return stream_.term_messages_sent();
   }
-  /// Coalesced frame messages this producer has posted.
+  /// Frame messages this producer has posted (every element leaves in one).
   [[nodiscard]] std::uint64_t frames_sent() const noexcept {
     return stream_.frames_sent();
   }

@@ -13,7 +13,7 @@ namespace ds::stream {
 
 namespace {
 
-/// Leads every coalesced frame on the wire.
+/// Leads every frame on the wire.
 struct FrameHeader {
   std::uint32_t elements = 0;
   std::uint32_t data_bytes = 0;  ///< real payload bytes following the header
@@ -76,7 +76,7 @@ constexpr std::size_t kEpochOverhead = sizeof(EpochHeader);
 
 }  // namespace
 
-/// Everything the producer-side coalescer needs, heap-boxed once per stream:
+/// Everything the producer-side framer needs, heap-boxed once per stream:
 /// the backstop events hold a shared_ptr, so a flush scheduled at the
 /// current instant still finds live state after the Stream moves (or even
 /// dies). post_send is event-context safe, so backstop flushes need no
@@ -92,7 +92,6 @@ struct CoalesceState {
   std::uint32_t budget = 0;        ///< current effective frame budget (wire)
   std::uint32_t budget_cap = 0;    ///< growth ceiling (kCoalesceGrowthCap x)
   std::uint32_t budget_floor = 0;  ///< shrink floor
-  std::uint32_t max_elements = 0;  ///< per-frame element cap
   bool autotune = false;
   FlowController controller;
 
@@ -106,18 +105,14 @@ struct CoalesceState {
   std::uint32_t window_cap = 0;
   std::uint32_t window_now = 0;
 
-  // Resilience (ChannelConfig::checkpoint_interval > 0): per-flow sequence
-  // spaces, replay logs, and the physical redirect installed by failover.
-  // Lives in the shared box so backstop (event-context) flushes retain
-  // frames exactly like fiber flushes.
+  // Resilience (ChannelConfig::checkpoint_interval > 0): replay logs and the
+  // physical redirect installed by failover. Lives in the shared box so
+  // backstop (event-context) flushes retain frames exactly like fiber
+  // flushes.
   bool resilient = false;
   std::size_t frame_overhead = kFrameOverhead;  ///< + epoch header if resilient
   std::uint32_t checkpoint_interval = 0;
-  struct Flow {
-    std::uint64_t seq = 0;  ///< next sequence to assign on this flow
-    resilience::ReplayLog log;
-  };
-  std::vector<Flow> flows;     ///< by flow id (original consumer index)
+  std::vector<resilience::ReplayLog> logs;  ///< by flow (original consumer)
   std::vector<int> redirect;   ///< physical consumer per flow (identity start)
   std::uint64_t seen_failure_epoch = 0;
   std::uint64_t seen_rejoin_epoch = 0;
@@ -131,18 +126,24 @@ struct CoalesceState {
   std::uint32_t failovers = 0;
   std::uint32_t rebalances = 0;  ///< voluntary moves (rejoin/elastic)
 
+  /// Per-flow frame state. A flow is a consumer index: the destination of
+  /// a non-resilient stream's elements, or the sequence space of a
+  /// resilient one (which may travel to a failover target).
   struct Pending {
     std::vector<std::byte> buf;  ///< FrameHeader + sub-records (capacity kept)
     std::uint32_t elements = 0;
+    int dst_world = -1;
     std::uint64_t wire = 0;   ///< frame wire bytes incl. all framing
     std::uint64_t epoch = 0;  ///< bumped per flush; stale backstops no-op
     std::uint64_t seq0 = 0;   ///< resilient: flow seq of the first element
-    int dst_world = -1;
+    /// Elements sent on this flow, which is also the next flow sequence.
+    /// Every termination count comes from here: the tree term's
+    /// per-consumer counts and the resilient counted term's per-flow ones.
+    std::uint64_t sent = 0;
   };
-  std::vector<Pending> pending;  ///< by flow (== consumer index), lazily sized
+  std::vector<Pending> pending;  ///< by flow
 
   std::uint64_t frames_sent = 0;
-  std::uint64_t coalesced_elements = 0;
 
   /// Post one flow's pending frame (fiber or event context) and reset the
   /// slot. Resilient flows retain the frame bytes for replay before posting.
@@ -153,13 +154,12 @@ struct CoalesceState {
                        static_cast<std::uint32_t>(p.buf.size() - kFrameOverhead)};
     std::memcpy(p.buf.data(), &header, sizeof header);
     if (resilient)
-      flows[static_cast<std::size_t>(consumer)].log.retain(
+      logs[static_cast<std::size_t>(consumer)].retain(
           p.seq0, p.elements, p.wire, p.buf.data(), p.buf.size());
     machine->post_send(context, producer_index, src_world, p.dst_world,
                        frame_tag,
                        mpi::SendBuf{p.buf.data(), p.buf.size(), p.wire});
     ++frames_sent;
-    coalesced_elements += p.elements;
     const std::uint64_t wire = p.wire;
     ++p.epoch;
     p.buf.clear();  // keeps capacity
@@ -201,10 +201,6 @@ std::uint64_t Stream::frames_sent() const noexcept {
   return coalesce_ ? coalesce_->frames_sent : 0;
 }
 
-std::uint64_t Stream::coalesced_elements_sent() const noexcept {
-  return coalesce_ ? coalesce_->coalesced_elements : 0;
-}
-
 std::uint32_t Stream::coalesce_budget_now() const noexcept {
   return coalesce_ ? coalesce_->budget : 0;
 }
@@ -215,8 +211,6 @@ std::uint32_t Stream::max_inflight_now() const noexcept {
              : (channel_ != nullptr ? channel_->config().max_inflight : 0);
 }
 
-std::uint32_t Stream::window_now() const noexcept { return max_inflight_now(); }
-
 std::uint64_t Stream::replayed_elements() const noexcept {
   return coalesce_ ? coalesce_->replayed_elements : 0;
 }
@@ -224,8 +218,8 @@ std::uint64_t Stream::replayed_elements() const noexcept {
 std::uint64_t Stream::retained_elements() const noexcept {
   if (!coalesce_) return 0;
   std::uint64_t total = 0;
-  for (const CoalesceState::Flow& f : coalesce_->flows)
-    total += f.log.retained_elements();
+  for (const resilience::ReplayLog& log : coalesce_->logs)
+    total += log.retained_elements();
   return total;
 }
 
@@ -239,7 +233,7 @@ std::uint32_t Stream::rebalances() const noexcept {
 
 void Stream::ensure_producer_state(mpi::Rank& self) {
   const ChannelConfig& cfg = channel_->config();
-  if (coalesce_ || (cfg.coalesce_budget == 0 && !cfg.resilient())) return;
+  if (coalesce_) return;
   auto st = std::make_shared<CoalesceState>();
   st->machine = &self.machine();
   st->context = context_;
@@ -249,20 +243,12 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   st->resilient = cfg.resilient();
   st->frame_overhead =
       kFrameOverhead + (st->resilient ? kEpochOverhead : 0);
-  // Resilience with coalescing off still frames every element (alone): the
-  // frame is what carries the flow/sequence stamp and what the replay log
-  // retains. A budget of exactly the framing overhead admits one forced
-  // element per frame and packs nothing.
-  const std::uint32_t base_budget =
-      cfg.coalesce_budget > 0
-          ? cfg.coalesce_budget
-          : static_cast<std::uint32_t>(st->frame_overhead + kSubOverhead);
-  st->budget = base_budget;
-  st->budget_cap = base_budget * ChannelConfig::kCoalesceGrowthCap;
-  st->budget_floor = std::min(base_budget, FlowController::Config{}.min_budget);
-  st->max_elements = cfg.coalesce_max_elements == 0
-                         ? ChannelConfig::kDefaultCoalesceMaxElements
-                         : cfg.coalesce_max_elements;
+  // A zero budget admits one element per frame (an empty frame takes any
+  // element, and nothing fits after it), so coalescing off needs no case.
+  st->budget = cfg.coalesce_budget;
+  st->budget_cap = cfg.coalesce_budget * ChannelConfig::kCoalesceGrowthCap;
+  st->budget_floor =
+      std::min(cfg.coalesce_budget, FlowController::Config{}.min_budget);
   st->autotune = cfg.flow_autotune && cfg.coalesce_budget > 0;
   FlowController::Config fc;
   fc.min_budget = st->budget_floor;
@@ -270,7 +256,8 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   st->controller = FlowController(fc);
   st->inject_overhead = cfg.inject_overhead;
   st->send_overhead = self.machine().config().network.send_overhead;
-  st->pending.resize(static_cast<std::size_t>(channel_->consumer_count()));
+  const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
+  st->pending.resize(consumers);
   if (cfg.max_inflight > 0 && st->autotune) {
     st->window_cfg = cfg.max_inflight;
     st->window_cap = cfg.max_inflight * ChannelConfig::kWindowGrowthCap;
@@ -279,8 +266,8 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   if (st->resilient) {
     auto& machine = self.machine();
     st->checkpoint_interval = cfg.checkpoint_interval;
-    st->flows.resize(static_cast<std::size_t>(channel_->consumer_count()));
-    st->redirect.resize(static_cast<std::size_t>(channel_->consumer_count()));
+    st->logs.resize(consumers);
+    st->redirect.resize(consumers);
     st->flow_incarnation.resize(st->redirect.size());
     for (std::size_t c = 0; c < st->redirect.size(); ++c) {
       st->redirect[c] = static_cast<int>(c);
@@ -303,60 +290,30 @@ void Stream::ensure_producer_state(mpi::Rank& self) {
   coalesce_ = std::move(st);
 }
 
-bool Stream::coalesce_element(mpi::Rank& self, int consumer,
+void Stream::coalesce_element(mpi::Rank& self, int flow,
                               mpi::SendBuf element) {
-  if (!coalesce_) return false;
   CoalesceState& st = *coalesce_;
   const std::size_t el_wire = element.on_wire();
-  // Oversized for even an empty frame: bypass (after ordering-preserving
-  // flush of anything already pending toward this consumer, done by caller).
-  // Resilient flows never bypass — every element needs its sequence stamp —
-  // so an oversized element is force-framed alone (flushed below by the
-  // budget check before the next element can join it).
-  if (!st.resilient &&
-      st.frame_overhead + kSubOverhead + el_wire > st.budget)
-    return false;
-
-  auto& p = st.pending[static_cast<std::size_t>(consumer)];
+  auto& p = st.pending[static_cast<std::size_t>(flow)];
   if (p.elements > 0 &&
       (p.wire + kSubOverhead + el_wire > st.budget ||
-       p.elements >= st.max_elements)) {
-    flush_frame(self, consumer,
-                static_cast<std::uint8_t>(FlushTrigger::Budget));
+       p.elements >= ChannelConfig::kCoalesceMaxElements)) {
+    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Budget));
   }
-  if (p.elements == 0) {
+  const bool opened = p.elements == 0;
+  if (opened) {
     p.buf.resize(st.frame_overhead);  // header(s) written at flush/open
     p.wire = st.frame_overhead;
+    // A resilient frame belongs to its flow but travels to the flow's
+    // current physical target; the epoch header makes it self-describing
+    // for both first delivery and replay.
+    p.dst_world = channel_->comm().world_rank(channel_->consumer_rank(
+        st.resilient ? st.redirect[static_cast<std::size_t>(flow)] : flow));
     if (st.resilient) {
-      // The frame belongs to flow `consumer` but travels to the flow's
-      // current physical target; the epoch header makes it self-describing
-      // for both first delivery and replay.
-      auto& flow = st.flows[static_cast<std::size_t>(consumer)];
-      p.seq0 = flow.seq;
-      p.dst_world = channel_->comm().world_rank(channel_->consumer_rank(
-          st.redirect[static_cast<std::size_t>(consumer)]));
-      const EpochHeader eh{p.seq0, static_cast<std::uint32_t>(consumer), 0};
+      p.seq0 = p.sent;
+      const EpochHeader eh{p.seq0, static_cast<std::uint32_t>(flow), 0};
       std::memcpy(p.buf.data() + kFrameOverhead, &eh, sizeof eh);
-    } else {
-      p.dst_world =
-          channel_->comm().world_rank(channel_->consumer_rank(consumer));
     }
-    // Same-instant backstop: the moment this fiber yields the CPU (advance,
-    // wait, return), the engine runs this event at the *current* virtual
-    // time and flushes whatever the burst left behind — coalescing merges
-    // only same-instant sends and never delays an element in virtual time.
-    self.machine().engine().schedule(
-        self.machine().engine().now(),
-        [st = coalesce_, consumer, epoch = p.epoch] {
-          auto& slot = st->pending[static_cast<std::size_t>(consumer)];
-          if (slot.epoch != epoch || slot.elements == 0) return;
-          // Event context: no fiber to charge — carry the CPU cost as debt,
-          // settled on the producer's next fiber-side flush.
-          st->debt += st->inject_overhead * slot.elements + st->send_overhead;
-          const std::uint32_t n = slot.elements;
-          const std::uint64_t wire = st->post_frame(consumer);
-          st->retune(FlushTrigger::Idle, n, wire);
-        });
   }
   const SubHeader sub{static_cast<std::uint32_t>(el_wire),
                       static_cast<std::uint32_t>(element.bytes)};
@@ -367,17 +324,39 @@ bool Stream::coalesce_element(mpi::Rank& self, int consumer,
     std::memcpy(p.buf.data() + at + kSubOverhead, element.ptr, element.bytes);
   p.wire += kSubOverhead + el_wire;
   ++p.elements;
-  if (st.resilient) {
-    auto& flow = st.flows[static_cast<std::size_t>(consumer)];
-    ++flow.seq;
-    // Epoch cut: frames never straddle checkpoint boundaries, so durability
-    // acknowledgments (which arrive at epoch granularity) always truncate
-    // whole frames from the replay log.
-    if (flow.seq % st.checkpoint_interval == 0)
-      flush_frame(self, consumer,
-                  static_cast<std::uint8_t>(FlushTrigger::Epoch));
+  ++p.sent;
+  // Epoch cut: frames never straddle checkpoint boundaries, so durability
+  // acknowledgments (which arrive at epoch granularity) always truncate
+  // whole frames from the replay log.
+  if (st.resilient && p.sent % st.checkpoint_interval == 0) {
+    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Epoch));
+    return;
   }
-  return true;
+  // No further element fits — always so under coalesce_budget = 0, and for
+  // an element larger than the budget: post the frame now, from the fiber,
+  // so one-element frames pay the per-element o plus o_s at their own send.
+  if (p.wire + kSubOverhead > st.budget) {
+    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Budget));
+    return;
+  }
+  // Same-instant backstop for a frame left open: the moment this fiber
+  // yields the CPU (advance, wait, return), the engine runs this event at
+  // the *current* virtual time and flushes whatever the burst left behind —
+  // coalescing merges only same-instant sends and never delays an element
+  // in virtual time.
+  if (opened)
+    self.machine().engine().schedule(
+        self.machine().engine().now(),
+        [st = coalesce_, flow, epoch = p.epoch] {
+          auto& slot = st->pending[static_cast<std::size_t>(flow)];
+          if (slot.epoch != epoch || slot.elements == 0) return;
+          // Event context: no fiber to charge — carry the CPU cost as debt,
+          // settled on the producer's next fiber-side flush.
+          st->debt += st->inject_overhead * slot.elements + st->send_overhead;
+          const std::uint32_t n = slot.elements;
+          const std::uint64_t wire = st->post_frame(flow);
+          st->retune(FlushTrigger::Idle, n, wire);
+        });
 }
 
 void Stream::flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger) {
@@ -426,7 +405,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
     throw std::logic_error("Stream::isend: stream already terminated");
   ensure_producer_state(self);
 
-  if (coalesce_ && coalesce_->resilient) {
+  if (coalesce_->resilient) {
     // Truncate replay logs with any durability progress first (smaller
     // replays), then react to crashes, rejoins, and membership changes
     // observed since the last send.
@@ -440,7 +419,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   // only delivered elements can come back as credits. (Failover can return
   // a handful of duplicate credits, so the outstanding count is computed
   // underflow-safe.)
-  const std::uint32_t window = window_now();
+  const std::uint32_t window = max_inflight_now();
   if (window > 0 && sent_ > acks_seen_ && sent_ - acks_seen_ >= window) {
     flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Credit));
     while (sent_ > acks_seen_ && sent_ - acks_seen_ >= window)
@@ -448,32 +427,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   }
 
   ++sent_;
-  // Per-consumer tallies feed the v1 aggregated term; resilient tree
-  // channels derive their counted terms from the per-flow sequence spaces
-  // instead (counts stay logical — the exhaustion matrix is per flow, not
-  // per physical destination).
-  if (channel_->tree_termination() && !(coalesce_ && coalesce_->resilient)) {
-    if (sent_per_consumer_.empty())
-      sent_per_consumer_.assign(
-          static_cast<std::size_t>(channel_->consumer_count()), 0);
-    ++sent_per_consumer_[static_cast<std::size_t>(consumer)];
-  }
-
-  if (coalesce_element(self, consumer, element)) return;
-
-  // Per-element path (coalescing off, or the element exceeds any frame):
-  // the per-element library overhead `o` (Eq. 4) plus the transport's own
-  // o_s, charged as one advance. An oversized element must not overtake a
-  // frame already pending toward the same consumer.
-  if (coalesce_)
-    flush_frame(self, consumer,
-                static_cast<std::uint8_t>(FlushTrigger::Budget));
-  auto& machine = self.machine();
-  self.process().advance(channel_->config().inject_overhead +
-                         machine.config().network.send_overhead);
-  machine.post_send(context_, p, self.world_rank(),
-                    channel_->comm().world_rank(channel_->consumer_rank(consumer)),
-                    kTagData, element);
+  coalesce_element(self, consumer, element);
 }
 
 void Stream::terminate(mpi::Rank& self) {
@@ -495,7 +449,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // A producer that never sent still needs its resilience state here: its
   // term must route to the failover target, not to a dead consumer.
   ensure_producer_state(self);
-  const bool resilient = coalesce_ && coalesce_->resilient;
+  const bool resilient = coalesce_->resilient;
   if (resilient) {
     // Repair routing before the counts go out. Under tree termination the
     // release-barrier wait below keeps servicing these until the whole
@@ -511,7 +465,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // Partial frames leave before the term so counts and order stay intact;
   // settle any backstop debt even when nothing is pending.
   flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Term));
-  if (coalesce_ && coalesce_->debt > 0) {
+  if (coalesce_->debt > 0) {
     self.process().advance(coalesce_->debt);
     coalesce_->debt = 0;
   }
@@ -559,13 +513,12 @@ void Stream::terminate_impl(mpi::Rank& self) {
         owner = now_owner;
         post_term(owner, mpi::SendBuf::synthetic(0));
       }
-      bool pending = false;
-      for (const auto& flow : coalesce_->flows)
-        if (flow.log.frame_count() > 0) {
-          pending = true;
-          break;
-        }
-      if (!pending) break;
+      const auto& logs = coalesce_->logs;
+      if (std::none_of(logs.begin(), logs.end(),
+                       [](const resilience::ReplayLog& log) {
+                         return log.frame_count() > 0;
+                       }))
+        break;
       if (resilience::effective_aggregator(*channel_, machine) < 0)
         break;  // every consumer is gone — the tail is fail-stop loss
       machine.add_probe_waiter(self.world_rank(), self.process().id());
@@ -577,32 +530,29 @@ void Stream::terminate_impl(mpi::Rank& self) {
     }
     return;
   }
+  // Tree termination: one term carrying this producer's per-flow element
+  // counts (nonzero entries only), so consumers can account for data still
+  // in flight. Flows are logical consumer indices, so the counts hold even
+  // after a resilient flow moved to a failover target.
+  term_tx_.clear();
+  term_tx_.reserve(coalesce_->pending.size());
+  for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
+    if (coalesce_->pending[c].sent > 0)
+      term_tx_.push_back(TermEntry{c, coalesce_->pending[c].sent});
   if (!resilient) {
-    // Aggregated termination (v1): one term to the aggregator consumer,
-    // carrying this producer's per-consumer element counts (nonzero entries
-    // only) so consumers can account for data still in flight.
-    term_tx_.clear();
-    term_tx_.reserve(sent_per_consumer_.size());
-    for (std::size_t c = 0; c < sent_per_consumer_.size(); ++c)
-      if (sent_per_consumer_[c] > 0)
-        term_tx_.push_back(TermEntry{c, sent_per_consumer_[c]});
+    // Aggregated termination (v1): the term goes to the aggregator
+    // consumer, which fans the summed counts down the consumer tree.
     post_term(Channel::term_aggregator(),
               mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
     return;
   }
 
-  // Resilient tree termination: a *counted term* — this producer's final
-  // per-flow sequence (one entry per flow it touched) — goes to the
-  // effective aggregator, and the producer then blocks until the channel's
-  // release barrier commits. Blocking here is what makes the protocol
-  // crash-proof: the counts stay resendable when the aggregator role moves,
-  // and the replay logs stay alive until every consumer has confirmed the
-  // full count matrix.
-  term_tx_.clear();
-  term_tx_.reserve(coalesce_->flows.size());
-  for (std::size_t c = 0; c < coalesce_->flows.size(); ++c)
-    if (coalesce_->flows[c].seq > 0)
-      term_tx_.push_back(TermEntry{c, coalesce_->flows[c].seq});
+  // Resilient tree termination: the *counted term* goes to the effective
+  // aggregator, and the producer then blocks until the channel's release
+  // barrier commits. Blocking here is what makes the protocol crash-proof:
+  // the counts stay resendable when the aggregator role moves, and the
+  // replay logs stay alive until every consumer has confirmed the full
+  // count matrix.
   int aggregator = resilience::effective_aggregator(*channel_, machine);
   if (aggregator < 0)
     throw std::runtime_error(
@@ -672,23 +622,19 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
-  // Tree-mode terms carry up to one count entry per consumer; coalesced
-  // frames carry up to the (possibly self-tuned) budget. Size the receive
-  // buffer for the largest of those, the bare element, or a single-element
-  // frame — the growth factor applies only when self-tuning can actually
-  // grow the producer's budget. Resilient frames carry the epoch header on
-  // top, and arrive even with coalescing off (forced single-element frames).
+  // Frames carry up to the (possibly self-tuned) budget, or one element
+  // alone; tree-mode terms carry up to one count entry per consumer. Size
+  // the receive buffer for the largest of those — the growth factor applies
+  // only when self-tuning can actually grow the producer's budget, and
+  // resilient frames carry the epoch header on top.
   const std::size_t frame_overhead =
       kFrameOverhead + (resilient_ ? kEpochOverhead : 0);
-  std::size_t capacity = element_size_;
-  if (cfg.coalesce_budget > 0 || resilient_) {
-    const std::size_t growth =
-        cfg.flow_autotune && cfg.coalesce_budget > 0
-            ? ChannelConfig::kCoalesceGrowthCap
-            : 1;
-    capacity = std::max(capacity + frame_overhead + kSubOverhead,
-                        static_cast<std::size_t>(cfg.coalesce_budget) * growth);
-  }
+  const std::size_t growth = cfg.flow_autotune && cfg.coalesce_budget > 0
+                                 ? ChannelConfig::kCoalesceGrowthCap
+                                 : 1;
+  std::size_t capacity =
+      std::max(element_size_ + frame_overhead + kSubOverhead,
+               static_cast<std::size_t>(cfg.coalesce_budget) * growth);
   if (channel_->tree_termination()) {
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
     capacity = std::max(capacity, consumers * sizeof(TermEntry));
@@ -756,33 +702,20 @@ void Stream::fan_out_term(mpi::Rank& self,
   // Every child gets a collective term; its payload is sliced down to the
   // counts of the child's own subtree. The slice scratch is a reserved
   // member, reused across children instead of reallocating per slice.
-  for (const int child : channel_->term_children(my_consumer_))
-    fan_out_to(self, child, entries);
-}
-
-void Stream::fan_out_to(mpi::Rank& self, int child,
-                        const std::vector<TermEntry>& entries) {
   auto& machine = self.machine();
-  if (resilient_ &&
-      machine.rank_failed(
-          channel_->comm().world_rank(channel_->consumer_rank(child)))) {
-    // Route around a crashed interior consumer: its subtrees still need the
-    // collective term, delivered straight to the grandchildren.
-    for (const int grandchild : channel_->term_children(child))
-      fan_out_to(self, grandchild, entries);
-    return;
+  for (const int child : channel_->term_children(my_consumer_)) {
+    term_slice_.clear();
+    for (const TermEntry& e : entries)
+      if (channel_->term_in_subtree_of(static_cast<int>(e.consumer), child))
+        term_slice_.push_back(e);
+    self.process().advance(machine.config().network.send_overhead);
+    machine.post_send(context_, channel_->consumer_rank(my_consumer_),
+                      self.world_rank(),
+                      channel_->comm().world_rank(channel_->consumer_rank(child)),
+                      kTagTerm,
+                      mpi::SendBuf::of(term_slice_.data(), term_slice_.size()));
+    ++term_msgs_sent_;
   }
-  term_slice_.clear();
-  for (const TermEntry& e : entries)
-    if (channel_->term_in_subtree_of(static_cast<int>(e.consumer), child))
-      term_slice_.push_back(e);
-  self.process().advance(machine.config().network.send_overhead);
-  machine.post_send(context_, channel_->consumer_rank(my_consumer_),
-                    self.world_rank(),
-                    channel_->comm().world_rank(channel_->consumer_rank(child)),
-                    kTagTerm,
-                    mpi::SendBuf::of(term_slice_.data(), term_slice_.size()));
-  ++term_msgs_sent_;
 }
 
 void Stream::handle_tree_term(mpi::Rank& self, const mpi::Status& status) {
@@ -845,7 +778,7 @@ void Stream::await_credit(mpi::Rank& self) {
                                       mpi::kAnySource, kTagAck,
                                       mpi::RecvBuf::of(&granted, 1), {},
                                       /*fused_wake=*/true);
-  if (coalesce_ && coalesce_->resilient) {
+  if (coalesce_->resilient) {
     // A credit may never come if the consumer holding it just crashed: wait
     // interruptibly, re-evaluating failover on every crash notification.
     // Rebinding replays the lost elements to the adopting consumer, whose
@@ -920,13 +853,13 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
                             "replay");
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
-  auto& fl = st.flows[flow];
+  const resilience::ReplayLog& log = st.logs[flow];
   // Hand the flow over: the durable point travels ahead of the replayed
   // frames (per-source FIFO), so the receiver's cursor skips whatever the
   // previous owner already made durable — even mid-frame.
-  if (fl.log.durable_seq() > 0) {
+  if (log.durable_seq() > 0) {
     self.process().trace_instant("handoff");
-    const FlowHandoff handoff{fl.log.durable_seq(),
+    const FlowHandoff handoff{log.durable_seq(),
                               static_cast<std::uint32_t>(flow), 0};
     self.process().advance(st.send_overhead);
     machine.post_send(context_, st.producer_index, st.src_world, dst_world,
@@ -934,7 +867,7 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
   }
   // Replay: re-post the retained frames verbatim (they are self-describing:
   // flow id and sequences travel in the epoch header).
-  for (const resilience::RetainedFrame& rf : fl.log.frames()) {
+  for (const resilience::RetainedFrame& rf : log.frames()) {
     self.process().advance(st.send_overhead);
     machine.post_send(context_, st.producer_index, st.src_world, dst_world,
                       kTagFrame,
@@ -961,7 +894,6 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
     const bool home_dead = machine.rank_failed(home_world);
     const bool home_ok =
         !home_dead && channel_->consumer_active(static_cast<int>(flow));
-    auto& fl = st.flows[flow];
     auto& p = st.pending[flow];
     if (st.redirect[flow] != static_cast<int>(flow)) {
       if (!home_ok) continue;  // still away; adopter crashes are failover's job
@@ -975,10 +907,10 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
       if (p.elements > 0) p.dst_world = home_world;
-      if (fl.seq > 0 ||
+      if (p.sent > 0 ||
           (!channel_->tree_termination() &&
            channel_->route(st.producer_index, 0) == static_cast<int>(flow))) {
-        const FlowHandoff marker{fl.seq, static_cast<std::uint32_t>(flow), 0};
+        const FlowHandoff marker{p.sent, static_cast<std::uint32_t>(flow), 0};
         self.process().advance(st.send_overhead);
         machine.post_send(
             context_, st.producer_index, st.src_world,
@@ -1424,8 +1356,8 @@ void Stream::drain_durable_acks(mpi::Rank& self) {
                                  mpi::RecvBuf::of(&ack, 1));
     self.wait(req);  // completes synchronously after a successful probe
     if (!req->status.synthetic && req->status.bytes >= sizeof ack &&
-        ack.flow < coalesce_->flows.size())
-      coalesce_->flows[ack.flow].log.truncate(ack.upto);
+        ack.flow < coalesce_->logs.size())
+      coalesce_->logs[ack.flow].truncate(ack.upto);
   }
 }
 
@@ -1485,9 +1417,7 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   std::memcpy(&sub, element_buffer_.data() + frame_cursor_, sizeof sub);
   const std::size_t data_at = frame_cursor_ + kSubOverhead;
   // The element is consumed once unpacked — cursor and counts move before
-  // the operator runs, so a throwing operator leaves the frame walkable
-  // (matching the per-message path, where the message left the mailbox
-  // before the operator saw it).
+  // the operator runs, so a throwing operator leaves the frame walkable.
   const std::uint64_t seq = frame_seq0_ + (frame_elements_ - frame_left_);
   frame_cursor_ += kSubOverhead + sub.data;
   --frame_left_;
@@ -1524,6 +1454,12 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
 }
 
 void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
+  if (status.tag == kTagFrame) {
+    // One aggregate recv-overhead advance was charged for the message; its
+    // elements now drain with no further machine traffic.
+    begin_frame(status);
+    return;
+  }
   if (status.tag == kTagTerm) {
     if (tree_v2_)
       handle_counted_term(self, status);
@@ -1552,7 +1488,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
   if (status.tag == kTagHandoff) {
     // Control flow, not an element: adopt the flow's durable point.
     if (resilient_ && !status.synthetic &&
-        status.bytes >= sizeof(FlowHandoff) && !element_buffer_.empty()) {
+        status.bytes >= sizeof(FlowHandoff)) {
       FlowHandoff handoff;
       std::memcpy(&handoff, element_buffer_.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
@@ -1606,19 +1542,62 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     if (tree_v2_) release_seen_ = true;
     return;
   }
-  if (status.tag == kTagSync) {
-    handle_sync(self, status);
-    return;
+  if (status.tag == kTagSync) handle_sync(self, status);
+}
+
+// Inline: operate_while runs this once per element.
+inline Stream::RecvStep Stream::receive_step(
+    mpi::Rank& self, const std::function<bool()>& keep_going, bool wait) {
+  if (resilient_) {
+    // Re-react to crashes, rejoins, and membership changes before judging
+    // exhaustion: any of them may be exactly what unblocks termination
+    // (adoption raising the expected term count, a takeover of the
+    // aggregator role, a flow handed back).
+    check_consumer_failover(self);
+    if (tree_v2_) {
+      progress_termination(self);
+      maybe_ack_announce(self);
+    }
   }
-  ++processed_data_;
-  if (operator_) {
-    StreamElement el{status.synthetic || element_buffer_.empty()
-                         ? nullptr
-                         : element_buffer_.data(),
-                     status.bytes, status.source};
-    operator_(el);
+  if (exhausted() || (keep_going && !keep_going())) return RecvStep::Stop;
+  // First-come-first-served across every producer: whichever frame arrives
+  // next gets processed, regardless of which peer sent it. A partially
+  // drained frame is consumed to completion before the mailbox is touched
+  // again (frames preserve per-(context,src) order; arrival interleaving
+  // across sources happens at frame granularity).
+  if (frame_left_ > 0)
+    return consume_frame_element(self) ? RecvStep::Element : RecvStep::Progress;
+  return receive_message(self, wait);
+}
+
+Stream::RecvStep Stream::receive_message(mpi::Rank& self, bool wait) {
+  auto& machine = self.machine();
+  // A non-resilient stream's idle wait is one blocking wildcard receive
+  // whose recv overhead is fused into the wake-up. Everything else probes
+  // first; after a successful probe the receive completes synchronously
+  // inside post_recv, so wait() never blocks and charges o_r on the spot.
+  const bool fused = wait && !resilient_;
+  mpi::Status status;  // wildcard source and tag until a probe fills it
+  if (!fused && !machine.match_probe(context_, self.world_rank(),
+                                     mpi::kAnySource, mpi::kAnyTag, &status)) {
+    if (!wait) return RecvStep::Stop;
+    // A resilient stream never parks in a plain blocking receive: idle
+    // waits sleep on probe + failure waiters, waking on the next arrival
+    // *or* membership event.
+    machine.add_probe_waiter(self.world_rank(), self.process().id());
+    machine.add_failure_waiter(self.process().id());
+    self.process().set_state_note(blocked_note("stream poll"));
+    self.process().suspend();
+    machine.ensure_alive(self.world_rank());
+    self.process().set_state_note({});
+    return RecvStep::Progress;
   }
-  account_data_element(self, status.source);
+  auto req = machine.post_recv(
+      context_, self.world_rank(), status.source, status.tag,
+      mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()}, {}, fused);
+  self.wait(req);
+  handle(self, req->status);
+  return RecvStep::Progress;
 }
 
 std::uint64_t Stream::operate(mpi::Rank& self) {
@@ -1630,139 +1609,30 @@ std::uint64_t Stream::operate_while(mpi::Rank& self,
   ensure_consumer_state(self);
   const sim::SpanScope span(self.process(), obs::SpanKind::StreamOperate,
                             "stream-operate");
-  const std::uint64_t processed = operate_loop(self, keep_going);
-  if (exhausted()) flush_consumer_metrics(self);
-  return processed;
-}
-
-std::uint64_t Stream::operate_loop(mpi::Rank& self,
-                                   const std::function<bool()>& keep_going) {
   std::uint64_t processed = 0;
-  // First-come-first-served across every producer: whichever element arrives
-  // next gets processed, regardless of which peer sent it. A partially
-  // drained frame is consumed to completion before the mailbox is touched
-  // again (frames preserve per-(context,src) order; arrival interleaving
-  // across sources happens at frame granularity).
-  auto& machine = self.machine();
-  if (!resilient_) {
-    while (true) {
-      if (exhausted() || !keep_going()) break;
-      if (frame_left_ > 0) {
-        if (consume_frame_element(self)) ++processed;
-        continue;
-      }
-      auto req = machine.post_recv(
-          context_, self.world_rank(), mpi::kAnySource, mpi::kAnyTag,
-          element_buffer_.empty()
-              ? mpi::RecvBuf::discard(element_size_)
-              : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()},
-          {}, /*fused_wake=*/true);
-      self.wait(req);
-      if (req->status.tag == kTagFrame) {
-        // One aggregate recv-overhead advance was fused into this wake-up;
-        // the frame's elements now drain with no further machine traffic.
-        begin_frame(req->status);
-        continue;
-      }
-      handle(self, req->status);
-      if (req->status.tag == kTagData) ++processed;
-    }
-    return processed;
-  }
-  // Resilient loop: never park in a plain blocking receive — a crash,
-  // rejoin, or elastic membership change may be exactly what unblocks
-  // termination (adoption raising the expected term count, a takeover of
-  // the aggregator role, a flow handed back). Idle waits therefore sleep on
-  // probe + failure waiters, waking on the next arrival *or* membership
-  // event, and every iteration re-reacts before re-judging exhaustion.
-  while (true) {
-    check_consumer_failover(self);
-    if (tree_v2_) {
-      progress_termination(self);
-      maybe_ack_announce(self);
-    }
-    if (exhausted() || !keep_going()) {
-      // Producers block in their termination protocol until their replay
-      // logs are acknowledged durable. Auto-durability acks normally flow
-      // from the data path, but when a *term* (or a membership event) is
-      // what flips exhaustion, nothing after it would ack — flush here so
-      // the producers' durability wait always terminates.
-      if (!manual_durability_) flush_durable_acks(self);
-      break;
-    }
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) ++processed;
-      continue;
-    }
-    mpi::Status status;
-    if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status)) {
-      machine.add_probe_waiter(self.world_rank(), self.process().id());
-      machine.add_failure_waiter(self.process().id());
-      self.process().set_state_note(blocked_note("stream poll"));
-      self.process().suspend();
-      machine.ensure_alive(self.world_rank());
-      self.process().set_state_note({});
-      continue;
-    }
-    // After a successful probe the receive completes synchronously inside
-    // post_recv, so wait() never blocks and charges o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) ++processed;
-  }
+  RecvStep step;
+  while ((step = receive_step(self, keep_going, /*wait=*/true)) !=
+         RecvStep::Stop)
+    if (step == RecvStep::Element) ++processed;
+  // Producers block in their termination protocol until their replay logs
+  // are acknowledged durable. Auto-durability acks normally flow from the
+  // data path, but when a *term* (or a membership event) is what flips
+  // exhaustion, nothing after it would ack — flush here so the producers'
+  // durability wait always terminates.
+  if (resilient_ && !manual_durability_) flush_durable_acks(self);
+  if (exhausted()) flush_consumer_metrics(self);
   return processed;
 }
 
 bool Stream::poll_one(mpi::Rank& self) {
   ensure_consumer_state(self);
-  auto& machine = self.machine();
   // Terminations are control flow, not elements: consume them silently and
   // keep looking, so the return value counts data elements only (matching
   // operate_while accounting). Replay duplicates are likewise absorbed.
   while (true) {
-    if (resilient_) {
-      check_consumer_failover(self);
-      if (tree_v2_) {
-        progress_termination(self);
-        maybe_ack_announce(self);
-      }
-    }
-    if (exhausted()) break;
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) return true;
-      continue;
-    }
-    mpi::Status status;
-    if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status))
-      return false;
-    // No fused wake here: after a successful probe the receive completes
-    // synchronously inside post_recv, so wait() never blocks and charges
-    // o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) return true;
+    const RecvStep step = receive_step(self, {}, /*wait=*/false);
+    if (step != RecvStep::Progress) return step == RecvStep::Element;
   }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1788,7 +1658,6 @@ void Stream::flush_producer_metrics(mpi::Rank& self) {
   const int r = self.world_rank();
   m->counter("stream.elements_sent", r).add(sent_);
   m->counter("stream.frames_sent", r).add(frames_sent());
-  m->counter("stream.coalesced_elements", r).add(coalesced_elements_sent());
   m->counter("stream.credits_received", r).add(acks_seen_);
   m->counter("stream.replayed_elements", r).add(replayed_elements());
   m->counter("stream.failovers", r).add(failovers());

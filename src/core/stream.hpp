@@ -26,25 +26,30 @@
 // close-notification stream) must not wait on exhaustion — exactly as under
 // the seed's broadcast, where unread terms were simply abandoned.
 //
-// Transport coalescing (ChannelConfig::coalesce_budget): elements a producer
-// injects at the same virtual instant toward the same consumer are packed
-// into one framed fabric message (length-prefixed sub-records) and unpacked
-// in place at the consumer — element semantics (per-(context,src) FIFO,
-// wildcard matching, count-based termination exhaustion, credit accounting)
-// are preserved with counted rather than per-message bookkeeping, while the
-// per-message software cost o_s/o_r and the wake/advance context-switch pair
-// are paid once per frame. A same-instant backstop event flushes the moment
-// the producing fiber yields, so coalescing never delays an element in
-// virtual time. See ChannelConfig::flow_autotune for the self-tuning loop.
+// Transport: every element travels inside a frame — one fabric message of
+// length-prefixed sub-records, unpacked in place at the consumer. Each
+// element costs the producer its injection overhead o (Eq. 4), and each
+// frame one per-message o_s at the producer and o_r at the consumer.
+// Elements a producer injects at the same virtual instant toward the same
+// consumer share a frame of up to ChannelConfig::coalesce_budget wire bytes;
+// element semantics (per-(context,src) FIFO, wildcard matching, count-based
+// termination exhaustion, credit accounting) are kept with counted rather
+// than per-message bookkeeping. A frame no further element fits is posted
+// at once, so coalesce_budget = 0 — one element per frame — is the paper's
+// per-element cost model, and so is an element larger than the budget. A
+// frame left open is flushed by a same-instant backstop event the moment
+// the producing fiber yields, so framing never delays an element in virtual
+// time. See ChannelConfig::flow_autotune for the self-tuning loop.
 //
 // Resilience (ChannelConfig::checkpoint_interval > 0, the ds::resilience
-// subsystem): every element travels in a framed message stamped with its
-// *flow* (the original consumer index its sequence space belongs to) and
-// sequence number. Producers cut an epoch every checkpoint_interval elements
-// per flow and retain flushed-but-not-durably-acknowledged frames in a
-// bounded replay log (resilience::ReplayLog); consumers acknowledge epoch
-// durability (automatically at epoch boundaries, or via ack_durable for
-// consumers with external effects), which truncates the log. When fault
+// subsystem): every frame is additionally stamped with its *flow* (the
+// original consumer index its sequence space belongs to) and the sequence
+// number of its first element. Producers cut an epoch every
+// checkpoint_interval elements per flow and retain flushed-but-not-durably-
+// acknowledged frames in a bounded replay log (resilience::ReplayLog);
+// consumers acknowledge epoch durability (automatically at epoch
+// boundaries, or via ack_durable for consumers with external effects),
+// which truncates the log. When fault
 // injection crashes a consumer, producers rebind the dead consumer's flows
 // to the deterministic failover target (resilience::failover_target) and
 // replay the retained frames; receivers dedupe by (producer, flow, seq), so
@@ -152,12 +157,12 @@ class Stream {
     isend(self, mpi::SendBuf::synthetic(element_size_));
   }
 
-  /// Producer: flush any coalesced frames still buffered (one per addressed
-  /// consumer). Rarely needed by applications — frames flush on their own
-  /// when the byte budget or element cap fills, when the producer terminates
-  /// or blocks on a credit, and (via a same-instant backstop event) the
-  /// moment the producing fiber yields the CPU — but available for protocols
-  /// that want an explicit push.
+  /// Producer: flush any frames still open (one per addressed consumer).
+  /// Rarely needed by applications — frames flush on their own when the
+  /// byte budget or element cap fills, when the producer terminates or
+  /// blocks on a credit, and (via a same-instant backstop event) the moment
+  /// the producing fiber yields the CPU — but available for protocols that
+  /// want an explicit push.
   void flush(mpi::Rank& self);
 
   /// Producer: signal end-of-stream (paper's MPIStream_Terminate).
@@ -227,15 +232,13 @@ class Stream {
   [[nodiscard]] std::uint64_t credits_received() const noexcept {
     return acks_seen_;
   }
-  /// Coalesced frame messages this producer has posted (each carrying one
-  /// or more elements; oversized elements bypass coalescing and are not
-  /// counted here).
+  /// Frame messages this producer has posted. Every element leaves in a
+  /// frame, so this equals elements_sent() when each frame carries one
+  /// element (coalesce_budget = 0, or elements larger than the budget).
   [[nodiscard]] std::uint64_t frames_sent() const noexcept;
-  /// Elements that left this producer inside coalesced frames.
-  [[nodiscard]] std::uint64_t coalesced_elements_sent() const noexcept;
   /// The producer's current effective coalesce budget in wire bytes (may
   /// differ from ChannelConfig::coalesce_budget under self-tuning); 0 when
-  /// coalescing is off or no element has been sent yet.
+  /// coalescing is off or before the producer's first stream operation.
   [[nodiscard]] std::uint32_t coalesce_budget_now() const noexcept;
   /// The consumer's current effective credit batch (self-tuned toward the
   /// observed frame occupancy when ChannelConfig::flow_autotune is on and
@@ -306,11 +309,10 @@ class Stream {
 
   void ensure_consumer_state(mpi::Rank& self);
   void ensure_producer_state(mpi::Rank& self);
-  /// Append one element to the consumer's pending frame, flushing by budget
-  /// or element cap first. False when the element is too large to coalesce
-  /// (bypasses as a per-element message; resilient flows force-frame it
-  /// instead, alone in its own frame, so every element carries a sequence).
-  bool coalesce_element(mpi::Rank& self, int consumer, mpi::SendBuf element);
+  /// Append one element to `flow`'s open frame, flushing it first when the
+  /// element would overflow the budget or the element cap, and posting the
+  /// frame at once when no further element fits (or an epoch ends).
+  void coalesce_element(mpi::Rank& self, int flow, mpi::SendBuf element);
   /// Fiber-context flush of one consumer's pending frame (post, retune,
   /// charge the deferred per-element + per-message overhead as one advance).
   void flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger);
@@ -322,17 +324,13 @@ class Stream {
   void begin_frame(const mpi::Status& status);
   bool consume_frame_element(mpi::Rank& self);
   void account_data_element(mpi::Rank& self, int producer);
+  /// Dispatch one received message: a frame opens for unpacking, anything
+  /// else is protocol control flow.
   void handle(mpi::Rank& self, const mpi::Status& status);
   void handle_tree_term(mpi::Rank& self, const mpi::Status& status);
   /// Send the collective term on to this consumer's tree children, sliced
   /// to each child's subtree.
   void fan_out_term(mpi::Rank& self, const std::vector<TermEntry>& entries);
-  /// One fan-out hop: send `entries` sliced to `child`'s subtree, or — when
-  /// the child is a crashed consumer of a resilient stream — route around it
-  /// into its own tree children, so the collective term reaches every
-  /// surviving subtree.
-  void fan_out_to(mpi::Rank& self, int child,
-                  const std::vector<TermEntry>& entries);
   /// Return `producer`'s accumulated credits as one batched ack message.
   void flush_credits(mpi::Rank& self, int producer);
   void flush_all_credits(mpi::Rank& self);
@@ -393,13 +391,25 @@ class Stream {
                         std::uint64_t upto);
   /// Consumer: ack the current consumption point of every tracked flow.
   void flush_durable_acks(mpi::Rank& self);
-  [[nodiscard]] std::uint32_t window_now() const noexcept;
-  /// The real bodies of terminate()/operate_while(); the public entry
-  /// points wrap them with the ds::obs span and the lifecycle metrics
-  /// flush so every exit path (including RankFailure unwinds) is covered.
+  /// The real body of terminate(); the public entry point adds the
+  /// lifecycle metrics flush on clean completion.
   void terminate_impl(mpi::Rank& self);
-  std::uint64_t operate_loop(mpi::Rank& self,
-                             const std::function<bool()>& keep_going);
+  /// Outcome of one consumer receive step.
+  enum class RecvStep : std::uint8_t {
+    Element,   ///< a data element reached the operator
+    Progress,  ///< a message, duplicate, or wake-up was handled
+    Stop       ///< exhausted, `keep_going` said stop, or nothing to poll
+  };
+  /// The one consumer receive step behind operate_while and poll_one:
+  /// resilient streams first react to membership events and drive the
+  /// termination protocol; then, unless the stream is exhausted or
+  /// `keep_going` (when set) says stop, the open frame's next element goes
+  /// to the operator, or receive_message takes the next message.
+  RecvStep receive_step(mpi::Rank& self,
+                        const std::function<bool()>& keep_going, bool wait);
+  /// Receive and handle one message. With nothing pending, a waiting step
+  /// parks the fiber and a polling one returns Stop.
+  RecvStep receive_message(mpi::Rank& self, bool wait);
   /// Lifecycle flush into the machine's metrics registry (ds::obs): each
   /// role adds its totals once, when it completes — the per-element hot
   /// path never touches the registry.
@@ -422,10 +432,9 @@ class Stream {
   bool producer_metrics_flushed_ = false;
   bool consumer_metrics_flushed_ = false;
   std::uint64_t term_msgs_flushed_ = 0;  ///< term msgs already flushed
-  std::vector<std::uint64_t> sent_per_consumer_;  ///< tree termination only
-  /// Coalescing state box (null until the first isend, or when coalescing
-  /// is disabled). Shared with the backstop events scheduled at each frame
-  /// open, so flushes survive Stream moves.
+  /// Framing state box (null until the first isend or terminate). Shared
+  /// with the backstop events scheduled at each frame open, so flushes
+  /// survive Stream moves.
   std::shared_ptr<CoalesceState> coalesce_;
 
   // consumer state
@@ -446,7 +455,7 @@ class Stream {
   bool ack_auto_ = false;        ///< self-tune ack_every_ to frame occupancy
 
   /// Partially drained incoming frame: elements left, read cursor into
-  /// element_buffer_, and the frame's producer index. poll_one/operate pull
+  /// element_buffer_, and the frame's producer index. receive_step pulls
   /// from here before touching the mailbox, so a frame interleaves with
   /// other sources at frame granularity while per-(context,src) order holds.
   std::uint32_t frame_left_ = 0;
@@ -510,11 +519,10 @@ class Stream {
   std::uint64_t term_msgs_sent_ = 0;
   std::uint64_t ack_msgs_sent_ = 0;
 
-  static constexpr int kTagData = 0;
   static constexpr int kTagTerm = 1;
   static constexpr int kTagAck = 2;
-  /// A coalesced frame: length-prefixed sub-records of one or more
-  /// same-destination elements, unpacked in place at the consumer.
+  /// A frame, the only data message: length-prefixed sub-records of one or
+  /// more same-destination elements, unpacked in place at the consumer.
   static constexpr int kTagFrame = 3;
   /// A durability acknowledgment (resilient streams, durable_context_).
   static constexpr int kTagDurable = 4;

@@ -27,9 +27,10 @@ Harness run_adaptive(const AdaptiveConfig& cfg, std::size_t record_bytes,
     const bool producer = self.world_rank() == 0;
     // The batcher's controller reads the virtual time its isends charge;
     // transport coalescing defers those charges to frame flushes, which
-    // would starve the overhead signal. These tests pin the per-element
-    // transport so they exercise the batcher controller in isolation (the
-    // batcher x coalescing composition is covered in test_stream_coalesce).
+    // would starve the overhead signal. These tests pin one element per
+    // frame (coalesce_budget = 0, charged o + o_s at each isend) so they
+    // exercise the batcher controller in isolation (the batcher x
+    // coalescing composition is covered in test_stream_coalesce).
     ChannelConfig ccfg;
     ccfg.coalesce_budget = 0;
     const Channel ch =

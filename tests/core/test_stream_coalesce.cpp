@@ -4,7 +4,9 @@
 // frames must be invisible to stream consumers — per-(context,src) FIFO
 // order under wildcard receives, count-based termination exhaustion with
 // partial final frames, credit liveness, synthetic elements, oversized
-// bypass — plus the liveness backstop (elements are never delayed past the
+// elements framed alone — plus the single-transport cost model
+// (coalesce_budget = 0 frames every element alone and charges o + o_s at
+// each send), the liveness backstop (elements are never delayed past the
 // instant the producing fiber yields) and the self-tuning loop
 // (FlowController: budget growth under bursty load, ack batches tracking
 // frame occupancy, AdaptiveBatcher composition).
@@ -27,7 +29,7 @@ using mpi::SendBuf;
 TEST(StreamCoalesce, PartialFrameFlushesOnTerminate) {
   // Three small elements fit one frame with room to spare; terminate must
   // flush the partial frame before the term so nothing is stranded.
-  std::uint64_t consumed = 0, frames = 0, coalesced = 0;
+  std::uint64_t consumed = 0, frames = 0, sent = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer);
@@ -37,14 +39,14 @@ TEST(StreamCoalesce, PartialFrameFlushesOnTerminate) {
       for (int i = 0; i < 3; ++i) s.isend(self, SendBuf::of(&i, 1));
       s.terminate(self);
       frames = s.frames_sent();
-      coalesced = s.coalesced_elements_sent();
+      sent = s.elements_sent();
     } else {
       consumed = s.operate(self);
     }
   });
   EXPECT_EQ(consumed, 3u);
   EXPECT_EQ(frames, 1u);  // one frame carried all three elements
-  EXPECT_EQ(coalesced, 3u);
+  EXPECT_EQ(sent, 3u);
 }
 
 TEST(StreamCoalesce, WildcardRecvSeesFramesInPerSourceFifoOrder) {
@@ -232,10 +234,10 @@ TEST(StreamCoalesce, SyntheticElementsSurvivePacking) {
   EXPECT_GE(frames, 1u);
 }
 
-TEST(StreamCoalesce, OversizedElementsBypassAndKeepOrder) {
-  // Elements larger than the frame budget travel per-element; a pending
-  // frame toward the same consumer must flush first so arrival order stays
-  // the send order.
+TEST(StreamCoalesce, OversizedElementsFramedAloneKeepOrder) {
+  // Elements larger than the frame budget travel in frames of their own; a
+  // pending frame toward the same consumer must flush first so arrival
+  // order stays the send order.
   struct Big {
     int seq = 0;
     std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
@@ -269,11 +271,107 @@ TEST(StreamCoalesce, OversizedElementsBypassAndKeepOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
+TEST(StreamCoalesce, ZeroBudgetFramesEveryElementAlone) {
+  // coalesce_budget = 0 is one element per frame on the single framed
+  // transport: every element leaves in a frame of its own, and consumers
+  // still see each producer's elements in send order and reach exhaustion.
+  constexpr int kProducers = 2, kEach = 40;
+  std::vector<int> last_seq(kProducers, -1);
+  std::vector<std::uint64_t> frames(kProducers, 0), sent(kProducers, 0);
+  std::uint64_t consumed = 0;
+  bool order_ok = true, exhausted = false;
+  testing::run_program(testing::tiny_machine(kProducers + 1), [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.coalesce_budget = 0;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+                              [&](const StreamElement& el) {
+                                int seq = 0;
+                                std::memcpy(&seq, el.data, sizeof seq);
+                                auto& last =
+                                    last_seq[static_cast<std::size_t>(el.producer)];
+                                if (seq != last + 1) order_ok = false;
+                                last = seq;
+                              });
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) s.isend(self, SendBuf::of(&i, 1));
+      s.terminate(self);
+      frames[static_cast<std::size_t>(self.world_rank())] = s.frames_sent();
+      sent[static_cast<std::size_t>(self.world_rank())] = s.elements_sent();
+    } else {
+      consumed = s.operate(self);
+      exhausted = s.exhausted();
+    }
+  });
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(sent[static_cast<std::size_t>(p)], static_cast<std::uint64_t>(kEach));
+    EXPECT_EQ(frames[static_cast<std::size_t>(p)], sent[static_cast<std::size_t>(p)]);
+    EXPECT_EQ(last_seq[static_cast<std::size_t>(p)], kEach - 1);
+  }
+  EXPECT_EQ(consumed, static_cast<std::uint64_t>(kProducers * kEach));
+  EXPECT_TRUE(order_ok);
+  EXPECT_TRUE(exhausted);
+}
+
+/// The paper's per-element cost on the test machine: the stream's injection
+/// overhead o plus one per-message send overhead o_s.
+util::SimTime per_element_cost() {
+  return ChannelConfig{}.inject_overhead +
+         testing::tiny_machine(2).network.send_overhead;
+}
+
+/// Producer clock advance charged inside the isend of an oversized element
+/// sent between two compute phases.
+util::SimTime oversized_isend_charge(std::uint32_t checkpoint_interval) {
+  struct Big {
+    int seq = 0;
+    std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
+  };
+  util::SimTime charge = 0;
+  std::uint64_t consumed = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.flow_autotune = false;  // keep the 2 KiB budget pinned
+    cfg.checkpoint_interval = checkpoint_interval;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Big)), {});
+    if (producer) {
+      self.compute(util::microseconds(5));
+      Big big;
+      const util::SimTime before = self.now();
+      s.isend(self, SendBuf::of(&big, 1));
+      charge = self.now() - before;
+      self.compute(util::microseconds(5));
+      s.terminate(self);
+    } else {
+      consumed = s.operate(self);
+    }
+  });
+  EXPECT_EQ(consumed, 1u);
+  return charge;
+}
+
+TEST(StreamCoalesce, OversizedElementPaysItsOverheadAtItsOwnSend) {
+  // A frame no further element fits is posted at once from the producing
+  // fiber, so a lone element pays the paper's per-element cost o + o_s
+  // during its own isend — not later as backstop debt.
+  EXPECT_GT(per_element_cost(), 0);
+  EXPECT_EQ(oversized_isend_charge(0), per_element_cost());
+}
+
+TEST(StreamCoalesce, ResilientOversizedElementPaysItsOverheadAtItsOwnSend) {
+  // Same cost model on a resilient stream, whose lone frames also carry the
+  // epoch header and are retained for replay.
+  EXPECT_EQ(oversized_isend_charge(64), per_element_cost());
+}
+
 TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
   // An unthrottled burst keeps filling frames: the FlowController must grow
   // the budget toward its cap, and most elements must leave coalesced.
   std::uint32_t budget_end = 0;
-  std::uint64_t frames = 0, coalesced = 0;
+  std::uint64_t frames = 0, sent = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer);
@@ -284,7 +382,7 @@ TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
       s.terminate(self);
       budget_end = s.coalesce_budget_now();
       frames = s.frames_sent();
-      coalesced = s.coalesced_elements_sent();
+      sent = s.elements_sent();
     } else {
       (void)s.operate(self);
     }
@@ -292,7 +390,7 @@ TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
   EXPECT_GT(budget_end, ChannelConfig::kDefaultCoalesceBudget);
   EXPECT_LE(budget_end, ChannelConfig::kDefaultCoalesceBudget *
                             ChannelConfig::kCoalesceGrowthCap);
-  EXPECT_EQ(coalesced, 3000u);
+  EXPECT_EQ(sent, 3000u);
   // Growth shows up as amortization: far fewer frames than a fixed default
   // budget (~28 elements/frame) would need.
   EXPECT_LT(frames, 3000u / 28u);
@@ -390,10 +488,10 @@ TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
 }
 
 TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
-  // Gap left by the PR 4 sweep: an oversized bypass element as the very
-  // last send leaves a partial frame pending toward the same consumer. The
-  // ordering-preserving flush, the bypass message, and the term must arrive
-  // in exactly that order — nothing stranded, nothing overtaken.
+  // An oversized element as the very last send finds a partial frame
+  // pending toward the same consumer. The ordering-preserving flush, the
+  // oversized element's own frame, and the term must arrive in exactly
+  // that order — nothing stranded, nothing overtaken.
   struct Big {
     int seq = 0;
     std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
@@ -418,7 +516,7 @@ TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
       }
       Big big;
       big.seq = 4;
-      s.isend(self, SendBuf::of(&big, 1));  // bypass right before the term
+      s.isend(self, SendBuf::of(&big, 1));  // framed alone before the term
       s.terminate(self);
     } else {
       consumed = s.operate(self);
@@ -430,9 +528,9 @@ TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
 
 TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTermination) {
   // Directed (tree-terminated) spray where every consumer's tail mixes a
-  // partial final frame with an oversized bypass element: count-based
-  // exhaustion must account bypass elements and packed elements alike, on
-  // every consumer, or operate() would hang or exit early.
+  // partial final frame with an oversized element framed alone: count-based
+  // exhaustion must account lone and packed elements alike, on every
+  // consumer, or operate() would hang or exit early.
   struct Big {
     int seq = 0;
     std::byte fill[2500] = {};
@@ -457,7 +555,7 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
             if (i % 5 == 4) {
               Big big;
               big.seq = i;
-              s.isend_to(self, to, SendBuf::of(&big, 1));  // bypass
+              s.isend_to(self, to, SendBuf::of(&big, 1));  // framed alone
             } else {
               int small[2] = {i, 0};
               s.isend_to(self, to, SendBuf::of(small, 2));  // coalesces
@@ -479,10 +577,10 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
 }
 
 TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
-  // Oversized bypass interleaved with packed elements under flow control:
-  // per-element credit accounting must stay exact across both paths (a
-  // bypass element acks like any other), so the producer's window never
-  // wedges and the tail drains.
+  // Oversized elements framed alone interleaved with packed elements under
+  // flow control: per-element credit accounting must stay exact across
+  // both kinds of frame (a lone element acks like any other), so the
+  // producer's window never wedges and the tail drains.
   struct Big {
     int seq = 0;
     std::byte fill[2500] = {};

@@ -200,7 +200,11 @@ TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
     ChannelConfig cfg;
     cfg.checkpoint_interval = kInterval;
     cfg.max_inflight = kWindow;
-    cfg.coalesce_max_elements = 4;
+    // Four-element frames: the resilient framing overhead (frame + epoch
+    // headers, 24 bytes) plus four 16-byte int64 sub-records fills the
+    // pinned budget exactly.
+    cfg.coalesce_budget = 24 + 4 * 16;
+    cfg.flow_autotune = false;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});

@@ -26,6 +26,12 @@ The baseline document's top-level "bench" key selects the mode:
     archived for trend reading, not drift-gated here — the bench binary
     itself exits nonzero on every bound it owns.
 
+  * "fig9_termination" (BENCH_fig9.json): the termination-protocol gate.
+    Term-message counts and tree depths are exact functions of the
+    protocol, so the fresh `series` must match the baseline entry for
+    entry, in order, key for key — no tolerance. Any difference means the
+    termination protocol's message pattern changed.
+
   * anything else (BENCH_simcore.json, predating the key): the simulator
     hot-path mode. The steady_stream scenario must not regress:
     elements_per_sec within DS_BENCH_EPS_TOLERANCE (default 20% — it is a
@@ -192,21 +198,48 @@ def check_fault_recovery(baseline_doc, fresh_doc):
              "(churn did not exercise rejoin)")
 
 
+def check_fig9(baseline_doc, fresh_doc):
+    """Termination-protocol gate: every series entry (term-message counts,
+    per-rank maxima, tree depth) must reproduce the baseline exactly."""
+    base = baseline_doc.get("series")
+    fresh = fresh_doc.get("series") if isinstance(fresh_doc, dict) else None
+    if not isinstance(base, list) or not base:
+        fail("baseline JSON has no 'series' array")
+        return
+    if not isinstance(fresh, list):
+        fail("fresh JSON has no 'series' array")
+        return
+    if len(fresh) != len(base):
+        fail(f"series length: baseline {len(base)}, fresh {len(fresh)}")
+    for i, (b, f) in enumerate(zip(base, fresh)):
+        if not isinstance(b, dict) or not isinstance(f, dict):
+            fail(f"series[{i}] is not an object")
+            continue
+        where = (f"series[{i}] (consumers={b.get('consumers')}, "
+                 f"producers={b.get('producers')})")
+        for key in sorted(set(b) | set(f)):
+            if b.get(key) != f.get(key):
+                fail(f"{where} '{key}': baseline {b.get(key)!r}, "
+                     f"fresh {f.get(key)!r}")
+    print(f"fig9 termination: {len(base)} baseline series entries checked "
+          f"exactly")
+
+
+MODES = {
+    "topology_sweep": check_topology,
+    "fault_recovery": check_fault_recovery,
+    "fig9_termination": check_fig9,
+}
+
+
 def main():
     if len(sys.argv) != 3:
         raise SystemExit(__doc__)
     baseline_doc = load(sys.argv[1], "baseline")
     fresh_doc = load(sys.argv[2], "fresh")
-    if isinstance(baseline_doc, dict) and \
-            baseline_doc.get("bench") == "topology_sweep":
-        check_topology(baseline_doc, fresh_doc)
-        ok = not errors
-        print("bench regression check:",
-              "PASS" if ok else f"FAIL ({len(errors)} problem(s))")
-        return 0 if ok else 1
-    if isinstance(baseline_doc, dict) and \
-            baseline_doc.get("bench") == "fault_recovery":
-        check_fault_recovery(baseline_doc, fresh_doc)
+    mode = baseline_doc.get("bench") if isinstance(baseline_doc, dict) else None
+    if mode in MODES:
+        MODES[mode](baseline_doc, fresh_doc)
         ok = not errors
         print("bench regression check:",
               "PASS" if ok else f"FAIL ({len(errors)} problem(s))")
