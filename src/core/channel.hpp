@@ -138,8 +138,7 @@ struct ChannelConfig {
   /// elements regardless of byte budget).
   static constexpr std::uint32_t kCoalesceMaxElements = 128;
   /// Self-tuning may grow a frame budget to at most this multiple of its
-  /// configured value; consumers size their receive buffers from the same
-  /// bound, so both sides agree without coordination.
+  /// configured value.
   static constexpr std::uint32_t kCoalesceGrowthCap = 4;
   /// Adaptive flow control may grow the effective credit window to at most
   /// this multiple of max_inflight (and never below it): the consumer-side

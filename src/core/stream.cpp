@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "core/adaptive.hpp"
 #include "mpi/machine.hpp"
@@ -73,6 +74,13 @@ struct SyncEntry {
 constexpr std::size_t kFrameOverhead = sizeof(FrameHeader);
 constexpr std::size_t kSubOverhead = sizeof(SubHeader);
 constexpr std::size_t kEpochOverhead = sizeof(EpochHeader);
+
+/// The payload of a borrowed message, read in place (empty when synthetic).
+std::span<const std::byte> payload_of(
+    const mpi::detail::OpRef<mpi::detail::SendOp>& message) {
+  if (!message) return {};
+  return {message->payload(), message->payload_bytes};
+}
 
 }  // namespace
 
@@ -231,13 +239,21 @@ std::uint32_t Stream::rebalances() const noexcept {
   return coalesce_ ? coalesce_->rebalances : 0;
 }
 
-void Stream::ensure_producer_state(mpi::Rank& self) {
+int Stream::my_producer(mpi::Rank& self, const char* caller) {
+  if (coalesce_) return coalesce_->producer_index;
+  const int p = channel_->my_producer_index(self);
+  if (p < 0)
+    throw std::logic_error(std::string(caller) + ": caller is not a producer");
+  return p;
+}
+
+void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
   const ChannelConfig& cfg = channel_->config();
   if (coalesce_) return;
   auto st = std::make_shared<CoalesceState>();
   st->machine = &self.machine();
   st->context = context_;
-  st->producer_index = channel_->my_producer_index(self);
+  st->producer_index = producer;
   st->src_world = self.world_rank();
   st->frame_tag = kTagFrame;
   st->resilient = cfg.resilient();
@@ -382,28 +398,25 @@ void Stream::flush_all_frames(mpi::Rank& self, std::uint8_t trigger) {
 }
 
 void Stream::flush(mpi::Rank& self) {
-  if (channel_->my_producer_index(self) < 0)
-    throw std::logic_error("Stream::flush: caller is not a producer");
+  (void)my_producer(self, "Stream::flush");
   flush_all_frames(self,
                    static_cast<std::uint8_t>(FlushTrigger::Explicit));
 }
 
 void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
-  const int p = channel_->my_producer_index(self);
-  if (p < 0) throw std::logic_error("Stream::isend: caller is not a producer");
+  const int p = my_producer(self, "Stream::isend");
   isend_to(self, channel_->route(p, sent_), element);
 }
 
 void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
-  const int p = channel_->my_producer_index(self);
-  if (p < 0) throw std::logic_error("Stream::isend_to: caller is not a producer");
+  const int p = my_producer(self, "Stream::isend_to");
   if (consumer < 0 || consumer >= channel_->consumer_count())
     throw std::out_of_range("Stream::isend_to: consumer index out of range");
   if (element.on_wire() > element_size_)
     throw std::invalid_argument("Stream::isend: element larger than its datatype");
   if (terminated_)
     throw std::logic_error("Stream::isend: stream already terminated");
-  ensure_producer_state(self);
+  ensure_producer_state(self, p);
 
   if (coalesce_->resilient) {
     // Truncate replay logs with any durability progress first (smaller
@@ -438,8 +451,7 @@ void Stream::terminate(mpi::Rank& self) {
 }
 
 void Stream::terminate_impl(mpi::Rank& self) {
-  const int p = channel_->my_producer_index(self);
-  if (p < 0) throw std::logic_error("Stream::terminate: caller is not a producer");
+  const int p = my_producer(self, "Stream::terminate");
   if (terminated_) return;
   if (self.failed()) {
     // A crashed rank's RAII termination must not emit protocol traffic.
@@ -448,7 +460,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   }
   // A producer that never sent still needs its resilience state here: its
   // term must route to the failover target, not to a dead consumer.
-  ensure_producer_state(self);
+  ensure_producer_state(self, p);
   const bool resilient = coalesce_->resilient;
   if (resilient) {
     // Repair routing before the counts go out. Under tree termination the
@@ -622,22 +634,8 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
-  // Frames carry up to the (possibly self-tuned) budget, or one element
-  // alone; tree-mode terms carry up to one count entry per consumer. Size
-  // the receive buffer for the largest of those — the growth factor applies
-  // only when self-tuning can actually grow the producer's budget, and
-  // resilient frames carry the epoch header on top.
-  const std::size_t frame_overhead =
-      kFrameOverhead + (resilient_ ? kEpochOverhead : 0);
-  const std::size_t growth = cfg.flow_autotune && cfg.coalesce_budget > 0
-                                 ? ChannelConfig::kCoalesceGrowthCap
-                                 : 1;
-  std::size_t capacity =
-      std::max(element_size_ + frame_overhead + kSubOverhead,
-               static_cast<std::size_t>(cfg.coalesce_budget) * growth);
   if (channel_->tree_termination()) {
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    capacity = std::max(capacity, consumers * sizeof(TermEntry));
     term_rx_.reserve(consumers);
     term_tx_.reserve(consumers);
     term_slice_.reserve(consumers);
@@ -645,12 +643,6 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   if (resilient_) {
     const auto producers = static_cast<std::size_t>(channel_->producer_count());
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    // Rebalance syncs carry up to one entry per producer; tree-mode
-    // announces carry the whole P x C count matrix.
-    capacity = std::max(capacity, producers * sizeof(SyncEntry));
-    if (channel_->tree_termination())
-      capacity =
-          std::max(capacity, producers * consumers * sizeof(std::uint64_t));
     term_from_.assign(producers, 0);
     producer_excluded_.assign(producers, 0);
     adopted_.assign(consumers, 0);
@@ -665,11 +657,11 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
         resilience::effective_aggregator(*channel_, self.machine());
     if (channel_->tree_termination()) {
       tree_v2_ = true;
-      matrix_.assign(producers * consumers, 0);
+      matrix_ = resilience::CountMatrix(static_cast<int>(producers),
+                                        static_cast<int>(consumers));
       announce_acked_.assign(consumers, 0);
     }
   }
-  element_buffer_.resize(capacity);
   if (cfg.max_inflight > 0) {
     // Effective credit batch, clamped for liveness: a blocked producer has
     // max_inflight un-acked elements spread over the consumers it routes to
@@ -718,12 +710,12 @@ void Stream::fan_out_term(mpi::Rank& self,
   }
 }
 
-void Stream::handle_tree_term(mpi::Rank& self, const mpi::Status& status) {
+void Stream::handle_tree_term(mpi::Rank& self, Payload payload) {
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  const std::size_t n = std::min(status.bytes / sizeof(TermEntry), consumers);
+  const std::size_t n = std::min(payload.size() / sizeof(TermEntry), consumers);
   term_rx_.resize(n);
   if (n > 0)
-    std::memcpy(term_rx_.data(), element_buffer_.data(), n * sizeof(TermEntry));
+    std::memcpy(term_rx_.data(), payload.data(), n * sizeof(TermEntry));
   ++terms_seen_;
   if (my_consumer_ == effective_aggregator_) {
     // Producer term: accumulate; once every producer reported, the summed
@@ -1040,15 +1032,13 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
 void Stream::update_matrix_exhaustion(mpi::Rank& self) {
   if (!tree_v2_ || !counts_known_ || matrix_satisfied_) return;
   auto& machine = self.machine();
-  const int producers = channel_->producer_count();
-  const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  for (std::size_t s = 0; s < consumers; ++s) {
-    if (static_cast<int>(s) != my_consumer_ && adopted_[s] == 0) continue;
-    for (int p = 0; p < producers; ++p) {
-      const std::uint64_t want =
-          matrix_[static_cast<std::size_t>(p) * consumers + s];
-      if (want == 0 || dedup_.next_seq(p, static_cast<int>(s)) >= want)
-        continue;
+  const int consumers = channel_->consumer_count();
+  for (int s = 0; s < consumers; ++s) {
+    if (s != my_consumer_ && adopted_[static_cast<std::size_t>(s)] == 0)
+      continue;
+    for (const resilience::CountMatrix::Cell& cell : matrix_.flow(s)) {
+      const auto p = static_cast<int>(cell.producer);
+      if (dedup_.next_seq(p, s) >= cell.count) continue;
       // A dead producer's missing tail is unrecoverable (fail-stop): only
       // its durable/delivered prefix counts, so the shortfall is waived.
       if (machine.rank_failed(
@@ -1058,6 +1048,13 @@ void Stream::update_matrix_exhaustion(mpi::Rank& self) {
     }
   }
   matrix_satisfied_ = true;
+}
+
+void Stream::seal_matrix(mpi::Rank& self) {
+  matrix_.seal();
+  counts_known_ = true;
+  expected_data_ = matrix_.flow_total(my_consumer_);
+  update_matrix_exhaustion(self);
 }
 
 void Stream::maybe_ack_announce(mpi::Rank& self) {
@@ -1084,7 +1081,6 @@ void Stream::progress_termination(mpi::Rank& self) {
   auto& machine = self.machine();
   const int producers = channel_->producer_count();
   const int consumers = channel_->consumer_count();
-  const auto consumers_z = static_cast<std::size_t>(consumers);
   if (!counts_known_) {
     for (int p = 0; p < producers; ++p) {
       if (term_from_[static_cast<std::size_t>(p)] != 0) continue;
@@ -1094,12 +1090,7 @@ void Stream::progress_termination(mpi::Rank& self) {
       // Dead without reporting: its counts are excluded — the matrix row
       // stays zero and nobody waits for its lost tail.
     }
-    counts_known_ = true;
-    expected_data_ = 0;
-    for (int p = 0; p < producers; ++p)
-      expected_data_ += matrix_[static_cast<std::size_t>(p) * consumers_z +
-                                static_cast<std::size_t>(my_consumer_)];
-    update_matrix_exhaustion(self);
+    seal_matrix(self);
   }
   auto alive_active = [&](int c) {
     return !machine.rank_failed(
@@ -1124,6 +1115,10 @@ void Stream::progress_termination(mpi::Rank& self) {
     announce_failure_epoch_ = fe;
     announce_rejoin_epoch_ = re;
     announce_acked_[static_cast<std::size_t>(my_consumer_)] = 1;
+    // The fabric charges the full P x C matrix whichever form travels.
+    const std::vector<std::byte> announce = matrix_.encode();
+    const mpi::SendBuf payload{announce.data(), announce.size(),
+                               matrix_.dense_bytes()};
     for (int c = 0; c < consumers; ++c) {
       if (c == my_consumer_ ||
           announce_acked_[static_cast<std::size_t>(c)] != 0 ||
@@ -1133,7 +1128,7 @@ void Stream::progress_termination(mpi::Rank& self) {
       machine.post_send(
           context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
           channel_->comm().world_rank(channel_->consumer_rank(c)),
-          kTagAnnounce, mpi::SendBuf::of(matrix_.data(), matrix_.size()));
+          kTagAnnounce, payload);
       ++term_msgs_sent_;
     }
   }
@@ -1183,28 +1178,29 @@ void Stream::progress_termination(mpi::Rank& self) {
                            static_cast<unsigned>(releases));
 }
 
-void Stream::handle_counted_term(mpi::Rank& self, const mpi::Status& status) {
+void Stream::handle_counted_term(const mpi::Status& status, Payload payload) {
   const int p = status.source;
   if (status.synthetic || p < 0 || p >= channel_->producer_count()) return;
   const auto pz = static_cast<std::size_t>(p);
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  const std::size_t n = std::min(status.bytes / sizeof(TermEntry), consumers);
-  term_rx_.resize(n);
-  if (n > 0)
-    std::memcpy(term_rx_.data(), element_buffer_.data(), n * sizeof(TermEntry));
+  const std::size_t n = std::min(payload.size() / sizeof(TermEntry), consumers);
   // Idempotent row write: a producer re-sends its counted term every time
-  // the aggregator role moves, and rows simply overwrite in place.
-  for (std::size_t c = 0; c < consumers; ++c) matrix_[pz * consumers + c] = 0;
-  for (const TermEntry& e : term_rx_)
-    if (e.consumer < consumers) matrix_[pz * consumers + e.consumer] = e.count;
+  // the aggregator role moves, and the row simply replaces its earlier copy.
+  std::vector<std::uint64_t> row(consumers, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    TermEntry e;
+    std::memcpy(&e, payload.data() + i * sizeof e, sizeof e);
+    if (e.consumer < consumers) row[e.consumer] = e.count;
+  }
+  matrix_.set_row(p, row);
   if (term_from_[pz] == 0) {
     term_from_[pz] = 1;
     ++terms_seen_;
   }
-  (void)self;
 }
 
-void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
+void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
+                         Payload payload) {
   if (!resilient_ || status.synthetic) return;
   const int producers = channel_->producer_count();
   if (status.source >= 0 && status.source < producers) {
@@ -1213,9 +1209,9 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
     // is FIFO-after every element the producer sent here, so the cursor is
     // final) and erase the local entry — the dedup filter's memory bound
     // under churn.
-    if (status.bytes < sizeof(FlowHandoff)) return;
+    if (payload.size() < sizeof(FlowHandoff)) return;
     FlowHandoff marker;
-    std::memcpy(&marker, element_buffer_.data(), sizeof marker);
+    std::memcpy(&marker, payload.data(), sizeof marker);
     const int flow = static_cast<int>(marker.flow);
     if (flow < 0 || flow >= channel_->consumer_count() ||
         flow == my_consumer_)
@@ -1236,10 +1232,10 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
   }
   // Cursor sync from another consumer (a retiree handing over its slots, or
   // an adopter answering a handback marker): adopt the carried cursors.
-  const std::size_t n = status.bytes / sizeof(SyncEntry);
+  const std::size_t n = payload.size() / sizeof(SyncEntry);
   for (std::size_t i = 0; i < n; ++i) {
     SyncEntry e;
-    std::memcpy(&e, element_buffer_.data() + i * sizeof(SyncEntry), sizeof e);
+    std::memcpy(&e, payload.data() + i * sizeof(SyncEntry), sizeof e);
     const int p = static_cast<int>(e.producer);
     const int flow = static_cast<int>(e.flow);
     if (p < 0 || p >= producers || flow < 0 ||
@@ -1293,12 +1289,13 @@ void Stream::await_rebalance_sync(mpi::Rank& self, int retiree_flow) {
   auto& machine = self.machine();
   const int src = channel_->consumer_rank(retiree_flow);
   while (synced_slot_[static_cast<std::size_t>(retiree_flow)] == 0) {
-    auto req = machine.post_recv(
-        context_, self.world_rank(), src, kTagSync,
-        mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()}, {},
-        /*fused_wake=*/true);
+    // A local borrow: this may run while message_ holds a frame mid-drain.
+    auto req = machine.post_recv(context_, self.world_rank(), src, kTagSync,
+                                 mpi::RecvBuf::borrowed(), {},
+                                 /*fused_wake=*/true);
     self.wait(req);
-    handle_sync(self, req->status);
+    const auto sync = std::move(req->message);
+    handle_sync(self, req->status, payload_of(sync));
   }
 }
 
@@ -1397,15 +1394,16 @@ void Stream::account_data_element(mpi::Rank& self, int producer) {
 }
 
 void Stream::begin_frame(const mpi::Status& status) {
+  const std::byte* frame = message_->payload();
   FrameHeader header;
-  std::memcpy(&header, element_buffer_.data(), sizeof header);
+  std::memcpy(&header, frame, sizeof header);
   frame_left_ = header.elements;
   frame_elements_ = header.elements;
   frame_cursor_ = kFrameOverhead;
   frame_source_ = status.source;
   if (resilient_) {
     EpochHeader eh;
-    std::memcpy(&eh, element_buffer_.data() + kFrameOverhead, sizeof eh);
+    std::memcpy(&eh, frame + kFrameOverhead, sizeof eh);
     frame_seq0_ = eh.seq0;
     frame_flow_ = static_cast<int>(eh.flow);
     frame_cursor_ += kEpochOverhead;
@@ -1413,8 +1411,9 @@ void Stream::begin_frame(const mpi::Status& status) {
 }
 
 bool Stream::consume_frame_element(mpi::Rank& self) {
+  const std::byte* frame = message_->payload();
   SubHeader sub;
-  std::memcpy(&sub, element_buffer_.data() + frame_cursor_, sizeof sub);
+  std::memcpy(&sub, frame + frame_cursor_, sizeof sub);
   const std::size_t data_at = frame_cursor_ + kSubOverhead;
   // The element is consumed once unpacked — cursor and counts move before
   // the operator runs, so a throwing operator leaves the frame walkable.
@@ -1429,11 +1428,15 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   if (admit) {
     ++processed_data_;
     if (operator_) {
-      StreamElement el{sub.data > 0 ? element_buffer_.data() + data_at
-                                    : nullptr,
-                       sub.wire, frame_source_};
+      StreamElement el{sub.data > 0 ? frame + data_at : nullptr, sub.wire,
+                       frame_source_};
       operator_(el);
     }
+  }
+  // Drained: the frame's send op goes back to its pool before the
+  // accounting below can yield the fiber (a credit flush advances time).
+  if (frame_left_ == 0) message_.reset();
+  if (admit) {
     if (tree_v2_ && counts_known_ && !matrix_satisfied_)
       update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
@@ -1453,18 +1456,13 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   return admit;
 }
 
-void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
-  if (status.tag == kTagFrame) {
-    // One aggregate recv-overhead advance was charged for the message; its
-    // elements now drain with no further machine traffic.
-    begin_frame(status);
-    return;
-  }
+void Stream::handle(mpi::Rank& self, const mpi::Status& status,
+                    Payload payload) {
   if (status.tag == kTagTerm) {
     if (tree_v2_)
-      handle_counted_term(self, status);
+      handle_counted_term(status, payload);
     else if (channel_->tree_termination())
-      handle_tree_term(self, status);
+      handle_tree_term(self, payload);
     else if (resilient_ && status.source >= 0 &&
              status.source < channel_->producer_count()) {
       // Terms are idempotent under churn: a producer re-points its term
@@ -1487,10 +1485,9 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
   }
   if (status.tag == kTagHandoff) {
     // Control flow, not an element: adopt the flow's durable point.
-    if (resilient_ && !status.synthetic &&
-        status.bytes >= sizeof(FlowHandoff)) {
+    if (resilient_ && payload.size() >= sizeof(FlowHandoff)) {
       FlowHandoff handoff;
-      std::memcpy(&handoff, element_buffer_.data(), sizeof handoff);
+      std::memcpy(&handoff, payload.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
                         handoff.durable);
       if (tree_v2_ && counts_known_) update_matrix_exhaustion(self);
@@ -1498,18 +1495,8 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     return;
   }
   if (status.tag == kTagAnnounce) {
-    if (tree_v2_ && !status.synthetic &&
-        status.bytes >= matrix_.size() * sizeof(std::uint64_t)) {
-      std::memcpy(matrix_.data(), element_buffer_.data(),
-                  matrix_.size() * sizeof(std::uint64_t));
-      counts_known_ = true;
-      const auto consumers = static_cast<std::size_t>(
-          channel_->consumer_count());
-      expected_data_ = 0;
-      for (int p = 0; p < channel_->producer_count(); ++p)
-        expected_data_ += matrix_[static_cast<std::size_t>(p) * consumers +
-                                  static_cast<std::size_t>(my_consumer_)];
-      update_matrix_exhaustion(self);
+    if (tree_v2_ && !status.synthetic && matrix_.decode(payload)) {
+      seal_matrix(self);
       // Ack to whoever announced (the role may move under us; the reply
       // address, not the derived aggregator, is what keeps the barrier
       // consistent across takeovers). Announces are idempotent — re-ack
@@ -1542,7 +1529,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     if (tree_v2_) release_seen_ = true;
     return;
   }
-  if (status.tag == kTagSync) handle_sync(self, status);
+  if (status.tag == kTagSync) handle_sync(self, status, payload);
 }
 
 // Inline: operate_while runs this once per element.
@@ -1592,11 +1579,19 @@ Stream::RecvStep Stream::receive_message(mpi::Rank& self, bool wait) {
     self.process().set_state_note({});
     return RecvStep::Progress;
   }
-  auto req = machine.post_recv(
-      context_, self.world_rank(), status.source, status.tag,
-      mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()}, {}, fused);
+  auto req = machine.post_recv(context_, self.world_rank(), status.source,
+                               status.tag, mpi::RecvBuf::borrowed(), {}, fused);
   self.wait(req);
-  handle(self, req->status);
+  message_ = std::move(req->message);
+  if (req->status.tag == kTagFrame) {
+    // One aggregate recv-overhead advance was charged for the message; its
+    // elements now drain in place with no further machine traffic, and the
+    // frame is held until its last element is consumed.
+    begin_frame(req->status);
+    return RecvStep::Progress;
+  }
+  handle(self, req->status, payload_of(message_));
+  message_.reset();
   return RecvStep::Progress;
 }
 

@@ -27,7 +27,10 @@
 // the seed's broadcast, where unread terms were simply abandoned.
 //
 // Transport: every element travels inside a frame — one fabric message of
-// length-prefixed sub-records, unpacked in place at the consumer. Each
+// length-prefixed sub-records. The consumer borrows each received message
+// from the machine instead of copying it out, unpacks the frame's elements
+// straight from its payload, and releases it after the last one, so its
+// memory follows what arrives, not the element type's modeled size. Each
 // element costs the producer its injection overhead o (Eq. 4), and each
 // frame one per-message o_s at the producer and o_r at the consumer.
 // Elements a producer injects at the same virtual instant toward the same
@@ -71,13 +74,15 @@
 //    complete once every producer has reported or crashed (a dead producer's
 //    unreported counts are excluded: its undurable in-flight tail is
 //    unrecoverable by definition and nobody waits for it). It then announces
-//    the full (producer x flow) count matrix to every live+active consumer,
-//    collects announce-acks, and only then releases producers and consumers
-//    (in one atomic fiber step). The barrier yields the invariant that makes
-//    an aggregator crash mid-protocol survivable: if any producer was
-//    released, every live consumer already holds the matrix, so a newly
-//    elected aggregator either re-collects terms (producers are still
-//    blocked and resend) or re-announces from its own copy.
+//    the (producer x flow) count matrix to every live+active consumer — its
+//    nonzero cells, or the dense matrix when that is no larger; the fabric
+//    charges the full P x C counts either way — collects announce-acks, and
+//    only then releases producers and consumers (in one atomic fiber step).
+//    The barrier yields the invariant that makes an aggregator crash
+//    mid-protocol survivable: if any producer was released, every live
+//    consumer already holds the matrix, so a newly elected aggregator either
+//    re-collects terms (producers are still blocked and resend) or
+//    re-announces from its own copy.
 //  * A consumer is exhausted once it holds the matrix, its dedup cursor for
 //    every (live producer, owned flow) pair has reached the announced count,
 //    and it has been released. Per-pair accounting means a dead producer's
@@ -103,11 +108,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/channel.hpp"
 #include "mpi/datatype.hpp"
+#include "mpi/ops.hpp"
 #include "resilience/failover.hpp"
 
 namespace ds::stream {
@@ -306,9 +313,14 @@ class Stream {
     std::uint64_t consumer = 0;
     std::uint64_t count = 0;
   };
+  using Payload = std::span<const std::byte>;
 
   void ensure_consumer_state(mpi::Rank& self);
-  void ensure_producer_state(mpi::Rank& self);
+  /// This rank's producer index, resolved once per stream: the channel
+  /// lookup is a scan over its members, too slow for every element. Throws
+  /// std::logic_error, naming `caller`, when this rank is not a producer.
+  int my_producer(mpi::Rank& self, const char* caller);
+  void ensure_producer_state(mpi::Rank& self, int producer);
   /// Append one element to `flow`'s open frame, flushing it first when the
   /// element would overflow the budget or the element cap, and posting the
   /// frame at once when no further element fits (or an epoch ends).
@@ -317,17 +329,18 @@ class Stream {
   /// charge the deferred per-element + per-message overhead as one advance).
   void flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger);
   void flush_all_frames(mpi::Rank& self, std::uint8_t trigger);
-  /// Unpack state for an arrived frame; consume_frame_element() then hands
-  /// elements to the operator one at a time, in place. Returns false when
-  /// the element was a replay duplicate suppressed by the exactly-once
-  /// filter (nothing was delivered or accounted).
+  /// Unpack state for the frame just received into message_;
+  /// consume_frame_element() then hands elements to the operator one at a
+  /// time, read in place, and releases the message after the last one.
+  /// Returns false when the element was a replay duplicate suppressed by
+  /// the exactly-once filter (nothing was delivered or accounted).
   void begin_frame(const mpi::Status& status);
   bool consume_frame_element(mpi::Rank& self);
   void account_data_element(mpi::Rank& self, int producer);
-  /// Dispatch one received message: a frame opens for unpacking, anything
-  /// else is protocol control flow.
-  void handle(mpi::Rank& self, const mpi::Status& status);
-  void handle_tree_term(mpi::Rank& self, const mpi::Status& status);
+  /// Handle one protocol control message (anything but a frame), reading
+  /// its payload in place.
+  void handle(mpi::Rank& self, const mpi::Status& status, Payload payload);
+  void handle_tree_term(mpi::Rank& self, Payload payload);
   /// Send the collective term on to this consumer's tree children, sliced
   /// to each child's subtree.
   void fan_out_term(mpi::Rank& self, const std::vector<TermEntry>& entries);
@@ -360,15 +373,19 @@ class Stream {
   /// producers), announce the count matrix, collect announce-acks, release.
   void progress_termination(mpi::Rank& self);
   /// Consumer, resilient tree mode: recompute matrix_satisfied_ from the
-  /// dedup cursors against the announced matrix (dead producers waived).
+  /// dedup cursors against the announced cells of the flows this consumer
+  /// owns (dead producers waived).
   void update_matrix_exhaustion(mpi::Rank& self);
+  /// Seal the count matrix as known and derive this consumer's expected
+  /// element total from it, then re-check the exhaustion verdict.
+  void seal_matrix(mpi::Rank& self);
   /// Consumer, resilient tree mode with a registered durable point: once
   /// everything this consumer owes the matrix is consumed, run the flush
   /// hook and send the deferred announce-ack.
   void maybe_ack_announce(mpi::Rank& self);
   /// Aggregator (resilient tree mode): record one producer's counted term
   /// as an idempotent matrix row.
-  void handle_counted_term(mpi::Rank& self, const mpi::Status& status);
+  void handle_counted_term(const mpi::Status& status, Payload payload);
   /// Producer: hand one flow to `dst_world` — durable point first, then the
   /// retained undurable frames, verbatim.
   void replay_flow(mpi::Rank& self, std::size_t flow, int dst_world);
@@ -377,7 +394,8 @@ class Stream {
   /// send_rebalance_sync ships the (producer, `flow`) cursors this rank
   /// holds to consumer `target` and erases the local entries (all producers,
   /// or just `only_producer` when answering a single handback marker).
-  void handle_sync(mpi::Rank& self, const mpi::Status& status);
+  void handle_sync(mpi::Rank& self, const mpi::Status& status,
+                   Payload payload);
   void send_rebalance_sync(mpi::Rank& self, int target, int flow,
                            int only_producer = -1);
   /// Consumer: block until the live retiree owning `flow` has delivered its
@@ -407,8 +425,9 @@ class Stream {
   /// to the operator, or receive_message takes the next message.
   RecvStep receive_step(mpi::Rank& self,
                         const std::function<bool()>& keep_going, bool wait);
-  /// Receive and handle one message. With nothing pending, a waiting step
-  /// parks the fiber and a polling one returns Stop.
+  /// Receive and handle one message, borrowed from the machine (read in
+  /// place, never copied). With nothing pending, a waiting step parks the
+  /// fiber and a polling one returns Stop.
   RecvStep receive_message(mpi::Rank& self, bool wait);
   /// Lifecycle flush into the machine's metrics registry (ds::obs): each
   /// role adds its totals once, when it completes — the per-element hot
@@ -445,7 +464,6 @@ class Stream {
   std::uint64_t expected_data_ = 0;
   bool counts_known_ = false;  ///< tree mode: announced counts received
   std::vector<std::uint64_t> count_accum_;  ///< aggregator: per-consumer sums
-  std::vector<std::byte> element_buffer_;
   /// Credit batching (flow-controlled streams): per-producer count of
   /// consumed-but-unacked elements, flushed every ack_every_-th element and
   /// whenever a term arrives or the stream exhausts.
@@ -454,10 +472,15 @@ class Stream {
   std::uint32_t ack_limit_ = 1;  ///< liveness clamp ceil(window/spread)
   bool ack_auto_ = false;        ///< self-tune ack_every_ to frame occupancy
 
-  /// Partially drained incoming frame: elements left, read cursor into
-  /// element_buffer_, and the frame's producer index. receive_step pulls
-  /// from here before touching the mailbox, so a frame interleaves with
-  /// other sources at frame granularity while per-(context,src) order holds.
+  /// The received message being handled: a control message only while its
+  /// handler runs, a frame until its last element has been consumed.
+  /// Payloads are read here in place, so consumer memory follows what
+  /// actually arrives rather than the largest modeled element.
+  mpi::detail::OpRef<mpi::detail::SendOp> message_;
+  /// Partially drained frame in message_: elements left, read cursor into
+  /// its payload, and the frame's producer index. receive_step pulls from
+  /// here before touching the mailbox, so a frame interleaves with other
+  /// sources at frame granularity while per-(context,src) order holds.
   std::uint32_t frame_left_ = 0;
   std::uint32_t frame_elements_ = 0;  ///< total elements of the current frame
   std::size_t frame_cursor_ = 0;
@@ -488,7 +511,10 @@ class Stream {
   bool retired_ = false;   ///< this consumer left via retire()
   std::vector<std::uint8_t> term_from_;  ///< per-producer: term received
   std::vector<std::uint8_t> producer_excluded_;  ///< Block: dead, term waived
-  std::vector<std::uint64_t> matrix_;  ///< announced counts, P x C flattened
+  /// The (producer x flow) count matrix, nonzero cells only: gathered row
+  /// by row from counted terms at the aggregator, adopted whole from an
+  /// announce elsewhere, sealed once counts_known_.
+  resilience::CountMatrix matrix_;
   bool matrix_satisfied_ = false;  ///< owned cursors reached the matrix
   bool release_seen_ = false;      ///< TermRelease received (non-aggregator)
   bool release_done_ = false;      ///< release barrier broadcast (aggregator)
@@ -531,9 +557,9 @@ class Stream {
   /// delivers it first and the adopter's dedup cursor skips the replay's
   /// already-durable prefix.
   static constexpr int kTagHandoff = 5;
-  /// Aggregator -> consumers: the full (producer x flow) count matrix
-  /// (resilient tree termination). Idempotent; resent after membership
-  /// changes until acked.
+  /// Aggregator -> consumers: the (producer x flow) count matrix, encoded
+  /// by resilience::CountMatrix (resilient tree termination). Idempotent;
+  /// resent after membership changes until acked.
   static constexpr int kTagAnnounce = 6;
   /// Consumer -> aggregator: matrix received (or a retiring consumer's
   /// courtesy "don't wait for me").

@@ -278,6 +278,7 @@ detail::OpRef<detail::SendOp> Machine::post_send(std::uint64_t context,
   op->tag = tag;
   op->bytes = data.on_wire();
   op->on_complete = std::move(on_complete);
+  op->buffers = &payload_buffers_;
   if (data.ptr && data.bytes > 0) {
     // Buffered-send semantics: the payload is copied out immediately (into
     // the op's inline buffer for eager-class sizes), so the caller may reuse
@@ -325,6 +326,7 @@ detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
   op->tag_filter = tag_filter;
   op->out = out.ptr;
   op->capacity = out.bytes;
+  op->borrow = out.borrow;
   op->on_complete = std::move(on_complete);
   op->fused_wake = fused_wake;
   op->src_world = src_world;
@@ -407,7 +409,9 @@ void Machine::start_transfer(const detail::OpRef<detail::RecvOp>& recv,
 
 void Machine::finish_delivery(const detail::OpRef<detail::RecvOp>& recv,
                               const detail::OpRef<detail::SendOp>& send) {
-  if (recv->out && send->has_payload()) {
+  if (recv->borrow) {
+    recv->message = send;  // read in place; no copy, no capacity limit
+  } else if (recv->out && send->has_payload()) {
     std::memcpy(recv->out, send->payload(),
                 std::min(recv->capacity, send->payload_bytes));
   }

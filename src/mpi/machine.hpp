@@ -89,6 +89,9 @@ class Machine {
                                           sim::Callback on_complete = {});
 
   /// Post a receive; matches immediately against unexpected arrivals.
+  /// A borrowing receive (`out` = RecvBuf::borrowed()) copies nothing: on
+  /// completion the matched send op is handed over in RecvOp::message, and
+  /// its pool slot stays pinned until the receiver releases it.
   /// `fused_wake` fuses the waiter's wake with the o_r charge: completion
   /// resumes a blocked waiter at completion-time + o_r with the overhead
   /// pre-charged, replacing the wake + separate-advance pair (streams'
@@ -221,7 +224,9 @@ class Machine {
 
   MachineConfig config_;
   // The pools are declared first: engine events and mailbox queues hold
-  // references into them, so the pools must be destroyed last.
+  // references into them, so the pools must be destroyed last — after the
+  // payload buffers their send ops give back on recycling.
+  detail::PayloadBuffers payload_buffers_;
   detail::OpPool<detail::SendOp> send_pool_;
   detail::OpPool<detail::RecvOp> recv_pool_;
   sim::Engine engine_;

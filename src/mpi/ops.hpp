@@ -15,9 +15,10 @@
 //    and a still-held handle pins its op so it cannot be resurrected into a
 //    live request underneath the holder.
 //  * Eager-class payloads are stored in a small buffer inside the pooled op
-//    (kInlineBytes); larger payloads use an overflow vector whose capacity
-//    survives recycling, so even rendezvous-class reuse is allocation-free
-//    in steady state.
+//    (kInlineBytes); a larger payload borrows a buffer of its power-of-two
+//    size class from the machine's PayloadBuffers and returns it when the op
+//    recycles, so even rendezvous-class reuse is allocation-free in steady
+//    state — however long a receiver holds a message.
 //  * Matching state is bucketed per context id (communicator / stream), so
 //    concurrent streams on one rank never scan each other's traffic.
 //  * Collective state machines remain individually heap-allocated (pool ==
@@ -25,7 +26,9 @@
 //    per-element.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -166,11 +169,65 @@ template <typename T, typename... Args>
 
 enum class SendMode { Eager, Rendezvous };
 
+/// Spare payload buffers of one machine, by power-of-two size class. A send
+/// op borrows one for a payload too large for its inline buffer and gives
+/// it back when the op recycles. A payload takes the smallest spare that
+/// fits, so the buffers track the large payloads alive at once, each at the
+/// largest class it has needed. (Kept per pool slot instead, a buffer grows
+/// for every slot that ever carries a larger payload, and receivers that
+/// hold messages while they drain them spread large payloads over more
+/// slots: late growth the zero-alloc gate's two-length delta reads as a
+/// per-element allocation.)
+class PayloadBuffers {
+ public:
+  /// Smallest class: twice SendOp's inline payload budget.
+  static constexpr std::size_t kMinBytes = 2048;
+
+  /// An empty buffer with room for `n` bytes.
+  [[nodiscard]] std::vector<std::byte> take(std::size_t n) {
+    const unsigned k = class_of(n);
+    for (unsigned c = k; c < kClasses; ++c) {
+      if (spare_[c].empty()) continue;
+      std::vector<std::byte> buf = std::move(spare_[c].back());
+      spare_[c].pop_back();
+      return buf;
+    }
+    // Nothing fits: the new buffer replaces the largest smaller spare, so
+    // payloads that grow (recursive-doubling rounds) leave no trail of
+    // outgrown buffers behind.
+    for (unsigned c = k; c-- > 0;) {
+      if (spare_[c].empty()) continue;
+      spare_[c].pop_back();
+      --created_[c];
+      break;
+    }
+    // Make room for the new buffer's return now: give() runs while an op
+    // recycles and must not allocate.
+    if (++created_[k] > spare_[k].capacity())
+      spare_[k].reserve(2 * created_[k]);
+    std::vector<std::byte> buf;
+    buf.reserve(std::size_t{1} << k);
+    return buf;
+  }
+  void give(std::vector<std::byte>&& buf) noexcept {
+    buf.clear();
+    spare_[class_of(buf.capacity())].push_back(std::move(buf));
+  }
+
+ private:
+  static constexpr unsigned kClasses = 64;
+  [[nodiscard]] static unsigned class_of(std::size_t n) noexcept {
+    return std::max(static_cast<unsigned>(std::bit_width(kMinBytes - 1)),
+                    static_cast<unsigned>(std::bit_width(n - 1)));
+  }
+  std::array<std::vector<std::vector<std::byte>>, kClasses> spare_;
+  std::array<std::size_t, kClasses> created_{};  ///< buffers alive per class
+};
+
 struct SendOp final : OpState {
   /// Inline payload budget: eager-class elements (records, headers, small
-  /// blocks) are copied into the pooled op itself; anything larger spills
-  /// into `overflow_`, whose capacity survives recycling, so the heap is
-  /// touched at most once per pool slot even for rendezvous-class payloads.
+  /// blocks) are copied into the pooled op itself; anything larger goes to
+  /// `overflow_`, a buffer borrowed from `buffers` until the op recycles.
   static constexpr std::size_t kInlineBytes = 1024;
 
   SendOp() noexcept : OpState(OpKind::Send) {}
@@ -183,6 +240,7 @@ struct SendOp final : OpState {
   std::size_t bytes = 0;  ///< wire size
   SendMode mode = SendMode::Eager;
   std::size_t payload_bytes = 0;  ///< 0 for synthetic messages
+  PayloadBuffers* buffers = nullptr;  ///< the machine's; set at each post
 
   void store_payload(const void* data, std::size_t n) {
     payload_bytes = n;
@@ -190,15 +248,7 @@ struct SendOp final : OpState {
     if (n <= kInlineBytes) {
       std::memcpy(inline_payload_.data(), data, n);
     } else {
-      if (n > overflow_.capacity()) {
-        // Round the reservation up to its power-of-two size class: recycled
-        // slots then converge after one growth per class instead of creeping
-        // as self-tuned frame budgets drift upward — late creep reads as a
-        // steady-state allocation under the zero-alloc gate's delta method.
-        std::size_t cap = 2 * kInlineBytes;
-        while (cap < n) cap *= 2;
-        overflow_.reserve(cap);
-      }
+      overflow_ = buffers->take(n);
       overflow_.resize(n);
       std::memcpy(overflow_.data(), data, n);
     }
@@ -214,7 +264,8 @@ struct SendOp final : OpState {
   void reset_for_reuse() noexcept {
     reset_base();
     payload_bytes = 0;
-    overflow_.clear();  // keeps capacity
+    // Moving the buffer out leaves overflow_ empty and unallocated.
+    if (overflow_.capacity() > 0) buffers->give(std::move(overflow_));
   }
 
  private:
@@ -238,6 +289,12 @@ struct RecvOp final : OpState {
   int src_world = kAnySource;
   void* out = nullptr;
   std::size_t capacity = 0;
+  /// Borrowing receive (RecvBuf::borrowed): completion stores the matched
+  /// message in `message` instead of copying its payload to `out`. The
+  /// receiver moves it out and reads the payload in place; the send op
+  /// returns to its pool when the receiver lets go of it.
+  bool borrow = false;
+  OpRef<SendOp> message;
   bool overhead_charged = false;  ///< o_r charged at observation, once
   /// Fused wake/advance (streams): when completion finds a blocked waiter,
   /// wake it at completion + o_r with the overhead pre-charged — one
@@ -252,6 +309,8 @@ struct RecvOp final : OpState {
     src_world = kAnySource;
     out = nullptr;
     capacity = 0;
+    borrow = false;
+    message.reset();
     overhead_charged = false;
     fused_wake = false;
   }

@@ -98,13 +98,19 @@ struct SendBuf {
 };
 
 /// Incoming buffer. `ptr == nullptr` discards payload content (synthetic
-/// receive); `bytes` is the capacity.
+/// receive); `bytes` is the capacity. A borrowing receive (`borrow`) copies
+/// nothing: Machine::post_recv hands the matched message itself to the
+/// receiver, which reads the payload in place for as long as it holds it.
 struct RecvBuf {
   void* ptr = nullptr;
   std::size_t bytes = 0;
+  bool borrow = false;
 
   [[nodiscard]] static RecvBuf discard(std::size_t capacity) noexcept {
     return RecvBuf{nullptr, capacity};
+  }
+  [[nodiscard]] static RecvBuf borrowed() noexcept {
+    return RecvBuf{nullptr, 0, true};
   }
   template <typename T>
   [[nodiscard]] static RecvBuf of(T* data, std::size_t count) noexcept {

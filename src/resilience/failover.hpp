@@ -6,12 +6,16 @@
 //  * ReplayLog    — producer-side bounded retention: every flushed frame of a
 //    resilient flow is retained (in its wire form) until the consumer
 //    acknowledges epoch durability, then truncated. On failover the retained
-//    frames are re-posted verbatim to the adopting consumer. Buffers recycle
-//    through a small freelist, so steady-state retention does not allocate.
+//    frames are re-posted verbatim to the adopting consumer. A log that never
+//    retains a frame allocates nothing (a producer holds one log per flow
+//    but usually routes to few of them), and buffers recycle through a small
+//    freelist, so steady-state retention does not allocate either.
 //  * DedupFilter  — consumer-side exactly-once admission: every resilient
 //    frame carries its flow id and starting sequence number; the filter
 //    admits each (producer, flow, seq) at most once, so replay overlap can
 //    never deliver an element to application code twice.
+//  * CountMatrix  — the release barrier's (producer x flow) element counts,
+//    nonzero cells only, plus the announce codec that ships them.
 //  * failover_target — the deterministic, topology-aware adoption rule: the
 //    next live consumer on the dead consumer's *node* (cyclically), falling
 //    back to the next live consumer anywhere. Every rank evaluates it
@@ -29,7 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -51,7 +55,8 @@ struct RetainedFrame {
   std::vector<std::byte> buf;  ///< frame bytes as they were posted
 };
 
-/// Producer-side retention of unacknowledged frames for one flow.
+/// Producer-side retention of unacknowledged frames for one flow. Empty
+/// until the first retain: construction allocates nothing.
 class ReplayLog {
  public:
   /// Retain a flushed frame (copies `bytes` of `frame`). Frames must be
@@ -63,7 +68,8 @@ class ReplayLog {
   /// the consumer; frames entirely below it are dropped (buffers recycled).
   void truncate(std::uint64_t durable_seq);
 
-  [[nodiscard]] const std::deque<RetainedFrame>& frames() const noexcept {
+  /// Retained frames, oldest first.
+  [[nodiscard]] std::span<const RetainedFrame> frames() const noexcept {
     return frames_;
   }
   [[nodiscard]] std::uint64_t durable_seq() const noexcept { return durable_; }
@@ -75,7 +81,7 @@ class ReplayLog {
   }
 
  private:
-  std::deque<RetainedFrame> frames_;
+  std::vector<RetainedFrame> frames_;  ///< in seq0 order; capacity kept
   std::vector<std::vector<std::byte>> spare_;  ///< recycled frame buffers
   std::uint64_t durable_ = 0;
   std::uint64_t retained_elements_ = 0;
@@ -135,6 +141,58 @@ class DedupFilter {
  private:
   std::unordered_map<std::uint64_t, std::uint64_t> next_;
   std::uint64_t duplicates_ = 0;
+};
+
+/// The resilient release barrier's (producer x flow) count matrix: how many
+/// elements each producer sent on each flow. Only nonzero cells are stored,
+/// so memory follows the routes in use instead of P x C (a producer that
+/// talks to one consumer costs one cell). Rows gather unordered from counted
+/// terms; seal() orders the cells by flow once the counts are complete, and
+/// later row writes keep that order.
+class CountMatrix {
+ public:
+  struct Cell {
+    std::uint32_t producer = 0;
+    std::uint32_t flow = 0;
+    std::uint64_t count = 0;
+  };
+
+  CountMatrix() = default;
+  CountMatrix(int producers, int flows) noexcept
+      : producers_(static_cast<std::size_t>(producers)),
+        flows_(static_cast<std::size_t>(flows)) {}
+
+  /// Replace `producer`'s row with `counts` (one count per flow; zeros
+  /// clear cells). Idempotent: a repeated row leaves the matrix unchanged.
+  void set_row(int producer, std::span<const std::uint64_t> counts);
+  /// Order the cells by (flow, producer); flow() needs it. Idempotent.
+  void seal();
+  [[nodiscard]] bool sealed() const noexcept { return sealed_; }
+
+  /// The nonzero cells of one flow, by producer (sealed matrices only).
+  [[nodiscard]] std::span<const Cell> flow(int flow) const noexcept;
+  /// Elements announced on one flow across all producers (sealed only).
+  [[nodiscard]] std::uint64_t flow_total(int flow) const noexcept;
+  [[nodiscard]] std::size_t cells() const noexcept { return cells_.size(); }
+
+  /// Announce payload of a sealed matrix: the cell count and the cells, or
+  /// the dense row-major P x C counts when that is no larger. Never longer
+  /// than dense_bytes(), the size the announce is modeled (and charged) at.
+  [[nodiscard]] std::vector<std::byte> encode() const;
+  /// Adopt an announced matrix (sealed). The two forms differ in length: a
+  /// payload of exactly dense_bytes() is dense. Returns false, leaving the
+  /// matrix unchanged, when the payload is neither form.
+  bool decode(std::span<const std::byte> payload);
+  [[nodiscard]] std::size_t dense_bytes() const noexcept {
+    return producers_ * flows_ * sizeof(std::uint64_t);
+  }
+
+ private:
+  std::size_t producers_ = 0;
+  std::size_t flows_ = 0;
+  bool sealed_ = false;
+  std::vector<Cell> cells_;
+  std::vector<std::uint8_t> has_row_;  ///< gathering: producer wrote a row
 };
 
 /// The deterministic adoption rule, topology-aware: the first available

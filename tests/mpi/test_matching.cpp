@@ -167,6 +167,21 @@ TEST(Matching, PooledOpsAreReusedAcrossMessages) {
   EXPECT_GT(stats.recv.reused(), stats.recv.acquired / 2);
 }
 
+TEST(Matching, PayloadBuffersRecycleBySizeClass) {
+  // A payload too large for the op's inline buffer borrows the smallest
+  // spare that fits, or else a new buffer of its power-of-two class.
+  detail::PayloadBuffers buffers;
+  auto large = buffers.take(3000);
+  EXPECT_EQ(large.capacity(), 4096u);
+  const std::byte* storage = large.data();
+  buffers.give(std::move(large));
+  const auto smaller = buffers.take(1500);  // the 4 KiB spare fits
+  EXPECT_EQ(smaller.data(), storage);
+  EXPECT_TRUE(smaller.empty());
+  const auto fresh = buffers.take(1500);  // nothing spare: a 2 KiB buffer
+  EXPECT_EQ(fresh.capacity(), detail::PayloadBuffers::kMinBytes);
+}
+
 TEST(Matching, HeldRequestPinsItsCompletedOp) {
   // A completed handle must never be resurrected into a live request: while
   // the Request is held, its op cannot return to the pool, so its generation

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -225,6 +226,95 @@ TEST(FailureMatrix, AggregatorCrashMidProtocolReelectsAndReleases) {
     for (int i = 0; i < kEach; ++i)
       EXPECT_TRUE(seen.count(element_id(p, i)))
           << "lost element " << p << ":" << i;
+}
+
+/// The aggregator (consumer 0) crashes between its announce and its
+/// release: its durable point runs only once every announce-ack is in, and
+/// computes for 50 us, and the crash lands in the middle of it. The
+/// survivors then hold the count matrix only as the announced copy, which
+/// the re-elected aggregator must re-announce and release from.
+void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
+  constexpr int kProducers = 6, kConsumers = 3, kEach = 9;
+  struct Outcome {
+    std::vector<std::vector<std::uint64_t>> delivered{kConsumers};
+    std::array<bool, kConsumers> done{};
+    std::array<std::uint64_t, kConsumers> term_messages{};
+    util::SimTime hook_at = 0;  ///< consumer 0 entered its durable point
+  };
+  const auto run = [&](util::SimTime crash_at) {
+    Outcome out;
+    auto config = testing::tiny_machine(kProducers + kConsumers);
+    if (crash_at > 0) config.faults.crash(/*consumer 0=*/kProducers, crash_at);
+    testing::run_program(config, [&](Rank& self) {
+      const bool producer = self.world_rank() < kProducers;
+      ChannelConfig cfg;
+      cfg.mapping = mapping;
+      cfg.checkpoint_interval = 4;
+      cfg.manual_durability = true;
+      const Channel ch =
+          Channel::create(self, self.world(), producer, !producer, cfg);
+      const int me = ch.my_consumer_index(self);
+      Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                                [&](const StreamElement& el) {
+                                  std::uint64_t id = 0;
+                                  std::memcpy(&id, el.data, sizeof id);
+                                  out.delivered[static_cast<std::size_t>(me)]
+                                      .push_back(id);
+                                });
+      if (producer) {
+        for (int i = 0; i < kEach; ++i) {
+          const std::uint64_t id = element_id(self.world_rank(), i);
+          if (mapping == ChannelConfig::Mapping::Directed)
+            s.isend_to(self, self.world_rank() % kConsumers,
+                       SendBuf::of(&id, 1));
+          else
+            s.isend(self, SendBuf::of(&id, 1));
+        }
+        s.terminate(self);
+        return;
+      }
+      s.set_durable_point([&] {
+        if (me == 0) out.hook_at = self.now();
+        self.compute(util::microseconds(50));
+        s.ack_durable(self);
+      });
+      (void)s.operate(self);
+      out.done[static_cast<std::size_t>(me)] = s.exhausted();
+      out.term_messages[static_cast<std::size_t>(me)] = s.term_messages_sent();
+    });
+    return out;
+  };
+
+  const Outcome clean = run(0);
+  ASSERT_GT(clean.hook_at, 0);
+  EXPECT_TRUE(clean.done[0] && clean.done[1] && clean.done[2]);
+  EXPECT_LT(clean.term_messages[1], static_cast<std::uint64_t>(kProducers));
+
+  const Outcome crashed = run(clean.hook_at + util::microseconds(25));
+  EXPECT_EQ(crashed.hook_at, clean.hook_at);  // same schedule up to the crash
+  EXPECT_FALSE(crashed.done[0]);
+  EXPECT_TRUE(crashed.done[1]);
+  EXPECT_TRUE(crashed.done[2]);
+  // Consumer 1 was re-elected and released every producer itself.
+  EXPECT_GE(crashed.term_messages[1], static_cast<std::uint64_t>(kProducers));
+  EXPECT_TRUE(all_unique(crashed.delivered[1]));
+  EXPECT_TRUE(all_unique(crashed.delivered[2]));
+  const auto seen = union_of(crashed.delivered);
+  for (int p = 0; p < kProducers; ++p)
+    for (int i = 0; i < kEach; ++i)
+      EXPECT_TRUE(seen.count(element_id(p, i)))
+          << "lost element " << p << ":" << i;
+}
+
+TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromSparseCopy) {
+  // Directed, one flow per producer: 6 of 18 cells are nonzero, so the
+  // announce travels as sparse entries.
+  aggregator_crash_before_release(ChannelConfig::Mapping::Directed);
+}
+
+TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromDenseCopy) {
+  // RoundRobin: every cell is nonzero, so the announce travels dense.
+  aggregator_crash_before_release(ChannelConfig::Mapping::RoundRobin);
 }
 
 TEST(FailureMatrix, RestartedConsumerRejoinsAndFlowsRebalanceBack) {

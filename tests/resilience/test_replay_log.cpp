@@ -1,7 +1,10 @@
-// ReplayLog / DedupFilter unit semantics (ds::resilience layer 2).
+// ReplayLog / DedupFilter / CountMatrix unit semantics (ds::resilience
+// layer 2).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "resilience/failover.hpp"
@@ -58,6 +61,16 @@ TEST(ReplayLog, RecyclesBuffersThroughTheSpareList) {
   EXPECT_GE(log.frames().front().buf.capacity(), 512u);
 }
 
+TEST(ReplayLog, EmptyLogAllocatesNothing) {
+  // A producer keeps one log per flow but retains frames on the few flows
+  // it routes to; an empty log must cost no heap (std::deque allocates its
+  // first block on construction, so it cannot be nothrow-constructible).
+  EXPECT_TRUE(std::is_nothrow_default_constructible_v<ReplayLog>);
+  const ReplayLog log;
+  EXPECT_EQ(log.frame_count(), 0u);
+  EXPECT_TRUE(log.frames().empty());
+}
+
 TEST(DedupFilter, AdmitsEachSequenceOnce) {
   DedupFilter filter;
   EXPECT_TRUE(filter.admit(1, 0, 0));
@@ -102,6 +115,99 @@ TEST(DedupFilter, ForEachVisitsEveryTrackedFlow) {
   });
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(total, 3u);
+}
+
+/// Cells of a matrix as (producer, flow, count) triples, flow by flow.
+[[nodiscard]] std::vector<std::vector<std::uint64_t>> cells_of(
+    const CountMatrix& m, int flows) {
+  std::vector<std::vector<std::uint64_t>> out;
+  for (int f = 0; f < flows; ++f)
+    for (const CountMatrix::Cell& c : m.flow(f))
+      out.push_back({c.producer, c.flow, c.count});
+  return out;
+}
+
+TEST(CountMatrix, SparseAnnounceRoundTrips) {
+  // One flow per producer: 6 of 18 cells set, so the cells travel as
+  // entries, well under the modeled dense size.
+  CountMatrix agg(6, 3);
+  for (int p = 5; p >= 0; --p) {  // rows arrive in any order
+    std::vector<std::uint64_t> row(3, 0);
+    row[static_cast<std::size_t>(p % 3)] = 10u + static_cast<std::uint64_t>(p);
+    agg.set_row(p, row);
+  }
+  agg.seal();
+  EXPECT_EQ(agg.cells(), 6u);
+  EXPECT_EQ(agg.flow_total(1), 11u + 14u);
+  const auto wire = agg.encode();
+  EXPECT_EQ(wire.size(), sizeof(std::uint64_t) + 6 * sizeof(CountMatrix::Cell));
+  EXPECT_LT(wire.size(), agg.dense_bytes());
+
+  CountMatrix copy(6, 3);
+  ASSERT_TRUE(copy.decode(wire));
+  EXPECT_TRUE(copy.sealed());
+  EXPECT_EQ(cells_of(copy, 3), cells_of(agg, 3));
+  EXPECT_EQ(cells_of(copy, 3).front(),
+            (std::vector<std::uint64_t>{0, 0, 10}));
+}
+
+TEST(CountMatrix, DenseAnnounceRoundTrips) {
+  // Every cell set: the dense matrix is smaller than the entries.
+  CountMatrix agg(4, 3);
+  for (int p = 0; p < 4; ++p) {
+    const std::uint64_t first = 1u + static_cast<std::uint64_t>(p);
+    agg.set_row(p, std::vector<std::uint64_t>{first, 2, 3});
+  }
+  agg.seal();
+  const auto wire = agg.encode();
+  EXPECT_EQ(wire.size(), agg.dense_bytes());
+  CountMatrix copy(4, 3);
+  ASSERT_TRUE(copy.decode(wire));
+  EXPECT_EQ(copy.cells(), 12u);
+  EXPECT_EQ(cells_of(copy, 3), cells_of(agg, 3));
+  EXPECT_EQ(copy.flow_total(0), 1u + 2u + 3u + 4u);
+}
+
+TEST(CountMatrix, AllZeroMatrixIsStillARealAnnounce) {
+  CountMatrix agg(3, 4);
+  for (int p = 0; p < 3; ++p) agg.set_row(p, std::vector<std::uint64_t>(4, 0));
+  agg.seal();
+  const auto wire = agg.encode();
+  EXPECT_EQ(wire.size(), sizeof(std::uint64_t));  // a payload, not synthetic
+  CountMatrix copy(3, 4);
+  copy.set_row(1, std::vector<std::uint64_t>{0, 7, 0, 0});  // a stale term
+  ASSERT_TRUE(copy.decode(wire));
+  EXPECT_EQ(copy.cells(), 0u);
+  EXPECT_EQ(copy.flow_total(1), 0u);
+}
+
+TEST(CountMatrix, RowRewritesAreIdempotentBeforeAndAfterSealing) {
+  CountMatrix m(3, 3);
+  m.set_row(2, std::vector<std::uint64_t>{5, 0, 6});
+  m.set_row(0, std::vector<std::uint64_t>{0, 4, 0});
+  m.set_row(2, std::vector<std::uint64_t>{5, 0, 6});  // resent term
+  m.seal();
+  EXPECT_EQ(m.cells(), 3u);
+  m.set_row(0, std::vector<std::uint64_t>{0, 4, 0});  // resent after sealing
+  EXPECT_EQ(m.cells(), 3u);
+  // A changed row moves cells and keeps the flow order.
+  m.set_row(0, std::vector<std::uint64_t>{1, 0, 9});
+  EXPECT_EQ(cells_of(m, 3),
+            (std::vector<std::vector<std::uint64_t>>{
+                {0, 0, 1}, {2, 0, 5}, {0, 2, 9}, {2, 2, 6}}));
+  EXPECT_TRUE(m.flow(1).empty());
+}
+
+TEST(CountMatrix, MalformedAnnounceIsRejected) {
+  CountMatrix m(2, 2);
+  m.set_row(0, std::vector<std::uint64_t>{3, 0});
+  m.seal();
+  auto wire = m.encode();
+  wire.pop_back();
+  CountMatrix copy(2, 2);
+  EXPECT_FALSE(copy.decode(wire));
+  EXPECT_FALSE(copy.decode({}));
+  EXPECT_FALSE(copy.sealed());
 }
 
 }  // namespace
