@@ -178,13 +178,13 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
       batch_options.checkpoint_interval = config.checkpoint_interval;
       batch_options.manual_durability = true;
       // Directed keeps the exact Block routing (Channel::route's default
-      // peer is the same block assignment) but upgrades termination to the
-      // resilient tree-v2 release barrier: producers stay in their release
-      // wait — replay logs alive, terms re-sendable — and writers stay in
-      // operate() until every writer has flushed and acked the count
-      // matrix. A writer crashing *inside its final flush* is then still
-      // recoverable: nothing was released, so the survivors adopt its flows
-      // and the producers replay the undurable tail to them.
+      // peer is the same block assignment). Either mapping keeps producers
+      // in their release wait — replay logs alive, terms re-sendable —
+      // until their writer has flushed, so a writer crashing *inside its
+      // final flush* is still recoverable: the survivors adopt its flows
+      // and the producers replay the undurable tail to them. Directed stays
+      // because Block would move the dump's virtual time: Directed releases
+      // once, channel-wide, after every writer acked the count matrix.
       batch_options.mapping = decouple::Mapping::Directed;
     }
     const auto batches = pipeline.raw_stream_between(

@@ -205,16 +205,18 @@ class Channel {
   [[nodiscard]] std::vector<int> producers_of(int consumer) const;
 
   // ---- termination routing metadata --------------------------------------
-  // Under Block mapping every producer has exactly one peer consumer, so a
-  // terminating producer notifies just that peer. RoundRobin and Directed
-  // producers can reach every consumer; broadcasting a term from each of P
-  // producers to each of C consumers costs O(P*C) messages. Those mappings
-  // instead aggregate: every producer sends one term (carrying its
-  // per-consumer element counts) to a designated aggregator consumer, which
-  // fans the collective term down a binary tree over the consumers —
-  // O(P + C) messages total, O(log C) hops on the aggregation path.
+  // Every producer sends one counted term to its term root (see
+  // core/stream.hpp). Under Block mapping a producer has exactly one peer
+  // consumer, which is its root. RoundRobin and Directed producers can
+  // reach every consumer; broadcasting a term from each of P producers to
+  // each of C consumers would cost O(P*C) messages. Those mappings instead
+  // aggregate: every producer's term goes to a designated aggregator
+  // consumer, which fans the per-consumer totals down a binary tree over
+  // the consumers — O(P + C) messages total, O(log C) hops on the
+  // aggregation path.
 
-  /// True when termination uses the aggregated tree protocol (non-Block).
+  /// True when termination aggregates at one root and distributes down the
+  /// consumer tree (non-Block).
   [[nodiscard]] bool tree_termination() const noexcept {
     return config_.mapping != ChannelConfig::Mapping::Block;
   }
@@ -269,10 +271,10 @@ class Channel {
                ? 0
                : consumer_node_[static_cast<std::size_t>(consumer)];
   }
-  /// Terms consumer `c` must observe before the stream can be exhausted:
-  /// its routed producers under Block; under tree termination P for the
-  /// aggregator (one per producer) and 1 for everyone else (the collective
-  /// term from the tree parent).
+  /// Term messages consumer `c` receives in a fault-free run: one per routed
+  /// producer under Block; under tree termination P for the aggregator (one
+  /// per producer) and 1 for everyone else (the totals from the tree
+  /// parent).
   [[nodiscard]] int expected_term_count(int consumer) const;
 
   /// Channel rank (in comm()) of producer p / consumer c.

@@ -230,13 +230,13 @@ class StreamBase {
   /// consumed so far has durable effects (e.g. after a file flush); see
   /// stream::Stream::ack_durable. No-op otherwise.
   void ack_durable();
-  /// Resilient tree streams (Directed/RoundRobin) with manual durability:
-  /// register the hook the termination protocol runs before this consumer
-  /// commits to the release barrier (its announce-ack; the release
-  /// broadcast on the aggregator). The hook must flush external effects and
-  /// call ack_durable — the release then certifies global durability, so
-  /// producers retire replay logs only once no consumer still buffers
-  /// undurable state; see stream::Stream::set_durable_point.
+  /// Resilient streams with manual durability, any mapping: register the
+  /// hook the termination protocol runs before this consumer commits — a
+  /// root runs it before releasing its producers, a tree consumer before
+  /// its announce-ack. The hook must flush external effects and call
+  /// ack_durable — the release then certifies durability, so producers
+  /// retire replay logs only once no consumer they reported to still
+  /// buffers undurable state; see stream::Stream::set_durable_point.
   void on_durable_point(std::function<void()> hook);
   /// Elastic membership: gracefully withdraw this consumer from the stream
   /// (resilient streams only). Deactivates the slot in the shared ledger,

@@ -58,8 +58,8 @@ struct FlowHandoff {
 };
 
 /// One rebalance-sync record (kTagSync from a consumer): the receiver adopts
-/// the dedup cursor — and, under Block mapping, the term-seen flag — for one
-/// (producer, flow) pair, while the sender erases its own entry. `next == 0`
+/// the dedup cursor for one (producer, flow) pair, while the sender erases
+/// its own entry. `next == 0`
 /// carries no cursor; it still marks the flow as handed over, which is what
 /// adopters blocked in await_rebalance_sync wake on. Producer-sourced
 /// kTagSync messages reuse FlowHandoff as a handback marker instead
@@ -68,7 +68,6 @@ struct SyncEntry {
   std::uint64_t producer = 0;
   std::uint64_t flow = 0;
   std::uint64_t next = 0;
-  std::uint64_t termed = 0;
 };
 
 constexpr std::size_t kFrameOverhead = sizeof(FrameHeader);
@@ -463,12 +462,8 @@ void Stream::terminate_impl(mpi::Rank& self) {
   ensure_producer_state(self, p);
   const bool resilient = coalesce_->resilient;
   if (resilient) {
-    // Repair routing before the counts go out. Under tree termination the
-    // release-barrier wait below keeps servicing these until the whole
-    // channel is done, so later crashes/rejoins stay recoverable; under
-    // Block the durability wait below does the same for automatic
-    // durability, while manual durability gets its last chance here
-    // (terminate then returns immediately).
+    // Repair routing before the counts go out; the release wait below keeps
+    // servicing crashes and rejoins until the root releases this producer.
     drain_durable_acks(self);
     check_producer_failover(self);
     check_producer_rebalance(self);
@@ -481,115 +476,41 @@ void Stream::terminate_impl(mpi::Rank& self) {
     self.process().advance(coalesce_->debt);
     coalesce_->debt = 0;
   }
-
-  auto& machine = self.machine();
-  auto post_term = [&](int consumer, mpi::SendBuf payload) {
-    self.process().advance(machine.config().network.send_overhead);
-    machine.post_send(context_, p, self.world_rank(),
-                      channel_->comm().world_rank(channel_->consumer_rank(consumer)),
-                      kTagTerm, payload);
-    ++term_msgs_sent_;
-  };
-  if (!channel_->tree_termination()) {
-    // Block mapping: this producer routes to exactly one consumer — after a
-    // failover, to the consumer that adopted its flow (which repaired its
-    // expected term count when it adopted).
-    const int peer = channel_->route(p, 0);
-    int owner = resilient
-                    ? coalesce_->redirect[static_cast<std::size_t>(peer)]
-                    : peer;
-    post_term(owner, mpi::SendBuf::synthetic(0));
-    if (!resilient) return;
-    // Manual durability keeps the fire-and-forget term: the app owns the
-    // ack schedule, and a consumer that never acks is *defined* as having
-    // no durable effects — blocking here on acks that may never come would
-    // deadlock that contract. Apps that need durability-certified
-    // termination use a tree mapping with a registered durable point (see
-    // set_durable_point), whose release barrier provides exactly that.
-    if (channel_->config().manual_durability) return;
-    // A resilient producer must not retire its replay log while anything it
-    // sent is still undurable: once this fiber exits, a consumer crash
-    // loses the undurable tail for good, and a consumer that crashes and
-    // *rejoins* can never re-learn this producer's term. Block until every
-    // retained frame is acknowledged durable, servicing failover and
-    // rebalance meanwhile, and re-point the term whenever the flow's
-    // ownership moves (the consumer side counts terms idempotently, so
-    // re-sends are harmless).
-    while (true) {
-      drain_durable_acks(self);
-      check_producer_failover(self);
-      check_producer_rebalance(self);
-      const int now_owner =
-          coalesce_->redirect[static_cast<std::size_t>(peer)];
-      if (now_owner != owner) {
-        owner = now_owner;
-        post_term(owner, mpi::SendBuf::synthetic(0));
-      }
-      const auto& logs = coalesce_->logs;
-      if (std::none_of(logs.begin(), logs.end(),
-                       [](const resilience::ReplayLog& log) {
-                         return log.frame_count() > 0;
-                       }))
-        break;
-      if (resilience::effective_aggregator(*channel_, machine) < 0)
-        break;  // every consumer is gone — the tail is fail-stop loss
-      machine.add_probe_waiter(self.world_rank(), self.process().id());
-      machine.add_failure_waiter(self.process().id());
-      self.process().set_state_note(blocked_note("stream durability wait"));
-      self.process().suspend();
-      machine.ensure_alive(self.world_rank());
-      self.process().set_state_note({});
-    }
-    return;
-  }
-  // Tree termination: one term carrying this producer's per-flow element
-  // counts (nonzero entries only), so consumers can account for data still
-  // in flight. Flows are logical consumer indices, so the counts hold even
-  // after a resilient flow moved to a failover target.
+  // The one term: this producer's per-flow element counts (nonzero entries
+  // only), so its root can account for data still in flight. Flows are
+  // logical consumer indices, so the counts hold even after a resilient
+  // flow moved to a failover target.
   term_tx_.clear();
-  term_tx_.reserve(coalesce_->pending.size());
   for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
     if (coalesce_->pending[c].sent > 0)
       term_tx_.push_back(TermEntry{c, coalesce_->pending[c].sent});
-  if (!resilient) {
-    // Aggregated termination (v1): the term goes to the aggregator
-    // consumer, which fans the summed counts down the consumer tree.
-    post_term(Channel::term_aggregator(),
-              mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
-    return;
-  }
-
-  // Resilient tree termination: the *counted term* goes to the effective
-  // aggregator, and the producer then blocks until the channel's release
-  // barrier commits. Blocking here is what makes the protocol crash-proof:
-  // the counts stay resendable when the aggregator role moves, and the
-  // replay logs stay alive until every consumer has confirmed the full
-  // count matrix.
-  int aggregator = resilience::effective_aggregator(*channel_, machine);
-  if (aggregator < 0)
-    throw std::runtime_error(
-        "Stream::terminate: every consumer of the resilient channel is "
-        "unavailable");
-  post_term(aggregator, mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
+  auto& machine = self.machine();
+  auto post_term = [&](int root) {
+    self.process().advance(machine.config().network.send_overhead);
+    machine.post_send(context_, p, self.world_rank(),
+                      channel_->comm().world_rank(channel_->consumer_rank(root)),
+                      kTagTerm,
+                      mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
+    ++term_msgs_sent_;
+  };
+  int root = term_root(self);
+  post_term(root);
+  if (!resilient) return;
+  // A resilient producer stays until its root releases it: the counts stay
+  // resendable when the root moves (failover, rejoin, aggregator takeover),
+  // and the replay logs stay alive until the root has everything it owes.
   while (true) {
-    // Service the stream while blocked: durability acks keep replay logs
-    // bounded, failover/rebalance keep the counted term's recipient (and
-    // any replays) correct across membership changes.
-    drain_durable_acks(self);
     check_producer_failover(self);
     check_producer_rebalance(self);
-    const int now_agg = resilience::effective_aggregator(*channel_, machine);
-    if (now_agg < 0)
-      throw std::runtime_error(
-          "Stream::terminate: every consumer of the resilient channel is "
-          "unavailable");
-    if (now_agg != aggregator) {
-      // The role moved (old aggregator crashed, or an earlier slot
-      // rejoined): re-send the counted term there. Rows are recorded
-      // idempotently, so duplicates are harmless.
-      aggregator = now_agg;
-      post_term(aggregator, mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
+    const int now_root = term_root(self);
+    if (now_root != root) {
+      // Rows are recorded idempotently, so a re-sent term is harmless.
+      root = now_root;
+      post_term(root);
     }
+    // Durability acks last: nothing yields between the final drain and the
+    // release probe, so an ack sent ahead of the release is never stranded.
+    drain_durable_acks(self);
     mpi::Status st;
     if (machine.match_probe(durable_context_, self.world_rank(),
                             mpi::kAnySource, kTagRelease, &st)) {
@@ -606,6 +527,25 @@ void Stream::terminate_impl(mpi::Rank& self) {
     machine.ensure_alive(self.world_rank());
   }
   self.process().set_state_note({});
+  // The release retires every replay log: everything sent is accounted for.
+  for (std::size_t f = 0; f < coalesce_->logs.size(); ++f)
+    coalesce_->logs[f].truncate(coalesce_->pending[f].sent);
+}
+
+int Stream::term_root(mpi::Rank& self) const {
+  const CoalesceState& st = *coalesce_;
+  if (!channel_->tree_termination()) {
+    // Block: the current owner of this producer's one flow.
+    const int flow = channel_->route(st.producer_index, 0);
+    return st.resilient ? st.redirect[static_cast<std::size_t>(flow)] : flow;
+  }
+  if (!st.resilient) return Channel::term_aggregator();
+  const int aggregator = resilience::effective_aggregator(*channel_, self.machine());
+  if (aggregator < 0)
+    throw std::runtime_error(
+        "Stream::terminate: every consumer of the resilient channel is "
+        "unavailable");
+  return aggregator;
 }
 
 const char* Stream::blocked_note(const char* what) {
@@ -613,12 +553,12 @@ const char* Stream::blocked_note(const char* what) {
   // note pointer must outlive the suspension, so it renders into the
   // stream's own buffer.
   std::snprintf(state_note_buf_, sizeof state_note_buf_,
-                "blocked in %s (ctx=%llu consumer=%d terms=%d/%d counts=%d "
-                "matrix=%d release=%d/%d announced=%d data=%llu/%llu)",
+                "blocked in %s (ctx=%llu consumer=%d counts=%d terms_owed=%d "
+                "matrix=%d released=%d announced=%d data=%llu/%llu)",
                 what, static_cast<unsigned long long>(context_), my_consumer_,
-                terms_seen_, expected_terms_, counts_known_ ? 1 : 0,
-                matrix_satisfied_ ? 1 : 0, release_seen_ ? 1 : 0,
-                release_done_ ? 1 : 0, announced_ ? 1 : 0,
+                counts_known_ ? 1 : 0, rooted_pending_,
+                matrix_satisfied_ ? 1 : 0, released_ ? 1 : 0,
+                announced_ ? 1 : 0,
                 static_cast<unsigned long long>(processed_data_),
                 static_cast<unsigned long long>(expected_data_));
   return state_note_buf_;
@@ -629,22 +569,21 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   my_consumer_ = channel_->my_consumer_index(self);
   if (my_consumer_ < 0)
     throw std::logic_error("Stream::operate: caller is not a consumer");
-  expected_terms_ = channel_->expected_term_count(my_consumer_);
   const ChannelConfig& cfg = channel_->config();
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
+  const auto producers = static_cast<std::size_t>(channel_->producer_count());
+  const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
+  matrix_ = resilience::CountMatrix(static_cast<int>(producers),
+                                    static_cast<int>(consumers));
+  term_from_.assign(producers, 0);
   if (channel_->tree_termination()) {
-    const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
     term_rx_.reserve(consumers);
     term_tx_.reserve(consumers);
     term_slice_.reserve(consumers);
   }
   if (resilient_) {
-    const auto producers = static_cast<std::size_t>(channel_->producer_count());
-    const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    term_from_.assign(producers, 0);
-    producer_excluded_.assign(producers, 0);
     adopted_.assign(consumers, 0);
     synced_slot_.assign(consumers, 0);
     slot_active_seen_.resize(consumers);
@@ -655,13 +594,9 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
     // derive the *current* aggregator, not assume slot 0.
     effective_aggregator_ =
         resilience::effective_aggregator(*channel_, self.machine());
-    if (channel_->tree_termination()) {
-      tree_v2_ = true;
-      matrix_ = resilience::CountMatrix(static_cast<int>(producers),
-                                        static_cast<int>(consumers));
-      announce_acked_.assign(consumers, 0);
-    }
+    if (channel_->tree_termination()) announce_acked_.assign(consumers, 0);
   }
+  recount_rooted(self);
   if (cfg.max_inflight > 0) {
     // Effective credit batch, clamped for liveness: a blocked producer has
     // max_inflight un-acked elements spread over the consumers it routes to
@@ -684,8 +619,7 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
     // left at the library default — an explicit ack_interval stays pinned.
     ack_auto_ =
         cfg.flow_autotune && cfg.ack_interval == 0 && cfg.coalesce_budget > 0;
-    credit_pending_.assign(static_cast<std::size_t>(channel_->producer_count()),
-                           0);
+    credit_pending_.assign(producers, 0);
   }
 }
 
@@ -710,31 +644,14 @@ void Stream::fan_out_term(mpi::Rank& self,
   }
 }
 
-void Stream::handle_tree_term(mpi::Rank& self, Payload payload) {
+void Stream::handle_distributed_term(mpi::Rank& self, Payload payload) {
+  // The collective term from the tree parent (a consumer sees exactly one):
+  // adopt my announced total and keep the fan-out going.
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   const std::size_t n = std::min(payload.size() / sizeof(TermEntry), consumers);
   term_rx_.resize(n);
   if (n > 0)
     std::memcpy(term_rx_.data(), payload.data(), n * sizeof(TermEntry));
-  ++terms_seen_;
-  if (my_consumer_ == effective_aggregator_) {
-    // Producer term: accumulate; once every producer reported, the summed
-    // totals are final — announce them down the tree.
-    if (count_accum_.empty()) count_accum_.assign(consumers, 0);
-    for (const TermEntry& e : term_rx_)
-      if (e.consumer < consumers) count_accum_[e.consumer] += e.count;
-    if (terms_seen_ >= expected_terms_) {
-      expected_data_ = count_accum_[static_cast<std::size_t>(my_consumer_)];
-      counts_known_ = true;
-      term_tx_.clear();
-      for (std::size_t c = 0; c < consumers; ++c)
-        if (count_accum_[c] > 0) term_tx_.push_back(TermEntry{c, count_accum_[c]});
-      fan_out_term(self, term_tx_);
-    }
-    return;
-  }
-  // Collective term from the tree parent (a consumer sees exactly one):
-  // adopt my announced count and keep the fan-out going.
   expected_data_ = 0;
   for (const TermEntry& e : term_rx_)
     if (e.consumer == static_cast<std::uint64_t>(my_consumer_))
@@ -894,7 +811,7 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       // it to ship its cursor to the home slot (per-source FIFO puts the
       // marker after every element it received from us). Only flows this
       // producer actually uses need a marker — under Block that includes
-      // the zero-send routed flow, whose term accounting moves with it.
+      // the zero-send routed flow, whose term root moves with it.
       const int prev = st.redirect[flow];
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
@@ -976,39 +893,14 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
     if (resilience::failover_target(*channel_, c, machine) != my_consumer_)
       continue;
     adopted_[cz] = 1;
-    // A freshly owned slot may have unmet announced counts: re-derive the
-    // matrix verdict from scratch.
+    // A freshly owned slot may have unmet counts: re-derive the verdict.
     matrix_satisfied_ = false;
-    // Block mapping counts terms per routed producer: adopting a consumer's
-    // flows means its producers' terms now arrive here.
-    if (!channel_->tree_termination())
-      expected_terms_ +=
-          static_cast<int>(channel_->producers_of(c).size());
     // Adoption by *retire* (the slot's rank is alive — it deactivated
     // voluntarily): block for the retiree's cursor sync before touching any
     // replayed data of the flow. The retiree already processed the
     // undurable elements the producers are about to replay here; admitting
     // them before the cursor arrives would double-process them.
     if (!dead && was_active) await_rebalance_sync(self, c);
-  }
-  // A producer that crashed without terminating leaves a hole in the Block
-  // term count; its undurable tail is unrecoverable (fail-stop), so the
-  // expectation is dropped rather than waited on. Tree mode handles this in
-  // the aggregator's completion rule and the matrix waiver instead.
-  if (!channel_->tree_termination()) {
-    for (int s = 0; s < consumers; ++s) {
-      if (s != my_consumer_ && adopted_[static_cast<std::size_t>(s)] == 0)
-        continue;
-      for (const int p : channel_->producers_of(s)) {
-        const auto pz = static_cast<std::size_t>(p);
-        if (term_from_[pz] != 0 || producer_excluded_[pz] != 0) continue;
-        if (!machine.rank_failed(
-                channel_->comm().world_rank(Channel::producer_rank(p))))
-          continue;
-        producer_excluded_[pz] = 1;
-        --expected_terms_;
-      }
-    }
   }
   if (channel_->tree_termination()) {
     const int aggregator =
@@ -1025,26 +917,52 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
         std::fill(announce_acked_.begin(), announce_acked_.end(), 0);
       }
     }
-    if (counts_known_) update_matrix_exhaustion(self);
   }
+  // Adoption, takeover and producer crashes all change what a root waits
+  // for.
+  recount_rooted(self);
+}
+
+bool Stream::roots(int producer) const noexcept {
+  if (channel_->tree_termination())
+    return my_consumer_ == effective_aggregator_;
+  const int flow = channel_->route(producer, 0);
+  return flow == my_consumer_ ||
+         (resilient_ && adopted_[static_cast<std::size_t>(flow)] != 0);
+}
+
+void Stream::recount_rooted(mpi::Rank& self) {
+  rooted_pending_ = 0;
+  if (!channel_->tree_termination() || my_consumer_ == effective_aggregator_) {
+    for (int p = 0; p < channel_->producer_count(); ++p)
+      if (term_from_[static_cast<std::size_t>(p)] == 0 && roots(p) &&
+          !producer_failed(self, p))
+        ++rooted_pending_;
+    // A root that gained producers (an adoption) waits for their terms
+    // again. A dead producer's unreported counts are waived: its undurable
+    // in-flight tail is unrecoverable by definition.
+    if (rooted_pending_ > 0) counts_known_ = false;
+  }
+  update_matrix_exhaustion(self);
+}
+
+bool Stream::producer_failed(mpi::Rank& self, int producer) const {
+  return resilient_ && self.machine().rank_failed(channel_->comm().world_rank(
+                           Channel::producer_rank(producer)));
 }
 
 void Stream::update_matrix_exhaustion(mpi::Rank& self) {
-  if (!tree_v2_ || !counts_known_ || matrix_satisfied_) return;
-  auto& machine = self.machine();
+  if (!resilient_ || !counts_known_ || matrix_satisfied_) return;
   const int consumers = channel_->consumer_count();
   for (int s = 0; s < consumers; ++s) {
     if (s != my_consumer_ && adopted_[static_cast<std::size_t>(s)] == 0)
       continue;
     for (const resilience::CountMatrix::Cell& cell : matrix_.flow(s)) {
       const auto p = static_cast<int>(cell.producer);
-      if (dedup_.next_seq(p, s) >= cell.count) continue;
       // A dead producer's missing tail is unrecoverable (fail-stop): only
       // its durable/delivered prefix counts, so the shortfall is waived.
-      if (machine.rank_failed(
-              channel_->comm().world_rank(Channel::producer_rank(p))))
-        continue;
-      return;  // a live producer's announced elements are still in flight
+      if (dedup_.next_seq(p, s) < cell.count && !producer_failed(self, p))
+        return;  // a live producer's counted elements are still in flight
     }
   }
   matrix_satisfied_ = true;
@@ -1057,46 +975,69 @@ void Stream::seal_matrix(mpi::Rank& self) {
   update_matrix_exhaustion(self);
 }
 
-void Stream::maybe_ack_announce(mpi::Rank& self) {
-  if (!announce_ack_pending_ || !counts_known_ || !matrix_satisfied_) return;
-  // Everything this consumer owes the matrix has been consumed: run the
-  // flush hook so it is also durable, then commit to the barrier. The hook
-  // may suspend the fiber (file I/O); if an adoption lands meanwhile the
-  // matrix verdict is re-derived and the ack stays owed — the aggregator's
-  // membership-keyed re-announce re-collects the barrier anyway.
-  durable_point_();
-  if (!matrix_satisfied_) return;
+void Stream::send_announce_ack(mpi::Rank& self, int to_world) {
   auto& machine = self.machine();
   self.process().advance(machine.config().network.send_overhead);
   machine.post_send(context_, channel_->consumer_rank(my_consumer_),
-                    self.world_rank(), announce_ack_to_, kTagAnnounceAck,
+                    self.world_rank(), to_world, kTagAnnounceAck,
                     mpi::SendBuf::synthetic(0));
   ++term_msgs_sent_;
-  announce_ack_pending_ = false;
 }
 
 void Stream::progress_termination(mpi::Rank& self) {
-  if (!tree_v2_ || retired_ || release_done_ || release_seen_) return;
-  if (my_consumer_ != effective_aggregator_) return;
-  auto& machine = self.machine();
-  const int producers = channel_->producer_count();
-  const int consumers = channel_->consumer_count();
+  if (retired_ || released_) return;
+  const bool tree = channel_->tree_termination();
+  const bool root = !tree || my_consumer_ == effective_aggregator_;
   if (!counts_known_) {
-    for (int p = 0; p < producers; ++p) {
-      if (term_from_[static_cast<std::size_t>(p)] != 0) continue;
-      if (!machine.rank_failed(
-              channel_->comm().world_rank(Channel::producer_rank(p))))
-        return;  // a live producer has not terminated yet
-      // Dead without reporting: its counts are excluded — the matrix row
-      // stays zero and nobody waits for its lost tail.
-    }
+    // Gather: a root knows its counts once every producer it roots has
+    // reported or died.
+    if (!root || rooted_pending_ > 0) return;
     seal_matrix(self);
+    if (!resilient_ && tree) {
+      // Distribution on non-resilient trees: fan the per-consumer totals
+      // down the consumer tree.
+      term_tx_.clear();
+      for (int c = 0; c < channel_->consumer_count(); ++c)
+        if (const std::uint64_t total = matrix_.flow_total(c); total > 0)
+          term_tx_.push_back(TermEntry{static_cast<std::uint64_t>(c), total});
+      fan_out_term(self, term_tx_);
+    }
   }
-  auto alive_active = [&](int c) {
-    return !machine.rank_failed(
-               channel_->comm().world_rank(channel_->consumer_rank(c))) &&
-           channel_->consumer_active(c);
-  };
+  // The release is resilient-only: it retires the producers' replay logs.
+  if (!resilient_) return;
+  if (!root) {
+    // A tree consumer's deferred announce-ack (registered durable point):
+    // once everything it owes the matrix is consumed, run the flush hook so
+    // it is also durable, then commit. The hook may suspend the fiber; if
+    // an adoption lands meanwhile the ack stays owed — the aggregator's
+    // membership-keyed re-announce re-collects the barrier anyway.
+    if (!announce_ack_pending_ || !matrix_satisfied_) return;
+    durable_point_();
+    if (!matrix_satisfied_) return;
+    send_announce_ack(self, announce_ack_to_);
+    announce_ack_pending_ = false;
+    return;
+  }
+  if (tree && !announce_collected(self)) return;
+  if (!matrix_satisfied_) return;
+  if (manual_durability_ && durable_point_) {
+    // The root certifies its own durability last: everything it owes the
+    // matrix is consumed and flushed before the release commits. The hook
+    // may suspend (file I/O); if membership moved under the flush, bail and
+    // let the next receive step re-derive the state first.
+    durable_point_();
+    auto& machine = self.machine();
+    if (!matrix_satisfied_ || machine.failure_epoch() != consumer_failure_epoch_ ||
+        machine.rejoin_epoch() != consumer_rejoin_epoch_ ||
+        channel_->membership_version() != consumer_membership_version_)
+      return;
+  }
+  release(self);
+}
+
+bool Stream::announce_collected(mpi::Rank& self) {
+  auto& machine = self.machine();
+  const int consumers = channel_->consumer_count();
   // (Re-)announce the matrix. Membership changes reset the send decision so
   // a consumer that rejoined (fresh state, never acked) is covered; sends
   // are idempotent and ack-gated, so this stays bounded by membership
@@ -1122,7 +1063,7 @@ void Stream::progress_termination(mpi::Rank& self) {
     for (int c = 0; c < consumers; ++c) {
       if (c == my_consumer_ ||
           announce_acked_[static_cast<std::size_t>(c)] != 0 ||
-          !alive_active(c))
+          !resilience::consumer_available(*channel_, c, machine))
         continue;
       self.process().advance(machine.config().network.send_overhead);
       machine.post_send(
@@ -1133,59 +1074,56 @@ void Stream::progress_termination(mpi::Rank& self) {
     }
   }
   for (int c = 0; c < consumers; ++c)
-    if (c != my_consumer_ && alive_active(c) &&
-        announce_acked_[static_cast<std::size_t>(c)] == 0)
-      return;  // barrier still collecting
-  if (manual_durability_ && durable_point_) {
-    // The aggregator certifies its own durability last: everything it owes
-    // the matrix must be consumed and flushed before the release commits —
-    // the release is what tells producers to retire their replay logs. The
-    // hook may suspend (file I/O); if membership moved under the flush the
-    // barrier is stale, so bail and let the next poll re-collect it.
-    if (!matrix_satisfied_) return;
-    durable_point_();
-    if (!matrix_satisfied_ ||
-        machine.failure_epoch() != announce_failure_epoch_ ||
-        machine.rejoin_epoch() != announce_rejoin_epoch_)
-      return;
-  }
+    if (c != my_consumer_ && announce_acked_[static_cast<std::size_t>(c)] == 0 &&
+        resilience::consumer_available(*channel_, c, machine))
+      return false;  // barrier still collecting
+  return true;
+}
+
+void Stream::release(mpi::Rank& self) {
   // Commit the release in one atomic fiber step (post_send never yields;
   // the overhead is charged once after the burst): either nobody was
-  // released or everybody was, so a crash of this aggregator can never
-  // strand a half-released channel — the property the new-aggregator
-  // takeover in check_consumer_failover relies on.
+  // released or everybody was, so a crash of this root can never strand a
+  // half-released tree — the property the new-aggregator takeover in
+  // check_consumer_failover relies on. Producers hear it on
+  // durable_context_ (their wait loop probes there), tree consumers on
+  // context_.
+  auto& machine = self.machine();
   int releases = 0;
-  for (int p = 0; p < producers; ++p) {
-    const int w = channel_->comm().world_rank(Channel::producer_rank(p));
-    if (machine.rank_failed(w)) continue;
+  for (int p = 0; p < channel_->producer_count(); ++p) {
+    if (!roots(p) || producer_failed(self, p)) continue;
     machine.post_send(durable_context_, channel_->consumer_rank(my_consumer_),
-                      self.world_rank(), w, kTagRelease,
-                      mpi::SendBuf::synthetic(0));
-    ++releases;
-  }
-  for (int c = 0; c < consumers; ++c) {
-    if (c == my_consumer_ || !alive_active(c)) continue;
-    machine.post_send(context_, channel_->consumer_rank(my_consumer_),
                       self.world_rank(),
-                      channel_->comm().world_rank(channel_->consumer_rank(c)),
+                      channel_->comm().world_rank(Channel::producer_rank(p)),
                       kTagRelease, mpi::SendBuf::synthetic(0));
     ++releases;
   }
-  release_done_ = true;
+  if (channel_->tree_termination()) {
+    for (int c = 0; c < channel_->consumer_count(); ++c) {
+      if (c == my_consumer_ ||
+          !resilience::consumer_available(*channel_, c, machine))
+        continue;
+      machine.post_send(
+          context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
+          channel_->comm().world_rank(channel_->consumer_rank(c)), kTagRelease,
+          mpi::SendBuf::synthetic(0));
+      ++releases;
+    }
+  }
+  released_ = true;
   term_msgs_sent_ += static_cast<std::uint64_t>(releases);
   if (releases > 0)
     self.process().advance(machine.config().network.send_overhead *
                            static_cast<unsigned>(releases));
 }
 
-void Stream::handle_counted_term(const mpi::Status& status, Payload payload) {
+void Stream::handle_counted_term(mpi::Rank& self, const mpi::Status& status,
+                                 Payload payload) {
   const int p = status.source;
-  if (status.synthetic || p < 0 || p >= channel_->producer_count()) return;
-  const auto pz = static_cast<std::size_t>(p);
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   const std::size_t n = std::min(payload.size() / sizeof(TermEntry), consumers);
-  // Idempotent row write: a producer re-sends its counted term every time
-  // the aggregator role moves, and the row simply replaces its earlier copy.
+  // Idempotent row write: a resilient producer re-sends its term every time
+  // its root moves, and the row simply replaces its earlier copy.
   std::vector<std::uint64_t> row(consumers, 0);
   for (std::size_t i = 0; i < n; ++i) {
     TermEntry e;
@@ -1193,10 +1131,12 @@ void Stream::handle_counted_term(const mpi::Status& status, Payload payload) {
     if (e.consumer < consumers) row[e.consumer] = e.count;
   }
   matrix_.set_row(p, row);
-  if (term_from_[pz] == 0) {
-    term_from_[pz] = 1;
-    ++terms_seen_;
-  }
+  auto& from = term_from_[static_cast<std::size_t>(p)];
+  if (from != 0) return;
+  from = 1;
+  // Counted only if recount_rooted counted it: rooted and alive (a death
+  // since the last recount is corrected by the next one).
+  if (roots(p) && !producer_failed(self, p)) --rooted_pending_;
 }
 
 void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
@@ -1218,16 +1158,11 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
       return;
     send_rebalance_sync(self, flow, flow, status.source);
     if (adopted_[static_cast<std::size_t>(flow)] != 0) {
+      // The flow's producers now report to the home slot.
       adopted_[static_cast<std::size_t>(flow)] = 0;
       synced_slot_[static_cast<std::size_t>(flow)] = 0;
+      recount_rooted(self);
     }
-    // Block mapping: this producer's term now routes to the home slot
-    // again — drop the expectation raised at adoption (unless its term
-    // already landed here and was counted).
-    if (!channel_->tree_termination() &&
-        channel_->route(status.source, 0) == flow &&
-        term_from_[static_cast<std::size_t>(status.source)] == 0)
-      --expected_terms_;
     return;
   }
   // Cursor sync from another consumer (a retiree handing over its slots, or
@@ -1243,14 +1178,8 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
       continue;
     synced_slot_[static_cast<std::size_t>(flow)] = 1;
     if (e.next > 0) dedup_.advance_to(p, flow, e.next);
-    if (!channel_->tree_termination() && e.termed != 0 &&
-        term_from_[static_cast<std::size_t>(p)] == 0) {
-      // The previous owner consumed this producer's term on our behalf.
-      term_from_[static_cast<std::size_t>(p)] = 1;
-      ++terms_seen_;
-    }
   }
-  if (tree_v2_ && counts_known_) update_matrix_exhaustion(self);
+  update_matrix_exhaustion(self);
 }
 
 void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
@@ -1261,21 +1190,17 @@ void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
   for (int p = 0; p < producers; ++p) {
     if (only_producer >= 0 && p != only_producer) continue;
     const std::uint64_t next = dedup_.next_seq(p, flow);
-    const bool termed = !channel_->tree_termination() &&
-                        term_from_[static_cast<std::size_t>(p)] != 0 &&
-                        channel_->route(p, 0) == flow;
     dedup_.erase(p, flow);
     durable_acked_.erase(resilience::DedupFilter::key(p, flow));
-    if (next == 0 && !termed) continue;
+    if (next == 0) continue;
     entries.push_back(SyncEntry{static_cast<std::uint64_t>(p),
-                                static_cast<std::uint64_t>(flow), next,
-                                termed ? 1u : 0u});
+                                static_cast<std::uint64_t>(flow), next});
   }
   // A retiring consumer's sync must arrive even when it carries nothing —
   // the adopter blocks on it; a bare entry marks the handover.
   if (entries.empty()) {
     if (only_producer >= 0) return;  // marker replies may stay silent
-    entries.push_back(SyncEntry{0, static_cast<std::uint64_t>(flow), 0, 0});
+    entries.push_back(SyncEntry{0, static_cast<std::uint64_t>(flow), 0});
   }
   self.process().advance(machine.config().network.send_overhead);
   machine.post_send(context_, channel_->consumer_rank(my_consumer_),
@@ -1323,18 +1248,13 @@ void Stream::retire(mpi::Rank& self) {
       send_rebalance_sync(self, target, s);
     adopted_[sz] = 0;
   }
-  if (tree_v2_) {
+  if (channel_->tree_termination()) {
     // Courtesy ack so the aggregator's release barrier stops waiting on us
     // (recomputed post-deactivation, so it can never be this slot).
     const int agg = resilience::effective_aggregator(*channel_, machine);
-    if (agg >= 0 && agg != my_consumer_) {
-      self.process().advance(machine.config().network.send_overhead);
-      machine.post_send(
-          context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
-          channel_->comm().world_rank(channel_->consumer_rank(agg)),
-          kTagAnnounceAck, mpi::SendBuf::synthetic(0));
-      ++term_msgs_sent_;
-    }
+    if (agg >= 0 && agg != my_consumer_)
+      send_announce_ack(
+          self, channel_->comm().world_rank(channel_->consumer_rank(agg)));
   }
   if (!credit_pending_.empty()) flush_all_credits(self);
   retired_ = true;
@@ -1437,14 +1357,11 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   // accounting below can yield the fiber (a credit flush advances time).
   if (frame_left_ == 0) message_.reset();
   if (admit) {
-    if (tree_v2_ && counts_known_ && !matrix_satisfied_)
-      update_matrix_exhaustion(self);
+    update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
-    if (resilient_) {
-      if (!manual_durability_ && (seq + 1) % checkpoint_interval_ == 0)
-        send_durable_ack(self, frame_source_, frame_flow_, seq + 1);
-      if (!manual_durability_ && exhausted()) flush_durable_acks(self);
-    }
+    if (resilient_ && !manual_durability_ &&
+        (seq + 1) % checkpoint_interval_ == 0)
+      send_durable_ack(self, frame_source_, frame_flow_, seq + 1);
   }
   if (frame_left_ == 0 && ack_auto_) {
     // Close the loop with the producer's coalescer: one credit batch per
@@ -1459,24 +1376,12 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
 void Stream::handle(mpi::Rank& self, const mpi::Status& status,
                     Payload payload) {
   if (status.tag == kTagTerm) {
-    if (tree_v2_)
-      handle_counted_term(status, payload);
-    else if (channel_->tree_termination())
-      handle_tree_term(self, payload);
-    else if (resilient_ && status.source >= 0 &&
-             status.source < channel_->producer_count()) {
-      // Terms are idempotent under churn: a producer re-points its term
-      // whenever its flow changes owners, so the same producer's term can
-      // reach a consumer more than once (directly, or via a handback
-      // cursor sync that already credited it). Count each producer once.
-      auto& from = term_from_[static_cast<std::size_t>(status.source)];
-      if (from == 0) {
-        from = 1;
-        ++terms_seen_;
-      }
-    } else {
-      ++terms_seen_;
-    }
+    // From a producer, its counted term; from a consumer, the totals fanned
+    // down a non-resilient tree.
+    if (status.source < channel_->producer_count())
+      handle_counted_term(self, status, payload);
+    else
+      handle_distributed_term(self, payload);
     // A term means a producer (or the whole tree) has gone quiet: return
     // every credit still held back so no producer tail blocks on a partial
     // batch.
@@ -1490,43 +1395,37 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
       std::memcpy(&handoff, payload.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
                         handoff.durable);
-      if (tree_v2_ && counts_known_) update_matrix_exhaustion(self);
+      update_matrix_exhaustion(self);
     }
     return;
   }
   if (status.tag == kTagAnnounce) {
-    if (tree_v2_ && !status.synthetic && matrix_.decode(payload)) {
+    if (resilient_ && !status.synthetic && matrix_.decode(payload)) {
+      // The announce carries every producer's final row: should this
+      // consumer take the aggregator role over, no term is owed any more.
+      std::fill(term_from_.begin(), term_from_.end(), 1);
       seal_matrix(self);
       // Ack to whoever announced (the role may move under us; the reply
       // address, not the derived aggregator, is what keeps the barrier
       // consistent across takeovers). Announces are idempotent — re-ack
       // every copy. With a registered durable point the ack is deferred:
       // it must certify that everything this consumer owes the matrix is
-      // consumed *and* flushed durable, so maybe_ack_announce sends it
+      // consumed *and* flushed durable, so progress_termination sends it
       // after the hook runs.
-      if (manual_durability_ && durable_point_) {
-        announce_ack_pending_ = true;
-        announce_ack_to_ = channel_->comm().world_rank(status.source);
-      } else {
-        auto& machine = self.machine();
-        self.process().advance(machine.config().network.send_overhead);
-        machine.post_send(context_, channel_->consumer_rank(my_consumer_),
-                          self.world_rank(),
-                          channel_->comm().world_rank(status.source),
-                          kTagAnnounceAck, mpi::SendBuf::synthetic(0));
-        ++term_msgs_sent_;
-      }
+      announce_ack_to_ = channel_->comm().world_rank(status.source);
+      announce_ack_pending_ = manual_durability_ && durable_point_;
+      if (!announce_ack_pending_) send_announce_ack(self, announce_ack_to_);
     }
     return;
   }
   if (status.tag == kTagAnnounceAck) {
     const int c = status.source - channel_->producer_count();
-    if (tree_v2_ && c >= 0 && c < channel_->consumer_count())
+    if (!announce_acked_.empty() && c >= 0 && c < channel_->consumer_count())
       announce_acked_[static_cast<std::size_t>(c)] = 1;
     return;
   }
   if (status.tag == kTagRelease) {
-    if (tree_v2_) release_seen_ = true;
+    released_ = true;
     return;
   }
   if (status.tag == kTagSync) handle_sync(self, status, payload);
@@ -1535,17 +1434,12 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
 // Inline: operate_while runs this once per element.
 inline Stream::RecvStep Stream::receive_step(
     mpi::Rank& self, const std::function<bool()>& keep_going, bool wait) {
-  if (resilient_) {
-    // Re-react to crashes, rejoins, and membership changes before judging
-    // exhaustion: any of them may be exactly what unblocks termination
-    // (adoption raising the expected term count, a takeover of the
-    // aggregator role, a flow handed back).
-    check_consumer_failover(self);
-    if (tree_v2_) {
-      progress_termination(self);
-      maybe_ack_announce(self);
-    }
-  }
+  // Re-react to crashes, rejoins, and membership changes before judging
+  // exhaustion: any of them may be exactly what moves termination (an
+  // adoption, a takeover of the aggregator role, a dead producer's waived
+  // term).
+  if (resilient_) check_consumer_failover(self);
+  progress_termination(self);
   if (exhausted() || (keep_going && !keep_going())) return RecvStep::Stop;
   // First-come-first-served across every producer: whichever frame arrives
   // next gets processed, regardless of which peer sent it. A partially
@@ -1609,12 +1503,6 @@ std::uint64_t Stream::operate_while(mpi::Rank& self,
   while ((step = receive_step(self, keep_going, /*wait=*/true)) !=
          RecvStep::Stop)
     if (step == RecvStep::Element) ++processed;
-  // Producers block in their termination protocol until their replay logs
-  // are acknowledged durable. Auto-durability acks normally flow from the
-  // data path, but when a *term* (or a membership event) is what flips
-  // exhaustion, nothing after it would ack — flush here so the producers'
-  // durability wait always terminates.
-  if (resilient_ && !manual_durability_) flush_durable_acks(self);
   if (exhausted()) flush_consumer_metrics(self);
   return processed;
 }

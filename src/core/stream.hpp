@@ -7,19 +7,31 @@
 // in first-come-first-served arrival order across all of their producers;
 // that FCFS consumption is the mechanism that absorbs producer imbalance.
 //
-// Termination (MPIStream_Terminate): under Block mapping a terminating
-// producer notifies its single peer consumer, and operate() returns once
-// every routed producer has terminated. RoundRobin and Directed channels
-// aggregate instead of broadcasting: each producer sends one term — carrying
-// its per-consumer element counts — to the channel's aggregator consumer,
-// which fans the collective term (with the summed counts) down a binary tree
-// over the consumers. A consumer is exhausted once it has seen its term(s)
-// AND processed exactly the announced number of elements, so a collective
-// term can never overtake in-flight data.
+// Termination (MPIStream_Terminate) is one count-based state machine for
+// every mapping, with or without resilience:
 //
-// Liveness contract of the aggregated protocol: the collective term travels
-// through consumers, so a consumer that stops servicing the stream (returns
-// from operate_while early and never polls again) also stops forwarding the
+//  * One term, one root. Every producer sends one term, carrying its
+//    per-flow element counts, to its *term root*: under Block the current
+//    owner of the producer's flow (a routing with a single peer), under
+//    RoundRobin/Directed the channel's aggregator consumer.
+//  * Gather. A root records the terms as rows of a resilience::CountMatrix
+//    and knows its counts once every producer it roots has reported or
+//    crashed. A counter of the terms still owed keeps this O(1) per
+//    receive step; it is recounted only when the set of rooted producers
+//    moves (adoption, handback, aggregator takeover, producer crash).
+//  * Distribution, only where other consumers need the counts:
+//    non-resilient trees fan the per-consumer totals down a binary tree
+//    over the consumers (sliced per subtree, O(C log C) bytes); resilient
+//    trees announce the count matrix and collect announce-acks; Block needs
+//    none, since every consumer roots its own producers.
+//  * Completion. A consumer is exhausted once its counts are known and
+//    satisfied: a non-resilient stream has processed its total, a resilient
+//    one has dedup cursors at its count cells and has been released. A term
+//    can therefore never overtake in-flight data.
+//
+// Liveness contract on trees: the collective term travels through
+// consumers, so a consumer that stops servicing the stream (returns from
+// operate_while early and never polls again) also stops forwarding the
 // term to its tree descendants. Waiting on exhausted()/operate() completion
 // therefore requires every consumer of the channel to keep servicing the
 // stream; protocols where consumers leave early by design (e.g. the PIC
@@ -57,36 +69,33 @@
 // to the deterministic failover target (resilience::failover_target) and
 // replay the retained frames; receivers dedupe by (producer, flow, seq), so
 // application code sees every element exactly once. Recoverability window:
-// crashes are recoverable while producers are still active on the stream
-// (terminate() repairs its own routing); data already durable at the dead
-// consumer is never replayed.
+// crashes are recoverable until the producers are released (terminate()
+// keeps repairing its routing while it waits); data already durable at the
+// dead consumer is never replayed.
 //
-// Resilient termination (tree mappings) runs a release-barrier protocol
-// that covers the remaining failure-matrix cells — producer crash,
-// aggregator crash mid-protocol, rank rejoin, elastic membership:
+// Resilient termination adds the release to the state machine above, which
+// covers the remaining failure-matrix cells — producer crash, root crash
+// mid-protocol, rank rejoin, elastic membership:
 //
-//  * Each terminating producer sends its per-flow element counts to the
-//    effective aggregator (first live+active consumer) and then blocks until
-//    a TermRelease, resending the counted term whenever the aggregator role
-//    moves (crash of the old aggregator, or rejoin of an earlier slot) and
-//    servicing durable acks / failover / rebalancing while it waits.
-//  * The aggregator records count vectors idempotently per producer and is
-//    complete once every producer has reported or crashed (a dead producer's
-//    unreported counts are excluded: its undurable in-flight tail is
-//    unrecoverable by definition and nobody waits for it). It then announces
-//    the (producer x flow) count matrix to every live+active consumer — its
-//    nonzero cells, or the dense matrix when that is no larger; the fabric
-//    charges the full P x C counts either way — collects announce-acks, and
-//    only then releases producers and consumers (in one atomic fiber step).
-//    The barrier yields the invariant that makes an aggregator crash
+//  * A terminating producer blocks until its root releases it, re-sending
+//    its counted term whenever the root moves (a failover or handback of
+//    its Block flow, an aggregator crash, the rejoin of an earlier slot)
+//    and servicing durable acks, failover and rebalancing while it waits.
+//    Rows are recorded idempotently, so re-sent terms are harmless.
+//  * The root releases once its own count cells are satisfied, its
+//    distribution is collected (on trees: every live+active consumer has
+//    acked the announced matrix — its nonzero cells, or the dense matrix
+//    when that is no larger; the fabric charges the full P x C counts
+//    either way) and its durable point, if registered, has run. The release
+//    goes to the producers it roots and, on trees, to every consumer, in
+//    one atomic fiber step, and it retires the producers' replay logs. On
+//    trees this yields the invariant that makes an aggregator crash
 //    mid-protocol survivable: if any producer was released, every live
-//    consumer already holds the matrix, so a newly elected aggregator either
-//    re-collects terms (producers are still blocked and resend) or
+//    consumer already holds the matrix, so a newly elected aggregator
+//    either re-collects terms (producers are still blocked and resend) or
 //    re-announces from its own copy.
-//  * A consumer is exhausted once it holds the matrix, its dedup cursor for
-//    every (live producer, owned flow) pair has reached the announced count,
-//    and it has been released. Per-pair accounting means a dead producer's
-//    lost tail can never mask a live producer's in-flight data.
+//  * Per-(producer, flow) accounting means a dead producer's lost tail can
+//    never mask a live producer's in-flight data.
 //
 // Rejoin and elastic membership ride the same machinery: when a crashed
 // rank restarts (Machine::restart_rank) or a retired slot is re-admitted
@@ -199,16 +208,16 @@ class Stream {
   /// and in automatic mode (where epoch boundaries ack on their own).
   void ack_durable(mpi::Rank& self);
 
-  /// Consumer (resilient tree streams with manual_durability): register the
-  /// durability hook the termination protocol invokes before this consumer
-  /// commits to the release barrier — right before its announce-ack, and
-  /// (on the aggregator) right before the release broadcast. The hook must
+  /// Consumer (resilient streams with manual_durability, any mapping):
+  /// register the durability hook the termination protocol invokes before
+  /// this consumer commits — right before a root releases its producers,
+  /// and, on trees, right before a consumer's announce-ack. The hook must
   /// make every consumed element's external effects durable and call
   /// ack_durable (e.g. a writer's file flush). With it registered, the
-  /// release certifies global durability: producers may retire their replay
-  /// logs knowing no consumer still holds undurable state a later crash
-  /// could lose. Without a hook the announce-ack is sent immediately (the
-  /// release then certifies only count agreement, as in automatic mode).
+  /// release certifies durability: producers retire their replay logs
+  /// knowing no consumer they reported to still holds undurable state a
+  /// later crash could lose. Without a hook the release (and the
+  /// announce-ack) certifies only count agreement, as in automatic mode.
   void set_durable_point(std::function<void()> hook) {
     durable_point_ = std::move(hook);
   }
@@ -285,30 +294,23 @@ class Stream {
     return durable_acks_sent_;
   }
   /// True once the stream's termination protocol has completed for this
-  /// consumer. Non-resilient / Block: all terms observed and, under tree
-  /// termination, every announced element processed. Resilient tree mode:
-  /// the count matrix is known, every (live producer, owned flow) cursor
-  /// reached its announced count, and the release barrier passed. A retired
-  /// consumer is exhausted by definition.
+  /// consumer: its counts are known and satisfied — every counted element
+  /// processed (non-resilient), or every (live producer, owned flow) cursor
+  /// at its count and the release passed (resilient). A retired consumer is
+  /// exhausted by definition.
   [[nodiscard]] bool exhausted() const noexcept {
     if (retired_) return true;
-    if (tree_v2_) {
-      if (!counts_known_ || !matrix_satisfied_) return false;
-      // Either form of the barrier counts: a consumer that received the
-      // release and is later re-derived as aggregator (the old aggregator
-      // crashed after broadcasting) must not wait for a second one.
-      return release_seen_ || release_done_;
-    }
-    if (expected_terms_ < 0 || terms_seen_ < expected_terms_) return false;
-    return !counts_known_ || processed_data_ >= expected_data_;
+    if (!counts_known_) return false;
+    return resilient_ ? matrix_satisfied_ && released_
+                      : processed_data_ >= expected_data_;
   }
 
  private:
   /// Wire entry of a termination message: how many data elements are bound
-  /// for one consumer. Terms carry only the entries relevant to the
-  /// receiver — a producer's touched consumers (up to C each, so O(P*C)
-  /// bytes on the aggregation hop in the worst case) and a tree node's
-  /// subtree (O(C log C) bytes across the whole fan-out).
+  /// for one flow (consumer index). Terms carry only the entries relevant to
+  /// the receiver — a producer's touched flows (one under Block, up to C
+  /// otherwise, so O(P*C) bytes on the aggregation hop in the worst case)
+  /// and a tree node's subtree (O(C log C) bytes across the whole fan-out).
   struct TermEntry {
     std::uint64_t consumer = 0;
     std::uint64_t count = 0;
@@ -340,7 +342,9 @@ class Stream {
   /// Handle one protocol control message (anything but a frame), reading
   /// its payload in place.
   void handle(mpi::Rank& self, const mpi::Status& status, Payload payload);
-  void handle_tree_term(mpi::Rank& self, Payload payload);
+  /// Non-resilient tree consumer: adopt the total the tree parent fanned
+  /// down and forward the slices to this consumer's children.
+  void handle_distributed_term(mpi::Rank& self, Payload payload);
   /// Send the collective term on to this consumer's tree children, sliced
   /// to each child's subtree.
   void fan_out_term(mpi::Rank& self, const std::vector<TermEntry>& entries);
@@ -364,28 +368,41 @@ class Stream {
   bool check_producer_rebalance(mpi::Rank& self);
   /// Consumer: react to newly observed crashes, rejoins, and membership
   /// changes — adopt dead/retired consumers' flows this rank is the
-  /// failover target of (repairing expected term counts under Block
-  /// mapping), exclude dead producers' missing terms, and re-derive the
-  /// effective aggregator.
+  /// failover target of, re-derive the effective aggregator, and recount
+  /// the terms this consumer is still owed.
   void check_consumer_failover(mpi::Rank& self);
-  /// Consumer, resilient tree mode, effective aggregator only: drive the
-  /// termination protocol forward — complete term collection (waiving dead
-  /// producers), announce the count matrix, collect announce-acks, release.
+  /// Producer: the consumer index its term goes to — the current owner of
+  /// its flow under Block, the (effective) aggregator on trees.
+  [[nodiscard]] int term_root(mpi::Rank& self) const;
+  /// Consumer: true when this consumer is `producer`'s term root.
+  [[nodiscard]] bool roots(int producer) const noexcept;
+  /// Consumer: recount rooted_pending_ after the set of rooted producers
+  /// moved (dead producers are waived), then re-derive the count verdict.
+  void recount_rooted(mpi::Rank& self);
+  /// True when `producer` crashed (resilient streams only track crashes).
+  [[nodiscard]] bool producer_failed(mpi::Rank& self, int producer) const;
+  /// The termination state machine, once per receive step: gather, seal,
+  /// distribute, and (resilient roots) release.
   void progress_termination(mpi::Rank& self);
-  /// Consumer, resilient tree mode: recompute matrix_satisfied_ from the
-  /// dedup cursors against the announced cells of the flows this consumer
-  /// owns (dead producers waived).
+  /// Resilient tree root: (re-)announce the count matrix; true once every
+  /// live+active consumer has acked it.
+  bool announce_collected(mpi::Rank& self);
+  /// Resilient root: release the producers it roots (and, on trees, every
+  /// consumer) in one atomic fiber step.
+  void release(mpi::Rank& self);
+  /// Resilient consumer: recompute matrix_satisfied_ from the dedup cursors
+  /// against the count cells of the flows this consumer owns (dead
+  /// producers waived).
   void update_matrix_exhaustion(mpi::Rank& self);
   /// Seal the count matrix as known and derive this consumer's expected
   /// element total from it, then re-check the exhaustion verdict.
   void seal_matrix(mpi::Rank& self);
-  /// Consumer, resilient tree mode with a registered durable point: once
-  /// everything this consumer owes the matrix is consumed, run the flush
-  /// hook and send the deferred announce-ack.
-  void maybe_ack_announce(mpi::Rank& self);
-  /// Aggregator (resilient tree mode): record one producer's counted term
-  /// as an idempotent matrix row.
-  void handle_counted_term(const mpi::Status& status, Payload payload);
+  /// Resilient tree consumer: ack the matrix announce to `to_world`.
+  void send_announce_ack(mpi::Rank& self, int to_world);
+  /// Record one producer's counted term as an idempotent matrix row and
+  /// settle the term it owed, if this consumer roots it.
+  void handle_counted_term(mpi::Rank& self, const mpi::Status& status,
+                           Payload payload);
   /// Producer: hand one flow to `dst_world` — durable point first, then the
   /// retained undurable frames, verbatim.
   void replay_flow(mpi::Rank& self, std::size_t flow, int dst_world);
@@ -458,12 +475,11 @@ class Stream {
 
   // consumer state
   int my_consumer_ = -1;
-  int expected_terms_ = -1;
-  int terms_seen_ = 0;
   std::uint64_t processed_data_ = 0;
-  std::uint64_t expected_data_ = 0;
-  bool counts_known_ = false;  ///< tree mode: announced counts received
-  std::vector<std::uint64_t> count_accum_;  ///< aggregator: per-consumer sums
+  std::uint64_t expected_data_ = 0;  ///< this consumer's counted total
+  /// Counts known: gathered and sealed at a root, distributed elsewhere.
+  bool counts_known_ = false;
+  int rooted_pending_ = 0;  ///< live rooted producers whose term is owed
   /// Credit batching (flow-controlled streams): per-producer count of
   /// consumed-but-unacked elements, flushed every ack_every_-th element and
   /// whenever a term arrives or the stream exhausts.
@@ -501,23 +517,23 @@ class Stream {
   std::vector<std::uint8_t> adopted_;  ///< dead consumers whose flows I took
   std::vector<std::uint8_t> slot_active_seen_;  ///< last observed active bits
   std::vector<std::uint8_t> synced_slot_;  ///< retiree cursor sync applied
-  int effective_aggregator_ = 0;  ///< tree root, re-derived after crashes
+  /// Tree root: Channel::term_aggregator(), re-derived after crashes on
+  /// resilient channels.
+  int effective_aggregator_ = 0;
   /// Highest durability ack already sent per (producer, flow) key.
   std::unordered_map<std::uint64_t, std::uint64_t> durable_acked_;
   std::uint64_t durable_acks_sent_ = 0;
 
-  // resilient tree-termination protocol (the "v2" release barrier)
-  bool tree_v2_ = false;   ///< resilient_ && tree_termination
+  // termination state machine
   bool retired_ = false;   ///< this consumer left via retire()
-  std::vector<std::uint8_t> term_from_;  ///< per-producer: term received
-  std::vector<std::uint8_t> producer_excluded_;  ///< Block: dead, term waived
+  /// Per producer: its final row is known (term received, or announced).
+  std::vector<std::uint8_t> term_from_;
   /// The (producer x flow) count matrix, nonzero cells only: gathered row
-  /// by row from counted terms at the aggregator, adopted whole from an
-  /// announce elsewhere, sealed once counts_known_.
+  /// by row from counted terms at a root, adopted whole from an announce on
+  /// resilient trees, sealed once counts_known_.
   resilience::CountMatrix matrix_;
   bool matrix_satisfied_ = false;  ///< owned cursors reached the matrix
-  bool release_seen_ = false;      ///< TermRelease received (non-aggregator)
-  bool release_done_ = false;      ///< release barrier broadcast (aggregator)
+  bool released_ = false;  ///< resilient: release sent (root) or received
   bool announced_ = false;         ///< aggregator: matrix broadcast begun
   std::vector<std::uint8_t> announce_acked_;  ///< aggregator: acks collected
   std::uint64_t announce_failure_epoch_ = 0;  ///< re-announce keying
@@ -558,15 +574,15 @@ class Stream {
   /// already-durable prefix.
   static constexpr int kTagHandoff = 5;
   /// Aggregator -> consumers: the (producer x flow) count matrix, encoded
-  /// by resilience::CountMatrix (resilient tree termination). Idempotent;
-  /// resent after membership changes until acked.
+  /// by resilience::CountMatrix (the distribution of resilient trees).
+  /// Idempotent; resent after membership changes until acked.
   static constexpr int kTagAnnounce = 6;
   /// Consumer -> aggregator: matrix received (or a retiring consumer's
   /// courtesy "don't wait for me").
   static constexpr int kTagAnnounceAck = 7;
-  /// Aggregator -> everyone: release barrier commit. Sent to producers on
-  /// durable_context_ (their wait loop probes there) and to consumers on
-  /// context_, in one atomic fiber step.
+  /// Root -> its producers (and, on trees, every consumer): the release.
+  /// Sent to producers on durable_context_ (their wait loop probes there)
+  /// and to consumers on context_, in one atomic fiber step.
   static constexpr int kTagRelease = 8;
   /// Rebalance traffic (context_). From a producer: a handback marker — flow
   /// f returns to its home slot as of the carried sequence; the receiving

@@ -61,7 +61,18 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
   program_ = std::move(program);
   for (int r = 0; r < config_.world_size; ++r) spawn_rank(r);
   install_faults();
-  engine_.run();
+  try {
+    engine_.run();
+  } catch (...) {
+    // An aborted run (deadlock, collective timeout, an escaping exception)
+    // must not discard the suspended fibers with everything their stacks
+    // own. Failing every rank makes each fiber throw RankFailure at its next
+    // interaction, and its RAII cleanup skip protocol traffic, exactly as
+    // after a crash; the engine then unwinds them.
+    std::fill(dead_.begin(), dead_.end(), std::uint8_t{1});
+    engine_.unwind_processes();
+    throw;
+  }
   return engine_.now();
 }
 

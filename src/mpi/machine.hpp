@@ -58,7 +58,10 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   /// Spawn one fiber per world rank running `program`, then run the engine
-  /// to completion. Returns the virtual makespan (latest event time).
+  /// to completion. Returns the virtual makespan (latest event time). When
+  /// the run aborts with an exception (deadlock, collective timeout, an
+  /// exception escaping a rank), every rank is failed and every unfinished
+  /// fiber unwound before the exception propagates.
   util::SimTime run(std::function<void(Rank&)> program);
 
   [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }

@@ -175,13 +175,11 @@ bool CountMatrix::decode(std::span<const std::byte> payload) {
   return true;
 }
 
-namespace {
-bool slot_available(const stream::Channel& channel, int c,
-                    const mpi::Machine& machine) {
+bool consumer_available(const stream::Channel& channel, int c,
+                        const mpi::Machine& machine) {
   const int world = channel.comm().world_rank(channel.consumer_rank(c));
   return !machine.rank_failed(world) && channel.consumer_active(c);
 }
-}  // namespace
 
 int failover_target(const stream::Channel& channel, int dead_consumer,
                     const mpi::Machine& machine) {
@@ -195,13 +193,13 @@ int failover_target(const stream::Channel& channel, int dead_consumer,
   for (int step = 1; step < consumers; ++step) {
     const int c = (dead_consumer + step) % consumers;
     const int world = channel.comm().world_rank(channel.consumer_rank(c));
-    if (slot_available(channel, c, machine) &&
+    if (consumer_available(channel, c, machine) &&
         network.same_node(dead_world, world))
       return c;
   }
   for (int step = 1; step < consumers; ++step) {
     const int c = (dead_consumer + step) % consumers;
-    if (slot_available(channel, c, machine)) return c;
+    if (consumer_available(channel, c, machine)) return c;
   }
   return -1;
 }
@@ -209,7 +207,7 @@ int failover_target(const stream::Channel& channel, int dead_consumer,
 int effective_aggregator(const stream::Channel& channel,
                          const mpi::Machine& machine) {
   for (int c = 0; c < channel.consumer_count(); ++c)
-    if (slot_available(channel, c, machine)) return c;
+    if (consumer_available(channel, c, machine)) return c;
   return -1;
 }
 

@@ -14,8 +14,9 @@
 //    frame carries its flow id and starting sequence number; the filter
 //    admits each (producer, flow, seq) at most once, so replay overlap can
 //    never deliver an element to application code twice.
-//  * CountMatrix  — the release barrier's (producer x flow) element counts,
-//    nonzero cells only, plus the announce codec that ships them.
+//  * CountMatrix  — the (producer x flow) element counts a term root gathers
+//    from counted terms, nonzero cells only, plus the announce codec that
+//    ships them to the consumers of a resilient tree.
 //  * failover_target — the deterministic, topology-aware adoption rule: the
 //    next live consumer on the dead consumer's *node* (cyclically), falling
 //    back to the next live consumer anywhere. Every rank evaluates it
@@ -143,12 +144,14 @@ class DedupFilter {
   std::uint64_t duplicates_ = 0;
 };
 
-/// The resilient release barrier's (producer x flow) count matrix: how many
-/// elements each producer sent on each flow. Only nonzero cells are stored,
-/// so memory follows the routes in use instead of P x C (a producer that
-/// talks to one consumer costs one cell). Rows gather unordered from counted
-/// terms; seal() orders the cells by flow once the counts are complete, and
-/// later row writes keep that order.
+/// The (producer x flow) count matrix of stream termination: how many
+/// elements each producer sent on each flow. Every term root gathers one,
+/// and resilient trees announce the aggregator's to every consumer. Only
+/// nonzero cells are stored, so memory follows the routes in use instead of
+/// P x C (a producer that talks to one consumer costs one cell). Rows
+/// gather unordered from counted terms; seal() orders the cells by flow
+/// once the counts are complete, and later row writes (a Block root that
+/// adopts a dead consumer's producers) keep that order.
 class CountMatrix {
  public:
   struct Cell {
@@ -194,6 +197,12 @@ class CountMatrix {
   std::vector<Cell> cells_;
   std::vector<std::uint8_t> has_row_;  ///< gathering: producer wrote a row
 };
+
+/// True when consumer slot `c` is available: its rank is live in
+/// `machine`'s failure record and the slot is active in the channel's
+/// membership ledger.
+[[nodiscard]] bool consumer_available(const stream::Channel& channel, int c,
+                                      const mpi::Machine& machine);
 
 /// The deterministic adoption rule, topology-aware: the first available
 /// consumer after `dead_consumer` (cyclically) that shares its node, else

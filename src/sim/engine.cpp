@@ -141,6 +141,26 @@ void Engine::run() {
   if (live_ > 0) report_deadlock();
 }
 
+void Engine::unwind_processes() noexcept {
+  constexpr int kMaxResumes = 64;
+  for (const auto& p : processes_) {
+    for (int i = 0; i < kMaxResumes && !p->fiber_->finished(); ++i) {
+      p->state_ = Process::State::Running;
+      running_ = p.get();
+      try {
+        p->fiber_->resume();
+      } catch (...) {
+        // The run is already aborting with its own exception.
+      }
+      running_ = nullptr;
+    }
+    if (p->fiber_->finished() && p->state_ != Process::State::Finished) {
+      p->state_ = Process::State::Finished;
+      --live_;
+    }
+  }
+}
+
 void Engine::report_deadlock() const {
   std::ostringstream msg;
   msg << "simulation deadlock at t=" << util::to_seconds(clock_) << "s; "

@@ -138,6 +138,14 @@ class Engine {
   /// queue drains first; propagates exceptions thrown by process bodies.
   void run();
 
+  /// Tear-down after an aborted run(): resume every unfinished process so
+  /// its fiber unwinds its stack, running the destructors of what it owns,
+  /// instead of the stack being discarded with them. The caller makes each
+  /// body throw at its next interaction first; exceptions escaping a body
+  /// are swallowed, and a body that keeps suspending is left after a
+  /// bounded number of resumes.
+  void unwind_processes() noexcept;
+
   [[nodiscard]] util::SimTime now() const noexcept { return clock_; }
   [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
   [[nodiscard]] std::size_t live_count() const noexcept { return live_; }

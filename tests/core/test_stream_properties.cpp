@@ -25,19 +25,24 @@ struct Shape {
   ChannelConfig::Mapping mapping;
 };
 
-class StreamShapeSweep : public ::testing::TestWithParam<Shape> {};
-
-TEST_P(StreamShapeSweep, EveryElementArrivesExactlyOnce) {
-  const Shape shape = GetParam();
+/// Streams `shape` (on a resilient channel when `checkpoint_interval` > 0)
+/// and checks the stream contracts: every element arrives exactly once,
+/// every consumer ends exhausted, and no send or receive pool slot is left
+/// outstanding after the run.
+void expect_stream_contracts(const Shape& shape,
+                             std::uint32_t checkpoint_interval) {
   const int world = shape.producers + shape.consumers;
   std::map<int, int> seen;  // element id -> times seen
   std::uint64_t total_consumed = 0;
+  int exhausted = 0;
 
-  testing::run_program(testing::tiny_machine(world), [&](Rank& self) {
+  mpi::Machine machine(testing::tiny_machine(world));
+  machine.run([&](Rank& self) {
     const int me = self.world_rank();
     const bool producer = me < shape.producers;
     ChannelConfig cfg;
     cfg.mapping = shape.mapping;
+    cfg.checkpoint_interval = checkpoint_interval;
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     auto op = [&](const StreamElement& el) {
       int id = -1;
@@ -58,6 +63,7 @@ TEST_P(StreamShapeSweep, EveryElementArrivesExactlyOnce) {
       s.terminate(self);
     } else {
       total_consumed += s.operate(self);
+      if (s.exhausted()) ++exhausted;
     }
   });
 
@@ -67,6 +73,15 @@ TEST_P(StreamShapeSweep, EveryElementArrivesExactlyOnce) {
   for (const auto& [id, count] : seen) EXPECT_EQ(count, 1) << "element " << id;
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(shape.producers) *
                              static_cast<std::size_t>(shape.elements_per_producer));
+  EXPECT_EQ(exhausted, shape.consumers);
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
+}
+
+class StreamShapeSweep : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(StreamShapeSweep, EveryElementArrivesExactlyOnce) {
+  expect_stream_contracts(GetParam(), /*checkpoint_interval=*/0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,6 +99,32 @@ INSTANTIATE_TEST_SUITE_P(
                       // multi-level fan-out, counts racing in-flight data.
                       Shape{1, 16, 32, ChannelConfig::Mapping::Directed},
                       Shape{4, 13, 9, ChannelConfig::Mapping::Directed}));
+
+/// A shape on a resilient channel: epochs of `checkpoint_interval`
+/// elements, replay logs, and the release that retires them.
+struct ResilientShape {
+  Shape shape;
+  std::uint32_t checkpoint_interval;
+};
+
+class ResilientStreamShapeSweep
+    : public ::testing::TestWithParam<ResilientShape> {};
+
+TEST_P(ResilientStreamShapeSweep, EveryElementArrivesExactlyOnce) {
+  expect_stream_contracts(GetParam().shape, GetParam().checkpoint_interval);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResilientShapes, ResilientStreamShapeSweep,
+    ::testing::Values(
+        ResilientShape{{7, 3, 11, ChannelConfig::Mapping::Block}, 4},
+        // More consumers than producers: three consumers root nobody.
+        ResilientShape{{2, 5, 9, ChannelConfig::Mapping::Block}, 4},
+        // Tree shapes where a durability ack sent after the release would
+        // strand in the mailbox of a producer that already left.
+        ResilientShape{{8, 2, 12, ChannelConfig::Mapping::RoundRobin}, 4},
+        ResilientShape{{4, 13, 9, ChannelConfig::Mapping::Directed}, 4},
+        ResilientShape{{1, 16, 32, ChannelConfig::Mapping::Directed}, 4}));
 
 class StreamSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

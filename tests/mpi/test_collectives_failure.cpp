@@ -349,6 +349,29 @@ TEST(CollectivesFailure, CollectiveTimeoutWatchdogAbortsWedgedCollective) {
                mpi::CollectiveTimeout);
 }
 
+TEST(CollectivesFailure, AbortedRunUnwindsEverySuspendedRank) {
+  // The watchdog aborts the run while every rank is suspended (two in the
+  // barrier, one in a long compute). Before the exception leaves
+  // Machine::run each fiber is unwound, so what the rank stacks own is
+  // destroyed instead of being discarded with the stacks.
+  auto config = testing::tiny_machine(3);
+  config.collective_timeout = util::milliseconds(1);
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  mpi::Machine machine(config);
+  EXPECT_THROW(machine.run([&](Rank& self) {
+                 const Guard guard{&destroyed};
+                 if (self.world_rank() == 2)
+                   self.compute(util::seconds_i(1));  // far past the budget
+                 self.barrier(self.world());
+               }),
+               mpi::CollectiveTimeout);
+  EXPECT_EQ(destroyed, 3);
+}
+
 TEST(CollectivesFailure, CollectiveTimeoutSilentOnFailureAwareCompletion) {
   // A crash-released collective completes (failed) well inside the budget:
   // the armed watchdog must not fire afterwards.

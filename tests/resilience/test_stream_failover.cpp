@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -300,6 +301,109 @@ TEST(StreamFailover, ZeroSendProducerTermRoutesToFailoverTarget) {
   });
   EXPECT_TRUE(survivor_exhausted);
   EXPECT_EQ(survivor_elements, 1u);
+}
+
+TEST(StreamFailover, ManualDurabilityBlockProducerStaysUntilReleased) {
+  // Block with manual durability: both consumers compute 5 us per element,
+  // and consumer 1 is crashed at 60 us, long after both producers
+  // terminated but before it finished consuming. Producer 1 must still be
+  // waiting for its root's release, so it can replay its whole unacked flow
+  // to the survivor and re-send its term there.
+  constexpr int kProducers = 2, kConsumers = 2, kEach = 20;
+  auto config = testing::tiny_machine(kProducers + kConsumers);
+  config.faults.crash(/*world rank of consumer 1=*/3, util::microseconds(60));
+  std::vector<std::vector<std::uint64_t>> delivered(kConsumers);
+  std::array<util::SimTime, kProducers> terminated_at{};
+  bool survivor_exhausted = false;
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.checkpoint_interval = 4;
+    cfg.manual_durability = true;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = ch.my_consumer_index(self);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [&](const StreamElement& el) {
+                                std::uint64_t id = 0;
+                                std::memcpy(&id, el.data, sizeof id);
+                                delivered[static_cast<std::size_t>(me)]
+                                    .push_back(id);
+                                self.compute(util::microseconds(5));
+                              });
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) {
+        const std::uint64_t id = element_id(self.world_rank(), i);
+        s.isend(self, SendBuf::of(&id, 1));
+      }
+      terminated_at[static_cast<std::size_t>(self.world_rank())] = self.now();
+      s.terminate(self);
+    } else {
+      s.operate(self);
+      if (me == 0) survivor_exhausted = s.exhausted();
+    }
+  });
+  // Both producers terminated before the crash.
+  for (const util::SimTime t : terminated_at) EXPECT_LT(t, util::microseconds(60));
+  EXPECT_TRUE(survivor_exhausted);
+  EXPECT_TRUE(all_unique(delivered[0]));
+  // Nothing was acked durable, so the survivor holds every element.
+  const std::set<std::uint64_t> survivor(delivered[0].begin(),
+                                         delivered[0].end());
+  for (int p = 0; p < kProducers; ++p)
+    for (int i = 0; i < kEach; ++i)
+      EXPECT_TRUE(survivor.count(element_id(p, i)))
+          << "missing " << p << ":" << i;
+}
+
+TEST(StreamFailover, BlockDurablePointRunsOnceBeforeTheRelease) {
+  // Block with a registered durable point: each consumer's hook runs exactly
+  // once, and no producer's terminate returns before the hook of its root
+  // (its block consumer) has finished.
+  constexpr int kProducers = 4, kConsumers = 2, kEach = 8;
+  auto config = testing::tiny_machine(kProducers + kConsumers);
+  std::array<int, kConsumers> hook_runs{};
+  std::array<util::SimTime, kConsumers> hook_done{};
+  std::array<util::SimTime, kProducers> terminate_returned{};
+  std::array<bool, kConsumers> exhausted{};
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.checkpoint_interval = 4;
+    cfg.manual_durability = true;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) {
+        const std::uint64_t id = element_id(self.world_rank(), i);
+        s.isend(self, SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+      terminate_returned[static_cast<std::size_t>(self.world_rank())] =
+          self.now();
+      return;
+    }
+    const auto me = static_cast<std::size_t>(ch.my_consumer_index(self));
+    s.set_durable_point([&] {
+      ++hook_runs[me];
+      self.compute(util::microseconds(20));  // the flush
+      s.ack_durable(self);
+      hook_done[me] = self.now();
+    });
+    s.operate(self);
+    exhausted[me] = s.exhausted();
+  });
+  for (int c = 0; c < kConsumers; ++c) {
+    EXPECT_EQ(hook_runs[static_cast<std::size_t>(c)], 1) << "consumer " << c;
+    EXPECT_TRUE(exhausted[static_cast<std::size_t>(c)]) << "consumer " << c;
+  }
+  for (int p = 0; p < kProducers; ++p) {
+    const int root = Channel::block_route(p, kProducers, kConsumers);
+    EXPECT_GE(terminate_returned[static_cast<std::size_t>(p)],
+              hook_done[static_cast<std::size_t>(root)])
+        << "producer " << p;
+  }
 }
 
 TEST(StreamFailover, AdaptiveWindowGrowsUnderCreditStallsOnly) {

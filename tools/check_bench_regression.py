@@ -13,7 +13,10 @@ The baseline document's top-level "bench" key selects the mode:
 
   * "fault_recovery" (BENCH_fault_recovery.json): the resilience contract
     gate. Every scenario the baseline records must exist in the fresh
-    output, and the fresh churn scenario (when the baseline has one) must
+    output with its virtual_s within the topology mode's relative tolerance
+    (DS_BENCH_VT_TOLERANCE, default 1%): the scenarios are virtual-time
+    deterministic, so a drift means the resilience protocol's cost moved.
+    The fresh churn scenario (when the baseline has one) must
     uphold the failure-matrix acceptance contract: >= 10 crash/rejoin
     cycles, exactly-once delivery per consumer view, full coverage, and
     goodput >= 80% of the paced fault-free reference (override the floor
@@ -22,8 +25,8 @@ The baseline document's top-level "bench" key selects the mode:
     failovers/replay — the crash inside Channel::create must be repaired
     by membership agreement, not by the streaming failover path — and a
     rebuild makespan within 2x of the fault-free run (override with
-    DS_BENCH_SETUP_REBUILD). The numeric recovery/goodput metrics are
-    archived for trend reading, not drift-gated here — the bench binary
+    DS_BENCH_SETUP_REBUILD). The other numeric recovery/goodput metrics
+    are archived for trend reading, not drift-gated here — the bench binary
     itself exits nonzero on every bound it owns.
 
   * "fig9_termination" (BENCH_fig9.json): the termination-protocol gate.
@@ -100,10 +103,22 @@ def metric(s, key, which, name, required=True):
         return None
 
 
+def vt_tolerance():
+    return float(os.environ.get("DS_BENCH_VT_TOLERANCE", "0.01"))
+
+
+def check_drift(name, key, reference, got, tolerance):
+    """Fail when a virtual-time metric drifted past the relative tolerance."""
+    if abs(got - reference) > abs(reference) * tolerance:
+        fail(f"scenario '{name}' metric '{key}': baseline "
+             f"{reference:.6g}, fresh {got:.6g} "
+             f"(> {tolerance:.0%} drift)")
+
+
 def check_topology(baseline_doc, fresh_doc):
     """Virtual-time determinism gate: fresh metrics must reproduce the
     committed baseline within a tight relative tolerance."""
-    tolerance = float(os.environ.get("DS_BENCH_VT_TOLERANCE", "0.01"))
+    tolerance = vt_tolerance()
     scenarios = baseline_doc.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         fail("baseline JSON has no 'scenarios' array")
@@ -120,36 +135,39 @@ def check_topology(baseline_doc, fresh_doc):
             if key == "name" or not isinstance(value, (int, float)):
                 continue
             got = metric(fresh, key, "fresh", name)
-            if got is None:
-                continue
-            reference = float(value)
-            slack = abs(reference) * tolerance
-            if abs(got - reference) > slack:
-                fail(f"scenario '{name}' metric '{key}': baseline "
-                     f"{reference:.6g}, fresh {got:.6g} "
-                     f"(> {tolerance:.0%} drift)")
+            if got is not None:
+                check_drift(name, key, float(value), got, tolerance)
     print(f"topology sweep: {len(scenarios)} scenario(s) compared at "
           f"{tolerance:.0%} tolerance")
 
 
 def check_fault_recovery(baseline_doc, fresh_doc):
-    """Resilience contract gate: scenario presence plus the churn
-    acceptance bounds (cycles, exactly-once, coverage, goodput floor)."""
+    """Resilience contract gate: scenario presence and virtual time, plus
+    the churn acceptance bounds (cycles, exactly-once, coverage, goodput
+    floor)."""
     scenarios = baseline_doc.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         fail("baseline JSON has no 'scenarios' array")
         return
+    tolerance = vt_tolerance()
     churn_in_baseline = False
     setup_in_baseline = False
     for base in scenarios:
         if not isinstance(base, dict) or "name" not in base:
             fail("baseline scenario without a 'name'")
             continue
-        if base["name"] == "churn":
+        name = base["name"]
+        if name == "churn":
             churn_in_baseline = True
-        if base["name"] == "setup_crash":
+        if name == "setup_crash":
             setup_in_baseline = True
-        scenario(fresh_doc, base["name"], "fresh")
+        fresh = scenario(fresh_doc, name, "fresh")
+        reference = metric(base, "virtual_s", "baseline", name)
+        got = metric(fresh, "virtual_s", "fresh", name)
+        if reference is not None and got is not None:
+            check_drift(name, "virtual_s", reference, got, tolerance)
+    print(f"fault recovery: virtual_s of {len(scenarios)} scenario(s) "
+          f"compared at {tolerance:.0%} tolerance")
     if setup_in_baseline:
         setup = scenario(fresh_doc, "setup_crash", "fresh")
         if setup is not None:
