@@ -520,13 +520,8 @@ void Stream::terminate_impl(mpi::Rank& self) {
       self.wait(req);
       break;
     }
-    machine.add_probe_waiter(self.world_rank(), self.process().id());
-    machine.add_failure_waiter(self.process().id());
-    self.process().set_state_note(blocked_note("stream release wait"));
-    self.process().suspend();
-    machine.ensure_alive(self.world_rank());
+    park(self, "stream release wait");
   }
-  self.process().set_state_note({});
   // The release retires every replay log: everything sent is accounted for.
   for (std::size_t f = 0; f < coalesce_->logs.size(); ++f)
     coalesce_->logs[f].truncate(coalesce_->pending[f].sent);
@@ -546,6 +541,19 @@ int Stream::term_root(mpi::Rank& self) const {
         "Stream::terminate: every consumer of the resilient channel is "
         "unavailable");
   return aggregator;
+}
+
+void Stream::park(mpi::Rank& self, const char* what) {
+  auto& machine = self.machine();
+  // A rank crashed while it ran (mid-advance, say) must unwind here: the
+  // crash notification that would have woken it has already fired.
+  machine.ensure_alive(self.world_rank());
+  machine.add_probe_waiter(self.world_rank(), self.process().id());
+  machine.add_failure_waiter(self.process().id());
+  self.process().set_state_note(blocked_note(what));
+  self.process().suspend();
+  machine.ensure_alive(self.world_rank());
+  self.process().set_state_note({});
 }
 
 const char* Stream::blocked_note(const char* what) {
@@ -879,6 +887,9 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
   consumer_failure_epoch_ = fe;
   consumer_rejoin_epoch_ = re;
   consumer_membership_version_ = mv;
+  // After the release no flow moves any more: the producers have retired
+  // their replay logs, so an adopted flow could never be satisfied.
+  if (released_) return;
 
   const int consumers = channel_->consumer_count();
   for (int c = 0; c < consumers; ++c) {
@@ -1462,15 +1473,8 @@ Stream::RecvStep Stream::receive_message(mpi::Rank& self, bool wait) {
   if (!fused && !machine.match_probe(context_, self.world_rank(),
                                      mpi::kAnySource, mpi::kAnyTag, &status)) {
     if (!wait) return RecvStep::Stop;
-    // A resilient stream never parks in a plain blocking receive: idle
-    // waits sleep on probe + failure waiters, waking on the next arrival
-    // *or* membership event.
-    machine.add_probe_waiter(self.world_rank(), self.process().id());
-    machine.add_failure_waiter(self.process().id());
-    self.process().set_state_note(blocked_note("stream poll"));
-    self.process().suspend();
-    machine.ensure_alive(self.world_rank());
-    self.process().set_state_note({});
+    // A resilient stream never parks in a plain blocking receive.
+    park(self, "stream poll");
     return RecvStep::Progress;
   }
   auto req = machine.post_recv(context_, self.world_rank(), status.source,

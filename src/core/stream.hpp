@@ -368,8 +368,8 @@ class Stream {
   bool check_producer_rebalance(mpi::Rank& self);
   /// Consumer: react to newly observed crashes, rejoins, and membership
   /// changes — adopt dead/retired consumers' flows this rank is the
-  /// failover target of, re-derive the effective aggregator, and recount
-  /// the terms this consumer is still owed.
+  /// failover target of (until it is released), re-derive the effective
+  /// aggregator, and recount the terms this consumer is still owed.
   void check_consumer_failover(mpi::Rank& self);
   /// Producer: the consumer index its term goes to — the current owner of
   /// its flow under Block, the (effective) aggregator on trees.
@@ -544,6 +544,10 @@ class Stream {
   bool announce_ack_pending_ = false;  ///< deferred ack owed (durable point)
   int announce_ack_to_ = -1;           ///< world rank of the announcer
 
+  /// Resilient idle wait: sleep until the next arrival or membership event
+  /// (probe + failure waiters), unwinding first if this rank has crashed.
+  /// `what` names the wait in deadlock reports.
+  void park(mpi::Rank& self, const char* what);
   /// Deadlock-report detail: the blocked-state notes below snprintf the
   /// stream's termination progress into this buffer so a hung run's report
   /// names the stuck channel and which protocol step is missing, instead of

@@ -317,6 +317,103 @@ TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromDenseCopy) {
   aggregator_crash_before_release(ChannelConfig::Mapping::RoundRobin);
 }
 
+/// One resilient 4 x 2 stream with a crash of world rank `victim` at
+/// `crash_at`: every producer paces 40 elements at 0.7 us (Directed sprays
+/// them over both consumers), and consumers spend `per_element` on each.
+/// Returns the per-consumer deliveries, and whether every surviving
+/// consumer ended exhausted.
+struct CrashRun {
+  std::vector<std::vector<std::uint64_t>> delivered;
+  bool survivors_exhausted = true;
+};
+CrashRun crash_run(ChannelConfig::Mapping mapping, int victim,
+                   util::SimTime crash_at, util::SimTime per_element) {
+  constexpr int kProducers = 4, kConsumers = 2, kEach = 40;
+  auto config = testing::tiny_machine(kProducers + kConsumers);
+  config.faults.crash(victim, crash_at);
+  CrashRun out;
+  out.delivered.resize(kConsumers);
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.mapping = mapping;
+    cfg.checkpoint_interval = 4;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = ch.my_consumer_index(self);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [&](const StreamElement& el) {
+                                std::uint64_t id = 0;
+                                std::memcpy(&id, el.data, sizeof id);
+                                out.delivered[static_cast<std::size_t>(me)]
+                                    .push_back(id);
+                                if (per_element > 0) self.compute(per_element);
+                              });
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) {
+        self.compute(util::nanoseconds(700));
+        const std::uint64_t id = element_id(self.world_rank(), i);
+        if (mapping == ChannelConfig::Mapping::Directed)
+          s.isend_to(self, (self.world_rank() + i) % kConsumers,
+                     SendBuf::of(&id, 1));
+        else
+          s.isend(self, SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+      return;
+    }
+    s.operate(self);
+    if (!s.exhausted()) out.survivors_exhausted = false;
+  });
+  return out;
+}
+
+TEST(FailureMatrix, ProducerCrashedInsideItsReleaseWaitUnwinds) {
+  // Producer 1 terminates at about 28 us and then waits for its release
+  // while slow consumers drain; crashes land throughout that wait. A crash
+  // that hits while the producer is mid-advance (charging a durability
+  // ack's receive overhead) must still unwind it instead of leaving the
+  // dead rank parked in the wait, which the engine reports as a deadlock.
+  for (const auto mapping :
+       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::RoundRobin}) {
+    for (int us = 40; us <= 80; us += 2) {
+      SCOPED_TRACE(::testing::Message() << static_cast<int>(mapping) << " crash at "
+                                      << us << " us");
+      CrashRun run;
+      ASSERT_NO_THROW(run = crash_run(mapping, /*producer 1=*/1,
+                                      util::microseconds(us),
+                                      util::microseconds(2)));
+      EXPECT_TRUE(run.survivors_exhausted);
+      EXPECT_TRUE(all_unique(run.delivered[0]));
+      EXPECT_TRUE(all_unique(run.delivered[1]));
+      const auto seen = union_of(run.delivered);
+      for (const int p : {0, 2, 3})
+        for (int i = 0; i < 40; ++i)
+          EXPECT_TRUE(seen.count(element_id(p, i))) << p << ":" << i;
+    }
+  }
+}
+
+TEST(FailureMatrix, ConsumerCrashAfterTheReleaseNeedsNoAdoption) {
+  // Fast consumers: the aggregator (consumer 0, world rank 4) releases the
+  // channel, and crashes at 60-72 us, after the release but while consumer
+  // 1 may still be draining. Once released no flow moves any more — the
+  // producers retired their replay logs — so the survivor must not adopt
+  // the dead aggregator's flows and wait on counts nobody can replay.
+  for (const auto mapping : {ChannelConfig::Mapping::RoundRobin,
+                             ChannelConfig::Mapping::Directed}) {
+    for (int us = 60; us <= 72; us += 2) {
+      SCOPED_TRACE(::testing::Message() << static_cast<int>(mapping) << " crash at "
+                                      << us << " us");
+      CrashRun run;
+      ASSERT_NO_THROW(run = crash_run(mapping, /*consumer 0=*/4,
+                                      util::microseconds(us), 0));
+      EXPECT_TRUE(run.survivors_exhausted);
+      EXPECT_TRUE(all_unique(run.delivered[1]));
+    }
+  }
+}
+
 TEST(FailureMatrix, RestartedConsumerRejoinsAndFlowsRebalanceBack) {
   // Crash consumer 1 mid-stream, restart it later: the respawned
   // incarnation attaches to the channel (no collective), producers observe
