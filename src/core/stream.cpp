@@ -887,9 +887,6 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
   consumer_failure_epoch_ = fe;
   consumer_rejoin_epoch_ = re;
   consumer_membership_version_ = mv;
-  // After the release no flow moves any more: the producers have retired
-  // their replay logs, so an adopted flow could never be satisfied.
-  if (released_) return;
 
   const int consumers = channel_->consumer_count();
   for (int c = 0; c < consumers; ++c) {
@@ -900,7 +897,9 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
     const bool was_active = slot_active_seen_[cz] != 0;
     slot_active_seen_[cz] = active ? 1 : 0;
     if (c == my_consumer_ || adopted_[cz] != 0) continue;
-    if (!dead && active) continue;
+    // After the release no flow moves any more: the producers have retired
+    // their replay logs, so an adopted flow could never be satisfied.
+    if (released_ || (!dead && active)) continue;
     if (resilience::failover_target(*channel_, c, machine) != my_consumer_)
       continue;
     adopted_[cz] = 1;
