@@ -120,17 +120,19 @@ RunResult run_stream(int elements_per_producer, bool resilient,
         s.isend(self, mpi::SendBuf::of(&id, 1));
         if (resilient)
           result.retained_max =
-              std::max(result.retained_max, s.retained_elements());
+              std::max(result.retained_max, s.stats().retained_elements);
       }
       s.terminate(self);
-      result.replayed += s.replayed_elements();
+      const stream::StreamStats stats = s.stats();
+      result.replayed += stats.replayed_elements;
       result.max_replayed_one =
-          std::max(result.max_replayed_one, s.replayed_elements());
-      result.failovers += s.failovers();
+          std::max(result.max_replayed_one, stats.replayed_elements);
+      result.failovers += stats.failovers;
     } else {
       (void)s.operate(self);
-      result.durable_acks += s.durable_acks_sent();
-      result.duplicates_filtered += s.duplicates_dropped();
+      const stream::StreamStats stats = s.stats();
+      result.durable_acks += stats.durable_acks;
+      result.duplicates_filtered += stats.duplicates_dropped;
     }
   });
   result.wall_s = std::chrono::duration<double>(
@@ -233,12 +235,13 @@ ChurnResult run_churn(int elements_per_producer, bool inject) {
         s.isend(self, mpi::SendBuf::of(&id, 1));
       }
       s.terminate(self);
-      result.replayed += s.replayed_elements();
-      result.failovers += s.failovers();
-      result.rebalances += s.rebalances();
+      const stream::StreamStats stats = s.stats();
+      result.replayed += stats.replayed_elements;
+      result.failovers += stats.failovers;
+      result.rebalances += stats.rebalances;
     } else {
       (void)s.operate(self);
-      result.duplicates_filtered += s.duplicates_dropped();
+      result.duplicates_filtered += s.stats().duplicates_dropped;
     }
   });
   result.wall_s =

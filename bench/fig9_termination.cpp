@@ -60,14 +60,14 @@ TermCounts run_shape(int producers, int consumers, int elements) {
       for (int i = 0; i < elements; ++i)
         s.isend_to(self, (me + i) % consumers, mpi::SendBuf::synthetic(64));
       s.terminate(self);
-      counts.producer_terms += s.term_messages_sent();
-      counts.max_producer_terms =
-          std::max(counts.max_producer_terms, s.term_messages_sent());
+      const std::uint64_t terms = s.stats().term_messages;
+      counts.producer_terms += terms;
+      counts.max_producer_terms = std::max(counts.max_producer_terms, terms);
     } else {
       counts.consumed += s.operate(self);
-      counts.consumer_terms += s.term_messages_sent();
-      counts.max_consumer_terms =
-          std::max(counts.max_consumer_terms, s.term_messages_sent());
+      const std::uint64_t terms = s.stats().term_messages;
+      counts.consumer_terms += terms;
+      counts.max_consumer_terms = std::max(counts.max_consumer_terms, terms);
       counts.tree_depth = ch.term_tree_depth();
     }
   });

@@ -154,7 +154,7 @@ TermResult run_term(const std::string& topology, bool node_aware) {
         s.isend_to(self, (me + i) % kTermConsumers, mpi::SendBuf::synthetic(64));
       s.terminate(self);
       result.max_producer_terms =
-          std::max(result.max_producer_terms, s.term_messages_sent());
+          std::max(result.max_producer_terms, s.stats().term_messages);
     } else {
       result.consumed += s.operate(self);
       result.tree_depth = ch.term_tree_depth();

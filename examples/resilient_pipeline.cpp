@@ -4,10 +4,15 @@
 // Pipeline::with_resilience. A fault plan crashes one helper partway
 // through; the workers rebind its flows to the survivor, replay the
 // unacknowledged epoch, and the run completes with every record delivered
-// exactly once to a surviving consumer — the recovery path pic_io's
-// writeback stage uses, in ~60 lines.
+// to a surviving consumer — the recovery path pic_io's writeback stage uses.
+//
+// Exactly-once holds per consumer view: no helper ever sees a record twice.
+// Records the crashed helper processed but had not yet made durable are
+// replayed to the survivor by design, so they count once as re-deliveries.
+// The program exits nonzero unless every record arrives and no helper sees
+// a duplicate.
 #include <cstdio>
-#include <cstring>
+#include <vector>
 
 #include "core/decouple.hpp"
 #include "mpi/machine.hpp"
@@ -19,23 +24,34 @@ namespace {
 using namespace ds;
 
 constexpr int kWorkers = 6;
+constexpr int kHelpers = 2;
 constexpr int kRecordsPerWorker = 500;
+constexpr int kRecords = kWorkers * kRecordsPerWorker;
+constexpr int kCrashedRank = kWorkers + 1;
 
 struct Sample {
   std::int32_t worker = 0;
   std::int32_t seq = 0;
 };
 
+/// What one helper saw: how often each record arrived there.
+struct HelperView {
+  std::vector<int> arrivals = std::vector<int>(kRecords, 0);
+  int delivered = 0;
+  int duplicates = 0;
+};
+
 }  // namespace
 
 int main() {
   mpi::MachineConfig config;
-  config.world_size = kWorkers + 2;
+  config.world_size = kWorkers + kHelpers;
   // Crash helper rank 7 at 200 microseconds of virtual time — mid-stream.
-  config.faults.crash(7, util::microseconds(200));
+  config.faults.crash(kCrashedRank, util::microseconds(200));
   mpi::Machine machine(config);
 
-  std::uint64_t delivered = 0, replayed = 0;
+  std::vector<HelperView> views(kHelpers);
+  std::uint64_t replayed = 0;
   std::uint32_t failovers = 0;
 
   machine.run([&](mpi::Rank& self) {
@@ -51,24 +67,47 @@ int main() {
             self.compute(util::nanoseconds(800), "produce");
             out.send(Sample{ctx.worker_index(), i});
           }
-          replayed += out.replayed_elements();
-          failovers += out.failovers();
+          out.terminate();
+          const stream::StreamStats stats = out.stats();
+          replayed += stats.replayed_elements;
+          failovers += stats.failovers;
         },
         [&](decouple::Context& ctx) {  // helper: consume until exhaustion
           auto& in = ctx[samples];
-          in.on_receive(
-              [&](const decouple::Element<Sample>&) { ++delivered; });
+          auto& view = views[static_cast<std::size_t>(ctx.helper_index())];
+          in.on_receive([&](const decouple::Element<Sample>& el) {
+            const int id =
+                el.record.worker * kRecordsPerWorker + el.record.seq;
+            ++view.delivered;
+            if (view.arrivals[static_cast<std::size_t>(id)]++ > 0)
+              ++view.duplicates;
+          });
           in.operate();
         });
   });
 
-  std::printf("resilient_pipeline: %llu of %d records delivered, "
+  int distinct = 0, redelivered = 0;
+  bool duplicates = false;
+  for (int id = 0; id < kRecords; ++id) {
+    int arrivals = 0;
+    for (const HelperView& view : views)
+      arrivals += view.arrivals[static_cast<std::size_t>(id)];
+    if (arrivals > 0) ++distinct;
+    if (arrivals > 1) redelivered += arrivals - 1;
+  }
+  std::printf("resilient_pipeline: %d of %d records delivered, "
               "%u flow failovers, %llu elements replayed\n",
-              static_cast<unsigned long long>(delivered),
-              kWorkers * kRecordsPerWorker, failovers,
+              distinct, kRecords, failovers,
               static_cast<unsigned long long>(replayed));
-  const bool lost = delivered <
-                    static_cast<std::uint64_t>(kWorkers * kRecordsPerWorker) -
-                        64 * 2;  // dead helper's undurable tail only
-  return lost ? 1 : 0;
+  for (int h = 0; h < kHelpers; ++h) {
+    const HelperView& view = views[static_cast<std::size_t>(h)];
+    std::printf("  helper rank %d%s: %d deliveries, %d duplicates\n",
+                kWorkers + h, kWorkers + h == kCrashedRank ? " (crashed)" : "",
+                view.delivered, view.duplicates);
+    duplicates = duplicates || view.duplicates > 0;
+  }
+  std::printf("  re-deliveries: %d records the crashed helper processed but "
+              "had not made durable, replayed to the survivor\n",
+              redelivered);
+  return distinct == kRecords && !duplicates ? 0 : 1;
 }

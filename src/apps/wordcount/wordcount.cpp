@@ -210,7 +210,7 @@ WordcountResult run_decoupled(const WordcountConfig& config,
                                       static_cast<std::size_t>(kCountBytes));
                   }
                 });
-      result.elements_streamed += s1.elements_sent();
+      result.elements_streamed += s1.stats().elements_sent;
     };
 
     const auto reduce_fn = [&](decouple::Context& ctx) {

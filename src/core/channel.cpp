@@ -105,18 +105,10 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
   // Non-members keep an invalid comm -> inert handle.
   if (channel_comm.rank_of_world(self.world_rank()) >= 0) {
     ch.comm_ = channel_comm;
-    if (config.resilient()) {
-      // Every member of the same channel fetches the same machine-hosted
-      // ledger; deactivations are idempotent, so concurrent builders agree.
+    // Every member of the same channel fetches the same machine-hosted
+    // ledger.
+    if (config.resilient())
       ch.ledger_ = self.machine().membership_ledger(ctx, consumers);
-      for (const int c : config.initially_inactive_consumers) {
-        if (c < 0 || c >= consumers)
-          throw std::invalid_argument(
-              "Channel: initially_inactive_consumers slot outside the "
-              "consumer group");
-        ch.ledger_->set_active(c, false);
-      }
-    }
   }
   return ch;
 }
@@ -261,24 +253,6 @@ int Channel::term_cross_node_edges() const noexcept {
       ++edges;
   }
   return edges;
-}
-
-int Channel::expected_term_count(int consumer) const {
-  if (!tree_termination())
-    return static_cast<int>(producers_of(consumer).size());
-  return consumer == term_aggregator() ? producer_count_ : 1;
-}
-
-std::vector<int> Channel::producers_of(int consumer) const {
-  std::vector<int> result;
-  for (int p = 0; p < producer_count_; ++p) {
-    if (config_.mapping != ChannelConfig::Mapping::Block) {
-      result.push_back(p);  // round-robin/directed producers reach everyone
-    } else if (route(p, 0) == consumer) {
-      result.push_back(p);
-    }
-  }
-  return result;
 }
 
 }  // namespace ds::stream

@@ -38,7 +38,8 @@ struct ChannelConfig {
   /// plus the library call, charged to the producer at every stream_isend.
   util::SimTime inject_overhead = util::nanoseconds(150);
 
-  /// Block      — producer p streams to one fixed consumer.
+  /// Block      — producer p streams to one fixed consumer, route(p, 0),
+  ///              the only one its isend_to may address.
   /// RoundRobin — producer p rotates over all consumers.
   /// Directed   — producers address consumers per element via isend_to;
   ///              termination is aggregated (see term_* metadata below).
@@ -87,9 +88,11 @@ struct ChannelConfig {
 
   /// Self-tuning flow control: when true, the stream drives the coalesce
   /// budget online from the producer's flush-occupancy/inter-arrival
-  /// signals (stream::FlowController), and — when ack_interval is 0 — the
+  /// signals (stream::FlowController); when ack_interval is 0, the
   /// consumer's effective credit batch tracks the observed frame occupancy
-  /// (one ack per drained frame) within the liveness clamp. Pin
+  /// (one ack per drained frame) within the liveness clamp; and when
+  /// max_inflight is set, the effective credit window grows on credit
+  /// stalls, never below the configured value. Pin
   /// coalesce_budget/ack_interval and set this false for fixed behavior.
   bool flow_autotune = true;
 
@@ -120,12 +123,6 @@ struct ChannelConfig {
   /// per-node hops ride shared memory. The aggregator stays consumer 0.
   /// False (default) keeps the flat heap tree exactly as before.
   bool node_aware_term = false;
-
-  /// Consumer slots that start the run deactivated in the membership ledger
-  /// (resilient channels only): their flows are served by the deterministic
-  /// failover target until Channel::admit_consumer brings them online — the
-  /// elastic scale-up scenario. Ignored on non-resilient channels.
-  std::vector<int> initially_inactive_consumers{};
 
   [[nodiscard]] bool resilient() const noexcept {
     return checkpoint_interval > 0;
@@ -200,10 +197,6 @@ class Channel {
                             producer_count);
   }
 
-  /// Producers that may route elements to consumer `c` (for termination
-  /// accounting).
-  [[nodiscard]] std::vector<int> producers_of(int consumer) const;
-
   // ---- termination routing metadata --------------------------------------
   // Every producer sends one counted term to its term root (see
   // core/stream.hpp). Under Block mapping a producer has exactly one peer
@@ -243,11 +236,6 @@ class Channel {
   }
   /// Tree children of consumer `c` under this channel's tree shape.
   [[nodiscard]] std::vector<int> term_children(int consumer) const;
-  /// Flat-heap membership test (static shape only; see term_in_subtree_of).
-  [[nodiscard]] static bool term_in_subtree(int consumer, int root) noexcept {
-    while (consumer > root) consumer = term_parent(consumer);
-    return consumer == root;
-  }
   /// True when `consumer` lies in the tree subtree rooted at `root`
   /// (inclusive) under this channel's tree shape. Used to slice the
   /// per-consumer counts a collective term carries down to just the
@@ -265,17 +253,6 @@ class Channel {
   /// this by the leader tree (O(nodes)); the flat heap scatters edges
   /// across nodes. Benches use it to compare the shapes.
   [[nodiscard]] int term_cross_node_edges() const noexcept;
-  /// Node id of consumer `c` on the machine the channel was created on.
-  [[nodiscard]] int consumer_node(int consumer) const noexcept {
-    return consumer_node_.empty()
-               ? 0
-               : consumer_node_[static_cast<std::size_t>(consumer)];
-  }
-  /// Term messages consumer `c` receives in a fault-free run: one per routed
-  /// producer under Block; under tree termination P for the aggregator (one
-  /// per producer) and 1 for everyone else (the totals from the tree
-  /// parent).
-  [[nodiscard]] int expected_term_count(int consumer) const;
 
   /// Channel rank (in comm()) of producer p / consumer c.
   [[nodiscard]] static int producer_rank(int p) noexcept { return p; }
@@ -302,6 +279,9 @@ class Channel {
   /// failover target (voluntary handoff — no replay storm, no data loss).
   /// Retiring the current effective aggregator is rejected: the aggregator
   /// must keep servicing the termination protocol. Resilient channels only.
+  /// Retired by every member right after create, before any stream
+  /// operation, a slot starts the run as a spare that admit_consumer can
+  /// bring in later (idempotent: the membership version moves once).
   void retire_consumer(mpi::Rank& self, int c) const;
   /// (Re)activate consumer slot `c`: the current owner hands its flows back.
   void admit_consumer(mpi::Rank& self, int c) const;

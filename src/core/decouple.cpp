@@ -19,6 +19,13 @@ namespace {
 /// same parent must be disambiguated with with_channel_base.
 constexpr std::uint64_t kChannelIdBase = 0xDC00;
 
+/// Position of `rank` in the ascending `ranks`, or -1 when absent.
+int index_in(const std::vector<int>& ranks, int rank) {
+  const auto it = std::lower_bound(ranks.begin(), ranks.end(), rank);
+  return it != ranks.end() && *it == rank ? static_cast<int>(it - ranks.begin())
+                                          : -1;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ ScopedChannel --
@@ -190,19 +197,11 @@ bool Context::is_worker() const noexcept {
 }
 
 int Context::worker_index() const noexcept {
-  const auto& workers = pipeline_->workers_;
-  const auto it = std::lower_bound(workers.begin(), workers.end(), parent_rank());
-  return it != workers.end() && *it == parent_rank()
-             ? static_cast<int>(it - workers.begin())
-             : -1;
+  return index_in(pipeline_->workers_, parent_rank());
 }
 
 int Context::helper_index() const noexcept {
-  const auto& helpers = pipeline_->helpers_;
-  const auto it = std::lower_bound(helpers.begin(), helpers.end(), parent_rank());
-  return it != helpers.end() && *it == parent_rank()
-             ? static_cast<int>(it - helpers.begin())
-             : -1;
+  return index_in(pipeline_->helpers_, parent_rank());
 }
 
 int Context::worker_count() const noexcept {
@@ -222,8 +221,7 @@ const std::vector<int>& Context::helpers() const noexcept {
 }
 
 int Context::helper_of(int worker) const noexcept {
-  return static_cast<int>(static_cast<long long>(worker) * helper_count() /
-                          worker_count());
+  return stream::Channel::block_route(worker, worker_count(), helper_count());
 }
 
 double Context::alpha() const noexcept {
@@ -251,9 +249,8 @@ int Context::stage_index() const noexcept {
 int Context::stage_member_index() const noexcept {
   const int stage = stage_index();
   if (stage < 0) return -1;
-  const auto& ranks = pipeline_->stages_[static_cast<std::size_t>(stage)];
-  const auto it = std::lower_bound(ranks.begin(), ranks.end(), parent_rank());
-  return static_cast<int>(it - ranks.begin());
+  return index_in(pipeline_->stages_[static_cast<std::size_t>(stage)],
+                  parent_rank());
 }
 
 int Context::stage_size(int stage) const {
@@ -516,19 +513,8 @@ void Pipeline::launch(const RoleFn& role_fn) {
   // creation order on every rank. Rejoining ranks attach instead.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
-    stream::ChannelConfig config;
+    stream::ChannelConfig config = slot.options;
     config.channel_id = channel_base_ + i;
-    config.mapping = slot.options.mapping;
-    config.inject_overhead = slot.options.inject_overhead;
-    config.max_inflight = slot.options.max_inflight;
-    config.ack_interval = slot.options.ack_interval;
-    config.coalesce_budget = slot.options.coalesce_budget;
-    config.flow_autotune = slot.options.flow_autotune;
-    config.checkpoint_interval = slot.options.checkpoint_interval;
-    config.manual_durability = slot.options.manual_durability;
-    config.node_aware_term = slot.options.node_aware_term;
-    config.initially_inactive_consumers =
-        slot.options.initially_inactive_consumers;
     if (resilience_ && config.checkpoint_interval == 0) {
       config.checkpoint_interval = resilience_->checkpoint_interval;
       config.manual_durability =

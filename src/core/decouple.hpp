@@ -57,7 +57,6 @@
 #include "core/stream.hpp"
 #include "mpi/comm.hpp"
 #include "resilience/options.hpp"
-#include "util/time.hpp"
 
 namespace ds::mpi {
 class Rank;
@@ -79,61 +78,11 @@ enum class Direction { ToHelpers, ToWorkers };
 /// must be a pure function of the rank number.
 using RolePredicate = std::function<bool(int parent_rank)>;
 
-struct StreamOptions {
+/// One stream's configuration: its channel's stream::ChannelConfig plus
+/// which way the stream flows. Pipeline sets channel_id (base + declaration
+/// index) and applies its with_resilience defaults.
+struct StreamOptions : stream::ChannelConfig {
   Direction direction = Direction::ToHelpers;
-  Mapping mapping = Mapping::Block;
-  /// Per-element injection overhead `o` (paper Eq. 4).
-  util::SimTime inject_overhead = stream::ChannelConfig{}.inject_overhead;
-  /// Facade-level backpressure: the maximum number of elements a producer
-  /// may have in flight (sent but not yet consumed). Every send beyond the
-  /// window blocks until the consumer returns a credit on the stream's ack
-  /// context. 0 (default) disables flow control. Consumers of a throttled
-  /// stream must consume every element (operate to exhaustion), or the
-  /// producer stays blocked once the window fills.
-  std::uint32_t max_inflight = 0;
-  /// Credit batching for flow-controlled streams: the consumer returns
-  /// credits every `ack_interval`-th element per producer (one ack message
-  /// carrying the batch) instead of per element, and flushes the remainder
-  /// on termination/exhaustion so the window never stalls on the tail.
-  /// For liveness the effective batch is clamped to
-  /// ceil(max_inflight / spread), where spread is the number of consumers
-  /// a producer can route to (1 under Block, the consumer count under
-  /// RoundRobin/Directed). 0 (default) picks the library default
-  /// (stream::ChannelConfig::kDefaultAckInterval). Ignored without
-  /// max_inflight.
-  std::uint32_t ack_interval = 0;
-  /// Frame budget (see ChannelConfig::coalesce_budget): same-instant,
-  /// same-destination elements share one frame of up to this many wire
-  /// bytes; a same-instant backstop flush keeps virtual-time semantics
-  /// element-exact. 0 means one element per frame (the paper's per-element
-  /// cost model). Defaults to the library default budget.
-  std::uint32_t coalesce_budget = stream::ChannelConfig{}.coalesce_budget;
-  /// Self-tuning flow control: drive the coalesce budget (and, when
-  /// ack_interval is 0, the consumer's credit batch; and, when max_inflight
-  /// is set, the effective credit window — grown on credit stalls, never
-  /// shrunk below the configured value) online from the frame occupancy /
-  /// inter-arrival signals. Pin the knobs and set this false for fully
-  /// static behavior.
-  bool flow_autotune = true;
-  /// Stream epochs / consumer failover (see ChannelConfig::
-  /// checkpoint_interval and README "Resilience"): elements per epoch on
-  /// each flow; 0 disables resilience for this stream unless the pipeline
-  /// sets a default via Pipeline::with_resilience.
-  std::uint32_t checkpoint_interval = 0;
-  /// Durability-ack mode for resilient streams (see
-  /// resilience::ResilienceOptions::manual_durability).
-  bool manual_durability = false;
-  /// Node-aware termination aggregation for tree mappings (RoundRobin /
-  /// Directed): shape the term tree from the machine's node structure so
-  /// cross-node term messages scale with the node count instead of the
-  /// consumer count (see ChannelConfig::node_aware_term). Off by default —
-  /// the flat heap tree is kept bit-for-bit.
-  bool node_aware_term = false;
-  /// Elastic membership (resilient streams only): consumer slots that start
-  /// deactivated in the shared membership ledger. Their traffic routes to
-  /// failover targets until Stream/Channel admit_consumer brings them in
-  /// (see ChannelConfig::initially_inactive_consumers).
-  std::vector<int> initially_inactive_consumers;
   /// Endpoint overrides for streams that do not follow the worker/helper
   /// split (e.g. a reduce group's internal master stream); when set, they
   /// replace the direction-derived groups.
@@ -267,54 +216,9 @@ class StreamBase {
   [[nodiscard]] bool is_consumer() const;
   [[nodiscard]] int producer_index() const;
   [[nodiscard]] int consumer_index() const;
-  [[nodiscard]] std::uint64_t elements_sent() const noexcept {
-    return stream_.elements_sent();
-  }
-  /// Termination-protocol messages this rank has sent on this stream.
-  [[nodiscard]] std::uint64_t term_messages_sent() const noexcept {
-    return stream_.term_messages_sent();
-  }
-  /// Frame messages this producer has posted (every element leaves in one).
-  [[nodiscard]] std::uint64_t frames_sent() const noexcept {
-    return stream_.frames_sent();
-  }
-  /// The producer's current effective coalesce budget (self-tuned), in wire
-  /// bytes; 0 when coalescing is off or nothing has been sent.
-  [[nodiscard]] std::uint32_t coalesce_budget_now() const noexcept {
-    return stream_.coalesce_budget_now();
-  }
-  /// The producer's current effective credit window (adaptively grown when
-  /// flow_autotune is on; equals max_inflight otherwise).
-  [[nodiscard]] std::uint32_t max_inflight_now() const noexcept {
-    return stream_.max_inflight_now();
-  }
-  /// Elements this producer re-posted from replay logs across failovers.
-  [[nodiscard]] std::uint64_t replayed_elements() const noexcept {
-    return stream_.replayed_elements();
-  }
-  /// Elements currently retained for replay (producer side).
-  [[nodiscard]] std::uint64_t retained_elements() const noexcept {
-    return stream_.retained_elements();
-  }
-  /// Flow rebinds this producer performed after consumer crashes.
-  [[nodiscard]] std::uint32_t failovers() const noexcept {
-    return stream_.failovers();
-  }
-  /// Duplicate deliveries suppressed by the exactly-once filter (consumer).
-  [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
-    return stream_.duplicates_dropped();
-  }
-  /// Voluntary flow handbacks/moves this producer performed after rejoins
-  /// or elastic membership changes (vs. failovers(), which counts
-  /// crash-driven rebinds).
-  [[nodiscard]] std::uint32_t rebalances() const noexcept {
-    return stream_.rebalances();
-  }
-  /// Live (producer, flow) entries in the consumer's exactly-once filter —
-  /// the dedup memory bound observable (entries are erased on handback and
-  /// retire).
-  [[nodiscard]] std::size_t dedup_entries() const noexcept {
-    return stream_.dedup_entries();
+  /// This rank's counters on the stream (see stream::StreamStats).
+  [[nodiscard]] stream::StreamStats stats() const noexcept {
+    return stream_.stats();
   }
   /// True once all routed producers have terminated (consumer side).
   [[nodiscard]] bool exhausted() const noexcept { return stream_.exhausted(); }

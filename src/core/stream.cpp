@@ -204,38 +204,34 @@ Stream Stream::attach(const Channel& channel, const mpi::Datatype& element_type,
   return s;
 }
 
-std::uint64_t Stream::frames_sent() const noexcept {
-  return coalesce_ ? coalesce_->frames_sent : 0;
-}
-
-std::uint32_t Stream::coalesce_budget_now() const noexcept {
-  return coalesce_ ? coalesce_->budget : 0;
-}
-
-std::uint32_t Stream::max_inflight_now() const noexcept {
+std::uint32_t Stream::credit_window() const noexcept {
   return coalesce_ && coalesce_->window_now > 0
              ? coalesce_->window_now
              : (channel_ != nullptr ? channel_->config().max_inflight : 0);
 }
 
-std::uint64_t Stream::replayed_elements() const noexcept {
-  return coalesce_ ? coalesce_->replayed_elements : 0;
-}
-
-std::uint64_t Stream::retained_elements() const noexcept {
-  if (!coalesce_) return 0;
-  std::uint64_t total = 0;
-  for (const resilience::ReplayLog& log : coalesce_->logs)
-    total += log.retained_elements();
-  return total;
-}
-
-std::uint32_t Stream::failovers() const noexcept {
-  return coalesce_ ? coalesce_->failovers : 0;
-}
-
-std::uint32_t Stream::rebalances() const noexcept {
-  return coalesce_ ? coalesce_->rebalances : 0;
+StreamStats Stream::stats() const noexcept {
+  StreamStats s;
+  s.elements_sent = sent_;
+  s.credits_received = acks_seen_;
+  s.max_inflight_now = credit_window();
+  if (coalesce_) {
+    s.frames_sent = coalesce_->frames_sent;
+    s.replayed_elements = coalesce_->replayed_elements;
+    for (const resilience::ReplayLog& log : coalesce_->logs)
+      s.retained_elements += log.retained_elements();
+    s.failovers = coalesce_->failovers;
+    s.rebalances = coalesce_->rebalances;
+    s.coalesce_budget_now = coalesce_->budget;
+  }
+  s.elements_consumed = processed_data_;
+  s.ack_messages = ack_msgs_sent_;
+  s.duplicates_dropped = dedup_.duplicates_dropped();
+  s.dedup_entries = dedup_.dedup_entries();
+  s.durable_acks = durable_acks_sent_;
+  s.ack_interval_now = ack_every_;
+  s.term_messages = term_msgs_sent_;
+  return s;
 }
 
 int Stream::my_producer(mpi::Rank& self, const char* caller) {
@@ -404,13 +400,24 @@ void Stream::flush(mpi::Rank& self) {
 
 void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
   const int p = my_producer(self, "Stream::isend");
-  isend_to(self, channel_->route(p, sent_), element);
+  inject(self, p, channel_->route(p, sent_), element);
 }
 
 void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   const int p = my_producer(self, "Stream::isend_to");
   if (consumer < 0 || consumer >= channel_->consumer_count())
     throw std::out_of_range("Stream::isend_to: consumer index out of range");
+  // A Block consumer learns its counts only from the producers it roots, so
+  // it would never count an element another consumer's producer sent it.
+  if (!channel_->tree_termination() && consumer != channel_->route(p, 0))
+    throw std::invalid_argument(
+        "Stream::isend_to: a Block producer may address only its own "
+        "consumer");
+  inject(self, p, consumer, element);
+}
+
+void Stream::inject(mpi::Rank& self, int p, int consumer,
+                    mpi::SendBuf element) {
   if (element.on_wire() > element_size_)
     throw std::invalid_argument("Stream::isend: element larger than its datatype");
   if (terminated_)
@@ -431,7 +438,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   // only delivered elements can come back as credits. (Failover can return
   // a handful of duplicate credits, so the outstanding count is computed
   // underflow-safe.)
-  const std::uint32_t window = max_inflight_now();
+  const std::uint32_t window = credit_window();
   if (window > 0 && sent_ > acks_seen_ && sent_ - acks_seen_ >= window) {
     flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Credit));
     while (sent_ > acks_seen_ && sent_ - acks_seen_ >= window)
@@ -446,7 +453,7 @@ void Stream::terminate(mpi::Rank& self) {
   terminate_impl(self);
   // Reached only on clean completion: a crashed producer's counters are
   // lost with it, like everything else about a fail-stop rank.
-  flush_producer_metrics(self);
+  flush_metrics(self);
 }
 
 void Stream::terminate_impl(mpi::Rank& self) {
@@ -480,17 +487,18 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // only), so its root can account for data still in flight. Flows are
   // logical consumer indices, so the counts hold even after a resilient
   // flow moved to a failover target.
-  term_tx_.clear();
+  term_entries_.clear();
   for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
     if (coalesce_->pending[c].sent > 0)
-      term_tx_.push_back(TermEntry{c, coalesce_->pending[c].sent});
+      term_entries_.push_back(TermEntry{c, coalesce_->pending[c].sent});
   auto& machine = self.machine();
   auto post_term = [&](int root) {
     self.process().advance(machine.config().network.send_overhead);
     machine.post_send(context_, p, self.world_rank(),
                       channel_->comm().world_rank(channel_->consumer_rank(root)),
                       kTagTerm,
-                      mpi::SendBuf::of(term_tx_.data(), term_tx_.size()));
+                      mpi::SendBuf::of(term_entries_.data(),
+                                       term_entries_.size()));
     ++term_msgs_sent_;
   };
   int root = term_root(self);
@@ -579,16 +587,13 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
     throw std::logic_error("Stream::operate: caller is not a consumer");
   const ChannelConfig& cfg = channel_->config();
   resilient_ = cfg.resilient();
-  manual_durability_ = cfg.manual_durability;
-  checkpoint_interval_ = cfg.checkpoint_interval;
   const auto producers = static_cast<std::size_t>(channel_->producer_count());
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   matrix_ = resilience::CountMatrix(static_cast<int>(producers),
                                     static_cast<int>(consumers));
   term_from_.assign(producers, 0);
   if (channel_->tree_termination()) {
-    term_rx_.reserve(consumers);
-    term_tx_.reserve(consumers);
+    term_entries_.reserve(consumers);
     term_slice_.reserve(consumers);
   }
   if (resilient_) {
@@ -657,15 +662,15 @@ void Stream::handle_distributed_term(mpi::Rank& self, Payload payload) {
   // adopt my announced total and keep the fan-out going.
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   const std::size_t n = std::min(payload.size() / sizeof(TermEntry), consumers);
-  term_rx_.resize(n);
+  term_entries_.resize(n);
   if (n > 0)
-    std::memcpy(term_rx_.data(), payload.data(), n * sizeof(TermEntry));
+    std::memcpy(term_entries_.data(), payload.data(), n * sizeof(TermEntry));
   expected_data_ = 0;
-  for (const TermEntry& e : term_rx_)
+  for (const TermEntry& e : term_entries_)
     if (e.consumer == static_cast<std::uint64_t>(my_consumer_))
       expected_data_ = e.count;
   counts_known_ = true;
-  fan_out_term(self, term_rx_);
+  fan_out_term(self, term_entries_);
 }
 
 void Stream::flush_credits(mpi::Rank& self, int producer) {
@@ -1006,11 +1011,12 @@ void Stream::progress_termination(mpi::Rank& self) {
     if (!resilient_ && tree) {
       // Distribution on non-resilient trees: fan the per-consumer totals
       // down the consumer tree.
-      term_tx_.clear();
+      term_entries_.clear();
       for (int c = 0; c < channel_->consumer_count(); ++c)
         if (const std::uint64_t total = matrix_.flow_total(c); total > 0)
-          term_tx_.push_back(TermEntry{static_cast<std::uint64_t>(c), total});
-      fan_out_term(self, term_tx_);
+          term_entries_.push_back(
+              TermEntry{static_cast<std::uint64_t>(c), total});
+      fan_out_term(self, term_entries_);
     }
   }
   // The release is resilient-only: it retires the producers' replay logs.
@@ -1021,16 +1027,16 @@ void Stream::progress_termination(mpi::Rank& self) {
     // it is also durable, then commit. The hook may suspend the fiber; if
     // an adoption lands meanwhile the ack stays owed — the aggregator's
     // membership-keyed re-announce re-collects the barrier anyway.
-    if (!announce_ack_pending_ || !matrix_satisfied_) return;
+    if (announce_ack_owed_to_ < 0 || !matrix_satisfied_) return;
     durable_point_();
     if (!matrix_satisfied_) return;
-    send_announce_ack(self, announce_ack_to_);
-    announce_ack_pending_ = false;
+    send_announce_ack(self, announce_ack_owed_to_);
+    announce_ack_owed_to_ = -1;
     return;
   }
   if (tree && !announce_collected(self)) return;
   if (!matrix_satisfied_) return;
-  if (manual_durability_ && durable_point_) {
+  if (channel_->config().manual_durability && durable_point_) {
     // The root certifies its own durability last: everything it owes the
     // matrix is consumed and flushed before the release commits. The hook
     // may suspend (file I/O); if membership moved under the flush, bail and
@@ -1269,7 +1275,7 @@ void Stream::retire(mpi::Rank& self) {
   if (!credit_pending_.empty()) flush_all_credits(self);
   retired_ = true;
   self.process().trace_instant("retire");
-  flush_consumer_metrics(self);
+  flush_metrics(self);
 }
 
 void Stream::drain_durable_acks(mpi::Rank& self) {
@@ -1369,8 +1375,8 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   if (admit) {
     update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
-    if (resilient_ && !manual_durability_ &&
-        (seq + 1) % checkpoint_interval_ == 0)
+    if (resilient_ && !channel_->config().manual_durability &&
+        (seq + 1) % channel_->config().checkpoint_interval == 0)
       send_durable_ack(self, frame_source_, frame_flow_, seq + 1);
   }
   if (frame_left_ == 0 && ack_auto_) {
@@ -1422,9 +1428,11 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
       // it must certify that everything this consumer owes the matrix is
       // consumed *and* flushed durable, so progress_termination sends it
       // after the hook runs.
-      announce_ack_to_ = channel_->comm().world_rank(status.source);
-      announce_ack_pending_ = manual_durability_ && durable_point_;
-      if (!announce_ack_pending_) send_announce_ack(self, announce_ack_to_);
+      const int announcer = channel_->comm().world_rank(status.source);
+      const bool deferred =
+          channel_->config().manual_durability && durable_point_;
+      announce_ack_owed_to_ = deferred ? announcer : -1;
+      if (!deferred) send_announce_ack(self, announcer);
     }
     return;
   }
@@ -1506,7 +1514,7 @@ std::uint64_t Stream::operate_while(mpi::Rank& self,
   while ((step = receive_step(self, keep_going, /*wait=*/true)) !=
          RecvStep::Stop)
     if (step == RecvStep::Element) ++processed;
-  if (exhausted()) flush_consumer_metrics(self);
+  if (exhausted()) flush_metrics(self);
   return processed;
 }
 
@@ -1526,43 +1534,33 @@ bool Stream::poll_one(mpi::Rank& self) {
 // streams, so a rank using several channels reports its per-role totals.
 // ---------------------------------------------------------------------------
 
-void Stream::flush_term_metrics(mpi::Rank& self) {
-  // Terms are sent by both roles (producer terminate, consumer tree
-  // fan-out), so a dual-role rank would double-report a plain total: flush
-  // the delta since the last flush instead.
+void Stream::flush_metrics(mpi::Rank& self) {
   auto* m = self.machine().metrics();
-  if (m == nullptr) return;
-  m->counter("stream.term_messages", self.world_rank())
-      .add(term_msgs_sent_ - term_msgs_flushed_);
-  term_msgs_flushed_ = term_msgs_sent_;
-}
-
-void Stream::flush_producer_metrics(mpi::Rank& self) {
-  auto* m = self.machine().metrics();
-  if (m == nullptr || producer_metrics_flushed_) return;
-  producer_metrics_flushed_ = true;
+  if (m == nullptr || metrics_flushed_) return;
+  metrics_flushed_ = true;
   const int r = self.world_rank();
-  m->counter("stream.elements_sent", r).add(sent_);
-  m->counter("stream.frames_sent", r).add(frames_sent());
-  m->counter("stream.credits_received", r).add(acks_seen_);
-  m->counter("stream.replayed_elements", r).add(replayed_elements());
-  m->counter("stream.failovers", r).add(failovers());
-  m->counter("stream.rebalances", r).add(rebalances());
-  m->counter("stream.retained_elements", r).add(retained_elements());
-  flush_term_metrics(self);
-}
-
-void Stream::flush_consumer_metrics(mpi::Rank& self) {
-  auto* m = self.machine().metrics();
-  if (m == nullptr || consumer_metrics_flushed_) return;
-  consumer_metrics_flushed_ = true;
-  const int r = self.world_rank();
-  m->counter("stream.elements_consumed", r).add(processed_data_);
-  m->counter("stream.ack_messages", r).add(ack_msgs_sent_);
-  m->counter("stream.duplicates_dropped", r).add(duplicates_dropped());
-  m->counter("stream.dedup_entries", r).add(dedup_entries());
-  m->counter("stream.durable_acks", r).add(durable_acks_sent_);
-  flush_term_metrics(self);
+  const StreamStats s = stats();
+  const auto add = [&](const char* name, std::uint64_t value) {
+    m->counter(name, r).add(value);
+  };
+  // Channel::create rejects dual-role ranks, so the role is one or the
+  // other; only a consumer ever sets my_consumer_.
+  if (my_consumer_ < 0) {
+    add("stream.elements_sent", s.elements_sent);
+    add("stream.frames_sent", s.frames_sent);
+    add("stream.credits_received", s.credits_received);
+    add("stream.replayed_elements", s.replayed_elements);
+    add("stream.failovers", s.failovers);
+    add("stream.rebalances", s.rebalances);
+    add("stream.retained_elements", s.retained_elements);
+  } else {
+    add("stream.elements_consumed", s.elements_consumed);
+    add("stream.ack_messages", s.ack_messages);
+    add("stream.duplicates_dropped", s.duplicates_dropped);
+    add("stream.dedup_entries", s.dedup_entries);
+    add("stream.durable_acks", s.durable_acks);
+  }
+  add("stream.term_messages", s.term_messages);
 }
 
 }  // namespace ds::stream

@@ -109,6 +109,11 @@
 // its slot in the shared membership ledger, and hands each owned flow to
 // its failover target with a cursor sync before exiting.
 //
+// Instrumentation: Stream::stats() returns this rank's counters on the
+// stream as one StreamStats value, readable at any time. When the rank's
+// role completes, the stream adds the same values once to the machine's
+// metrics registry (ds::obs) under `stream.*` names.
+//
 // This is the implementation layer: application code normally uses the
 // typed streams of core/decouple.hpp (decouple::TypedStream / RawStream),
 // which decode elements and terminate by RAII.
@@ -144,6 +149,60 @@ struct StreamElement {
 /// Consumer-side operator applied on-the-fly to arriving elements.
 using Operator = std::function<void(const StreamElement&)>;
 
+/// A value snapshot of one stream's counters on this rank (Stream::stats),
+/// taken at any time, including mid-run; the other role's counters stay 0.
+/// The fields named like a `stream.*` metric are what the lifecycle flush
+/// adds to the machine's metrics registry when the role completes.
+struct StreamStats {
+  // ---- producer ----
+  std::uint64_t elements_sent = 0;
+  /// Frame messages posted. Every element leaves in a frame, so this equals
+  /// elements_sent when each frame carries one element (coalesce_budget = 0,
+  /// or elements larger than the budget).
+  std::uint64_t frames_sent = 0;
+  /// Credits received back: elements consumed and acked, however batched.
+  std::uint64_t credits_received = 0;
+  /// Elements re-posted from replay logs across failovers.
+  std::uint64_t replayed_elements = 0;
+  /// Elements currently retained for replay across this producer's flows.
+  std::uint64_t retained_elements = 0;
+  /// Flow rebinds after consumer crashes.
+  std::uint32_t failovers = 0;
+  /// Voluntary flow moves for rank rejoins and elastic membership changes
+  /// (handbacks to a rejoined or re-admitted slot, moves off a retired one).
+  std::uint32_t rebalances = 0;
+  /// Current effective frame budget in wire bytes (self-tuned when
+  /// ChannelConfig::flow_autotune is on); 0 before the first stream
+  /// operation.
+  std::uint32_t coalesce_budget_now = 0;
+  /// Current effective credit window: the configured max_inflight, grown
+  /// (never below it) on credit stalls when flow_autotune is on.
+  std::uint32_t max_inflight_now = 0;
+
+  // ---- consumer ----
+  /// Data elements processed: handed to the operator, duplicates excluded.
+  std::uint64_t elements_consumed = 0;
+  /// Credit ack messages sent (each carries a whole batch, so with
+  /// ack_interval k this is about elements / k).
+  std::uint64_t ack_messages = 0;
+  /// Duplicate deliveries the exactly-once filter suppressed.
+  std::uint64_t duplicates_dropped = 0;
+  /// Live (producer, flow) cursor entries in the exactly-once filter.
+  /// Handbacks and retirement erase entries, so this stays bounded by the
+  /// flows a consumer currently owns rather than growing with churn.
+  std::uint64_t dedup_entries = 0;
+  /// Durability acknowledgments sent.
+  std::uint64_t durable_acks = 0;
+  /// Current effective credit batch (self-tuned toward the observed frame
+  /// occupancy when flow_autotune is on and ack_interval is 0).
+  std::uint32_t ack_interval_now = 1;
+
+  // ---- both roles ----
+  /// Termination-protocol messages sent: a producer's terms; a consumer's
+  /// tree fan-out, announces, announce-acks and releases.
+  std::uint64_t term_messages = 0;
+};
+
 class Stream {
  public:
   Stream() = default;
@@ -165,7 +224,10 @@ class Stream {
   /// Producer: inject one element addressed to a specific consumer index
   /// (Directed routing; used when elements carry their own destination,
   /// e.g. halo faces addressed to a neighbour's helper). Throws
-  /// std::out_of_range when `consumer` is not a valid consumer index.
+  /// std::out_of_range when `consumer` is not a valid consumer index, and
+  /// std::invalid_argument on a Block channel unless `consumer` is this
+  /// producer's own consumer (route(p, 0)): a Block consumer counts only the
+  /// producers it roots, so it could never account for the element.
   void isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element);
 
   /// Producer: inject a synthetic element of the full element size.
@@ -232,67 +294,8 @@ class Stream {
 
   [[nodiscard]] std::size_t element_size() const noexcept { return element_size_; }
   [[nodiscard]] const Channel& channel() const noexcept { return *channel_; }
-  [[nodiscard]] std::uint64_t elements_sent() const noexcept { return sent_; }
-  /// Termination-protocol messages this rank has sent on this stream:
-  /// producer terms plus collective-term fan-out (consumer side).
-  [[nodiscard]] std::uint64_t term_messages_sent() const noexcept {
-    return term_msgs_sent_;
-  }
-  /// Flow-control ack messages this consumer has sent (each carries a whole
-  /// credit batch, so with ack_interval k this is ~elements/k).
-  [[nodiscard]] std::uint64_t ack_messages_sent() const noexcept {
-    return ack_msgs_sent_;
-  }
-  /// Credits this producer has received back (equals elements consumed and
-  /// acked, regardless of how they were batched).
-  [[nodiscard]] std::uint64_t credits_received() const noexcept {
-    return acks_seen_;
-  }
-  /// Frame messages this producer has posted. Every element leaves in a
-  /// frame, so this equals elements_sent() when each frame carries one
-  /// element (coalesce_budget = 0, or elements larger than the budget).
-  [[nodiscard]] std::uint64_t frames_sent() const noexcept;
-  /// The producer's current effective coalesce budget in wire bytes (may
-  /// differ from ChannelConfig::coalesce_budget under self-tuning); 0 when
-  /// coalescing is off or before the producer's first stream operation.
-  [[nodiscard]] std::uint32_t coalesce_budget_now() const noexcept;
-  /// The consumer's current effective credit batch (self-tuned toward the
-  /// observed frame occupancy when ChannelConfig::flow_autotune is on and
-  /// ack_interval is 0).
-  [[nodiscard]] std::uint32_t ack_interval_now() const noexcept {
-    return ack_every_;
-  }
-  /// The producer's current effective credit window: max_inflight, adaptively
-  /// grown (never shrunk below the configured value) from credit-stall
-  /// signals when flow_autotune is on and coalescing is active.
-  [[nodiscard]] std::uint32_t max_inflight_now() const noexcept;
-
-  // ---- resilience instrumentation (see ds::resilience) ----
-  /// Elements this producer has re-posted from replay logs across failovers.
-  [[nodiscard]] std::uint64_t replayed_elements() const noexcept;
-  /// Elements currently retained for replay across this producer's flows.
-  [[nodiscard]] std::uint64_t retained_elements() const noexcept;
-  /// Flow rebinds this producer has performed after consumer crashes.
-  [[nodiscard]] std::uint32_t failovers() const noexcept;
-  /// Voluntary flow moves this producer has performed for rank rejoins and
-  /// elastic membership changes (handbacks to a rejoined or re-admitted
-  /// slot, and moves off a retired one).
-  [[nodiscard]] std::uint32_t rebalances() const noexcept;
-  /// Live (producer, flow) cursor entries held by this consumer's
-  /// exactly-once filter. Handbacks and retirement erase entries, so this
-  /// stays bounded by the flows a consumer currently owns rather than
-  /// growing with churn history.
-  [[nodiscard]] std::size_t dedup_entries() const noexcept {
-    return dedup_.dedup_entries();
-  }
-  /// Duplicate deliveries this consumer suppressed (exactly-once filter).
-  [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
-    return dedup_.duplicates_dropped();
-  }
-  /// Durability acknowledgments this consumer has sent.
-  [[nodiscard]] std::uint64_t durable_acks_sent() const noexcept {
-    return durable_acks_sent_;
-  }
+  /// This rank's counters on this stream, as one value.
+  [[nodiscard]] StreamStats stats() const noexcept;
   /// True once the stream's termination protocol has completed for this
   /// consumer: its counts are known and satisfied — every counted element
   /// processed (non-resilient), or every (live producer, owned flow) cursor
@@ -323,6 +326,12 @@ class Stream {
   /// std::logic_error, naming `caller`, when this rank is not a producer.
   int my_producer(mpi::Rank& self, const char* caller);
   void ensure_producer_state(mpi::Rank& self, int producer);
+  /// The body of isend/isend_to once the consumer is known: resilience
+  /// checks, the credit wait, and coalescing into `consumer`'s frame.
+  void inject(mpi::Rank& self, int producer, int consumer,
+              mpi::SendBuf element);
+  /// The producer's current credit window (0 = no flow control).
+  [[nodiscard]] std::uint32_t credit_window() const noexcept;
   /// Append one element to `flow`'s open frame, flushing it first when the
   /// element would overflow the budget or the element cap, and posting the
   /// frame at once when no further element fits (or an epoch ends).
@@ -446,12 +455,11 @@ class Stream {
   /// place, never copied). With nothing pending, a waiting step parks the
   /// fiber and a polling one returns Stop.
   RecvStep receive_message(mpi::Rank& self, bool wait);
-  /// Lifecycle flush into the machine's metrics registry (ds::obs): each
-  /// role adds its totals once, when it completes — the per-element hot
-  /// path never touches the registry.
-  void flush_producer_metrics(mpi::Rank& self);
-  void flush_consumer_metrics(mpi::Rank& self);
-  void flush_term_metrics(mpi::Rank& self);
+  /// Lifecycle flush into the machine's metrics registry (ds::obs): once,
+  /// when this rank's role completes (a producer's terminate, a consumer's
+  /// exhaustion or retirement), add the role's stats() counters under their
+  /// `stream.*` names — the per-element hot path never touches the registry.
+  void flush_metrics(mpi::Rank& self);
 
   const Channel* channel_ = nullptr;
   std::uint64_t context_ = 0;      ///< matching context derived per stream
@@ -460,14 +468,12 @@ class Stream {
   std::size_t element_size_ = 0;
   Operator operator_;
 
+  bool metrics_flushed_ = false;  ///< one-shot latch of flush_metrics
+
   // producer state
   std::uint64_t sent_ = 0;
   std::uint64_t acks_seen_ = 0;
   bool terminated_ = false;
-  // one-shot latches for the metrics lifecycle flush (see flush_*_metrics)
-  bool producer_metrics_flushed_ = false;
-  bool consumer_metrics_flushed_ = false;
-  std::uint64_t term_msgs_flushed_ = 0;  ///< term msgs already flushed
   /// Framing state box (null until the first isend or terminate). Shared
   /// with the backstop events scheduled at each frame open, so flushes
   /// survive Stream moves.
@@ -507,9 +513,7 @@ class Stream {
   std::uint64_t frame_seq0_ = 0;
 
   // consumer-side resilience state (inert unless the channel is resilient)
-  bool resilient_ = false;
-  bool manual_durability_ = false;
-  std::uint32_t checkpoint_interval_ = 0;
+  bool resilient_ = false;  ///< ChannelConfig::resilient(), read per element
   resilience::DedupFilter dedup_;
   std::uint64_t consumer_failure_epoch_ = 0;  ///< last crash count reacted to
   std::uint64_t consumer_rejoin_epoch_ = 0;   ///< last restart count reacted to
@@ -541,8 +545,9 @@ class Stream {
   /// Durability hook (see set_durable_point): flushes this consumer's
   /// external effects before an announce-ack / the release commits.
   std::function<void()> durable_point_;
-  bool announce_ack_pending_ = false;  ///< deferred ack owed (durable point)
-  int announce_ack_to_ = -1;           ///< world rank of the announcer
+  /// World rank of the announcer a deferred announce-ack is owed to (it
+  /// waits for the durable point), or -1.
+  int announce_ack_owed_to_ = -1;
 
   /// Resilient idle wait: sleep until the next arrival or membership event
   /// (probe + failure waiters), unwinding first if this rank has crashed.
@@ -557,8 +562,9 @@ class Stream {
 
   // termination scratch, reserved once and reused across terms/children so
   // the fan-out does not reallocate per child slice
-  std::vector<TermEntry> term_rx_;     ///< decoded incoming term entries
-  std::vector<TermEntry> term_tx_;     ///< producer entries / aggregator totals
+  /// A producer's term entries; a tree consumer's totals to fan out (built
+  /// by the aggregator, decoded from the parent's term elsewhere).
+  std::vector<TermEntry> term_entries_;
   std::vector<TermEntry> term_slice_;  ///< per-child subtree slice
 
   // shared instrumentation

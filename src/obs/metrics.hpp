@@ -1,17 +1,17 @@
 // Metrics registry: the counters/gauges/histograms half of ds::obs.
 //
-// One queryable, JSON-dumpable home for the stats that used to live as
-// scattered per-object accessors (Stream::frames_sent, Machine::pool_stats,
-// Fabric::link_bytes, ...). Instruments are named, and each carries a rank
-// dimension: a world rank for per-rank series, or kMachine (-1) for
-// machine-wide series. Handles returned by counter()/gauge()/histogram()
-// are stable for the registry's lifetime (node-based storage), so hot
-// objects may cache them.
+// One queryable, JSON-dumpable home for run-wide stats: each stream's
+// counters (its stream::StreamStats snapshot, added when a role
+// completes), Machine::pool_stats, Fabric::link_bytes, ... Instruments are
+// named, and each carries a rank dimension: a world rank for per-rank
+// series, or kMachine (-1) for machine-wide series. Handles returned by
+// counter()/gauge()/histogram() are stable for the registry's lifetime
+// (node-based storage), so hot objects may cache them.
 //
 // Two feeding modes:
-//  * lifecycle flush — runtime objects (streams) add their totals when a
-//    role completes (producer terminate, consumer exhaustion), keeping the
-//    per-element hot path untouched;
+//  * lifecycle flush — runtime objects (streams) add their totals once,
+//    when a role completes (producer terminate, consumer exhaustion or
+//    retirement), keeping the per-element hot path untouched;
 //  * collectors — callbacks registered by the machine that snapshot
 //    pull-style state (fabric link bytes/occupancy, op-pool stats, engine
 //    event count) when the registry is collected/dumped.

@@ -5,9 +5,9 @@
 // to the whole simulator: the runtime auto-instruments virtual-time spans
 // (compute, send/recv blocking, collective rounds, stream operate/replay,
 // agreement), the resilience path emits structured instant events (crash,
-// failover, handoff, rejoin, agreement), and the scattered per-object stats
-// (stream frame/credit/replay counters, op-pool stats, per-link fabric
-// bytes) are absorbed into one queryable metrics registry. Everything is
+// failover, handoff, rejoin, agreement), and per-object stats (each
+// stream's StreamStats at role completion, op-pool stats, per-link fabric
+// bytes) feed one queryable metrics registry. Everything is
 // exportable: Chrome trace-event JSON (loads in Perfetto /
 // chrome://tracing), CSV, an ASCII timeline, and a metrics JSON schema
 // shared by all benches.

@@ -177,7 +177,7 @@ TEST(ChainedPipeline, DirectedLinkTerminatesThroughAggregationTree) {
           auto& out = ctx[link];
           for (int c = 0; c < kConsumers; ++c) out.send_to(c, c);
           out.terminate();  // explicit, so the term count is observable here
-          producer_terms = out.term_messages_sent();
+          producer_terms = out.stats().term_messages;
         },
         [&](Context& ctx) {
           auto& in = ctx[link];
@@ -186,7 +186,7 @@ TEST(ChainedPipeline, DirectedLinkTerminatesThroughAggregationTree) {
           });
           consumed += in.operate();
           max_consumer_terms =
-              std::max(max_consumer_terms, in.term_messages_sent());
+              std::max(max_consumer_terms, in.stats().term_messages);
         },
     });
   });

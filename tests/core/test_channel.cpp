@@ -13,6 +13,15 @@ namespace {
 
 using mpi::Rank;
 
+/// Producers whose Block route (the consumer every one of their elements
+/// goes to, and so their term root) is consumer `c`.
+std::vector<int> routed_to(const Channel& ch, int c) {
+  std::vector<int> producers;
+  for (int p = 0; p < ch.producer_count(); ++p)
+    if (ch.route(p, 0) == c) producers.push_back(p);
+  return producers;
+}
+
 TEST(Channel, CreatePartitionsProducersAndConsumers) {
   testing::run_program(testing::tiny_machine(6), [&](Rank& self) {
     const int me = self.world_rank();
@@ -63,8 +72,8 @@ TEST(Channel, BlockMappingIsStableAndBalanced) {
     EXPECT_EQ(ch.route(3, 99), 0);
     EXPECT_EQ(ch.route(4, 0), 1);
     EXPECT_EQ(ch.route(7, 5), 1);
-    EXPECT_EQ(ch.producers_of(0), (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(ch.producers_of(1), (std::vector<int>{4, 5, 6, 7}));
+    EXPECT_EQ(routed_to(ch, 0), (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(routed_to(ch, 1), (std::vector<int>{4, 5, 6, 7}));
   });
 }
 
@@ -78,8 +87,9 @@ TEST(Channel, RoundRobinCyclesConsumers) {
     // Same producer, consecutive elements -> different consumers.
     EXPECT_NE(ch.route(0, 0), ch.route(0, 1));
     EXPECT_EQ(ch.route(0, 0), ch.route(0, 3));  // 3 consumers -> period 3
-    // Every consumer expects every producer.
-    EXPECT_EQ(ch.producers_of(1), (std::vector<int>{0, 1}));
+    // Every producer reaches every consumer, consumer 1 included.
+    EXPECT_EQ(ch.route(0, 1), 1);
+    EXPECT_EQ(ch.route(1, 0), 1);
   });
 }
 
@@ -120,19 +130,25 @@ TEST(Channel, BlockRouteIsStableAcrossTheWholeSequence) {
   });
 }
 
-TEST(Channel, BlockRouteCoversEveryConsumerExactlyOnceViaProducersOf) {
-  // Invariant: producers_of partitions the producer set — every producer
-  // routes to exactly one consumer's list, and the lists are disjoint.
+TEST(Channel, BlockRoutePartitionsProducersOverEveryConsumer) {
+  // Invariant: route(p, 0) partitions the producer set — every producer
+  // routes to exactly one consumer's slice, the slices are disjoint and
+  // contiguous, and no consumer is left without producers.
   testing::run_program(testing::tiny_machine(11), [&](Rank& self) {
     const int me = self.world_rank();
     const Channel ch = Channel::create(self, self.world(), me < 8, me >= 8);
     if (!ch.valid()) return;
     std::vector<int> owner(static_cast<std::size_t>(ch.producer_count()), -1);
     for (int c = 0; c < ch.consumer_count(); ++c) {
-      for (const int p : ch.producers_of(c)) {
+      const std::vector<int> slice = routed_to(ch, c);
+      EXPECT_FALSE(slice.empty()) << "consumer " << c;
+      for (const int p : slice) {
         EXPECT_EQ(owner[static_cast<std::size_t>(p)], -1);
         owner[static_cast<std::size_t>(p)] = c;
-        EXPECT_EQ(ch.route(p, 0), c);
+      }
+      if (!slice.empty()) {
+        EXPECT_EQ(slice.back() - slice.front() + 1,
+                  static_cast<int>(slice.size()));
       }
     }
     for (const int c : owner) EXPECT_GE(c, 0);
@@ -185,11 +201,10 @@ TEST(Channel, TermTreeMetadataFormsConsistentBinaryTree) {
         ++reached[static_cast<std::size_t>(child)];
       }
     }
-    for (const int r : reached) EXPECT_EQ(r, 1);  // spanning, no duplicates
+    // Spanning, no duplicates: every consumer but the aggregator (which
+    // gets one term per producer) gets exactly one term, from its parent.
+    for (const int r : reached) EXPECT_EQ(r, 1);
     EXPECT_LE(ch.term_tree_depth(), 4);  // ceil(log2(9 + 1))
-    // Terms expected: P at the aggregator, 1 elsewhere.
-    EXPECT_EQ(ch.expected_term_count(0), 3);
-    for (int c = 1; c < consumers; ++c) EXPECT_EQ(ch.expected_term_count(c), 1);
   });
 }
 
@@ -199,9 +214,9 @@ TEST(Channel, BlockMappingKeepsPerPeerTermAccounting) {
     const Channel ch = Channel::create(self, self.world(), me < 8, me >= 8);
     if (!ch.valid()) return;
     EXPECT_FALSE(ch.tree_termination());
-    // Under Block, a consumer expects one term per routed producer.
-    EXPECT_EQ(ch.expected_term_count(0), 4);
-    EXPECT_EQ(ch.expected_term_count(1), 4);
+    // Under Block, a consumer roots one term per routed producer.
+    EXPECT_EQ(routed_to(ch, 0).size(), 4u);
+    EXPECT_EQ(routed_to(ch, 1).size(), 4u);
   });
 }
 
@@ -234,6 +249,8 @@ TEST(Channel, NodeAwareTermTreeKeepsCrossNodeEdgesAtLeaderCount) {
         ++reached[static_cast<std::size_t>(child)];
       }
     }
+    // Termination accounting is shape-independent: one parent, so one
+    // term, for every consumer but the aggregator.
     for (const int r : reached) EXPECT_EQ(r, 1);
 
     // Node leaders are c0, c1, c5; only their heap edges cross nodes.
@@ -246,10 +263,6 @@ TEST(Channel, NodeAwareTermTreeKeepsCrossNodeEdgesAtLeaderCount) {
     EXPECT_TRUE(ch.term_in_subtree_of(7, 5));
     EXPECT_FALSE(ch.term_in_subtree_of(7, 1));
     EXPECT_TRUE(ch.term_in_subtree_of(4, 1));
-
-    // Termination accounting is shape-independent.
-    EXPECT_EQ(ch.expected_term_count(0), 3);
-    for (int c = 1; c < consumers; ++c) EXPECT_EQ(ch.expected_term_count(c), 1);
   });
 }
 
@@ -297,7 +310,7 @@ TEST(Channel, NodeAwareTermDeliversDirectedStreamExactly) {
       for (int i = 0; i < kEach; ++i)
         s.isend_to(self, (me + i) % kConsumers, mpi::SendBuf::synthetic(64));
       s.terminate(self);
-      producer_terms += s.term_messages_sent();
+      producer_terms += s.stats().term_messages;
     } else {
       consumed += s.operate(self);
     }

@@ -134,7 +134,7 @@ TEST(Pipeline, RawStreamsCarryBytesAndSynthetics) {
           const std::vector<std::uint32_t> words{1, 2, 3, 4};
           s.send_items(words.data(), words.size());
           s.send_synthetic(128);
-          EXPECT_EQ(s.elements_sent(), 2u);
+          EXPECT_EQ(s.stats().elements_sent, 2u);
         },
         [&](Context& ctx) {
           auto& s = ctx[bytes];

@@ -245,14 +245,14 @@ TEST(Stream, DirectedTerminationAggregatesThroughTree) {
           for (int c = 0; c < kConsumers; ++c)
             s.isend_to(self, c, SendBuf::of(&v, 1));
           s.terminate(self);
-          producer_terms += s.term_messages_sent();
-          max_producer_terms =
-              std::max(max_producer_terms, s.term_messages_sent());
+          const std::uint64_t terms = s.stats().term_messages;
+          producer_terms += terms;
+          max_producer_terms = std::max(max_producer_terms, terms);
         } else {
           EXPECT_EQ(s.operate(self), 3u);  // one element from each producer
-          consumer_terms += s.term_messages_sent();
-          max_consumer_terms =
-              std::max(max_consumer_terms, s.term_messages_sent());
+          const std::uint64_t terms = s.stats().term_messages;
+          consumer_terms += terms;
+          max_consumer_terms = std::max(max_consumer_terms, terms);
         }
       });
   EXPECT_EQ(max_producer_terms, 1u);  // the seed sent kConsumers per producer
@@ -326,6 +326,37 @@ TEST(Stream, IsendToRejectsOutOfRangeConsumer) {
       (void)s.operate(self);
     }
   });
+}
+
+TEST(Stream, IsendToOnBlockAddressesOnlyTheRoutedConsumer) {
+  // A Block consumer learns its counts only from the producers it roots, so
+  // an element addressed to another producer's consumer would be lost
+  // there: consumer 1 would report exhaustion without it and its send slot
+  // would stay outstanding. isend_to rejects it instead.
+  constexpr int kProducers = 4, kConsumers = 2;
+  std::vector<std::uint64_t> consumed(kConsumers, 0);
+  mpi::Machine machine(testing::tiny_machine(kProducers + kConsumers));
+  machine.run([&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
+    if (producer) {
+      const int p = ch.my_producer_index(self);
+      const int own = ch.route(p, 0);
+      const int v = p;
+      EXPECT_THROW(s.isend_to(self, 1 - own, SendBuf::of(&v, 1)),
+                   std::invalid_argument);
+      s.isend_to(self, own, SendBuf::of(&v, 1));
+      s.isend(self, SendBuf::of(&v, 1));
+      s.terminate(self);
+    } else {
+      consumed[static_cast<std::size_t>(ch.my_consumer_index(self))] =
+          s.operate(self);
+    }
+  });
+  EXPECT_EQ(consumed[0], 4u);
+  EXPECT_EQ(consumed[1], 4u);
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
 }
 
 TEST(Stream, MaxInflightThrottlesProducerToConsumerPace) {

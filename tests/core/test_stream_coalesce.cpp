@@ -38,8 +38,9 @@ TEST(StreamCoalesce, PartialFrameFlushesOnTerminate) {
     if (producer) {
       for (int i = 0; i < 3; ++i) s.isend(self, SendBuf::of(&i, 1));
       s.terminate(self);
-      frames = s.frames_sent();
-      sent = s.elements_sent();
+      const StreamStats stats = s.stats();
+      frames = stats.frames_sent;
+      sent = stats.elements_sent;
     } else {
       consumed = s.operate(self);
     }
@@ -81,7 +82,7 @@ TEST(StreamCoalesce, WildcardRecvSeesFramesInPerSourceFifoOrder) {
         s.isend(self, SendBuf::of(&p, 1));
       }
       s.terminate(self);
-      min_frames = std::min(min_frames, s.frames_sent());
+      min_frames = std::min(min_frames, s.stats().frames_sent);
     } else {
       consumed = s.operate(self);
     }
@@ -163,8 +164,9 @@ TEST(StreamCoalesce, CreditWindowSmallerThanFrameStaysLive) {
       s.terminate(self);
       // Exact window accounting survives coalescing: credits neither forged
       // nor lost.
-      EXPECT_LE(s.credits_received(), 37u);
-      EXPECT_GE(s.credits_received() + cfg.max_inflight, 37u);
+      const std::uint64_t credits = s.stats().credits_received;
+      EXPECT_LE(credits, 37u);
+      EXPECT_GE(credits + cfg.max_inflight, 37u);
     } else {
       consumed = s.operate(self);
     }
@@ -223,7 +225,7 @@ TEST(StreamCoalesce, SyntheticElementsSurvivePacking) {
     if (producer) {
       for (int i = 0; i < kElements; ++i) s.isend_synthetic(self);
       s.terminate(self);
-      frames = s.frames_sent();
+      frames = s.stats().frames_sent;
     } else {
       (void)s.operate(self);
     }
@@ -297,8 +299,9 @@ TEST(StreamCoalesce, ZeroBudgetFramesEveryElementAlone) {
     if (producer) {
       for (int i = 0; i < kEach; ++i) s.isend(self, SendBuf::of(&i, 1));
       s.terminate(self);
-      frames[static_cast<std::size_t>(self.world_rank())] = s.frames_sent();
-      sent[static_cast<std::size_t>(self.world_rank())] = s.elements_sent();
+      const StreamStats stats = s.stats();
+      frames[static_cast<std::size_t>(self.world_rank())] = stats.frames_sent;
+      sent[static_cast<std::size_t>(self.world_rank())] = stats.elements_sent;
     } else {
       consumed = s.operate(self);
       exhausted = s.exhausted();
@@ -380,9 +383,10 @@ TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
     if (producer) {
       for (int i = 0; i < 3000; ++i) s.isend_synthetic(self);
       s.terminate(self);
-      budget_end = s.coalesce_budget_now();
-      frames = s.frames_sent();
-      sent = s.elements_sent();
+      const StreamStats stats = s.stats();
+      budget_end = stats.coalesce_budget_now;
+      frames = stats.frames_sent;
+      sent = stats.elements_sent;
     } else {
       (void)s.operate(self);
     }
@@ -417,8 +421,9 @@ TEST(StreamCoalesce, SelfTuningAcksTrackFrameOccupancy) {
       s.terminate(self);
     } else {
       EXPECT_EQ(s.operate(self), static_cast<std::uint64_t>(kElements));
-      acks = s.ack_messages_sent();
-      ack_now = s.ack_interval_now();
+      const StreamStats stats = s.stats();
+      acks = stats.ack_messages;
+      ack_now = stats.ack_interval_now;
     }
   });
   EXPECT_LT(acks, kElements / 8u);   // default per-4 acking would be 500
@@ -606,7 +611,7 @@ TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
         }
       }
       s.terminate(self);
-      credits = s.credits_received();
+      credits = s.stats().credits_received;
     } else {
       consumed = s.operate(self);
     }

@@ -49,10 +49,10 @@ CreditRun run_block(std::uint32_t window, std::uint32_t ack_interval,
       const int v = 1;
       for (int i = 0; i < elements; ++i) s.isend(self, SendBuf::of(&v, 1));
       s.terminate(self);
-      run.credits_received = s.credits_received();
+      run.credits_received = s.stats().credits_received;
     } else {
       run.consumed = s.operate(self);
-      run.ack_messages = s.ack_messages_sent();
+      run.ack_messages = s.stats().ack_messages;
     }
   });
   return run;
@@ -173,7 +173,7 @@ TEST(StreamCredits, DirectedMappingDrainsUnderBatchedCredits) {
       for (int i = 0; i < kEach; ++i)
         s.isend_to(self, (self.world_rank() + i) % kConsumers, SendBuf::of(&v, 1));
       s.terminate(self);
-      credits += s.credits_received();
+      credits += s.stats().credits_received;
     } else {
       consumed += s.operate(self);
     }

@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/machine_helpers.hpp"
 #include "core/channel.hpp"
@@ -142,19 +144,47 @@ TEST(MachineObs, StreamLifecycleFlushAndCollectors) {
   EXPECT_NE(json.find("stream.elements_sent"), std::string::npos);
 }
 
+/// The `stream.*` counters a role's lifecycle flush writes, each paired
+/// with the stats() field it must equal.
+using Series = std::vector<std::pair<std::string, std::uint64_t>>;
+
+Series producer_series(const stream::StreamStats& s) {
+  return {{"stream.elements_sent", s.elements_sent},
+          {"stream.frames_sent", s.frames_sent},
+          {"stream.credits_received", s.credits_received},
+          {"stream.replayed_elements", s.replayed_elements},
+          {"stream.failovers", s.failovers},
+          {"stream.rebalances", s.rebalances},
+          {"stream.retained_elements", s.retained_elements},
+          {"stream.term_messages", s.term_messages}};
+}
+
+Series consumer_series(const stream::StreamStats& s) {
+  return {{"stream.elements_consumed", s.elements_consumed},
+          {"stream.ack_messages", s.ack_messages},
+          {"stream.duplicates_dropped", s.duplicates_dropped},
+          {"stream.dedup_entries", s.dedup_entries},
+          {"stream.durable_acks", s.durable_acks},
+          {"stream.term_messages", s.term_messages}};
+}
+
 TEST(MachineObs, ResilientChurnEmitsFailoverInstantsAndCounters) {
-  // Two producers block-map onto two consumers; consumer 1 (world rank 3)
-  // crashes mid-stream, so its producer fails over the flow to the survivor
-  // and replays. Both the trace instants and the flushed resilience counters
-  // must record it.
-  constexpr int kElements = 40;
-  auto config = testing::tiny_machine(4);
+  // Two producers block-map onto two consumers under a credit window;
+  // consumer 1 (world rank 3) crashes mid-stream, so its producer fails
+  // over the flow to the survivor and replays. Both the trace instants and
+  // the flushed resilience counters must record it, and every flushed
+  // counter must equal the stats() field it reports.
+  constexpr int kRanks = 4, kElements = 40;
+  constexpr int kCrashed = 3;
+  auto config = testing::tiny_machine(kRanks);
   config.observability = obs::ObsConfig::all();
-  config.faults.crash(3, util::microseconds(40));
+  config.faults.crash(kCrashed, util::microseconds(40));
   mpi::Machine machine(config);
+  std::vector<stream::StreamStats> stats(kRanks);
   machine.run([&](Rank& self) {
     stream::ChannelConfig cfg;
     cfg.checkpoint_interval = 4;  // resilient channel
+    cfg.max_inflight = 4;         // credits and ack messages flow too
     const bool producer = self.world_rank() < 2;
     const stream::Channel ch =
         stream::Channel::create(self, self.world(), producer, !producer, cfg);
@@ -170,6 +200,7 @@ TEST(MachineObs, ResilientChurnEmitsFailoverInstantsAndCounters) {
       } else {
         s.operate(self);
       }
+      stats[static_cast<std::size_t>(self.world_rank())] = s.stats();
     } catch (const mpi::RankFailure&) {
       // the crashed consumer unwinds here
     }
@@ -185,6 +216,31 @@ TEST(MachineObs, ResilientChurnEmitsFailoverInstantsAndCounters) {
   ASSERT_NE(m, nullptr);
   EXPECT_GE(m->counter_total("stream.failovers"), 1u);
   EXPECT_EQ(m->counter_total("resilience.crashes"), 1u);
+  EXPECT_GT(m->counter_total("stream.credits_received"), 0u);
+  EXPECT_GT(m->counter_total("stream.ack_messages"), 0u);
+
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& s = stats[static_cast<std::size_t>(r)];
+    const bool producer = r < 2;
+    const Series own = producer ? producer_series(s) : consumer_series(s);
+    const Series other = producer ? consumer_series(s) : producer_series(s);
+    for (const auto& [name, value] : own) {
+      const obs::Counter* c = m->find_counter(name, r);
+      if (r == kCrashed) {
+        // A crashed rank never completes its role, so it never flushes.
+        EXPECT_EQ(c, nullptr) << name;
+        continue;
+      }
+      ASSERT_NE(c, nullptr) << name << " on rank " << r;
+      EXPECT_EQ(c->value(), value) << name << " on rank " << r;
+    }
+    // The flush writes only its own role's series.
+    for (const auto& series : other) {
+      if (series.first == "stream.term_messages") continue;
+      EXPECT_EQ(m->find_counter(series.first, r), nullptr)
+          << series.first << " on rank " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -280,7 +280,7 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
       });
       (void)s.operate(self);
       out.done[static_cast<std::size_t>(me)] = s.exhausted();
-      out.term_messages[static_cast<std::size_t>(me)] = s.term_messages_sent();
+      out.term_messages[static_cast<std::size_t>(me)] = s.stats().term_messages;
     });
     return out;
   };
@@ -456,7 +456,7 @@ TEST(FailureMatrix, RestartedConsumerRejoinsAndFlowsRebalanceBack) {
         s.isend(self, SendBuf::of(&id, 1));
       }
       s.terminate(self);
-      max_rebalances = std::max(max_rebalances, s.rebalances());
+      max_rebalances = std::max(max_rebalances, s.stats().rebalances);
     } else {
       s.operate(self);
       if (me == 0) survivor_exhausted = s.exhausted();
@@ -519,16 +519,16 @@ TEST(FailureMatrix, ConsumerRetireMovesFlowsWithoutLossOrDuplication) {
         s.isend(self, SendBuf::of(&id, 1));
       }
       s.terminate(self);
-      max_rebalances = std::max(max_rebalances, s.rebalances());
+      max_rebalances = std::max(max_rebalances, s.stats().rebalances);
     } else if (me == 1) {
       s.operate_while(self, [&] { return count < kBeforeRetire; });
       s.retire(self);
-      retiree_entries_after = s.dedup_entries();
+      retiree_entries_after = s.stats().dedup_entries;
       retiree_exhausted = s.exhausted();
     } else {
       s.operate(self);
       adopter_exhausted = s.exhausted();
-      adopter_entries = s.dedup_entries();
+      adopter_entries = s.stats().dedup_entries;
     }
   });
   EXPECT_TRUE(retiree_exhausted);
@@ -553,10 +553,11 @@ TEST(FailureMatrix, ConsumerRetireMovesFlowsWithoutLossOrDuplication) {
 }
 
 TEST(FailureMatrix, InitiallyInactiveConsumerAdmittedMidRunReceivesFlows) {
-  // Elastic add: consumer 1 starts outside the membership (its flows route
-  // to the failover target) and is admitted mid-stream. Producers redirect
-  // the flow home, the interim owner forwards its cursor, and the late
-  // consumer picks up from there — no loss, no duplication.
+  // Elastic add: consumer 1 is retired right after the channel is created,
+  // before any stream operation (its flows route to the failover target),
+  // and is admitted mid-stream. Producers redirect the flow home, the
+  // interim owner forwards its cursor, and the late consumer picks up from
+  // there — no loss, no duplication.
   constexpr int kProducers = 2, kConsumers = 2, kEach = 100;
   auto config = testing::tiny_machine(kProducers + kConsumers);
   std::vector<std::vector<std::uint64_t>> delivered(kConsumers);
@@ -565,9 +566,11 @@ TEST(FailureMatrix, InitiallyInactiveConsumerAdmittedMidRunReceivesFlows) {
     const bool producer = self.world_rank() < kProducers;
     ChannelConfig cfg;
     cfg.checkpoint_interval = 8;
-    cfg.initially_inactive_consumers = {1};
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
+    // Every rank retires the slot: the ledger's set_active is idempotent, so
+    // its version moves once and every stream starts from the same view.
+    ch.retire_consumer(self, 1);
     const int me = ch.my_consumer_index(self);
     Stream s = Stream::attach(ch, mpi::Datatype::int64(),
                               [&](const StreamElement& el) {

@@ -73,7 +73,7 @@ TEST(StreamFailover, BlockMappingSurvivorDeliversExactlyOnce) {
       s.terminate(self);
     } else {
       s.operate(self);
-      if (me == 0) survivor_dupes_filtered = s.duplicates_dropped();
+      if (me == 0) survivor_dupes_filtered = s.stats().duplicates_dropped;
     }
   });
 
@@ -176,8 +176,9 @@ TEST(StreamFailover, CreditBlockedProducerRecoversAndReplays) {
         s.isend_to(self, 1, SendBuf::of(&id, 1));
       }
       s.terminate(self);
-      EXPECT_GE(s.failovers(), 1u);
-      EXPECT_GT(s.replayed_elements(), 0u);
+      const stream::StreamStats stats = s.stats();
+      EXPECT_GE(stats.failovers, 1u);
+      EXPECT_GT(stats.replayed_elements, 0u);
     } else {
       s.operate(self);
     }
@@ -213,12 +214,12 @@ TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
       for (int i = 0; i < kEach; ++i) {
         const std::uint64_t id = element_id(0, i);
         s.isend(self, SendBuf::of(&id, 1));
-        max_retained = std::max(max_retained, s.retained_elements());
+        max_retained = std::max(max_retained, s.stats().retained_elements);
       }
       s.terminate(self);
     } else {
       s.operate(self);
-      acks = s.durable_acks_sent();
+      acks = s.stats().durable_acks;
     }
   });
   // Open epoch + credit window + a frame and an ack batch of slack.
@@ -426,7 +427,7 @@ TEST(StreamFailover, AdaptiveWindowGrowsUnderCreditStallsOnly) {
           s.isend(self, SendBuf::of(&id, 1));
         }
         s.terminate(self);
-        window_after = s.max_inflight_now();
+        window_after = s.stats().max_inflight_now;
       } else {
         s.operate(self);
       }
