@@ -86,13 +86,16 @@ struct ChannelConfig {
   /// one per-message o_s/o_r (the paper's fine-grained cost model).
   std::uint32_t coalesce_budget = kDefaultCoalesceBudget;
 
-  /// Self-tuning flow control: when true, the stream drives the coalesce
-  /// budget online from the producer's flush-occupancy/inter-arrival
-  /// signals (stream::FlowController); when ack_interval is 0, the
-  /// consumer's effective credit batch tracks the observed frame occupancy
-  /// (one ack per drained frame) within the liveness clamp; and when
-  /// max_inflight is set, the effective credit window grows on credit
-  /// stalls, never below the configured value. Pin
+  /// Self-tuning flow control, the paper's Sec. III adaptive-configuration
+  /// extension: when true, a producer retunes its frame budget once per 16
+  /// frame flushes — doubling it (up to kCoalesceGrowthCap times the
+  /// configured value) while bursts keep filling frames, halving it (down
+  /// to 256 bytes, or the configured value if smaller) while the backstop
+  /// keeps flushing near-empty ones; when max_inflight is set, the effective
+  /// credit window doubles on credit stalls and decays back toward, never
+  /// below, the configured value; and when ack_interval is 0, the
+  /// consumer's credit batch tracks the observed frame occupancy (one ack
+  /// per drained frame) between half the liveness clamp and the clamp. Pin
   /// coalesce_budget/ack_interval and set this false for fixed behavior.
   bool flow_autotune = true;
 

@@ -43,7 +43,16 @@ ScopedChannel& ScopedChannel::operator=(ScopedChannel&& other) noexcept {
   return *this;
 }
 
-ScopedChannel::~ScopedChannel() { release(); }
+ScopedChannel::~ScopedChannel() {
+  // A rank that crashes while it waits in the teardown collective (or that
+  // an aborted run fails there) must not throw out of a destructor. The
+  // crash stays recorded in the machine, so the rank's next runtime call
+  // throws again; release() itself still throws.
+  try {
+    release();
+  } catch (const mpi::RankFailure&) {
+  }
+}
 
 ScopedChannel ScopedChannel::create(mpi::Rank& self, const mpi::Comm& parent,
                                     bool is_producer, bool is_consumer,
@@ -68,7 +77,6 @@ void StreamBase::bind(mpi::Rank& self, ScopedChannel channel,
   stream_ = stream::Stream::attach(
       channel_.get(), mpi::Datatype::bytes(element_bytes),
       [this](const stream::StreamElement& el) { dispatch(el); }, stream_id);
-  on_bound();
 }
 
 mpi::Rank& StreamBase::self() const {
@@ -140,46 +148,6 @@ void RawStream::send(const void* data, std::size_t bytes) {
 
 void RawStream::send_synthetic(std::size_t wire_bytes) {
   send_raw(mpi::SendBuf::synthetic(wire_bytes));
-}
-
-void RawStream::terminate() {
-  if (batcher_ && is_producer()) batcher_->flush(self());
-  StreamBase::terminate();
-}
-
-void RawStream::on_bound() {
-  if (adaptive_ && is_producer())
-    batcher_.emplace(stream(), record_bytes_, *adaptive_);
-}
-
-stream::AdaptiveBatcher& RawStream::batcher() {
-  if (!batcher_)
-    throw std::logic_error(
-        "decouple: push/flush need an adaptive stream and the producer role");
-  return *batcher_;
-}
-
-const stream::AdaptiveBatcher& RawStream::batcher() const {
-  return const_cast<RawStream*>(this)->batcher();
-}
-
-void RawStream::push() { batcher().push(self()); }
-
-void RawStream::flush() { batcher().flush(self()); }
-
-std::uint32_t RawStream::current_batch() const {
-  return batcher().current_batch();
-}
-
-std::uint64_t RawStream::records_sent() const { return batcher().records_sent(); }
-
-std::uint32_t adaptive_record_count(const RawElement& element) {
-  if (element.data == nullptr ||
-      element.bytes < sizeof(stream::AdaptiveHeader))
-    return 0;
-  stream::AdaptiveHeader header;
-  std::memcpy(&header, element.data, sizeof header);
-  return header.records;
 }
 
 // ------------------------------------------------------------------ Context --
@@ -442,18 +410,6 @@ RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
                                              StreamOptions options) {
   link_stages(from, to, options);
   return raw_stream(element_bytes, std::move(options));
-}
-
-RawStreamHandle Pipeline::adaptive_stream(std::size_t record_bytes,
-                                          AdaptiveConfig adaptive,
-                                          StreamOptions options) {
-  auto stream = std::make_unique<RawStream>();
-  stream->adaptive_ = adaptive;
-  stream->record_bytes_ = record_bytes;
-  return RawStreamHandle(add_slot(
-      std::move(stream),
-      stream::AdaptiveBatcher::element_bytes(record_bytes, adaptive.max_records),
-      std::move(options)));
 }
 
 void Pipeline::run(const RoleFn& worker_fn, const RoleFn& helper_fn) {

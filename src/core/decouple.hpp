@@ -23,7 +23,7 @@
 //    records (plus an optional byte payload) and hands consumers decoded
 //    Element<Record> values: no std::byte* arithmetic or memcpy at call
 //    sites. RawStream keeps the byte-level interface for payload-only
-//    streams and carries the opt-in AdaptiveBatcher policy.
+//    streams.
 //  * One split, many streams — the worker/helper split (GroupPlan stride or
 //    alpha, or an explicit helper set) is declared once; each stream picks a
 //    direction relative to it, or overrides the endpoint groups entirely.
@@ -51,7 +51,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/channel.hpp"
 #include "core/group_plan.hpp"
 #include "core/stream.hpp"
@@ -68,7 +67,6 @@ class Context;
 class Pipeline;
 
 using Mapping = stream::ChannelConfig::Mapping;
-using stream::AdaptiveConfig;
 
 /// Which way a pipeline stream flows between the two role groups.
 enum class Direction { ToHelpers, ToWorkers };
@@ -111,7 +109,8 @@ class ScopedChannel {
                                             stream::ChannelConfig config = {});
 
   /// Collective over the channel members: quiesce and release early.
-  /// Idempotent; also what the destructor runs.
+  /// Idempotent; also what the destructor runs. Throws mpi::RankFailure
+  /// when this rank crashes while it waits; the destructor catches it.
   void release();
 
   [[nodiscard]] bool valid() const noexcept { return channel_.valid(); }
@@ -156,9 +155,6 @@ struct RawElement {
   bool synthetic = false;
 };
 
-/// Record count of an element flushed by an adaptive stream.
-[[nodiscard]] std::uint32_t adaptive_record_count(const RawElement& element);
-
 /// Role-aware RAII wrapper around one attached Stream, owned by a Pipeline
 /// and obtained inside run() via Context::operator[]. Knows its Rank, so no
 /// call threads `self` through; producers terminate automatically when
@@ -172,7 +168,7 @@ class StreamBase {
   // ---- producer side ----
   /// Signal end-of-stream now (paper's MPIStream_Terminate). Idempotent,
   /// and implied by the role function returning.
-  virtual void terminate();
+  void terminate();
 
   // ---- consumer side ----
   /// Resilient streams with manual durability: acknowledge that everything
@@ -233,13 +229,10 @@ class StreamBase {
   StreamBase() = default;
   /// Decode and hand one arrived element to the user handler.
   virtual void dispatch(const stream::StreamElement& element) = 0;
-  /// Hook run once the stream is attached (e.g. to set up a batcher).
-  virtual void on_bound() {}
 
   void send_raw(mpi::SendBuf element);
   void send_raw_to(int consumer, mpi::SendBuf element);
   [[nodiscard]] mpi::Rank& self() const;
-  [[nodiscard]] stream::Stream& stream() noexcept { return stream_; }
 
   std::vector<std::byte> scratch_;  ///< record+payload packing buffer
 
@@ -334,9 +327,6 @@ class TypedStream final : public StreamBase {
 };
 
 /// A payload-only stream (no record header): raw bytes in, raw bytes out.
-/// Streams declared via Pipeline::adaptive_stream add the producer-side
-/// AdaptiveBatcher policy: push() batches logical records into elements
-/// whose size adapts online (paper Sec. III future work).
 class RawStream final : public StreamBase {
  public:
   using Handler = std::function<void(const RawElement&)>;
@@ -352,32 +342,13 @@ class RawStream final : public StreamBase {
   /// Fully synthetic element occupying `wire_bytes` on the simulated wire.
   void send_synthetic(std::size_t wire_bytes);
 
-  /// Flushes any partial adaptive batch, then terminates.
-  void terminate() override;
-
-  // ---- adaptive producer interface (Pipeline::adaptive_stream only) ----
-  /// Append one logical record; flushes when the batch target is reached.
-  void push();
-  /// Flush a partial batch, if any.
-  void flush();
-  [[nodiscard]] bool is_adaptive() const noexcept { return adaptive_.has_value(); }
-  [[nodiscard]] std::uint32_t current_batch() const;
-  [[nodiscard]] std::uint64_t records_sent() const;
-
  private:
-  friend class Pipeline;
-  void on_bound() override;
   void dispatch(const stream::StreamElement& el) override {
     if (!handler_) return;
     handler_(RawElement{el.data, el.bytes, el.producer, el.data == nullptr});
   }
-  [[nodiscard]] stream::AdaptiveBatcher& batcher();
-  [[nodiscard]] const stream::AdaptiveBatcher& batcher() const;
 
   Handler handler_;
-  std::optional<AdaptiveConfig> adaptive_;
-  std::size_t record_bytes_ = 0;
-  std::optional<stream::AdaptiveBatcher> batcher_;
 };
 
 /// Cheap token returned by stream declaration; redeemed inside run() with
@@ -550,11 +521,6 @@ class Pipeline {
   /// A payload-only stream of `element_bytes`-sized elements.
   [[nodiscard]] RawStreamHandle raw_stream(std::size_t element_bytes,
                                            StreamOptions options = {});
-  /// A payload-only stream whose producers batch `record_bytes` logical
-  /// records per element under the adaptive granularity policy.
-  [[nodiscard]] RawStreamHandle adaptive_stream(std::size_t record_bytes,
-                                                AdaptiveConfig adaptive,
-                                                StreamOptions options = {});
 
   // ---- chained-stage declaration ----
   /// Append a stage to the chain: the given parent-comm ranks form the next

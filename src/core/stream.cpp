@@ -6,13 +6,32 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/adaptive.hpp"
 #include "mpi/machine.hpp"
 #include "mpi/rank.hpp"
 
 namespace ds::stream {
 
+/// Why a frame left the producer, as far as the self-tuning loop tells the
+/// cases apart.
+enum class FlushTrigger : std::uint8_t {
+  Budget,  ///< no further element fits: bursty arrivals fill frames
+  Idle,    ///< same-instant backstop: the fiber yielded mid-frame
+  Credit,  ///< the producer blocked on its credit window
+  Other    ///< termination, an explicit flush, or an epoch cut
+};
+
 namespace {
+
+// The self-tuning loop (ChannelConfig::flow_autotune) retunes a producer's
+// frame budget and credit window once per kTunePeriod frame flushes.
+constexpr std::uint32_t kTunePeriod = 16;
+/// Shrink floor of the frame budget (or the configured budget, if smaller).
+constexpr std::uint32_t kMinTunedBudget = 256;
+/// Grow when at least this share of the period's flushes filled the budget.
+constexpr double kGrowFraction = 0.5;
+/// Shrink when no flush filled the budget and mean occupancy stayed below
+/// this fraction of it.
+constexpr double kShrinkOccupancy = 0.25;
 
 /// Leads every frame on the wire.
 struct FrameHeader {
@@ -100,7 +119,13 @@ struct CoalesceState {
   std::uint32_t budget_cap = 0;    ///< growth ceiling (kCoalesceGrowthCap x)
   std::uint32_t budget_floor = 0;  ///< shrink floor
   bool autotune = false;
-  FlowController controller;
+  // The open tuning period: its flushes, their wire bytes, and how many of
+  // them each trigger caused.
+  std::uint32_t period_flushes = 0;
+  std::uint32_t budget_flushes = 0;
+  std::uint32_t idle_flushes = 0;
+  std::uint32_t credit_flushes = 0;
+  std::uint64_t period_bytes = 0;
 
   util::SimTime inject_overhead = 0;
   util::SimTime send_overhead = 0;
@@ -175,17 +200,51 @@ struct CoalesceState {
     return wire;
   }
 
-  /// Retune the budget (and, when flow control is on, the credit window)
-  /// after a flush of `elements`/`wire` under `trigger`.
+  /// The self-tuning loop's one step — the paper's Sec. III adaptive
+  /// configuration, applied to the transport granularity of Eq. 4: record a
+  /// flush of `elements`/`wire` under `trigger`, and once per kTunePeriod
+  /// flushes retune the budget (and, when flow control is on, the credit
+  /// window) from the period's frame occupancy and trigger mix.
   void retune(FlushTrigger trigger, std::uint32_t elements, std::uint64_t wire) {
     if (!autotune) return;
-    const std::uint32_t next =
-        controller.observe_flush(trigger, elements, wire, budget);
-    budget = std::clamp(next, budget_floor, budget_cap);
-    if (window_cfg > 0 && controller.window_rolled())
-      window_now = FlowController::retune_window(
-          window_now, window_cfg, window_cap,
-          controller.last_window_credit_stalled());
+    ++period_flushes;
+    period_bytes += wire;
+    if (trigger == FlushTrigger::Budget) ++budget_flushes;
+    if (trigger == FlushTrigger::Idle && elements > 0) ++idle_flushes;
+    if (trigger == FlushTrigger::Credit) ++credit_flushes;
+    if (period_flushes < kTunePeriod) return;
+
+    const double budget_fraction =
+        static_cast<double>(budget_flushes) / period_flushes;
+    const double occupancy =
+        static_cast<double>(period_bytes) /
+        (static_cast<double>(period_flushes) * static_cast<double>(budget));
+    if (budget_fraction >= kGrowFraction) {
+      // Bursts keep filling frames: double the budget so each burst leaves
+      // in fewer, larger messages (more per-message software cost amortized).
+      budget = std::min(budget_cap, budget * 2);
+    } else if (budget_flushes == 0 && occupancy < kShrinkOccupancy &&
+               idle_flushes > 0) {
+      // Sparse producer: frames leave near-empty from the backstop, so a
+      // large budget buys nothing; a small one keeps the packing memcpy and
+      // the buffer footprint low.
+      budget = std::max(budget_floor, budget / 2);
+    }
+    if (window_cfg > 0) {
+      // Credit stalls mean the producer keeps blocking on its window: double
+      // it, up to the cap. A period without stalls decays it halfway back
+      // toward the configured value, never below it: the consumers'
+      // liveness clamp ceil(configured / spread) stays valid for any window
+      // at least that large.
+      if (credit_flushes > 0)
+        window_now = std::min(window_cap, window_now * 2);
+      else if (window_now <= window_cfg)
+        window_now = window_cfg;
+      else
+        window_now -= (window_now - window_cfg + 1) / 2;
+    }
+    period_flushes = budget_flushes = idle_flushes = credit_flushes = 0;
+    period_bytes = 0;
   }
 };
 
@@ -258,13 +317,8 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
   // element, and nothing fits after it), so coalescing off needs no case.
   st->budget = cfg.coalesce_budget;
   st->budget_cap = cfg.coalesce_budget * ChannelConfig::kCoalesceGrowthCap;
-  st->budget_floor =
-      std::min(cfg.coalesce_budget, FlowController::Config{}.min_budget);
+  st->budget_floor = std::min(cfg.coalesce_budget, kMinTunedBudget);
   st->autotune = cfg.flow_autotune && cfg.coalesce_budget > 0;
-  FlowController::Config fc;
-  fc.min_budget = st->budget_floor;
-  fc.max_budget = st->budget_cap;
-  st->controller = FlowController(fc);
   st->inject_overhead = cfg.inject_overhead;
   st->send_overhead = self.machine().config().network.send_overhead;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
@@ -309,7 +363,7 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
   if (p.elements > 0 &&
       (p.wire + kSubOverhead + el_wire > st.budget ||
        p.elements >= ChannelConfig::kCoalesceMaxElements)) {
-    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Budget));
+    flush_frame(self, flow, FlushTrigger::Budget);
   }
   const bool opened = p.elements == 0;
   if (opened) {
@@ -340,14 +394,14 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
   // acknowledgments (which arrive at epoch granularity) always truncate
   // whole frames from the replay log.
   if (st.resilient && p.sent % st.checkpoint_interval == 0) {
-    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Epoch));
+    flush_frame(self, flow, FlushTrigger::Other);
     return;
   }
   // No further element fits — always so under coalesce_budget = 0, and for
   // an element larger than the budget: post the frame now, from the fiber,
   // so one-element frames pay the per-element o plus o_s at their own send.
   if (p.wire + kSubOverhead > st.budget) {
-    flush_frame(self, flow, static_cast<std::uint8_t>(FlushTrigger::Budget));
+    flush_frame(self, flow, FlushTrigger::Budget);
     return;
   }
   // Same-instant backstop for a frame left open: the moment this fiber
@@ -370,7 +424,7 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
         });
 }
 
-void Stream::flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger) {
+void Stream::flush_frame(mpi::Rank& self, int consumer, FlushTrigger trigger) {
   CoalesceState& st = *coalesce_;
   auto& p = st.pending[static_cast<std::size_t>(consumer)];
   if (p.elements == 0) return;
@@ -382,11 +436,11 @@ void Stream::flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger) {
   st.debt = 0;
   const std::uint32_t n = p.elements;
   const std::uint64_t wire = st.post_frame(consumer);
-  st.retune(static_cast<FlushTrigger>(trigger), n, wire);
+  st.retune(trigger, n, wire);
   self.process().advance(charge);
 }
 
-void Stream::flush_all_frames(mpi::Rank& self, std::uint8_t trigger) {
+void Stream::flush_all_frames(mpi::Rank& self, FlushTrigger trigger) {
   if (!coalesce_) return;
   for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
     flush_frame(self, static_cast<int>(c), trigger);
@@ -394,8 +448,7 @@ void Stream::flush_all_frames(mpi::Rank& self, std::uint8_t trigger) {
 
 void Stream::flush(mpi::Rank& self) {
   (void)my_producer(self, "Stream::flush");
-  flush_all_frames(self,
-                   static_cast<std::uint8_t>(FlushTrigger::Explicit));
+  flush_all_frames(self, FlushTrigger::Other);
 }
 
 void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
@@ -440,7 +493,7 @@ void Stream::inject(mpi::Rank& self, int p, int consumer,
   // underflow-safe.)
   const std::uint32_t window = credit_window();
   if (window > 0 && sent_ > acks_seen_ && sent_ - acks_seen_ >= window) {
-    flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Credit));
+    flush_all_frames(self, FlushTrigger::Credit);
     while (sent_ > acks_seen_ && sent_ - acks_seen_ >= window)
       await_credit(self);
   }
@@ -478,7 +531,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   terminated_ = true;
   // Partial frames leave before the term so counts and order stay intact;
   // settle any backstop debt even when nothing is pending.
-  flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Term));
+  flush_all_frames(self, FlushTrigger::Other);
   if (coalesce_->debt > 0) {
     self.process().advance(coalesce_->debt);
     coalesce_->debt = 0;
@@ -1381,10 +1434,21 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   }
   if (frame_left_ == 0 && ack_auto_) {
     // Close the loop with the producer's coalescer: one credit batch per
-    // drained frame, bounded by the liveness clamp.
-    ack_every_ = FlowController::retune_ack_interval(
-        ack_every_, frame_elements_, ChannelConfig::kDefaultAckInterval,
-        ack_limit_);
+    // drained frame, never below the library default nor above the liveness
+    // clamp — and never below half that clamp (about half the credit window
+    // per consumer): acking in window halves keeps a credit-blocked producer
+    // refilling in large bursts. Without that floor the loop locks into
+    // dribbles: each ack batch of k credits unblocks a k-element burst,
+    // which flushes as a k-element frame, which retunes the batch back to k.
+    const std::uint32_t target =
+        std::min(ack_limit_, std::max({ChannelConfig::kDefaultAckInterval,
+                                       frame_elements_, ack_limit_ / 2}));
+    // Move halfway toward the target per frame: smooth against one-off
+    // partial frames, converging in a few frames of steady occupancy.
+    if (target > ack_every_)
+      ack_every_ += (target - ack_every_ + 1) / 2;
+    else
+      ack_every_ -= (ack_every_ - target + 1) / 2;
   }
   return admit;
 }

@@ -137,6 +137,9 @@ namespace ds::stream {
 /// shared with the same-instant backstop events so a moved/destroyed Stream
 /// never leaves a scheduled flush dangling).
 struct CoalesceState;
+/// Why a frame left the producer (defined in stream.cpp, where the
+/// self-tuning loop reads it).
+enum class FlushTrigger : std::uint8_t;
 
 /// A received stream element, valid only during the operator invocation.
 /// `data` is null for synthetic elements (modeled payloads).
@@ -338,8 +341,8 @@ class Stream {
   void coalesce_element(mpi::Rank& self, int flow, mpi::SendBuf element);
   /// Fiber-context flush of one consumer's pending frame (post, retune,
   /// charge the deferred per-element + per-message overhead as one advance).
-  void flush_frame(mpi::Rank& self, int consumer, std::uint8_t trigger);
-  void flush_all_frames(mpi::Rank& self, std::uint8_t trigger);
+  void flush_frame(mpi::Rank& self, int consumer, FlushTrigger trigger);
+  void flush_all_frames(mpi::Rank& self, FlushTrigger trigger);
   /// Unpack state for the frame just received into message_;
   /// consume_frame_element() then hands elements to the operator one at a
   /// time, read in place, and releases the message after the last one.

@@ -151,36 +151,6 @@ TEST(Pipeline, RawStreamsCarryBytesAndSynthetics) {
   EXPECT_EQ(synthetic_bytes, 128u);
 }
 
-TEST(Pipeline, AdaptiveStreamBatchesRecords) {
-  std::uint64_t elements = 0, records = 0;
-  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
-    AdaptiveConfig adaptive;
-    adaptive.initial_records = 4;
-    adaptive.max_records = 64;
-    auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
-    auto flow = pipeline.adaptive_stream(/*record_bytes=*/32, adaptive);
-    pipeline.run(
-        [&](Context& ctx) {
-          auto& s = ctx[flow];
-          EXPECT_TRUE(s.is_adaptive());
-          for (int i = 0; i < 103; ++i) s.push();
-          EXPECT_EQ(s.records_sent(), 103u);
-          // The trailing partial batch flushes via RAII termination.
-        },
-        [&](Context& ctx) {
-          auto& s = ctx[flow];
-          s.on_receive([&](const RawElement& el) {
-            ++elements;
-            records += adaptive_record_count(el);
-          });
-          s.operate();
-        });
-  });
-  EXPECT_EQ(records, 103u);
-  EXPECT_GT(elements, 0u);
-  EXPECT_LE(elements, 103u / 4 + 1);
-}
-
 TEST(Pipeline, CustomEndpointPredicatesOverrideTheSplit) {
   // Three roles out of two groups: helpers split into one master (last
   // helper) and reducers, as the wordcount reduce group does.
@@ -331,6 +301,58 @@ TEST(ScopedChannel, FreesOnScopeExitAndMoves) {
     outer.release();  // collective: both ranks reach this in the same order
     EXPECT_FALSE(outer.valid());
   });
+}
+
+/// Ranks that got past their pipeline's teardown, when rank 0 (the only
+/// producer) crashes while it waits there for two consumers still busy.
+std::vector<int> finished_after_teardown_crash(bool resilient) {
+  auto config = testing::tiny_machine(3);
+  config.faults.crash(0, util::milliseconds(1));
+  std::vector<int> finished(3, 0);
+  testing::run_program(config, [&](Rank& self) {
+    {
+      auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1, 2});
+      if (resilient) pipeline.with_resilience();
+      auto flow = pipeline.raw_stream(32);
+      pipeline.run(
+          [&](Context& ctx) {
+            for (int i = 0; i < 4; ++i) ctx[flow].send_synthetic(32);
+          },
+          [&](Context& ctx) {
+            (void)ctx[flow].operate();
+            self.compute(util::milliseconds(5));
+          });
+    }  // the producer waits here; the crash lands while it does
+    // A crashed rank unwinds at its next runtime call, like after any crash.
+    self.compute(util::microseconds(1));
+    finished[static_cast<std::size_t>(self.world_rank())] = 1;
+  });
+  return finished;
+}
+
+TEST(ScopedChannel, CrashWhileWaitingInTeardownEndsOnlyTheCrashedRank) {
+  EXPECT_EQ(finished_after_teardown_crash(false), (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(finished_after_teardown_crash(true), (std::vector<int>{0, 1, 1}));
+}
+
+TEST(ScopedChannel, DeadlockWhileWaitingInTeardownReportsTheDeadlock) {
+  // Rank 0 waits in its channel's teardown while rank 1 waits in a world
+  // barrier rank 0 never joins. The aborted run fails every rank before it
+  // unwinds them, so rank 0's teardown wait throws on a crashed rank; the
+  // run must still end with the engine's deadlock report.
+  mpi::Machine machine(testing::tiny_machine(2));
+  EXPECT_THROW(machine.run([](Rank& self) {
+                 auto pipeline =
+                     Pipeline::over(self, self.world()).with_helper_ranks({1});
+                 auto flow = pipeline.raw_stream(32);
+                 pipeline.run(
+                     [&](Context& ctx) { ctx[flow].send_synthetic(32); },
+                     [&](Context& ctx) {
+                       (void)ctx[flow].operate();
+                       self.barrier(self.world());
+                     });
+               }),
+               sim::DeadlockError);
 }
 
 TEST(Pipeline, NodePlacementDedicatesTailRanksPerNode) {

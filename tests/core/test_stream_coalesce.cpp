@@ -8,15 +8,16 @@
 // (coalesce_budget = 0 frames every element alone and charges o + o_s at
 // each send), the liveness backstop (elements are never delayed past the
 // instant the producing fiber yields) and the self-tuning loop
-// (FlowController: budget growth under bursty load, ack batches tracking
-// frame occupancy, AdaptiveBatcher composition).
+// (ChannelConfig::flow_autotune: the budget grows under bursty load and
+// shrinks for a sparse producer, the credit window grows on stalls and
+// decays back to its configured value, and ack batches track frame
+// occupancy above half the liveness clamp).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
-#include "core/adaptive.hpp"
 #include "core/channel.hpp"
 #include "core/stream.hpp"
 
@@ -371,7 +372,7 @@ TEST(StreamCoalesce, ResilientOversizedElementPaysItsOverheadAtItsOwnSend) {
 }
 
 TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
-  // An unthrottled burst keeps filling frames: the FlowController must grow
+  // An unthrottled burst keeps filling frames: the self-tuning loop must grow
   // the budget toward its cap, and most elements must leave coalesced.
   std::uint32_t budget_end = 0;
   std::uint64_t frames = 0, sent = 0;
@@ -430,42 +431,125 @@ TEST(StreamCoalesce, SelfTuningAcksTrackFrameOccupancy) {
   EXPECT_GT(ack_now, ChannelConfig::kDefaultAckInterval);
 }
 
-TEST(StreamCoalesce, AdaptiveBatcherShrinkPathFlushesThroughCoalescing) {
-  // The AdaptiveBatcher's shrink path produces a falling sequence of
-  // variable-size elements; the coalescer packs them as variable-length
-  // sub-records, and every record must still arrive exactly once.
-  constexpr int kRecords = 1200;
-  std::uint64_t records_consumed = 0, elements_consumed = 0;
-  std::uint32_t final_batch = 0;
+TEST(StreamCoalesce, SelfTuningShrinksBudgetForASparseProducer) {
+  // One element per yield: every frame leaves near-empty from the backstop,
+  // so each tuning period of 16 flushes halves the budget, 2048 -> 256, and
+  // the floor holds it there.
+  std::uint32_t budget_end = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer);
-    AdaptiveConfig cfg;
-    cfg.min_records = 1;
-    cfg.initial_records = 32;
-    cfg.window = 2;
-    cfg.max_flush_interval = util::microseconds(10);
-    const mpi::Datatype element =
-        mpi::Datatype::bytes(AdaptiveBatcher::element_bytes(16, cfg.max_records));
-    Stream s = Stream::attach(ch, element, [&](const StreamElement& el) {
-      ++elements_consumed;
-      records_consumed += adaptive_record_count(el);
-    });
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(64),
+                              [](const StreamElement&) {});
     if (producer) {
-      AdaptiveBatcher batcher(s, 16, cfg);
-      for (int i = 0; i < kRecords; ++i) {
-        self.compute(util::microseconds(30));  // coarse flow -> shrink
-        batcher.push(self);
+      for (int i = 0; i < 64; ++i) {
+        s.isend_synthetic(self);
+        self.compute(util::microseconds(1));
       }
-      batcher.finish(self);
-      final_batch = batcher.current_batch();
+      s.terminate(self);
+      budget_end = s.stats().coalesce_budget_now;
     } else {
       (void)s.operate(self);
     }
   });
-  EXPECT_EQ(records_consumed, static_cast<std::uint64_t>(kRecords));
-  EXPECT_GT(elements_consumed, 0u);
-  EXPECT_LT(final_batch, 32u);  // the shrink path actually ran
+  EXPECT_EQ(budget_end, 256u);
+}
+
+TEST(StreamCoalesce, SelfTuningWindowDecaysBackToTheConfiguredValue) {
+  // A burst against max_inflight = 4 stalls on credits and grows the window;
+  // a sparse tail never stalls, so the window decays halfway per tuning
+  // period until it sits exactly at the configured value again.
+  std::uint32_t after_burst = 0, after_tail = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.max_inflight = 4;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [](const StreamElement&) {});
+    if (producer) {
+      const std::int64_t v = 1;
+      for (int i = 0; i < 600; ++i) s.isend(self, SendBuf::of(&v, 1));
+      after_burst = s.stats().max_inflight_now;
+      for (int i = 0; i < 200; ++i) {
+        self.compute(util::microseconds(50));
+        s.isend(self, SendBuf::of(&v, 1));
+      }
+      s.terminate(self);
+      after_tail = s.stats().max_inflight_now;
+    } else {
+      (void)s.operate(self);
+    }
+  });
+  EXPECT_GT(after_burst, 4u);
+  EXPECT_EQ(after_tail, 4u);
+}
+
+TEST(StreamCoalesce, SelfTuningAckBatchHoldsHalfTheLivenessClamp) {
+  // One-element frames would retune the credit batch down to the default;
+  // the floor at half the liveness clamp (ceil(64 / 1 consumer) / 2) keeps
+  // a credit-blocked producer refilling in window halves instead.
+  std::uint32_t ack_now = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.max_inflight = 64;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+                              [](const StreamElement&) {});
+    if (producer) {
+      const int v = 1;
+      for (int i = 0; i < 200; ++i) {
+        self.compute(util::microseconds(5));
+        s.isend(self, SendBuf::of(&v, 1));
+      }
+      s.terminate(self);
+    } else {
+      (void)s.operate(self);
+      ack_now = s.stats().ack_interval_now;
+    }
+  });
+  EXPECT_EQ(ack_now, 32u);
+}
+
+TEST(StreamCoalesce, HeaderOnlyElementsOfFallingSizePackAndArriveOnce) {
+  // A real count header with a modeled body of 16 bytes per counted item,
+  // for a falling count: large elements travel alone, small ones share
+  // frames, and each arrives once with its own modeled size.
+  struct CountHeader {
+    std::uint32_t items = 0;
+    std::uint32_t reserved = 0;
+  };
+  constexpr std::uint32_t kMaxItems = 160;
+  auto wire_of = [](std::uint32_t items) { return sizeof(CountHeader) + 16 * items; };
+  std::vector<int> seen(kMaxItems + 1, 0);
+  bool sizes_ok = true;
+  std::uint64_t frames = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    Stream s = Stream::attach(
+        ch, mpi::Datatype::bytes(wire_of(kMaxItems)), [&](const StreamElement& el) {
+          CountHeader header;
+          std::memcpy(&header, el.data, sizeof header);
+          ++seen[header.items];
+          sizes_ok &= el.bytes == wire_of(header.items);
+        });
+    if (producer) {
+      for (std::uint32_t n = kMaxItems; n >= 1; --n) {
+        const CountHeader header{n, 0};
+        s.isend(self, SendBuf::header_only(header, wire_of(n)));
+      }
+      s.terminate(self);
+      frames = s.stats().frames_sent;
+    } else {
+      (void)s.operate(self);
+    }
+  });
+  EXPECT_EQ(seen[0], 0);
+  for (std::uint32_t n = 1; n <= kMaxItems; ++n) EXPECT_EQ(seen[n], 1) << n;
+  EXPECT_TRUE(sizes_ok);
+  EXPECT_LT(frames, kMaxItems);  // the small tail shared frames
 }
 
 TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
