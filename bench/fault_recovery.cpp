@@ -16,7 +16,7 @@
 //    consumer twice, and per-producer replay stays within
 //    checkpoint_interval + credit-window slack.
 //
-// With --churn a fourth scenario runs the elastic-membership stress: ten
+// With --churn a fourth scenario runs the crash/rejoin stress: ten
 // crash/rejoin cycles sweep across the consumer group while producers keep
 // streaming at a fixed pace. Every respawned incarnation re-attaches to the
 // live channel (Channel::attach, no collective), producers hand its flows

@@ -9,7 +9,6 @@
 #include "apps/pic/pic_app.hpp"
 #include "core/decouple.hpp"
 #include "core/group_plan.hpp"
-#include "core/placement.hpp"
 #include "mpi/io.hpp"
 #include "mpi/rank.hpp"
 
@@ -46,29 +45,14 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
   const int size = machine.world_size();
   const bool decoupled = variant == IoVariant::Decoupled;
 
-  // The worker/writeback split: rank-interleaved by default (GroupPlan), or
-  // node-aware via stream::Placement — the tail ranks of each node write, so
-  // dump batches stay on their producer's node.
+  // The worker/writeback split: rank-interleaved (GroupPlan).
   std::vector<int> worker_ranks;
   std::vector<int> helper_ranks;
   if (decoupled) {
-    if (config.node_aware_placement) {
-      const stream::Placement placement(machine_config.network, size);
-      std::vector<int> all(static_cast<std::size_t>(size));
-      std::iota(all.begin(), all.end(), 0);
-      const int per_node = std::max(
-          1, (placement.ranks_per_node() + config.stride - 1) / config.stride);
-      helper_ranks = placement.tail_per_node(all, per_node);
-    }
-    if (helper_ranks.empty()) {
-      const auto plan = stream::GroupPlan::interleaved(machine.world(), config.stride);
-      worker_ranks = plan.workers();
-      helper_ranks = plan.helpers();
-    } else {
-      for (int r = 0; r < size; ++r)
-        if (!std::binary_search(helper_ranks.begin(), helper_ranks.end(), r))
-          worker_ranks.push_back(r);
-    }
+    const auto plan =
+        stream::GroupPlan::interleaved(machine.world(), config.stride);
+    worker_ranks = plan.workers();
+    helper_ranks = plan.helpers();
   }
   // The chained decoupled pipeline carves its reduce stage out of the worker
   // group (the last worker), so one fewer rank computes.
@@ -249,10 +233,10 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
         writer_bytes[writer] += el.record.bytes;
       });
       in.operate();
-      // Resilient chains announce the grand total to every writer: crashes,
-      // rejoins, and elastic moves shift flows between writers mid-run, so
-      // per-writer totals no longer bound any one writer's consumption —
-      // the dump total still does.
+      // Resilient chains announce the grand total to every writer: crashes
+      // and rejoins shift flows between writers mid-run, so per-writer
+      // totals no longer bound any one writer's consumption — the dump
+      // total still does.
       const std::uint64_t total =
           std::accumulate(writer_bytes.begin(), writer_bytes.end(),
                           std::uint64_t{0});

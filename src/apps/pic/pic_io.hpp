@@ -38,16 +38,6 @@ struct PicIoConfig {
   std::size_t batch_particles = 4096;           ///< stream element batch
   std::size_t helper_buffer_bytes = 64u << 20;  ///< flush threshold
 
-  /// Place the writeback group node-aware (stream::Placement): instead of
-  /// GroupPlan's rank-interleaved split, dedicate the tail ranks of each
-  /// compute node — ceil(ranks_per_node / stride) of them, keeping the
-  /// helper fraction ~1/stride — so every compute rank streams its dump
-  /// batches to a writer on its own node (shared memory, not the fabric's
-  /// shared links). Falls back to the interleaved split on machines without
-  /// locality (ranks_per_node = 0 or single-rank nodes). The dump bytes are
-  /// identical either way; only who writes them moves.
-  bool node_aware_placement = false;
-
   /// Resilience for the decoupled chain (ds::resilience): elements per
   /// epoch on each flow, 0 = off. With it on, the writeback stage runs
   /// manual durability — a writer acknowledges its consumed batches only

@@ -4,8 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "resilience/failover.hpp"
-
 namespace ds::stream {
 
 Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
@@ -103,44 +101,9 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
       parent.context(), 0xC4A77E1ull, config.channel_id);
   const mpi::Comm channel_comm(ctx, mpi::Group(std::move(members)));
   // Non-members keep an invalid comm -> inert handle.
-  if (channel_comm.rank_of_world(self.world_rank()) >= 0) {
+  if (channel_comm.rank_of_world(self.world_rank()) >= 0)
     ch.comm_ = channel_comm;
-    // Every member of the same channel fetches the same machine-hosted
-    // ledger.
-    if (config.resilient())
-      ch.ledger_ = self.machine().membership_ledger(ctx, consumers);
-  }
   return ch;
-}
-
-void Channel::retire_consumer(mpi::Rank& self, int c) const {
-  if (!ledger_)
-    throw std::logic_error(
-        "Channel::retire_consumer: elastic membership needs a resilient "
-        "channel (checkpoint_interval > 0)");
-  if (c < 0 || c >= consumer_count_)
-    throw std::invalid_argument("Channel::retire_consumer: no such slot");
-  // The effective aggregator runs the termination protocol; a retired slot
-  // stops polling, so retiring it would strand producer terms forever.
-  if (c == resilience::effective_aggregator(*this, self.machine()))
-    throw std::logic_error(
-        "Channel::retire_consumer: cannot retire the effective aggregator "
-        "(retire another slot, or crash it and let re-election run)");
-  ledger_->set_active(c, false);
-}
-
-void Channel::admit_consumer(mpi::Rank& self, int c) const {
-  if (!ledger_)
-    throw std::logic_error(
-        "Channel::admit_consumer: elastic membership needs a resilient "
-        "channel (checkpoint_interval > 0)");
-  if (c < 0 || c >= consumer_count_)
-    throw std::invalid_argument("Channel::admit_consumer: no such slot");
-  const int world = comm_.world_rank(consumer_rank(c));
-  if (self.machine().rank_failed(world))
-    throw std::logic_error(
-        "Channel::admit_consumer: slot's rank is crashed — restart it first");
-  ledger_->set_active(c, true);
 }
 
 void Channel::free(mpi::Rank& self) {

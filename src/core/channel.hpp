@@ -11,6 +11,8 @@
 //                 peer, preserves per-producer element order at the consumer.
 //  * RoundRobin — producer p spreads elements over all consumers; spreads
 //                 load, order preserved only per (producer, consumer) pair.
+//  * Directed   — producer p addresses a consumer per element (isend_to);
+//                 order preserved only per (producer, consumer) pair.
 //
 // This is the implementation layer: application code normally goes through
 // the typed RAII facade in core/decouple.hpp (decouple::Pipeline), which
@@ -19,12 +21,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/rank.hpp"
-#include "resilience/membership.hpp"
 #include "util/time.hpp"
 
 namespace ds::stream {
@@ -164,8 +164,8 @@ class Channel {
   /// fiber rejoining a live channel cannot re-enter the creation collective
   /// — its peers are long past it — but in every decoupled program the role
   /// assignment is a pure function of rank, so the restarted rank rebuilds
-  /// an identical handle (same derived context, same membership ledger)
-  /// without touching the fabric.
+  /// an identical handle (same derived context) without touching the
+  /// fabric.
   [[nodiscard]] static Channel attach(
       mpi::Rank& self, const mpi::Comm& parent,
       const std::function<std::int8_t(int)>& role_of, ChannelConfig config = {});
@@ -263,32 +263,6 @@ class Channel {
     return producer_count_ + c;
   }
 
-  // ---- elastic membership (resilient channels) ---------------------------
-  // The ledger is shared machine-wide per channel context: a retire/admit on
-  // any rank is observed by every other rank at its next poll, exactly like
-  // the failure record. Slots, not ranks: a retired slot's rank stays alive.
-
-  /// True when consumer slot `c` is active (always true without a ledger —
-  /// non-resilient channels have static membership).
-  [[nodiscard]] bool consumer_active(int c) const noexcept {
-    return !ledger_ || ledger_->is_active(c);
-  }
-  /// Monotone membership version (0 without a ledger). Streams cache it and
-  /// rebalance flows when it moves — the elastic analogue of failure_epoch.
-  [[nodiscard]] std::uint64_t membership_version() const noexcept {
-    return ledger_ ? ledger_->version : 0;
-  }
-  /// Deactivate consumer slot `c`: its flows rebalance to the deterministic
-  /// failover target (voluntary handoff — no replay storm, no data loss).
-  /// Retiring the current effective aggregator is rejected: the aggregator
-  /// must keep servicing the termination protocol. Resilient channels only.
-  /// Retired by every member right after create, before any stream
-  /// operation, a slot starts the run as a spare that admit_consumer can
-  /// bring in later (idempotent: the membership version moves once).
-  void retire_consumer(mpi::Rank& self, int c) const;
-  /// (Re)activate consumer slot `c`: the current owner hands its flows back.
-  void admit_consumer(mpi::Rank& self, int c) const;
-
  private:
   void build_node_aware_tree();
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
@@ -303,8 +277,6 @@ class Channel {
   std::vector<int> consumer_node_;
   /// Node-aware term-tree parents (empty = flat heap shape).
   std::vector<int> term_parent_;
-  /// Shared membership ledger (resilient channels; null otherwise).
-  std::shared_ptr<resilience::MembershipLedger> ledger_;
 };
 
 }  // namespace ds::stream

@@ -104,16 +104,6 @@ void StreamBase::on_durable_point(std::function<void()> hook) {
   stream_.set_durable_point(std::move(hook));
 }
 
-void StreamBase::retire() { stream_.retire(self()); }
-
-void StreamBase::retire_consumer(int c) {
-  channel_.get().retire_consumer(self(), c);
-}
-
-void StreamBase::admit_consumer(int c) {
-  channel_.get().admit_consumer(self(), c);
-}
-
 std::uint64_t StreamBase::drain() {
   std::uint64_t consumed = 0;
   while (poll_one()) ++consumed;

@@ -183,17 +183,6 @@ class StreamBase {
   /// retire replay logs only once no consumer they reported to still
   /// buffers undurable state; see stream::Stream::set_durable_point.
   void on_durable_point(std::function<void()> hook);
-  /// Elastic membership: gracefully withdraw this consumer from the stream
-  /// (resilient streams only). Deactivates the slot in the shared ledger,
-  /// hands the dedup cursors of every owned flow to the failover target, and
-  /// marks the stream exhausted; see stream::Stream::retire.
-  void retire();
-  /// Elastic membership control plane (resilient streams only, callable
-  /// from any member): deactivate / re-admit consumer slot `c` in the
-  /// shared ledger. Live peers observe the membership change and rebalance;
-  /// see Channel::retire_consumer / admit_consumer.
-  void retire_consumer(int c);
-  void admit_consumer(int c);
   /// Process elements FCFS until every routed producer terminated.
   std::uint64_t operate();
   /// Process arrivals while `keep_going()` stays true (re-checked after

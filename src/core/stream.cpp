@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -47,6 +48,11 @@ struct SubHeader {
   std::uint32_t data = 0;
 };
 
+/// SubHeader::wire of an element of 4 GiB - 1 bytes or more. Such an element
+/// outgrows every (32-bit) frame budget, so it always travels alone, and
+/// the consumer reads its exact size off the frame's wire size instead.
+constexpr std::uint32_t kWideWire = std::numeric_limits<std::uint32_t>::max();
+
 /// Resilient frames carry this directly after the FrameHeader: the flow the
 /// frame belongs to (the original consumer index of its sequence space) and
 /// the flow sequence of the first packed element. Everything the receiver
@@ -76,13 +82,11 @@ struct FlowHandoff {
   std::uint32_t reserved = 0;
 };
 
-/// One rebalance-sync record (kTagSync from a consumer): the receiver adopts
-/// the dedup cursor for one (producer, flow) pair, while the sender erases
-/// its own entry. `next == 0`
-/// carries no cursor; it still marks the flow as handed over, which is what
-/// adopters blocked in await_rebalance_sync wake on. Producer-sourced
-/// kTagSync messages reuse FlowHandoff as a handback marker instead
-/// (durable = the flow sequence as of the handback).
+/// A cursor sync (kTagSync from a consumer): the receiver adopts the dedup
+/// cursor for one (producer, flow) pair, while the sender erases its own
+/// entry. Producer-sourced kTagSync messages reuse FlowHandoff as a
+/// handback marker instead (durable = the flow sequence as of the
+/// handback).
 struct SyncEntry {
   std::uint64_t producer = 0;
   std::uint64_t flow = 0;
@@ -148,7 +152,6 @@ struct CoalesceState {
   std::vector<int> redirect;   ///< physical consumer per flow (identity start)
   std::uint64_t seen_failure_epoch = 0;
   std::uint64_t seen_rejoin_epoch = 0;
-  std::uint64_t seen_membership_version = 0;
   /// Last observed incarnation of each flow's *home* rank: a bump while the
   /// redirect still points home means the rank crashed and restarted without
   /// this producer ever noticing — everything sent during the dead window
@@ -156,7 +159,7 @@ struct CoalesceState {
   std::vector<int> flow_incarnation;
   std::uint64_t replayed_elements = 0;
   std::uint32_t failovers = 0;
-  std::uint32_t rebalances = 0;  ///< voluntary moves (rejoin/elastic)
+  std::uint32_t rebalances = 0;  ///< voluntary moves after rejoins
 
   /// Per-flow frame state. A flow is a consumer index: the destination of
   /// a non-resilient stream's elements, or the sequence space of a
@@ -339,10 +342,8 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
       const int w = channel_->comm().world_rank(
           channel_->consumer_rank(static_cast<int>(c)));
       st->flow_incarnation[c] = machine.incarnation(w);
-      // Slots already unavailable (crashed before our first send, or
-      // inactive from birth — elastic spares) start routed around.
-      if (machine.rank_failed(w) ||
-          !channel_->consumer_active(static_cast<int>(c))) {
+      // Slots that crashed before our first send start routed around.
+      if (machine.rank_failed(w)) {
         const int target = resilience::failover_target(
             *channel_, static_cast<int>(c), machine);
         if (target >= 0) st->redirect[c] = target;
@@ -350,7 +351,6 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
     }
     st->seen_failure_epoch = 0;
     st->seen_rejoin_epoch = machine.rejoin_epoch();
-    st->seen_membership_version = channel_->membership_version();
   }
   coalesce_ = std::move(st);
 }
@@ -380,8 +380,9 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
       std::memcpy(p.buf.data() + kFrameOverhead, &eh, sizeof eh);
     }
   }
-  const SubHeader sub{static_cast<std::uint32_t>(el_wire),
-                      static_cast<std::uint32_t>(element.bytes)};
+  const SubHeader sub{
+      static_cast<std::uint32_t>(std::min<std::size_t>(el_wire, kWideWire)),
+      static_cast<std::uint32_t>(element.bytes)};
   const std::size_t at = p.buf.size();
   p.buf.resize(at + kSubOverhead + element.bytes);
   std::memcpy(p.buf.data() + at, &sub, sizeof sub);
@@ -473,14 +474,18 @@ void Stream::inject(mpi::Rank& self, int p, int consumer,
                     mpi::SendBuf element) {
   if (element.on_wire() > element_size_)
     throw std::invalid_argument("Stream::isend: element larger than its datatype");
+  // A sub-record carries the real bytes in 32 bits (and a wide wire size
+  // as kWideWire).
+  if (element.bytes > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("Stream::isend: real payload of 4 GiB or more");
   if (terminated_)
     throw std::logic_error("Stream::isend: stream already terminated");
   ensure_producer_state(self, p);
 
   if (coalesce_->resilient) {
     // Truncate replay logs with any durability progress first (smaller
-    // replays), then react to crashes, rejoins, and membership changes
-    // observed since the last send.
+    // replays), then react to crashes and rejoins observed since the last
+    // send.
     drain_durable_acks(self);
     check_producer_failover(self);
     check_producer_rebalance(self);
@@ -651,13 +656,8 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   }
   if (resilient_) {
     adopted_.assign(consumers, 0);
-    synced_slot_.assign(consumers, 0);
-    slot_active_seen_.resize(consumers);
-    for (std::size_t c = 0; c < consumers; ++c)
-      slot_active_seen_[c] =
-          channel_->consumer_active(static_cast<int>(c)) ? 1 : 0;
-    // A rejoined rank (or a consumer attaching after crashes/retires) must
-    // derive the *current* aggregator, not assume slot 0.
+    // A rejoined rank (or a consumer attaching after crashes) must derive
+    // the *current* aggregator, not assume slot 0.
     effective_aggregator_ =
         resilience::effective_aggregator(*channel_, self.machine());
     if (channel_->tree_termination()) announce_acked_.assign(consumers, 0);
@@ -854,30 +854,24 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
 bool Stream::check_producer_rebalance(mpi::Rank& self) {
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
-  const std::uint64_t re = machine.rejoin_epoch();
-  const std::uint64_t mv = channel_->membership_version();
-  if (st.seen_rejoin_epoch == re && st.seen_membership_version == mv)
-    return false;
-  st.seen_rejoin_epoch = re;
-  st.seen_membership_version = mv;
+  if (st.seen_rejoin_epoch == machine.rejoin_epoch()) return false;
+  st.seen_rejoin_epoch = machine.rejoin_epoch();
 
   bool any = false;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   for (std::size_t flow = 0; flow < consumers; ++flow) {
     const int home_world = channel_->comm().world_rank(
         channel_->consumer_rank(static_cast<int>(flow)));
-    const bool home_dead = machine.rank_failed(home_world);
-    const bool home_ok =
-        !home_dead && channel_->consumer_active(static_cast<int>(flow));
+    // Still away, or dead at home: crashes are check_producer_failover's job.
+    if (machine.rank_failed(home_world)) continue;
     auto& p = st.pending[flow];
     if (st.redirect[flow] != static_cast<int>(flow)) {
-      if (!home_ok) continue;  // still away; adopter crashes are failover's job
-      // Hand the flow back to its rejoined / re-admitted home slot. New
-      // elements go home; the previous owner gets a handback marker telling
-      // it to ship its cursor to the home slot (per-source FIFO puts the
-      // marker after every element it received from us). Only flows this
-      // producer actually uses need a marker — under Block that includes
-      // the zero-send routed flow, whose term root moves with it.
+      // Hand the flow back to its rejoined home slot. New elements go home;
+      // the previous owner gets a handback marker telling it to ship its
+      // cursor to the home slot (per-source FIFO puts the marker after every
+      // element it received from us). Only flows this producer actually
+      // uses need a marker — under Block that includes the zero-send routed
+      // flow, whose term root moves with it.
       const int prev = st.redirect[flow];
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
@@ -894,28 +888,6 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
         ++st.rebalances;
         any = true;
       }
-      continue;
-    }
-    if (!home_ok) {
-      if (home_dead) continue;  // a crash: check_producer_failover's job
-      // The home slot retired while we were routing to it: move the flow to
-      // its failover target. The retiree's own cursor sync establishes the
-      // target's starting point; the handoff + replay only covers elements
-      // the retiree never processed (anything it did process is at or below
-      // the synced cursor and gets dropped as a duplicate).
-      const int target = resilience::failover_target(
-          *channel_, static_cast<int>(flow), machine);
-      if (target < 0)
-        throw std::runtime_error(
-            "stream rebalance: no consumer of the resilient channel is "
-            "available");
-      st.redirect[flow] = target;
-      const int dst_world =
-          channel_->comm().world_rank(channel_->consumer_rank(target));
-      if (p.elements > 0) p.dst_world = dst_world;
-      replay_flow(self, flow, dst_world);
-      ++st.rebalances;
-      any = true;
       continue;
     }
     const int inc = machine.incarnation(home_world);
@@ -938,37 +910,23 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
   auto& machine = self.machine();
   const std::uint64_t fe = machine.failure_epoch();
   const std::uint64_t re = machine.rejoin_epoch();
-  const std::uint64_t mv = channel_->membership_version();
-  if (consumer_failure_epoch_ == fe && consumer_rejoin_epoch_ == re &&
-      consumer_membership_version_ == mv)
-    return;
+  if (consumer_failure_epoch_ == fe && consumer_rejoin_epoch_ == re) return;
   consumer_failure_epoch_ = fe;
   consumer_rejoin_epoch_ = re;
-  consumer_membership_version_ = mv;
 
   const int consumers = channel_->consumer_count();
   for (int c = 0; c < consumers; ++c) {
     const auto cz = static_cast<std::size_t>(c);
-    const bool dead = machine.rank_failed(
-        channel_->comm().world_rank(channel_->consumer_rank(c)));
-    const bool active = channel_->consumer_active(c);
-    const bool was_active = slot_active_seen_[cz] != 0;
-    slot_active_seen_[cz] = active ? 1 : 0;
-    if (c == my_consumer_ || adopted_[cz] != 0) continue;
     // After the release no flow moves any more: the producers have retired
     // their replay logs, so an adopted flow could never be satisfied.
-    if (released_ || (!dead && active)) continue;
-    if (resilience::failover_target(*channel_, c, machine) != my_consumer_)
+    if (c == my_consumer_ || adopted_[cz] != 0 || released_) continue;
+    const int world = channel_->comm().world_rank(channel_->consumer_rank(c));
+    if (!machine.rank_failed(world) ||
+        resilience::failover_target(*channel_, c, machine) != my_consumer_)
       continue;
     adopted_[cz] = 1;
     // A freshly owned slot may have unmet counts: re-derive the verdict.
     matrix_satisfied_ = false;
-    // Adoption by *retire* (the slot's rank is alive — it deactivated
-    // voluntarily): block for the retiree's cursor sync before touching any
-    // replayed data of the flow. The retiree already processed the
-    // undurable elements the producers are about to replay here; admitting
-    // them before the cursor arrives would double-process them.
-    if (!dead && was_active) await_rebalance_sync(self, c);
   }
   if (channel_->tree_termination()) {
     const int aggregator =
@@ -1053,7 +1011,7 @@ void Stream::send_announce_ack(mpi::Rank& self, int to_world) {
 }
 
 void Stream::progress_termination(mpi::Rank& self) {
-  if (retired_ || released_) return;
+  if (released_) return;
   const bool tree = channel_->tree_termination();
   const bool root = !tree || my_consumer_ == effective_aggregator_;
   if (!counts_known_) {
@@ -1079,7 +1037,7 @@ void Stream::progress_termination(mpi::Rank& self) {
     // once everything it owes the matrix is consumed, run the flush hook so
     // it is also durable, then commit. The hook may suspend the fiber; if
     // an adoption lands meanwhile the ack stays owed — the aggregator's
-    // membership-keyed re-announce re-collects the barrier anyway.
+    // crash/rejoin-keyed re-announce re-collects the barrier anyway.
     if (announce_ack_owed_to_ < 0 || !matrix_satisfied_) return;
     durable_point_();
     if (!matrix_satisfied_) return;
@@ -1092,13 +1050,12 @@ void Stream::progress_termination(mpi::Rank& self) {
   if (channel_->config().manual_durability && durable_point_) {
     // The root certifies its own durability last: everything it owes the
     // matrix is consumed and flushed before the release commits. The hook
-    // may suspend (file I/O); if membership moved under the flush, bail and
-    // let the next receive step re-derive the state first.
+    // may suspend (file I/O); if a crash or rejoin landed under the flush,
+    // bail and let the next receive step re-derive the state first.
     durable_point_();
     auto& machine = self.machine();
     if (!matrix_satisfied_ || machine.failure_epoch() != consumer_failure_epoch_ ||
-        machine.rejoin_epoch() != consumer_rejoin_epoch_ ||
-        channel_->membership_version() != consumer_membership_version_)
+        machine.rejoin_epoch() != consumer_rejoin_epoch_)
       return;
   }
   release(self);
@@ -1225,110 +1182,39 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
     if (flow < 0 || flow >= channel_->consumer_count() ||
         flow == my_consumer_)
       return;
-    send_rebalance_sync(self, flow, flow, status.source);
+    send_rebalance_sync(self, flow, status.source);
     if (adopted_[static_cast<std::size_t>(flow)] != 0) {
       // The flow's producers now report to the home slot.
       adopted_[static_cast<std::size_t>(flow)] = 0;
-      synced_slot_[static_cast<std::size_t>(flow)] = 0;
       recount_rooted(self);
     }
     return;
   }
-  // Cursor sync from another consumer (a retiree handing over its slots, or
-  // an adopter answering a handback marker): adopt the carried cursors.
-  const std::size_t n = payload.size() / sizeof(SyncEntry);
-  for (std::size_t i = 0; i < n; ++i) {
-    SyncEntry e;
-    std::memcpy(&e, payload.data() + i * sizeof(SyncEntry), sizeof e);
-    const int p = static_cast<int>(e.producer);
-    const int flow = static_cast<int>(e.flow);
-    if (p < 0 || p >= producers || flow < 0 ||
-        flow >= channel_->consumer_count())
-      continue;
-    synced_slot_[static_cast<std::size_t>(flow)] = 1;
-    if (e.next > 0) dedup_.advance_to(p, flow, e.next);
-  }
+  // Cursor sync from the adopter answering a handback marker: adopt it.
+  if (payload.size() < sizeof(SyncEntry)) return;
+  SyncEntry e;
+  std::memcpy(&e, payload.data(), sizeof e);
+  const int p = static_cast<int>(e.producer);
+  const int flow = static_cast<int>(e.flow);
+  if (p < 0 || p >= producers || flow < 0 || flow >= channel_->consumer_count())
+    return;
+  dedup_.advance_to(p, flow, e.next);
   update_matrix_exhaustion(self);
 }
 
-void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
-                                 int only_producer) {
+void Stream::send_rebalance_sync(mpi::Rank& self, int flow, int producer) {
+  const std::uint64_t next = dedup_.next_seq(producer, flow);
+  dedup_.erase(producer, flow);
+  durable_acked_.erase(resilience::DedupFilter::key(producer, flow));
+  if (next == 0) return;  // nothing consumed: the home slot starts at 0
+  const SyncEntry entry{static_cast<std::uint64_t>(producer),
+                        static_cast<std::uint64_t>(flow), next};
   auto& machine = self.machine();
-  const int producers = channel_->producer_count();
-  std::vector<SyncEntry> entries;
-  for (int p = 0; p < producers; ++p) {
-    if (only_producer >= 0 && p != only_producer) continue;
-    const std::uint64_t next = dedup_.next_seq(p, flow);
-    dedup_.erase(p, flow);
-    durable_acked_.erase(resilience::DedupFilter::key(p, flow));
-    if (next == 0) continue;
-    entries.push_back(SyncEntry{static_cast<std::uint64_t>(p),
-                                static_cast<std::uint64_t>(flow), next});
-  }
-  // A retiring consumer's sync must arrive even when it carries nothing —
-  // the adopter blocks on it; a bare entry marks the handover.
-  if (entries.empty()) {
-    if (only_producer >= 0) return;  // marker replies may stay silent
-    entries.push_back(SyncEntry{0, static_cast<std::uint64_t>(flow), 0});
-  }
   self.process().advance(machine.config().network.send_overhead);
   machine.post_send(context_, channel_->consumer_rank(my_consumer_),
                     self.world_rank(),
-                    channel_->comm().world_rank(channel_->consumer_rank(target)),
-                    kTagSync,
-                    mpi::SendBuf::of(entries.data(), entries.size()));
-}
-
-void Stream::await_rebalance_sync(mpi::Rank& self, int retiree_flow) {
-  auto& machine = self.machine();
-  const int src = channel_->consumer_rank(retiree_flow);
-  while (synced_slot_[static_cast<std::size_t>(retiree_flow)] == 0) {
-    // A local borrow: this may run while message_ holds a frame mid-drain.
-    auto req = machine.post_recv(context_, self.world_rank(), src, kTagSync,
-                                 mpi::RecvBuf::borrowed(), {},
-                                 /*fused_wake=*/true);
-    self.wait(req);
-    const auto sync = std::move(req->message);
-    handle_sync(self, req->status, payload_of(sync));
-  }
-}
-
-void Stream::retire(mpi::Rank& self) {
-  if (channel_ == nullptr || !channel_->config().resilient())
-    throw std::logic_error(
-        "Stream::retire: elastic membership needs a resilient channel");
-  ensure_consumer_state(self);
-  if (retired_) return;
-  auto& machine = self.machine();
-  // Everything consumed so far becomes the successor's starting point; under
-  // manual durability, retiring asserts the application made it durable.
-  flush_durable_acks(self);
-  // Deactivate first: the failover targets computed below then match what
-  // producers compute when they observe the version bump. (Throws for the
-  // effective aggregator — it must keep servicing the protocol.)
-  channel_->retire_consumer(self, my_consumer_);
-  slot_active_seen_[static_cast<std::size_t>(my_consumer_)] = 0;
-  const int consumers = channel_->consumer_count();
-  for (int s = 0; s < consumers; ++s) {
-    const auto sz = static_cast<std::size_t>(s);
-    if (s != my_consumer_ && adopted_[sz] == 0) continue;
-    const int target = resilience::failover_target(*channel_, s, machine);
-    if (target >= 0 && target != my_consumer_)
-      send_rebalance_sync(self, target, s);
-    adopted_[sz] = 0;
-  }
-  if (channel_->tree_termination()) {
-    // Courtesy ack so the aggregator's release barrier stops waiting on us
-    // (recomputed post-deactivation, so it can never be this slot).
-    const int agg = resilience::effective_aggregator(*channel_, machine);
-    if (agg >= 0 && agg != my_consumer_)
-      send_announce_ack(
-          self, channel_->comm().world_rank(channel_->consumer_rank(agg)));
-  }
-  if (!credit_pending_.empty()) flush_all_credits(self);
-  retired_ = true;
-  self.process().trace_instant("retire");
-  flush_metrics(self);
+                    channel_->comm().world_rank(channel_->consumer_rank(flow)),
+                    kTagSync, mpi::SendBuf::of(&entry, 1));
 }
 
 void Stream::drain_durable_acks(mpi::Rank& self) {
@@ -1404,6 +1290,9 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   SubHeader sub;
   std::memcpy(&sub, frame + frame_cursor_, sizeof sub);
   const std::size_t data_at = frame_cursor_ + kSubOverhead;
+  // A wide element is its frame's only one: the rest of the frame is it.
+  const std::size_t wire =
+      sub.wire == kWideWire ? message_->bytes - data_at : sub.wire;
   // The element is consumed once unpacked — cursor and counts move before
   // the operator runs, so a throwing operator leaves the frame walkable.
   const std::uint64_t seq = frame_seq0_ + (frame_elements_ - frame_left_);
@@ -1417,7 +1306,7 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   if (admit) {
     ++processed_data_;
     if (operator_) {
-      StreamElement el{sub.data > 0 ? frame + data_at : nullptr, sub.wire,
+      StreamElement el{sub.data > 0 ? frame + data_at : nullptr, wire,
                        frame_source_};
       operator_(el);
     }
@@ -1516,10 +1405,9 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
 // Inline: operate_while runs this once per element.
 inline Stream::RecvStep Stream::receive_step(
     mpi::Rank& self, const std::function<bool()>& keep_going, bool wait) {
-  // Re-react to crashes, rejoins, and membership changes before judging
-  // exhaustion: any of them may be exactly what moves termination (an
-  // adoption, a takeover of the aggregator role, a dead producer's waived
-  // term).
+  // Re-react to crashes and rejoins before judging exhaustion: either may
+  // be exactly what moves termination (an adoption, a takeover of the
+  // aggregator role, a dead producer's waived term).
   if (resilient_) check_consumer_failover(self);
   progress_termination(self);
   if (exhausted() || (keep_going && !keep_going())) return RecvStep::Stop;

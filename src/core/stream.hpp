@@ -75,7 +75,7 @@
 //
 // Resilient termination adds the release to the state machine above, which
 // covers the remaining failure-matrix cells — producer crash, root crash
-// mid-protocol, rank rejoin, elastic membership:
+// mid-protocol, rank rejoin:
 //
 //  * A terminating producer blocks until its root releases it, re-sending
 //    its counted term whenever the root moves (a failover or handback of
@@ -83,8 +83,8 @@
 //    and servicing durable acks, failover and rebalancing while it waits.
 //    Rows are recorded idempotently, so re-sent terms are harmless.
 //  * The root releases once its own count cells are satisfied, its
-//    distribution is collected (on trees: every live+active consumer has
-//    acked the announced matrix — its nonzero cells, or the dense matrix
+//    distribution is collected (on trees: every live consumer has acked
+//    the announced matrix — its nonzero cells, or the dense matrix
 //    when that is no larger; the fabric charges the full P x C counts
 //    either way) and its durable point, if registered, has run. The release
 //    goes to the producers it roots and, on trees, to every consumer, in
@@ -97,17 +97,15 @@
 //  * Per-(producer, flow) accounting means a dead producer's lost tail can
 //    never mask a live producer's in-flight data.
 //
-// Rejoin and elastic membership ride the same machinery: when a crashed
-// rank restarts (Machine::restart_rank) or a retired slot is re-admitted
-// (Channel::admit_consumer), producers observe the rejoin epoch /
-// membership version at their next stream operation, point the flow back at
-// its home slot, and send the previous owner a handback marker; the owner
-// replies to the home slot with a RebalanceSync carrying its dedup cursors
-// (and erases them — the dedup filter's memory bound), so the rejoined
-// consumer resumes exactly where its predecessor stopped. A consumer leaves
-// voluntarily with Stream::retire(): it flushes durable acks, deactivates
-// its slot in the shared membership ledger, and hands each owned flow to
-// its failover target with a cursor sync before exiting.
+// Membership has one signal, the machine's failure record: consumers leave
+// only by crashing and return only by restarting. Rejoin rides the failover
+// machinery: when a crashed rank restarts (Machine::restart_rank),
+// producers observe the rejoin epoch at their next stream operation, point
+// the flow back at its home slot, and send the previous owner a handback
+// marker; the owner replies to the home slot with a cursor sync carrying
+// its dedup cursor for that producer's flow (and erases it — the dedup
+// filter's memory bound), so the rejoined consumer resumes exactly where
+// its predecessor stopped.
 //
 // Instrumentation: Stream::stats() returns this rank's counters on the
 // stream as one StreamStats value, readable at any time. When the rank's
@@ -171,8 +169,9 @@ struct StreamStats {
   std::uint64_t retained_elements = 0;
   /// Flow rebinds after consumer crashes.
   std::uint32_t failovers = 0;
-  /// Voluntary flow moves for rank rejoins and elastic membership changes
-  /// (handbacks to a rejoined or re-admitted slot, moves off a retired one).
+  /// Voluntary flow moves for rank rejoins: handbacks to a rejoined home
+  /// slot, and resynchronizations of a home slot that crashed and restarted
+  /// unobserved.
   std::uint32_t rebalances = 0;
   /// Current effective frame budget in wire bytes (self-tuned when
   /// ChannelConfig::flow_autotune is on); 0 before the first stream
@@ -191,8 +190,8 @@ struct StreamStats {
   /// Duplicate deliveries the exactly-once filter suppressed.
   std::uint64_t duplicates_dropped = 0;
   /// Live (producer, flow) cursor entries in the exactly-once filter.
-  /// Handbacks and retirement erase entries, so this stays bounded by the
-  /// flows a consumer currently owns rather than growing with churn.
+  /// Handbacks erase entries, so this stays bounded by the flows a consumer
+  /// currently owns rather than growing with crash/rejoin churn.
   std::uint64_t dedup_entries = 0;
   /// Durability acknowledgments sent.
   std::uint64_t durable_acks = 0;
@@ -219,9 +218,11 @@ class Stream {
                                      Operator op, std::uint64_t stream_id = 0);
 
   /// Producer: asynchronously inject one element (paper's MPIStream_Isend).
-  /// `element.bytes` must not exceed the element type's size. Charges the
-  /// per-element overhead and sender overhead; returns without blocking on
-  /// delivery. Routed by the channel's mapping policy.
+  /// `element.bytes` must not exceed the element type's size; a real
+  /// payload of 4 GiB (2^32 bytes) or more throws std::length_error, while
+  /// a modeled wire size may be larger. Charges the per-element overhead
+  /// and sender overhead; returns without blocking on delivery. Routed by
+  /// the channel's mapping policy.
   void isend(mpi::Rank& self, mpi::SendBuf element);
 
   /// Producer: inject one element addressed to a specific consumer index
@@ -287,14 +288,6 @@ class Stream {
     durable_point_ = std::move(hook);
   }
 
-  /// Consumer (resilient streams): leave the channel voluntarily. Flushes
-  /// durable acks, deactivates this slot in the shared membership ledger,
-  /// hands every owned flow to its failover target with a cursor sync, and
-  /// marks the stream exhausted so operate() returns. Producers observe the
-  /// membership change at their next stream operation and re-route; the
-  /// effective aggregator cannot retire (Channel::retire_consumer throws).
-  void retire(mpi::Rank& self);
-
   [[nodiscard]] std::size_t element_size() const noexcept { return element_size_; }
   [[nodiscard]] const Channel& channel() const noexcept { return *channel_; }
   /// This rank's counters on this stream, as one value.
@@ -302,10 +295,8 @@ class Stream {
   /// True once the stream's termination protocol has completed for this
   /// consumer: its counts are known and satisfied — every counted element
   /// processed (non-resilient), or every (live producer, owned flow) cursor
-  /// at its count and the release passed (resilient). A retired consumer is
-  /// exhausted by definition.
+  /// at its count and the release passed (resilient).
   [[nodiscard]] bool exhausted() const noexcept {
-    if (retired_) return true;
     if (!counts_known_) return false;
     return resilient_ ? matrix_satisfied_ && released_
                       : processed_data_ >= expected_data_;
@@ -371,17 +362,16 @@ class Stream {
   /// flows to their failover targets, retarget pending frames, and replay
   /// retained frames. Returns true when at least one flow was rebound.
   bool check_producer_failover(mpi::Rank& self);
-  /// Producer: react to rank rejoins and elastic membership changes — hand
-  /// redirected flows back to a rejoined/re-admitted home slot (with a
-  /// handback marker to the previous owner), move flows off a retired slot,
-  /// and resynchronize (handoff + full undurable replay) with a home slot
-  /// whose rank crashed and restarted without the redirect ever moving.
-  /// Returns true when at least one flow moved.
+  /// Producer: react to rank rejoins — hand redirected flows back to a
+  /// rejoined home slot (with a handback marker to the previous owner), and
+  /// resynchronize (handoff + full undurable replay) with a home slot whose
+  /// rank crashed and restarted without the redirect ever moving. Returns
+  /// true when at least one flow moved.
   bool check_producer_rebalance(mpi::Rank& self);
-  /// Consumer: react to newly observed crashes, rejoins, and membership
-  /// changes — adopt dead/retired consumers' flows this rank is the
-  /// failover target of (until it is released), re-derive the effective
-  /// aggregator, and recount the terms this consumer is still owed.
+  /// Consumer: react to newly observed crashes and rejoins — adopt dead
+  /// consumers' flows this rank is the failover target of (until it is
+  /// released), re-derive the effective aggregator, and recount the terms
+  /// this consumer is still owed.
   void check_consumer_failover(mpi::Rank& self);
   /// Producer: the consumer index its term goes to — the current owner of
   /// its flow under Block, the (effective) aggregator on trees.
@@ -397,7 +387,7 @@ class Stream {
   /// distribute, and (resilient roots) release.
   void progress_termination(mpi::Rank& self);
   /// Resilient tree root: (re-)announce the count matrix; true once every
-  /// live+active consumer has acked it.
+  /// live consumer has acked it.
   bool announce_collected(mpi::Rank& self);
   /// Resilient root: release the producers it roots (and, on trees, every
   /// consumer) in one atomic fiber step.
@@ -418,19 +408,14 @@ class Stream {
   /// Producer: hand one flow to `dst_world` — durable point first, then the
   /// retained undurable frames, verbatim.
   void replay_flow(mpi::Rank& self, std::size_t flow, int dst_world);
-  /// Consumer: apply/emit rebalance messages. handle_sync dispatches an
-  /// incoming kTagSync (producer handback marker or consumer cursor sync);
-  /// send_rebalance_sync ships the (producer, `flow`) cursors this rank
-  /// holds to consumer `target` and erases the local entries (all producers,
-  /// or just `only_producer` when answering a single handback marker).
+  /// Consumer: apply/emit rejoin handback messages. handle_sync dispatches
+  /// an incoming kTagSync (producer handback marker or consumer cursor
+  /// sync); send_rebalance_sync answers one marker: it ships the
+  /// (`producer`, `flow`) cursor this rank holds to `flow`'s home slot and
+  /// erases the local entry.
   void handle_sync(mpi::Rank& self, const mpi::Status& status,
                    Payload payload);
-  void send_rebalance_sync(mpi::Rank& self, int target, int flow,
-                           int only_producer = -1);
-  /// Consumer: block until the live retiree owning `flow` has delivered its
-  /// cursor sync (adoption-by-retire must not admit replayed elements the
-  /// retiree already processed).
-  void await_rebalance_sync(mpi::Rank& self, int retiree_flow);
+  void send_rebalance_sync(mpi::Rank& self, int flow, int producer);
   /// Producer: consume pending durability acknowledgments, truncating logs.
   void drain_durable_acks(mpi::Rank& self);
   /// Consumer: one durability ack for (producer, flow) up to sequence `upto`.
@@ -448,7 +433,7 @@ class Stream {
     Stop       ///< exhausted, `keep_going` said stop, or nothing to poll
   };
   /// The one consumer receive step behind operate_while and poll_one:
-  /// resilient streams first react to membership events and drive the
+  /// resilient streams first react to crashes and rejoins and drive the
   /// termination protocol; then, unless the stream is exhausted or
   /// `keep_going` (when set) says stop, the open frame's next element goes
   /// to the operator, or receive_message takes the next message.
@@ -460,7 +445,7 @@ class Stream {
   RecvStep receive_message(mpi::Rank& self, bool wait);
   /// Lifecycle flush into the machine's metrics registry (ds::obs): once,
   /// when this rank's role completes (a producer's terminate, a consumer's
-  /// exhaustion or retirement), add the role's stats() counters under their
+  /// exhaustion), add the role's stats() counters under their
   /// `stream.*` names — the per-element hot path never touches the registry.
   void flush_metrics(mpi::Rank& self);
 
@@ -520,10 +505,7 @@ class Stream {
   resilience::DedupFilter dedup_;
   std::uint64_t consumer_failure_epoch_ = 0;  ///< last crash count reacted to
   std::uint64_t consumer_rejoin_epoch_ = 0;   ///< last restart count reacted to
-  std::uint64_t consumer_membership_version_ = 0;  ///< last ledger version seen
   std::vector<std::uint8_t> adopted_;  ///< dead consumers whose flows I took
-  std::vector<std::uint8_t> slot_active_seen_;  ///< last observed active bits
-  std::vector<std::uint8_t> synced_slot_;  ///< retiree cursor sync applied
   /// Tree root: Channel::term_aggregator(), re-derived after crashes on
   /// resilient channels.
   int effective_aggregator_ = 0;
@@ -532,7 +514,6 @@ class Stream {
   std::uint64_t durable_acks_sent_ = 0;
 
   // termination state machine
-  bool retired_ = false;   ///< this consumer left via retire()
   /// Per producer: its final row is known (term received, or announced).
   std::vector<std::uint8_t> term_from_;
   /// The (producer x flow) count matrix, nonzero cells only: gathered row
@@ -552,7 +533,7 @@ class Stream {
   /// waits for the durable point), or -1.
   int announce_ack_owed_to_ = -1;
 
-  /// Resilient idle wait: sleep until the next arrival or membership event
+  /// Resilient idle wait: sleep until the next arrival, crash or rejoin
   /// (probe + failure waiters), unwinding first if this rank has crashed.
   /// `what` names the wait in deadlock reports.
   void park(mpi::Rank& self, const char* what);
@@ -588,20 +569,19 @@ class Stream {
   static constexpr int kTagHandoff = 5;
   /// Aggregator -> consumers: the (producer x flow) count matrix, encoded
   /// by resilience::CountMatrix (the distribution of resilient trees).
-  /// Idempotent; resent after membership changes until acked.
+  /// Idempotent; resent after crashes and rejoins until acked.
   static constexpr int kTagAnnounce = 6;
-  /// Consumer -> aggregator: matrix received (or a retiring consumer's
-  /// courtesy "don't wait for me").
+  /// Consumer -> aggregator: matrix received.
   static constexpr int kTagAnnounceAck = 7;
   /// Root -> its producers (and, on trees, every consumer): the release.
   /// Sent to producers on durable_context_ (their wait loop probes there)
   /// and to consumers on context_, in one atomic fiber step.
   static constexpr int kTagRelease = 8;
-  /// Rebalance traffic (context_). From a producer: a handback marker — flow
-  /// f returns to its home slot as of the carried sequence; the receiving
-  /// owner replies to the home slot with its cursors. From a consumer: a
-  /// RebalanceSync — dedup cursor entries the receiver adopts (and the
-  /// sender erases).
+  /// Rejoin handback traffic (context_). From a producer: a handback marker
+  /// — flow f returns to its home slot as of the carried sequence; the
+  /// receiving owner replies to the home slot with that producer's cursor.
+  /// From a consumer: that cursor sync — one dedup cursor entry the
+  /// receiver adopts (and the sender erases).
   static constexpr int kTagSync = 9;
 };
 

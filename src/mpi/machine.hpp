@@ -16,7 +16,6 @@
 #include "obs/obs.hpp"
 #include "resilience/agreement.hpp"
 #include "resilience/fault.hpp"
-#include "resilience/membership.hpp"
 #include "sim/engine.hpp"
 
 namespace ds::mpi {
@@ -195,14 +194,6 @@ class Machine {
   /// (credit/term waits) that must re-evaluate routing when membership moves.
   void add_failure_waiter(int pid);
 
-  /// Fetch-or-create the shared membership ledger for a channel context —
-  /// the elastic-membership counterpart of the failure record. Every rank
-  /// that creates or attaches to the same channel receives the same ledger,
-  /// so a runtime retire/admit of a consumer slot is observed consistently
-  /// (at each rank's next poll) without extra coordination messages.
-  [[nodiscard]] std::shared_ptr<resilience::MembershipLedger>
-  membership_ledger(std::uint64_t context, int consumer_slots);
-
   /// Fetch-or-create the shared agreement ledger for one Rank::agree
   /// instance (`key` = context derived from the communicator and the
   /// per-context agreement sequence number, so every participant of the
@@ -247,9 +238,6 @@ class Machine {
   std::uint64_t failure_epoch_ = 0;
   std::uint64_t rejoin_epoch_ = 0;
   std::vector<int> failure_waiters_;  ///< pids to wake on the next crash/rejoin
-  /// Per-channel-context membership ledgers (see membership_ledger).
-  std::unordered_map<std::uint64_t, std::shared_ptr<resilience::MembershipLedger>>
-      ledgers_;
   /// Live agreement ledgers (see agreement()); erased when read out.
   std::unordered_map<std::uint64_t, std::shared_ptr<resilience::Agreement>>
       agreements_;

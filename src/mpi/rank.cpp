@@ -34,7 +34,7 @@ Request Rank::isend(const Comm& comm, int dst, int tag, SendBuf data) {
 
 Request Rank::irecv(const Comm& comm, int src, int tag, RecvBuf out) {
   machine_->ensure_alive(world_rank_);
-  require_member(comm, world_rank_, "irecv");
+  (void)require_member(comm, world_rank_, "irecv");
   if (tag != kAnyTag && tag < kMinUserTag)
     throw std::invalid_argument("irecv: user tags must be >= 0 or kAnyTag");
   // Deliberately not failure-aware (src_world stays kAnySource): a posted
@@ -120,7 +120,7 @@ std::size_t Rank::wait_any(std::span<const Request> reqs) {
 }
 
 Status Rank::probe(const Comm& comm, int src, int tag) {
-  require_member(comm, world_rank_, "probe");
+  (void)require_member(comm, world_rank_, "probe");
   Status st;
   const sim::SpanScope span(*process_, obs::SpanKind::RecvBlocked, "probe");
   while (!machine_->match_probe(comm.context(), world_rank_, src, tag, &st)) {
@@ -134,7 +134,7 @@ Status Rank::probe(const Comm& comm, int src, int tag) {
 }
 
 bool Rank::iprobe(const Comm& comm, int src, int tag, Status* status) {
-  require_member(comm, world_rank_, "iprobe");
+  (void)require_member(comm, world_rank_, "iprobe");
   return machine_->match_probe(comm.context(), world_rank_, src, tag, status);
 }
 

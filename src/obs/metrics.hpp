@@ -10,8 +10,8 @@
 //
 // Two feeding modes:
 //  * lifecycle flush — runtime objects (streams) add their totals once,
-//    when a role completes (producer terminate, consumer exhaustion or
-//    retirement), keeping the per-element hot path untouched;
+//    when a role completes (producer terminate, consumer exhaustion),
+//    keeping the per-element hot path untouched;
 //  * collectors — callbacks registered by the machine that snapshot
 //    pull-style state (fabric link bytes/occupancy, op-pool stats, engine
 //    event count) when the registry is collected/dumped.

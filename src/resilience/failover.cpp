@@ -178,7 +178,7 @@ bool CountMatrix::decode(std::span<const std::byte> payload) {
 bool consumer_available(const stream::Channel& channel, int c,
                         const mpi::Machine& machine) {
   const int world = channel.comm().world_rank(channel.consumer_rank(c));
-  return !machine.rank_failed(world) && channel.consumer_active(c);
+  return !machine.rank_failed(world);
 }
 
 int failover_target(const stream::Channel& channel, int dead_consumer,

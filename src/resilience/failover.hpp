@@ -199,18 +199,16 @@ class CountMatrix {
 };
 
 /// True when consumer slot `c` is available: its rank is live in
-/// `machine`'s failure record and the slot is active in the channel's
-/// membership ledger.
+/// `machine`'s failure record, the only membership signal.
 [[nodiscard]] bool consumer_available(const stream::Channel& channel, int c,
                                       const mpi::Machine& machine);
 
 /// The deterministic adoption rule, topology-aware: the first available
 /// consumer after `dead_consumer` (cyclically) that shares its node, else
 /// the first available consumer anywhere. "Available" means the slot's rank
-/// is live in `machine`'s failure record AND the slot is active in the
-/// channel's membership ledger — so the same rule serves crash failover,
-/// rank rejoin (the rule re-admits a respawned rank automatically), and
-/// elastic retire/add. With no locality (ranks_per_node = 0) — or when all
+/// is live in `machine`'s failure record, so the same rule serves crash
+/// failover and rank rejoin (the rule re-admits a respawned rank
+/// automatically). With no locality (ranks_per_node = 0) — or when all
 /// consumers share one node — this is exactly the plain cyclic-next rule.
 /// Returns -1 when no consumer of the channel is available (unrecoverable).
 [[nodiscard]] int failover_target(const stream::Channel& channel,
@@ -218,8 +216,8 @@ class CountMatrix {
                                   const mpi::Machine& machine);
 
 /// Who aggregates producer terms on a resilient channel: the first
-/// available (live + active) consumer index (consumer 0 while it
-/// survives). -1 when no consumer is available.
+/// available (live) consumer index (consumer 0 while it survives). -1 when
+/// no consumer is available.
 [[nodiscard]] int effective_aggregator(const stream::Channel& channel,
                                        const mpi::Machine& machine);
 

@@ -194,23 +194,6 @@ TEST(PicIo, DecoupledWritesEverything) {
   EXPECT_EQ(result.file_bytes, expected);
 }
 
-TEST(PicIo, NodeAwarePlacementWritesIdenticalBytes) {
-  // Moving the writeback group to the tail ranks of each node changes who
-  // writes, not what: same helper count (ceil(ranks_per_node / stride) per
-  // node here equals the interleaved split's), same bytes on disk.
-  PicIoConfig cfg;
-  cfg.particles_per_rank = 500;
-  cfg.steps = 2;
-  cfg.stride = 4;
-  auto machine = testing::tiny_machine(8);
-  machine.network.ranks_per_node = 4;
-  const auto interleaved = run_pic_io(IoVariant::Decoupled, cfg, machine);
-  cfg.node_aware_placement = true;
-  const auto placed = run_pic_io(IoVariant::Decoupled, cfg, machine);
-  EXPECT_GT(placed.file_bytes, 0u);
-  EXPECT_EQ(placed.file_bytes, interleaved.file_bytes);
-}
-
 TEST(PicIo, AllVariantsWriteSameTotalBytes) {
   PicIoConfig cfg;
   cfg.particles_per_rank = 500;

@@ -441,6 +441,53 @@ TEST(Stream, ModeledElementsLargerThanHostMemoryStream) {
   }
 }
 
+TEST(Stream, ElementsOf4GiBOrMoreReportTheirExactSize) {
+  // A sub-record stores the wire size in 32 bits. An element too wide for
+  // it travels alone in its frame and takes its size from the frame's, with
+  // and without the resilient epoch header.
+  constexpr std::size_t k4GiB = std::size_t{1} << 32;
+  for (const std::uint32_t checkpoint : {0u, 4u}) {
+    SCOPED_TRACE(checkpoint);
+    std::vector<std::size_t> sizes;
+    testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+      const bool producer = self.world_rank() == 0;
+      ChannelConfig cfg;
+      cfg.checkpoint_interval = checkpoint;
+      const Channel ch =
+          Channel::create(self, self.world(), producer, !producer, cfg);
+      Stream s = Stream::attach(
+          ch, mpi::Datatype::bytes(k4GiB + 64),
+          [&](const StreamElement& el) { sizes.push_back(el.bytes); });
+      if (producer) {
+        for (const std::size_t n : {k4GiB + 64, k4GiB - 1, std::size_t{64}})
+          s.isend(self, SendBuf::synthetic(n));
+        s.terminate(self);
+      } else {
+        (void)s.operate(self);
+      }
+    });
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{k4GiB + 64, k4GiB - 1, 64}));
+  }
+}
+
+TEST(Stream, RealPayloadOf4GiBRejected) {
+  // Real bytes travel with a 32-bit length: a payload that long is refused
+  // before any of it is read (the buffer here is deliberately tiny).
+  constexpr std::size_t k4GiB = std::size_t{1} << 32;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(k4GiB), {});
+    if (producer) {
+      const std::uint64_t x = 0;
+      EXPECT_THROW(s.isend(self, SendBuf{&x, k4GiB, 0}), std::length_error);
+      s.terminate(self);
+    } else {
+      (void)s.operate(self);
+    }
+  });
+}
+
 /// How a consumer leaves a frame it has only partly drained.
 enum class MidFrame { OperateWhile, PollOne, Crash };
 

@@ -96,11 +96,11 @@ TEST(Cart, MooreNeighborhoodPeriodicSmallGrid) {
 TEST(Cart, InvalidInputsThrow) {
   EXPECT_THROW(CartTopology({0, 1, 1}, {false, false, false}),
                std::invalid_argument);
-  EXPECT_THROW(CartTopology::dims_create(0), std::invalid_argument);
+  EXPECT_THROW((void)CartTopology::dims_create(0), std::invalid_argument);
   const CartTopology cart({2, 2, 2}, {false, false, false});
-  EXPECT_THROW(cart.coords_of(8), std::out_of_range);
-  EXPECT_THROW(cart.rank_of({2, 0, 0}), std::out_of_range);
-  EXPECT_THROW(cart.neighbor(0, 3, 1), std::out_of_range);
+  EXPECT_THROW((void)cart.coords_of(8), std::out_of_range);
+  EXPECT_THROW((void)cart.rank_of({2, 0, 0}), std::out_of_range);
+  EXPECT_THROW((void)cart.neighbor(0, 3, 1), std::out_of_range);
 }
 
 }  // namespace

@@ -66,10 +66,12 @@ TEST(CollectivesFailure, BarrierSurvivesCrashAtEveryRound) {
       (void)self.barrier(self.world());
       completed[static_cast<std::size_t>(self.world_rank())] = 1;
     });
-    for (int r = 0; r < kP; ++r)
-      if (r != kVictim)
+    for (int r = 0; r < kP; ++r) {
+      if (r != kVictim) {
         EXPECT_TRUE(completed[static_cast<std::size_t>(r)])
             << "rank " << r << " hung, crash at " << at;
+      }
+    }
   }
 }
 
@@ -86,7 +88,9 @@ TEST(CollectivesFailure, BcastSurvivesCrashAtEveryRound) {
       const Status st = self.bcast(self.world(), kRoot, RecvBuf::of(&v, 1));
       // ULFM outcome contract: data of a failed broadcast is undefined, but
       // a member that completed clean must hold the root's value.
-      if (!st.failed) EXPECT_EQ(v, 99) << "crash at " << at;
+      if (!st.failed) {
+        EXPECT_EQ(v, 99) << "crash at " << at;
+      }
     });
   }
 }
@@ -121,7 +125,9 @@ TEST(CollectivesFailure, AllreduceSurvivesCrashAtEveryRound) {
       long long out = 0;
       const Status st = self.allreduce(self.world(), SendBuf::of(&mine, 1),
                                        &out, mpi::reduce_sum<long long>());
-      if (!st.failed) EXPECT_EQ(out, expected) << "crash at " << at;
+      if (!st.failed) {
+        EXPECT_EQ(out, expected) << "crash at " << at;
+      }
     });
   }
 }
@@ -141,9 +147,10 @@ TEST(CollectivesFailure, AllgathervSurvivesCrashAtEveryRound) {
       std::vector<std::int32_t> out(kP, -1);
       const Status st = self.allgatherv(self.world(), SendBuf::of(&mine, 1),
                                         out.data(), counts);
-      if (!st.failed)
+      if (!st.failed) {
         for (int r = 0; r < kP; ++r)
           EXPECT_EQ(out[static_cast<std::size_t>(r)], r) << "crash at " << at;
+      }
     });
   }
 }
@@ -327,10 +334,12 @@ TEST(CollectivesFailure, IoWriteAllSurvivesCrashAtEveryPhase) {
     std::vector<int> outcome(kP, -1);
     run_with_crash(kP, kVictim, at,
                    [&](Rank& self) { body(self, &outcome); });
-    for (int r = 0; r < kP; ++r)
-      if (r != kVictim)
+    for (int r = 0; r < kP; ++r) {
+      if (r != kVictim) {
         EXPECT_NE(outcome[static_cast<std::size_t>(r)], -1)
             << "rank " << r << " hung, crash at " << at;
+      }
+    }
   }
 }
 
@@ -385,7 +394,9 @@ TEST(CollectivesFailure, CollectiveTimeoutSilentOnFailureAwareCompletion) {
     done[static_cast<std::size_t>(self.world_rank())] = 1;
   });
   for (int r = 0; r < 4; ++r)
-    if (r != 2) EXPECT_TRUE(done[static_cast<std::size_t>(r)]);
+    if (r != 2) {
+      EXPECT_TRUE(done[static_cast<std::size_t>(r)]);
+    }
 }
 
 TEST(CollectivesFailure, FaultPlanRejectsCrashAtTimeZero) {

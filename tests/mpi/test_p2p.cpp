@@ -226,9 +226,10 @@ TEST(P2P, SendrecvCrossesWithoutDeadlock) {
 
 TEST(P2P, NegativeUserTagRejected) {
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
-    if (self.world_rank() == 0)
+    if (self.world_rank() == 0) {
       EXPECT_THROW(self.isend(self.world(), 1, -5, SendBuf::synthetic(1)),
                    std::invalid_argument);
+    }
   });
 }
 
