@@ -72,6 +72,16 @@ WordcountResult run_reference(const WordcountConfig& config,
   const Corpus corpus(config.corpus, size);
   WordcountResult result;
 
+  // Every rank's key-set size, for the allgatherv counts: the same table on
+  // every rank, so it is built once here rather than once per rank.
+  std::vector<std::size_t> key_counts(static_cast<std::size_t>(size));
+  for (int r = 0; r < size; ++r) {
+    key_counts[static_cast<std::size_t>(r)] =
+        static_cast<std::size_t>(kKeyBytes) *
+        (config.real_data ? config.corpus.sample_vocabulary
+                          : corpus.distinct_words(corpus.bytes_of(r, size)));
+  }
+
   const auto program = [&](Rank& self) {
     const int me = self.rank_in(self.world());
     const std::uint64_t my_bytes = corpus.bytes_of(me, size);
@@ -87,14 +97,6 @@ WordcountResult run_reference(const WordcountConfig& config,
 
     // ---- key-set union via nonblocking allgatherv (overlaps with the
     //      local combine pass), then count reduction via nonblocking reduce.
-    std::vector<std::size_t> key_counts(static_cast<std::size_t>(size));
-    for (int r = 0; r < size; ++r) {
-      key_counts[static_cast<std::size_t>(r)] =
-          config.real_data
-              ? config.corpus.sample_vocabulary * static_cast<std::size_t>(kKeyBytes)
-              : corpus.distinct_words(corpus.bytes_of(r, size)) *
-                    static_cast<std::size_t>(kKeyBytes);
-    }
     std::vector<std::uint32_t> my_keys;
     mpi::Request keys_req;
     if (config.real_data) {
@@ -174,7 +176,7 @@ WordcountResult run_decoupled(const WordcountConfig& config,
         pipeline.stage({plan.workers().begin(), plan.workers().end()});
     decouple::StageHandle reduce_stage;
     if (!master_only)
-      reduce_stage = pipeline.stage([plan, master](int r) {
+      reduce_stage = pipeline.stage([&plan, master](int r) {
         return plan.is_helper(r) && r != master;
       });
     const auto master_stage = pipeline.stage(std::vector<int>{master});

@@ -18,14 +18,12 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
   const std::int8_t my_role = is_producer ? 1 : (is_consumer ? 2 : 0);
   mpi::Comm active = parent;
   for (int attempt = 0;; ++attempt) {
-    const int size = active.size();
     // Everyone learns everyone's role — the same traffic MPI_Comm_split
     // pays. Zero-initialized so a block satisfied by failure reads as "not
     // a member" instead of garbage.
-    std::vector<std::int8_t> roles(static_cast<std::size_t>(size), 0);
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(size), 1);
-    const mpi::Status st = self.allgatherv(
-        active, mpi::SendBuf::of(&my_role, 1), roles.data(), counts);
+    std::vector<std::int8_t> roles(static_cast<std::size_t>(active.size()), 0);
+    const mpi::Status st =
+        self.allgather(active, mpi::SendBuf::of(&my_role, 1), roles.data());
     // Commit the exchange through agreement: collective outcomes may
     // diverge when a crash races the last rounds (one rank completes clean
     // before the crash instant, its neighbor observes the failure), and a

@@ -19,13 +19,6 @@ namespace {
 /// same parent must be disambiguated with with_channel_base.
 constexpr std::uint64_t kChannelIdBase = 0xDC00;
 
-/// Position of `rank` in the ascending `ranks`, or -1 when absent.
-int index_in(const std::vector<int>& ranks, int rank) {
-  const auto it = std::lower_bound(ranks.begin(), ranks.end(), rank);
-  return it != ranks.end() && *it == rank ? static_cast<int>(it - ranks.begin())
-                                          : -1;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ ScopedChannel --
@@ -155,27 +148,27 @@ bool Context::is_worker() const noexcept {
 }
 
 int Context::worker_index() const noexcept {
-  return index_in(pipeline_->workers_, parent_rank());
+  return pipeline_->workers_.rank_of(parent_rank());
 }
 
 int Context::helper_index() const noexcept {
-  return index_in(pipeline_->helpers_, parent_rank());
+  return pipeline_->helpers_.rank_of(parent_rank());
 }
 
 int Context::worker_count() const noexcept {
-  return static_cast<int>(pipeline_->workers_.size());
+  return pipeline_->workers_.size();
 }
 
 int Context::helper_count() const noexcept {
-  return static_cast<int>(pipeline_->helpers_.size());
+  return pipeline_->helpers_.size();
 }
 
 const std::vector<int>& Context::workers() const noexcept {
-  return pipeline_->workers_;
+  return pipeline_->workers_.members();
 }
 
 const std::vector<int>& Context::helpers() const noexcept {
-  return pipeline_->helpers_;
+  return pipeline_->helpers_.members();
 }
 
 int Context::helper_of(int worker) const noexcept {
@@ -183,9 +176,9 @@ int Context::helper_of(int worker) const noexcept {
 }
 
 double Context::alpha() const noexcept {
-  const auto total = pipeline_->workers_.size() + pipeline_->helpers_.size();
+  const int total = worker_count() + helper_count();
   return total == 0 ? 0.0
-                    : static_cast<double>(pipeline_->helpers_.size()) /
+                    : static_cast<double>(helper_count()) /
                           static_cast<double>(total);
 }
 
@@ -207,8 +200,8 @@ int Context::stage_index() const noexcept {
 int Context::stage_member_index() const noexcept {
   const int stage = stage_index();
   if (stage < 0) return -1;
-  return index_in(pipeline_->stages_[static_cast<std::size_t>(stage)],
-                  parent_rank());
+  return pipeline_->stages_[static_cast<std::size_t>(stage)].rank_of(
+      parent_rank());
 }
 
 int Context::stage_size(int stage) const {
@@ -222,7 +215,7 @@ int Context::stage_size(StageHandle stage) const {
 const std::vector<int>& Context::stage_ranks(int stage) const {
   if (stage < 0 || stage >= stage_count())
     throw std::logic_error("decouple: stage index out of range");
-  return pipeline_->stages_[static_cast<std::size_t>(stage)];
+  return pipeline_->stages_[static_cast<std::size_t>(stage)].members();
 }
 
 StreamBase& Context::slot(int index) const {
@@ -247,14 +240,20 @@ void Pipeline::set_split(std::vector<int> helpers) {
     throw std::logic_error("Pipeline: split already configured");
   std::sort(helpers.begin(), helpers.end());
   helpers.erase(std::unique(helpers.begin(), helpers.end()), helpers.end());
-  workers_.clear();
-  for (int r = 0; r < parent_.size(); ++r)
-    if (!std::binary_search(helpers.begin(), helpers.end(), r))
-      workers_.push_back(r);
-  if (workers_.empty() || helpers.empty())
+  // Workers are the complement: one merge pass against the sorted helpers.
+  std::vector<int> workers;
+  auto next_helper = helpers.begin();
+  for (int r = 0; r < parent_.size(); ++r) {
+    if (next_helper != helpers.end() && *next_helper == r)
+      ++next_helper;
+    else
+      workers.push_back(r);
+  }
+  if (workers.empty() || helpers.empty())
     throw std::invalid_argument(
         "Pipeline: need at least one worker and one helper");
-  helpers_ = std::move(helpers);
+  workers_ = mpi::Group(std::move(workers));
+  helpers_ = mpi::Group(std::move(helpers));
   split_configured_ = true;
 }
 
@@ -321,7 +320,7 @@ Pipeline& Pipeline::with_resilience(resilience::ResilienceOptions options) & {
 }
 
 bool Pipeline::is_helper_rank(int parent_rank) const noexcept {
-  return std::binary_search(helpers_.begin(), helpers_.end(), parent_rank);
+  return helpers_.contains(parent_rank);
 }
 
 int Pipeline::add_slot(std::unique_ptr<StreamBase> stream,
@@ -341,7 +340,8 @@ RawStreamHandle Pipeline::raw_stream(std::size_t element_bytes,
 StageHandle Pipeline::stage(std::vector<int> parent_ranks) {
   if (ran_)
     throw std::logic_error("Pipeline: stages must be declared before run()");
-  std::sort(parent_ranks.begin(), parent_ranks.end());
+  if (!std::is_sorted(parent_ranks.begin(), parent_ranks.end()))
+    std::sort(parent_ranks.begin(), parent_ranks.end());
   parent_ranks.erase(std::unique(parent_ranks.begin(), parent_ranks.end()),
                      parent_ranks.end());
   if (parent_ranks.empty())
@@ -354,7 +354,7 @@ StageHandle Pipeline::stage(std::vector<int> parent_ranks) {
       throw std::invalid_argument(
           "Pipeline::stage: stages must be pairwise disjoint");
   }
-  stages_.push_back(std::move(parent_ranks));
+  stages_.emplace_back(std::move(parent_ranks));
   return StageHandle(static_cast<int>(stages_.size()) - 1);
 }
 
@@ -368,8 +368,7 @@ StageHandle Pipeline::stage(const RolePredicate& member) {
 
 int Pipeline::stage_of(int parent_rank) const noexcept {
   for (std::size_t i = 0; i < stages_.size(); ++i)
-    if (std::binary_search(stages_[i].begin(), stages_[i].end(), parent_rank))
-      return static_cast<int>(i);
+    if (stages_[i].contains(parent_rank)) return static_cast<int>(i);
   return -1;
 }
 
@@ -383,16 +382,13 @@ void Pipeline::link_stages(StageHandle from, StageHandle to,
   if (from.index_ == to.index_)
     throw std::invalid_argument(
         "decouple: a stage cannot stream to itself (groups must be disjoint)");
-  // Capture by value: the predicates outlive this call and must stay pure
-  // functions of the rank number (they derive the collective channel roles).
-  options.producers = [ranks = stages_[static_cast<std::size_t>(from.index_)]](
-                          int r) {
-    return std::binary_search(ranks.begin(), ranks.end(), r);
-  };
-  options.consumers = [ranks = stages_[static_cast<std::size_t>(to.index_)]](
-                          int r) {
-    return std::binary_search(ranks.begin(), ranks.end(), r);
-  };
+  // Capture by value (a pointer copy of the interned group): the predicates
+  // outlive this call and must stay pure functions of the rank number (they
+  // derive the collective channel roles).
+  options.producers = [group = stages_[static_cast<std::size_t>(from.index_)]](
+                          int r) { return group.contains(r); };
+  options.consumers = [group = stages_[static_cast<std::size_t>(to.index_)]](
+                          int r) { return group.contains(r); };
 }
 
 RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
@@ -426,8 +422,7 @@ void Pipeline::run_stages(const std::vector<RoleFn>& stage_fns) {
   if (!split_configured_) {
     std::vector<int> helpers;
     for (int r = 0; r < parent_.size(); ++r)
-      if (!std::binary_search(stages_.front().begin(), stages_.front().end(), r))
-        helpers.push_back(r);
+      if (!stages_.front().contains(r)) helpers.push_back(r);
     set_split(std::move(helpers));
   }
   const int my_stage = stage_of(self_->rank_in(parent_));

@@ -55,6 +55,7 @@
 #include "core/group_plan.hpp"
 #include "core/stream.hpp"
 #include "mpi/comm.hpp"
+#include "mpi/group.hpp"
 #include "resilience/options.hpp"
 
 namespace ds::mpi {
@@ -574,9 +575,11 @@ class Pipeline {
 
   mpi::Rank* self_;
   mpi::Comm parent_;
-  std::vector<int> workers_;
-  std::vector<int> helpers_;
-  std::vector<std::vector<int>> stages_;  ///< sorted parent ranks per stage
+  // Ascending parent ranks, interned: every rank of the pipeline shares one
+  // member list per group, and membership and position lookups are O(1).
+  mpi::Group workers_;
+  mpi::Group helpers_;
+  std::vector<mpi::Group> stages_;
   bool split_configured_ = false;
   bool want_worker_comm_ = false;
   bool ran_ = false;

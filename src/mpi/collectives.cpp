@@ -8,14 +8,14 @@
 //
 // Algorithms (matching mainstream MPI implementations, so cost scales with P
 // the way the paper's testbed did):
-//   barrier    — dissemination, ceil(log2 P) rounds
-//   bcast      — binomial tree
-//   reduce     — binomial tree (children combined in order)
-//   allreduce  — reduce to 0 + bcast (2 log P rounds)
-//   allgatherv — ring, P-1 rounds
-//   alltoallv  — pairwise exchange, P-1 rounds
-//   gatherv    — flat tree into root (root's drain port is the bottleneck,
-//                deliberately: that is the paper's master-congestion effect)
+//   barrier      — dissemination, ceil(log2 P) rounds
+//   bcast        — binomial tree
+//   reduce       — binomial tree (children combined in order)
+//   allreduce    — reduce to 0 + bcast (2 log P rounds)
+//   allgather(v) — recursive doubling when P is a power of two, else ring
+//   alltoallv    — pairwise exchange, P-1 rounds
+//   gatherv      — flat tree into root (root's drain port is the bottleneck,
+//                  deliberately: that is the paper's master-congestion effect)
 #include <cassert>
 #include <cstring>
 #include <memory>
@@ -281,40 +281,58 @@ struct IreduceOp final : CollBase {
 // ------------------------------------------------------------- allgatherv --
 // Recursive doubling (log2 P rounds) when P is a power of two — essential at
 // scale, where a ring's P-1 rounds per rank would mean O(P^2) messages — and
-// a ring otherwise.
+// a ring otherwise. Block r starts at displs[r] (allgatherv) or at r * block
+// (allgather, which keeps no per-member array at all).
 struct IallgathervOp final : CollBase {
   std::byte* out = nullptr;
-  std::vector<std::size_t> counts;
-  std::vector<std::size_t> displs;
+  std::size_t block = 0;
+  std::vector<std::size_t> displs;  ///< size + 1 offsets; empty for allgather
   int round = 0;
   int pending = 0;
   bool power_of_two = false;
 
+  [[nodiscard]] std::size_t offset(int r) const {
+    const auto idx = static_cast<std::size_t>(r);
+    return displs.empty() ? idx * block : displs[idx];
+  }
   [[nodiscard]] std::size_t segment_bytes(int from, int to) const {
-    return displs[static_cast<std::size_t>(to)] -
-           displs[static_cast<std::size_t>(from)];
+    return offset(to) - offset(from);
   }
 
+  /// `counts` null: every member contributes `mine.on_wire()` bytes.
   static Request launch(Machine& m, const Comm& c, int me, SendBuf mine,
-                        void* out, const std::vector<std::size_t>& counts,
+                        void* out, const std::vector<std::size_t>* counts,
                         int tag) {
-    if (static_cast<int>(counts.size()) != c.size())
-      throw std::invalid_argument("iallgatherv: counts.size() != comm size");
-    if (mine.ptr && mine.bytes != counts[static_cast<std::size_t>(me)])
-      throw std::invalid_argument("iallgatherv: my block size != counts[me]");
+    if (counts) {
+      if (static_cast<int>(counts->size()) != c.size())
+        throw std::invalid_argument("iallgatherv: counts.size() != comm size");
+      if (mine.ptr && mine.bytes != (*counts)[static_cast<std::size_t>(me)])
+        throw std::invalid_argument("iallgatherv: my block size != counts[me]");
+    }
     auto op = detail::make_heap_op<IallgathervOp>();
     op->init(m, c, me, tag);
     op->out = static_cast<std::byte*>(out);
-    op->counts = counts;
     op->power_of_two = (c.size() & (c.size() - 1)) == 0;
-    op->displs.resize(counts.size() + 1, 0);
-    std::partial_sum(counts.begin(), counts.end(), op->displs.begin() + 1);
-    if (op->out && mine.ptr) {
-      std::memcpy(op->out + op->displs[static_cast<std::size_t>(me)], mine.ptr,
-                  mine.bytes);
+    if (counts) {
+      op->displs.resize(counts->size() + 1, 0);
+      std::partial_sum(counts->begin(), counts->end(), op->displs.begin() + 1);
+    } else {
+      op->block = mine.on_wire();
     }
+    if (op->out && mine.ptr)
+      std::memcpy(op->out + op->offset(me), mine.ptr, mine.bytes);
     op->step(op);
     return op;
+  }
+
+  /// Send/receive buffers for the member-contiguous blocks [from, to).
+  [[nodiscard]] SendBuf send_span(int from, int to) const {
+    const std::size_t bytes = segment_bytes(from, to);
+    return out ? SendBuf{out + offset(from), bytes} : SendBuf::synthetic(bytes);
+  }
+  [[nodiscard]] RecvBuf recv_span(int from, int to) const {
+    const std::size_t bytes = segment_bytes(from, to);
+    return out ? RecvBuf{out + offset(from), bytes} : RecvBuf::discard(bytes);
   }
 
   void step(const detail::OpRef<IallgathervOp>& self) {
@@ -333,32 +351,16 @@ struct IallgathervOp final : CollBase {
       const int partner = me ^ half;
       const int mine_lo = me & ~(half - 1);      // start of my held block
       const int theirs_lo = partner & ~(half - 1);
-      csend(partner,
-            out ? SendBuf{out + displs[static_cast<std::size_t>(mine_lo)],
-                          segment_bytes(mine_lo, mine_lo + half)}
-                : SendBuf::synthetic(segment_bytes(mine_lo, mine_lo + half)),
-            k_done);
-      crecv(partner,
-            out ? RecvBuf{out + displs[static_cast<std::size_t>(theirs_lo)],
-                          segment_bytes(theirs_lo, theirs_lo + half)}
-                : RecvBuf::discard(segment_bytes(theirs_lo, theirs_lo + half)),
-            k_done);
+      csend(partner, send_span(mine_lo, mine_lo + half), k_done);
+      crecv(partner, recv_span(theirs_lo, theirs_lo + half), k_done);
       return;
     }
     // Ring: in round k, pass along the block received in round k-1.
     const int k = round++;
-    const auto send_idx = static_cast<std::size_t>((me - k + size) % size);
-    const auto recv_idx = static_cast<std::size_t>((me - k - 1 + size) % size);
-    const int right = (me + 1) % size;
-    const int left = (me - 1 + size) % size;
-    csend(right,
-          out ? SendBuf{out + displs[send_idx], counts[send_idx]}
-              : SendBuf::synthetic(counts[send_idx]),
-          k_done);
-    crecv(left,
-          out ? RecvBuf{out + displs[recv_idx], counts[recv_idx]}
-              : RecvBuf::discard(counts[recv_idx]),
-          k_done);
+    const int send_idx = (me - k + size) % size;
+    const int recv_idx = (me - k - 1 + size) % size;
+    csend((me + 1) % size, send_span(send_idx, send_idx + 1), k_done);
+    crecv((me - 1 + size) % size, recv_span(recv_idx, recv_idx + 1), k_done);
   }
 };
 
@@ -604,7 +606,7 @@ Request Rank::iallgatherv(const Comm& comm, SendBuf mine, void* out,
   if (me < 0) throw std::logic_error("iallgatherv: not a member");
   process_->advance(static_cast<util::SimTime>(
       machine_->config().network.coll_post_ns_per_peer * comm.size()));
-  return IallgathervOp::launch(*machine_, comm, me, mine, out, counts,
+  return IallgathervOp::launch(*machine_, comm, me, mine, out, &counts,
                                next_coll_tag(comm));
 }
 
@@ -612,6 +614,20 @@ Status Rank::allgatherv(const Comm& comm, SendBuf mine, void* out,
                         const std::vector<std::size_t>& counts) {
   const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgatherv");
   return wait_outcome(*this, iallgatherv(comm, mine, out, counts));
+}
+
+Request Rank::iallgather(const Comm& comm, SendBuf mine, void* out) {
+  const int me = rank_in(comm);
+  if (me < 0) throw std::logic_error("iallgather: not a member");
+  process_->advance(static_cast<util::SimTime>(
+      machine_->config().network.coll_post_ns_per_peer * comm.size()));
+  return IallgathervOp::launch(*machine_, comm, me, mine, out,
+                               /*counts=*/nullptr, next_coll_tag(comm));
+}
+
+Status Rank::allgather(const Comm& comm, SendBuf mine, void* out) {
+  const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgather");
+  return wait_outcome(*this, iallgather(comm, mine, out));
 }
 
 Request Rank::ialltoallv(const Comm& comm, const void* send_buf,

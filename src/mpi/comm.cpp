@@ -1,4 +1,10 @@
 #include "mpi/comm.hpp"
 
-// Comm is header-only today; this TU anchors the target and keeps room for
-// out-of-line growth (attribute caching, error handlers).
+namespace ds::mpi {
+
+const Group& Comm::no_members() noexcept {
+  static const Group empty;
+  return empty;
+}
+
+}  // namespace ds::mpi

@@ -42,10 +42,8 @@ Status File::write_all(Rank& self, SendBuf local) {
   // is what makes the whole collective hang-free.
   std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size), 0);
   const std::uint64_t mine = local.on_wire();
-  const std::vector<std::size_t> counts(static_cast<std::size_t>(size),
-                                        sizeof(std::uint64_t));
   const Status exchanged =
-      self.allgatherv(comm_, SendBuf::of(&mine, 1), sizes.data(), counts);
+      self.allgather(comm_, SendBuf::of(&mine, 1), sizes.data());
 
   std::vector<std::uint64_t> displs(static_cast<std::size_t>(size) + 1, 0);
   std::partial_sum(sizes.begin(), sizes.end(), displs.begin() + 1);

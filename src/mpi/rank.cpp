@@ -1,6 +1,7 @@
 #include "mpi/rank.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -229,15 +230,13 @@ void Rank::charge_recv_overhead(const Request& req) {
 }
 
 Comm Rank::split(const Comm& comm, int color, int key) {
-  const int me = require_member(comm, world_rank_, "split");
+  (void)require_member(comm, world_rank_, "split");
   const int size = comm.size();
 
   // Allgather (color, key) pairs — the same wire traffic MPI_Comm_split pays.
-  std::vector<std::int32_t> mine = {color, key};
+  const std::array<std::int32_t, 2> mine = {color, key};
   std::vector<std::int32_t> all(static_cast<std::size_t>(2 * size));
-  const std::vector<std::size_t> counts(static_cast<std::size_t>(size),
-                                        2 * sizeof(std::int32_t));
-  allgatherv(comm, SendBuf::of(mine.data(), 2), all.data(), counts);
+  allgather(comm, SendBuf::of(mine.data(), mine.size()), all.data());
 
   const std::uint64_t epoch = split_seq_[comm.context()]++;
   if (color < 0) return Comm{};  // MPI_UNDEFINED: not a member of any result
@@ -260,7 +259,6 @@ Comm Rank::split(const Comm& comm, int color, int key) {
   const std::uint64_t ctx = Machine::derive_context(
       comm.context(), 0x5B17'0000ull + epoch,
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(color)));
-  (void)me;
   return Comm(ctx, Group(std::move(world_ranks)));
 }
 

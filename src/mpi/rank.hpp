@@ -117,9 +117,20 @@ class Rank {
   Status allreduce(const Comm& comm, SendBuf in, void* out, ReduceFn fn);
   Request iallreduce(const Comm& comm, SendBuf in, void* out, ReduceFn fn);
 
+  /// Gather one equal-size block from every rank into `out` on every rank
+  /// (MPI_Allgather): each member contributes `mine.on_wire()` bytes and
+  /// block r lands at offset r * block. The same rounds, messages and
+  /// posting charge as allgatherv with uniform counts, but no per-member
+  /// count or displacement array on any rank. Null `out` runs it with
+  /// synthetic payloads.
+  Status allgather(const Comm& comm, SendBuf mine, void* out);
+  Request iallgather(const Comm& comm, SendBuf mine, void* out);
+
   /// Gather variable-size blocks from all ranks into `out` on every rank.
   /// `counts[r]` is rank r's block size in bytes; block r lands at offset
-  /// sum(counts[0..r)). `mine.bytes` must equal `counts[my rank]`.
+  /// sum(counts[0..r)). `mine.bytes` must equal `counts[my rank]`. The
+  /// nonblocking form turns `counts` into one displacement array at launch,
+  /// so `counts` need not outlive the call.
   Status allgatherv(const Comm& comm, SendBuf mine, void* out,
                     const std::vector<std::size_t>& counts);
   Request iallgatherv(const Comm& comm, SendBuf mine, void* out,

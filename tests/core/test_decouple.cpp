@@ -5,6 +5,7 @@
 #include <array>
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -208,6 +209,27 @@ TEST(Pipeline, WorkerCommSpansExactlyTheWorkers) {
         },
         [&](Context& ctx) { EXPECT_FALSE(ctx.worker_comm().valid()); });
   });
+}
+
+TEST(Pipeline, EveryRankSharesOneMemberListPerGroup) {
+  // Each rank derives the same stage and channel groups; interning keeps
+  // one member list for all of them instead of one copy per rank.
+  constexpr int kP = 64;
+  std::set<const std::vector<int>*> channel_lists;
+  std::set<const std::vector<int>*> stage_lists;
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world());
+    const auto producers = pipeline.stage([](int r) { return r % 8 != 7; });
+    const auto consumers = pipeline.stage([](int r) { return r % 8 == 7; });
+    const auto samples = pipeline.stream_between<Sample>(producers, consumers);
+    const auto record = [&](Context& ctx) {
+      channel_lists.insert(&ctx[samples].channel().comm().group().members());
+      stage_lists.insert(&ctx.stage_ranks(0));
+    };
+    pipeline.run_stages({record, record});
+  });
+  EXPECT_EQ(channel_lists.size(), 1u);
+  EXPECT_EQ(stage_lists.size(), 1u);
 }
 
 TEST(Pipeline, EarlyTerminateStaysIdempotentUnderRaii) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <vector>
 
@@ -121,6 +122,53 @@ TEST(Collectives, AllgathervPowerOfTwoUsesRecursiveDoublingCorrectly) {
     for (int p = 0; p < kP; ++p) {
       EXPECT_EQ(r[static_cast<std::size_t>(2 * p)], p);
       EXPECT_EQ(r[static_cast<std::size_t>(2 * p + 1)], p * 10);
+    }
+  }
+}
+
+TEST(Collectives, AllgatherMatchesUniformAllgatherv) {
+  // P = 8 takes recursive doubling, P = 6 the ring. Same rounds, messages
+  // and posting charge: identical bytes, outcomes and virtual makespan.
+  for (const int p : {8, 6}) {
+    struct Outcome {
+      std::vector<std::vector<std::int32_t>> out;
+      std::vector<Status> status;
+      util::SimTime makespan = 0;
+    };
+    const auto run = [p](bool with_counts) {
+      Outcome o;
+      o.out.resize(static_cast<std::size_t>(p));
+      o.status.resize(static_cast<std::size_t>(p));
+      const auto program = [&](Rank& self) {
+        const int me = self.world_rank();
+        const std::array<std::int32_t, 3> mine{me, 10 * me, -me};
+        const SendBuf block = SendBuf::of(mine.data(), mine.size());
+        std::vector<std::int32_t> out(static_cast<std::size_t>(3 * p), -1);
+        const std::vector<std::size_t> counts(static_cast<std::size_t>(p),
+                                              sizeof(mine));
+        const auto idx = static_cast<std::size_t>(me);
+        o.status[idx] = with_counts ? self.allgatherv(self.world(), block,
+                                                      out.data(), counts)
+                                    : self.allgather(self.world(), block,
+                                                     out.data());
+        o.out[idx] = std::move(out);
+      };
+      o.makespan = testing::run_program(testing::tiny_machine(p), program);
+      return o;
+    };
+    const Outcome v = run(true);
+    const Outcome plain = run(false);
+    EXPECT_EQ(plain.makespan, v.makespan) << "P = " << p;
+    for (int r = 0; r < p; ++r) {
+      const auto idx = static_cast<std::size_t>(r);
+      EXPECT_EQ(plain.out[idx], v.out[idx]) << "P = " << p << ", rank " << r;
+      EXPECT_EQ(plain.out[idx][static_cast<std::size_t>(3 * (p - 1) + 1)],
+                10 * (p - 1));
+      EXPECT_EQ(plain.status[idx].failed, v.status[idx].failed);
+      EXPECT_EQ(plain.status[idx].source, v.status[idx].source);
+      EXPECT_EQ(plain.status[idx].tag, v.status[idx].tag);
+      EXPECT_EQ(plain.status[idx].bytes, v.status[idx].bytes);
+      EXPECT_EQ(plain.status[idx].synthetic, v.status[idx].synthetic);
     }
   }
 }

@@ -135,23 +135,34 @@ TEST(CollectivesFailure, AllreduceSurvivesCrashAtEveryRound) {
 TEST(CollectivesFailure, AllgathervSurvivesCrashAtEveryRound) {
   constexpr int kP = 8, kVictim = 6;
   const std::vector<std::size_t> counts(kP, sizeof(std::int32_t));
-  const util::SimTime makespan =
-      testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+  // The same sweep drives allgatherv and its count-free allgather form.
+  for (const bool with_counts : {true, false}) {
+    const auto gather = [&](Rank& self, const std::int32_t& mine,
+                            std::vector<std::int32_t>& out) {
+      return with_counts ? self.allgatherv(self.world(), SendBuf::of(&mine, 1),
+                                           out.data(), counts)
+                         : self.allgather(self.world(), SendBuf::of(&mine, 1),
+                                          out.data());
+    };
+    const util::SimTime makespan =
+        testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+          const std::int32_t mine = self.world_rank();
+          std::vector<std::int32_t> out(kP, -1);
+          (void)gather(self, mine, out);
+        });
+    for (const util::SimTime at : crash_grid(makespan)) {
+      run_with_crash(kP, kVictim, at, [&](Rank& self) {
         const std::int32_t mine = self.world_rank();
         std::vector<std::int32_t> out(kP, -1);
-        self.allgatherv(self.world(), SendBuf::of(&mine, 1), out.data(), counts);
+        const Status st = gather(self, mine, out);
+        if (!st.failed) {
+          for (int r = 0; r < kP; ++r)
+            EXPECT_EQ(out[static_cast<std::size_t>(r)], r)
+                << (with_counts ? "allgatherv" : "allgather") << ", crash at "
+                << at;
+        }
       });
-  for (const util::SimTime at : crash_grid(makespan)) {
-    run_with_crash(kP, kVictim, at, [&](Rank& self) {
-      const std::int32_t mine = self.world_rank();
-      std::vector<std::int32_t> out(kP, -1);
-      const Status st = self.allgatherv(self.world(), SendBuf::of(&mine, 1),
-                                        out.data(), counts);
-      if (!st.failed) {
-        for (int r = 0; r < kP; ++r)
-          EXPECT_EQ(out[static_cast<std::size_t>(r)], r) << "crash at " << at;
-      }
-    });
+    }
   }
 }
 

@@ -63,6 +63,13 @@ TEST(CommSplit, UndefinedColorGetsInvalidComm) {
     const int me = self.world_rank();
     const Comm sub = self.split(self.world(), me == 0 ? -1 : 0, me);
     valid[static_cast<std::size_t>(me)] = sub.valid();
+    if (me == 0) {
+      // The invalid handle has no members: every call reports it instead
+      // of dereferencing nothing.
+      EXPECT_EQ(sub.size(), 0);
+      EXPECT_EQ(self.rank_in(sub), -1);
+      EXPECT_THROW((void)self.barrier(sub), std::logic_error);
+    }
   });
   EXPECT_FALSE(valid[0]);
   EXPECT_TRUE(valid[1]);

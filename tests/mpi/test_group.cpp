@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace ds::mpi {
 namespace {
 
@@ -25,6 +28,52 @@ TEST(Group, CustomOrderTranslates) {
 
 TEST(Group, DuplicateMembersRejected) {
   EXPECT_THROW(Group({1, 2, 1}), std::invalid_argument);
+}
+
+TEST(Group, NegativeMemberRejected) {
+  EXPECT_THROW(Group({0, -1, 2}), std::invalid_argument);
+}
+
+TEST(Group, RankOfIsMinusOneOutsideTheMembers) {
+  const Group g({5, 2, 9});
+  EXPECT_EQ(g.rank_of(3), -1);   // below the largest, not a member
+  EXPECT_EQ(g.rank_of(10), -1);  // past the largest member
+  EXPECT_EQ(g.rank_of(-1), -1);
+  EXPECT_EQ(g.rank_of(-2147483647 - 1), -1);
+  EXPECT_FALSE(g.contains(-1));
+  EXPECT_EQ(Group().rank_of(0), -1);
+}
+
+TEST(Group, EqualListsShareOneMemberList) {
+  const Group a({3, 1, 4});
+  const Group b(std::vector<int>{3, 1, 4});
+  const Group copy = a;
+  EXPECT_EQ(&a.members(), &b.members());
+  EXPECT_EQ(&a.members(), &copy.members());
+  EXPECT_NE(&a.members(), &Group({1, 3, 4}).members());
+  EXPECT_EQ(&Group::world(6).members(), &Group::world(6).members());
+  EXPECT_EQ(&Group().members(), &Group(std::vector<int>{}).members());
+}
+
+TEST(Group, InterningIsSafeAcrossThreads) {
+  // The intern table is process-wide, so machines run on different threads
+  // share it: equal lists still meet in one object while other entries
+  // expire around them.
+  constexpr int kThreads = 4;
+  const Group held({7, 3, 5});
+  std::vector<const std::vector<int>*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&seen, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const Group transient({100 + i % 50, t});
+        const Group shared({7, 3, 5});
+        seen[static_cast<std::size_t>(t)] = &shared.members();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto* list : seen) EXPECT_EQ(list, &held.members());
 }
 
 TEST(Group, IncludeSelectsInGivenOrder) {
