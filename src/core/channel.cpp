@@ -43,7 +43,7 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
     const std::uint64_t ctx = mpi::Machine::derive_context(
         parent.context(), 0x5E7B4C0ull + static_cast<std::uint64_t>(attempt),
         config.channel_id);
-    active = mpi::Comm(ctx, mpi::Group(verdict.survivors));
+    active = mpi::Comm(ctx, verdict.survivors);
   }
 }
 

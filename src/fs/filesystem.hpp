@@ -63,12 +63,13 @@ class SimFile {
     size_ = std::max(size_, offset + bytes);
   }
 
-  /// Base offset for collective write epoch `epoch` appending `total` bytes.
+  /// Base offset for the collective write `key` appending `total` bytes.
   /// The first caller allocates; later callers (other ranks of the same
-  /// collective) observe the same base. Requires identical `total` per epoch.
-  [[nodiscard]] std::uint64_t claim_collective(std::uint64_t epoch,
+  /// collective, passing the same key) observe the same base. Requires
+  /// identical `total` per key.
+  [[nodiscard]] std::uint64_t claim_collective(std::uint64_t key,
                                                std::uint64_t total) {
-    auto [it, inserted] = collective_bases_.try_emplace(epoch, collective_end_);
+    auto [it, inserted] = collective_bases_.try_emplace(key, collective_end_);
     if (inserted) {
       collective_end_ += total;
       size_ = std::max(size_, collective_end_);

@@ -16,6 +16,7 @@
 //   alltoallv    — pairwise exchange, P-1 rounds
 //   gatherv      — flat tree into root (root's drain port is the bottleneck,
 //                  deliberately: that is the paper's master-congestion effect)
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <memory>
@@ -281,22 +282,54 @@ struct IreduceOp final : CollBase {
 // ------------------------------------------------------------- allgatherv --
 // Recursive doubling (log2 P rounds) when P is a power of two — essential at
 // scale, where a ring's P-1 rounds per rank would mean O(P^2) messages — and
-// a ring otherwise. Block r starts at displs[r] (allgatherv) or at r * block
-// (allgather, which keeps no per-member array at all).
+// a ring otherwise. Block r starts at r * block (allgather, which keeps no
+// per-member array at all) or at the sum of the counts before it
+// (allgatherv). Recursive doubling only ever touches the boundaries of my
+// aligned 2^k-member block and of its end, so it keeps those
+// <= 2 log2 P + 2 offsets; the ring visits every block and keeps all P + 1.
 struct IallgathervOp final : CollBase {
   std::byte* out = nullptr;
   std::size_t block = 0;
-  std::vector<std::size_t> displs;  ///< size + 1 offsets; empty for allgather
+  std::vector<std::size_t> displs;  ///< allgatherv ring: size + 1 offsets
+  /// allgatherv recursive doubling: (member, offset) of each block boundary
+  /// the rounds touch, ascending by member.
+  std::vector<std::pair<int, std::size_t>> bounds;
   int round = 0;
   int pending = 0;
   bool power_of_two = false;
 
   [[nodiscard]] std::size_t offset(int r) const {
-    const auto idx = static_cast<std::size_t>(r);
-    return displs.empty() ? idx * block : displs[idx];
+    if (!displs.empty()) return displs[static_cast<std::size_t>(r)];
+    if (bounds.empty()) return static_cast<std::size_t>(r) * block;
+    const auto it = std::lower_bound(
+        bounds.begin(), bounds.end(), r,
+        [](const auto& bound, int member) { return bound.first < member; });
+    assert(it != bounds.end() && it->first == r);
+    return it->second;
   }
   [[nodiscard]] std::size_t segment_bytes(int from, int to) const {
     return offset(to) - offset(from);
+  }
+
+  /// Record the offsets of every block boundary the doubling rounds touch
+  /// (the start and the end of my aligned 2^k-member block, for each k),
+  /// in one prefix pass over `counts`.
+  void index_bounds(const std::vector<std::size_t>& counts) {
+    std::vector<int> members;
+    for (int half = 1; half <= size; half <<= 1) {
+      const int lo = me & ~(half - 1);
+      members.push_back(lo);
+      members.push_back(lo + half);
+    }
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    bounds.reserve(members.size());
+    std::size_t sum = 0;
+    int r = 0;
+    for (const int member : members) {
+      for (; r < member; ++r) sum += counts[static_cast<std::size_t>(r)];
+      bounds.emplace_back(member, sum);
+    }
   }
 
   /// `counts` null: every member contributes `mine.on_wire()` bytes.
@@ -313,11 +346,13 @@ struct IallgathervOp final : CollBase {
     op->init(m, c, me, tag);
     op->out = static_cast<std::byte*>(out);
     op->power_of_two = (c.size() & (c.size() - 1)) == 0;
-    if (counts) {
+    if (!counts) {
+      op->block = mine.on_wire();
+    } else if (op->power_of_two) {
+      op->index_bounds(*counts);
+    } else {
       op->displs.resize(counts->size() + 1, 0);
       std::partial_sum(counts->begin(), counts->end(), op->displs.begin() + 1);
-    } else {
-      op->block = mine.on_wire();
     }
     if (op->out && mine.ptr)
       std::memcpy(op->out + op->offset(me), mine.ptr, mine.bytes);

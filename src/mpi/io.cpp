@@ -33,59 +33,82 @@ Status File::write_all(Rank& self, SendBuf local) {
   if (me < 0) throw std::logic_error("write_all: caller not in the file's communicator");
   const int size = comm_.size();
   const int tag = self.next_coll_tag(comm_);
+  const int group = (me / aggregator_stride_) * aggregator_stride_;
+  const int group_end = std::min(group + aggregator_stride_, size);
 
   // Phase 0: everyone learns everyone's block size (the collective-buffering
   // equivalent of exchanging file-view offsets). Zero-initialized so a
   // block satisfied by failure reads as a zero-byte member — the phase
   // structure below then runs identically on every live member regardless
   // of where a crash lands (no per-rank decision that could diverge), which
-  // is what makes the whole collective hang-free.
-  std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size), 0);
-  const std::uint64_t mine = local.on_wire();
-  const Status exchanged =
-      self.allgather(comm_, SendBuf::of(&mine, 1), sizes.data());
-
-  std::vector<std::uint64_t> displs(static_cast<std::size_t>(size) + 1, 0);
-  std::partial_sum(sizes.begin(), sizes.end(), displs.begin() + 1);
-  const std::uint64_t base = file_->claim_collective(epoch_++, displs.back());
+  // is what makes the whole collective hang-free. The top bit of an entry
+  // marks a block that carries real bytes (all of them, at least one). One
+  // pass yields the total and my aggregation group's offset; the aggregator
+  // keeps its group's sizes. The P-entry array is gone before any block
+  // ships.
+  constexpr std::uint64_t kRealBit = std::uint64_t{1} << 63;
+  std::uint64_t total = 0;
+  std::uint64_t group_base = 0;  // file offset of my group's first block
+  std::vector<std::uint64_t> group_sizes;  // aggregator only
+  bool real = false;  // aggregator only: some block of my group is real
+  Status exchanged;
+  {
+    std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size), 0);
+    const bool carries = local.ptr != nullptr && local.bytes > 0 &&
+                         local.bytes == local.on_wire();
+    const std::uint64_t mine = local.on_wire() | (carries ? kRealBit : 0);
+    exchanged = self.allgather(comm_, SendBuf::of(&mine, 1), sizes.data());
+    for (int r = 0; r < size; ++r) {
+      if (r == group) group_base = total;
+      total += sizes[static_cast<std::size_t>(r)] & ~kRealBit;
+    }
+    if (me == group) {
+      for (int r = group; r < group_end; ++r) {
+        const std::uint64_t entry = sizes[static_cast<std::size_t>(r)];
+        group_sizes.push_back(entry & ~kRealBit);
+        real = real || (entry & kRealBit) != 0;
+      }
+    }
+  }
+  // Every member derives the same claim key from the communicator and this
+  // collective's tag, whichever File handle it writes through.
+  const std::uint64_t base = file_->claim_collective(
+      Machine::derive_context(comm_.context(), 0xF11EC0ull,
+                              static_cast<std::uint32_t>(tag)),
+      total);
 
   // Phase 1+2: ship blocks to the group aggregator; aggregators write one
   // large contiguous chunk each.
-  const int group = (me / aggregator_stride_) * aggregator_stride_;
-  const int group_end = std::min(group + aggregator_stride_, size);
   const auto& net = machine_->config().network;
 
   if (me == group) {
-    const std::uint64_t group_bytes =
-        displs[static_cast<std::size_t>(group_end)] -
-        displs[static_cast<std::size_t>(group)];
-    // Assemble real content only for fully-real payloads; header-only or
-    // synthetic blocks keep their sizes but store no bytes.
-    const bool real = local.ptr != nullptr && local.bytes == local.on_wire();
+    const std::uint64_t group_bytes = std::accumulate(
+        group_sizes.begin(), group_sizes.end(), std::uint64_t{0});
+    // Assemble the group's content only when one of its blocks is real;
+    // header-only or synthetic blocks keep their sizes, store nothing past
+    // their headers and read back as zeros. My own block leads the group.
     std::vector<std::byte> assembled;
     if (real) {
       assembled.resize(group_bytes);
-      std::memcpy(assembled.data() +
-                      (displs[static_cast<std::size_t>(me)] -
-                       displs[static_cast<std::size_t>(group)]),
-                  local.ptr, local.bytes);
+      if (local.ptr != nullptr)
+        std::memcpy(assembled.data(), local.ptr, local.bytes);
     }
     std::vector<Request> recvs;
+    std::uint64_t offset = group_sizes.front();  // within the group
     for (int r = group + 1; r < group_end; ++r) {
-      const std::uint64_t offset = displs[static_cast<std::size_t>(r)] -
-                                   displs[static_cast<std::size_t>(group)];
+      const auto bytes = static_cast<std::size_t>(
+          group_sizes[static_cast<std::size_t>(r - group)]);
       recvs.push_back(machine_->post_recv(
           comm_.context(), self.world_rank(), r, tag,
-          real ? RecvBuf{assembled.data() + offset,
-                         static_cast<std::size_t>(sizes[static_cast<std::size_t>(r)])}
-               : RecvBuf::discard(static_cast<std::size_t>(
-                     sizes[static_cast<std::size_t>(r)])),
+          real ? RecvBuf{assembled.data() + offset, bytes}
+               : RecvBuf::discard(bytes),
           /*on_complete=*/{}, /*fused_wake=*/false,
           /*src_world=*/comm_.world_rank(r)));
+      offset += bytes;
     }
     self.wait_all(recvs);
     const util::SimTime done = machine_->filesystem().write(
-        *file_, base + displs[static_cast<std::size_t>(group)], group_bytes,
+        *file_, base + group_base, group_bytes,
         real ? assembled.data() : nullptr, self.now());
     wait_until(self, done);
   } else {

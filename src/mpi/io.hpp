@@ -33,11 +33,23 @@ class File {
  public:
   /// Opens (creates) `name` on `machine`'s file system, shared by the
   /// members of `comm`. Every member must construct its own File handle.
+  /// A handle keeps no collective state of its own: handles opened later
+  /// over the same file continue where earlier collective writes ended.
   File(Machine& machine, Comm comm, std::string name,
        int aggregator_stride = 32);
 
   /// Collective append of each member's block, laid out in rank order.
-  /// All members must call; `local.ptr` may be null (synthetic).
+  /// All members must call; `local.ptr` may be null (synthetic). An
+  /// aggregation group's bytes are stored when any of its blocks carries
+  /// real content; synthetic blocks read back as zeros.
+  ///
+  /// The append claims its file extent under a key derived from the
+  /// communicator's context and the collective's tag, so every member
+  /// lands on the same base whichever File handle it writes through, and a
+  /// fresh handle over the same communicator appends after earlier writes.
+  /// Each member holds the P-entry size array only for the size exchange:
+  /// one pass yields the total and its aggregation group's offset, and the
+  /// array is released before blocks ship.
   ///
   /// Failure-aware: a member crash never hangs the collective. The phase
   /// structure runs to completion on every live member (a dead member's
@@ -65,7 +77,6 @@ class File {
   Comm comm_;
   fs::SimFile* file_;
   int aggregator_stride_;
-  std::uint64_t epoch_ = 0;  ///< collective-write sequence on this handle
 };
 
 }  // namespace ds::mpi

@@ -142,20 +142,24 @@ bool Rank::iprobe(const Comm& comm, int src, int tag, Status* status) {
 namespace {
 /// Freeze the agreement iff every group member has either deposited or is
 /// dead in the machine's failure record. Idempotent; the first observer
-/// snapshots value + dead set and wakes everyone still blocked.
+/// snapshots value, dead set and survivor group, and wakes everyone still
+/// blocked.
 bool try_freeze(Machine& machine, resilience::Agreement& a, const Comm& comm) {
   if (a.frozen) return true;
-  for (int r = 0; r < comm.size(); ++r) {
-    if (!a.deposited[static_cast<std::size_t>(r)] &&
-        !machine.rank_failed(comm.world_rank(r)))
-      return false;
+  const std::vector<int>& members = comm.group().members();
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    if (!a.deposited[r] && !machine.rank_failed(members[r])) return false;
   }
   a.frozen = true;
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto idx = static_cast<std::size_t>(r);
-    if (a.deposited[idx]) a.value |= a.contribution[idx];
-    if (machine.rank_failed(comm.world_rank(r))) a.dead.push_back(r);
+  std::vector<int> dead;  // group ranks
+  for (std::size_t r = 0; r < members.size(); ++r) {
+    if (a.deposited[r]) a.value |= a.contribution[r];
+    if (machine.rank_failed(members[r])) {
+      dead.push_back(static_cast<int>(r));
+      a.failed.push_back(members[r]);
+    }
   }
+  a.survivors = dead.empty() ? comm.group() : comm.group().exclude(dead);
   for (const int pid : a.waiters) machine.engine().wake(pid);
   a.waiters.clear();
   return true;
@@ -196,14 +200,7 @@ AgreeResult Rank::agree(const Comm& comm, std::uint64_t contribution) {
     machine_->ensure_alive(world_rank_);
   }
   process_->set_state_note({});
-  AgreeResult out;
-  out.value = ledger->value;
-  for (int r = 0; r < comm.size(); ++r) out.survivors.push_back(comm.world_rank(r));
-  for (const int r : ledger->dead) {
-    out.failed.push_back(comm.world_rank(r));
-    out.survivors.erase(std::find(out.survivors.begin(), out.survivors.end(),
-                                  comm.world_rank(r)));
-  }
+  AgreeResult out{ledger->value, ledger->survivors, ledger->failed};
   // A failure-detecting agreement is a membership event worth a marker on
   // the timeline, next to the crash/rejoin instants it reacts to.
   if (!out.failed.empty()) process_->trace_instant("agreement");

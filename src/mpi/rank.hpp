@@ -25,10 +25,15 @@ namespace ds::mpi {
 /// return the exact same triple (the ledger freezes it exactly once), which
 /// is what lets them rebuild a shrunken membership without further
 /// coordination.
+///
+/// `survivors` is built at most once per agreement: on a clean agreement it
+/// is the communicator's own group; when members died, the rank that
+/// freezes the ledger builds the survivor group once. Every reader copies a
+/// pointer, so no rank holds a P-entry list of its own.
 struct AgreeResult {
-  std::uint64_t value = 0;     ///< OR over every deposited contribution
-  std::vector<int> survivors;  ///< world ranks alive at the freeze
-  std::vector<int> failed;     ///< world ranks dead at the freeze
+  std::uint64_t value = 0;  ///< OR over every deposited contribution
+  Group survivors;          ///< members alive at the freeze, in comm order
+  std::vector<int> failed;  ///< world ranks dead at the freeze
   [[nodiscard]] bool clean() const noexcept { return failed.empty(); }
 };
 
@@ -129,8 +134,11 @@ class Rank {
   /// Gather variable-size blocks from all ranks into `out` on every rank.
   /// `counts[r]` is rank r's block size in bytes; block r lands at offset
   /// sum(counts[0..r)). `mine.bytes` must equal `counts[my rank]`. The
-  /// nonblocking form turns `counts` into one displacement array at launch,
-  /// so `counts` need not outlive the call.
+  /// nonblocking form reads `counts` once, at launch, so `counts` need not
+  /// outlive the call. On a power-of-two communicator it keeps only the
+  /// <= 2 log2 P + 2 block offsets its recursive-doubling rounds touch, so
+  /// no rank holds a per-member array while the exchange runs; the ring
+  /// used on other sizes keeps one P + 1 displacement array.
   Status allgatherv(const Comm& comm, SendBuf mine, void* out,
                     const std::vector<std::size_t>& counts);
   Request iallgatherv(const Comm& comm, SendBuf mine, void* out,

@@ -7,10 +7,11 @@
 // is recorded dead in the machine's failure record. The first rank to
 // observe the condition freezes the result exactly once: the agreed value
 // (OR over all deposited contributions, including those of ranks that died
-// after depositing) together with a snapshot of the dead set at freeze time.
-// Every reader — including ranks that were still blocked — then returns the
-// same frozen triple, which is what makes the primitive usable to settle a
-// consistent failure view and shrunken membership among survivors.
+// after depositing) together with a snapshot of the dead set and of the
+// surviving group at freeze time. Every reader — including ranks that were
+// still blocked — then returns the same frozen triple, which is what makes
+// the primitive usable to settle a consistent failure view and shrunken
+// membership among survivors.
 //
 // Progress: every deposit and every crash strictly shrinks the set of
 // members the condition is waiting on, so the agreement terminates under
@@ -23,6 +24,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "mpi/group.hpp"
+
 namespace ds::resilience {
 
 struct Agreement {
@@ -34,7 +37,10 @@ struct Agreement {
   std::vector<std::uint64_t> contribution; ///< valid where deposited
   bool frozen = false;
   std::uint64_t value = 0;  ///< OR over deposited contributions at freeze
-  std::vector<int> dead;    ///< group ranks excused (dead) at freeze time
+  /// Members alive at freeze time, in group order: the communicator's own
+  /// group when nobody died, otherwise built once by the freezing rank.
+  mpi::Group survivors;
+  std::vector<int> failed;  ///< world ranks excused (dead) at freeze time
   std::vector<int> waiters; ///< fiber pids blocked on the freeze
   /// Live participants that have not yet read the frozen result; the
   /// machine erases the ledger entry when this reaches zero. (A participant

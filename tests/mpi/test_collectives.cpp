@@ -126,6 +126,33 @@ TEST(Collectives, AllgathervPowerOfTwoUsesRecursiveDoublingCorrectly) {
   }
 }
 
+TEST(Collectives, AllgathervRecursiveDoublingUnevenCounts) {
+  // P = 16 takes recursive doubling, which keeps only the block offsets its
+  // rounds touch. Rank r contributes (r mod 3) * 4 bytes, so a third of the
+  // blocks are empty and no two neighbours have equal sizes.
+  constexpr int kP = 16;
+  std::vector<std::size_t> counts;
+  std::vector<std::int32_t> expected;
+  for (int r = 0; r < kP; ++r) {
+    counts.push_back(static_cast<std::size_t>(r % 3) * sizeof(std::int32_t));
+    for (int i = 0; i < r % 3; ++i) expected.push_back(100 * r + i);
+  }
+  std::vector<std::vector<std::int32_t>> results(kP);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const int me = self.world_rank();
+    std::vector<std::int32_t> mine;
+    for (int i = 0; i < me % 3; ++i) mine.push_back(100 * me + i);
+    std::vector<std::int32_t> out(expected.size(), -1);
+    const Status st = self.allgatherv(
+        self.world(), SendBuf::of(mine.data(), mine.size()), out.data(),
+        counts);
+    EXPECT_FALSE(st.failed);
+    results[static_cast<std::size_t>(me)] = std::move(out);
+  });
+  for (int r = 0; r < kP; ++r)
+    EXPECT_EQ(results[static_cast<std::size_t>(r)], expected) << "rank " << r;
+}
+
 TEST(Collectives, AllgatherMatchesUniformAllgatherv) {
   // P = 8 takes recursive doubling, P = 6 the ring. Same rounds, messages
   // and posting charge: identical bytes, outcomes and virtual makespan.

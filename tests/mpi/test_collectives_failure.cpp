@@ -207,11 +207,26 @@ TEST(CollectivesFailure, AgreeSurvivorsAlwaysSeeTheSameResult) {
     const bool victim_dead =
         std::find(first->failed.begin(), first->failed.end(), kVictim) !=
         first->failed.end();
-    const bool victim_survivor =
-        std::find(first->survivors.begin(), first->survivors.end(), kVictim) !=
-        first->survivors.end();
+    const bool victim_survivor = first->survivors.contains(kVictim);
     EXPECT_NE(victim_dead, victim_survivor) << "crash at " << at;
   }
+}
+
+TEST(CollectivesFailure, CleanAgreementSurvivorsAreTheCommGroup) {
+  // Nobody died: every reader's survivor group is the communicator's own
+  // group (interned, so equality is identity), on the world and on a split.
+  constexpr int kP = 8;
+  testing::run_program(testing::tiny_machine(kP), [](Rank& self) {
+    const mpi::Comm half =
+        self.split(self.world(), self.world_rank() % 2, self.world_rank());
+    for (const mpi::Comm* comm : {&self.world(), &half}) {
+      const AgreeResult res = self.agree(*comm, 1);
+      EXPECT_TRUE(res.clean());
+      EXPECT_EQ(res.value, 1u);
+      EXPECT_TRUE(res.survivors == comm->group());
+      EXPECT_EQ(res.survivors.size(), comm->size());
+    }
+  });
 }
 
 TEST(CollectivesFailure, ChannelCreateRebuildsOverSurvivorsAtEveryCrashTime) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/machine_helpers.hpp"
 
@@ -38,6 +40,49 @@ TEST(FileIo, SecondCollectiveWriteAppends) {
   const std::string text(reinterpret_cast<const char*>(content.data()),
                          content.size());
   EXPECT_EQ(text, "01AB");
+}
+
+TEST(FileIo, FreshHandleAppendsAfterEarlierCollectiveWrite) {
+  // Recovery opens a fresh File over the surviving membership. A collective
+  // write through a new handle must append after the earlier handle's
+  // writes, not reclaim their extent.
+  mpi::Machine machine(testing::tiny_machine(2));
+  machine.run([&](Rank& self) {
+    const char first = static_cast<char>('0' + self.world_rank());
+    const char second = static_cast<char>('A' + self.world_rank());
+    {
+      File file(machine, self.world(), "f", 32);
+      file.write_all(self, SendBuf::of(&first, 1));
+    }
+    File fresh(machine, self.world(), "f", 32);
+    fresh.write_all(self, SendBuf::of(&second, 1));
+  });
+  const auto content = machine.filesystem().open("f")->content();
+  const std::string text(reinterpret_cast<const char*>(content.data()),
+                         content.size());
+  EXPECT_EQ(text, "01AB");
+}
+
+TEST(FileIo, WriteAllUnevenLastGroupAndEmptyBlocks) {
+  // P = 5 at stride 2: groups {0,1}, {2,3} and a last group of one. The
+  // first write's empty block sits at an aggregator (rank 2), the second's
+  // at a non-aggregator (rank 3). An empty std::vector's data() is null, so
+  // an empty real block looks like a synthetic one; the rest of its group's
+  // bytes must still be stored.
+  mpi::Machine machine(testing::tiny_machine(5));
+  machine.run([&](Rank& self) {
+    File file(machine, self.world(), "u", /*aggregator_stride=*/2);
+    const int me = self.world_rank();
+    const auto len = static_cast<std::size_t>(me + 1);
+    const std::vector<char> lower(me == 2 ? 0 : len, static_cast<char>('a' + me));
+    const std::vector<char> upper(me == 3 ? 0 : len, static_cast<char>('A' + me));
+    file.write_all(self, SendBuf::of(lower.data(), lower.size()));
+    file.write_all(self, SendBuf::of(upper.data(), upper.size()));
+  });
+  const auto content = machine.filesystem().open("u")->content();
+  const std::string text(reinterpret_cast<const char*>(content.data()),
+                         content.size());
+  EXPECT_EQ(text, "abbddddeeeeeABBCCCEEEEE");
 }
 
 TEST(FileIo, WriteSharedKeepsRecordsIntact) {

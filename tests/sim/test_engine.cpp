@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ds::sim {
@@ -134,6 +135,39 @@ TEST(Engine, EventsExecutedCounts) {
   eng.schedule(2, [] {});
   eng.run();
   EXPECT_EQ(eng.events_executed(), 2u);
+}
+
+/// An inline (48-byte) action that schedules `kEvents` events, then reads
+/// its own capture.
+struct Burst {
+  static constexpr int kEvents = 10'000;
+  Engine* engine;
+  int* fired;
+  std::uint64_t* seen;
+  std::uint64_t a, b, c;
+  void operator()() const {
+    for (int i = 0; i < kEvents; ++i)
+      engine->schedule_after(1 + i % 7, [f = fired] { ++*f; });
+    *seen = a ^ b ^ c;
+  }
+};
+static_assert(sizeof(Burst) == 48 && sizeof(Burst) <= Callback::kInlineBytes);
+
+TEST(Engine, CallbackThatSchedulesThousandsOfEventsStaysIntact) {
+  // This action grows the event slab by thousands of slots while it runs.
+  // Its capture must stay intact: an action run where it lies in storage
+  // that relocates reads freed memory (a use-after-free under
+  // AddressSanitizer).
+  Engine eng;
+  int fired = 0;
+  std::uint64_t seen = 0;
+  eng.schedule(0, Burst{&eng, &fired, &seen, 0x0123456789abcdefull,
+                        0xfedcba9876543210ull, 0x0f0f0f0f0f0f0f0full});
+  eng.run();
+  EXPECT_EQ(seen, 0x0123456789abcdefull ^ 0xfedcba9876543210ull ^
+                      0x0f0f0f0f0f0f0f0full);
+  EXPECT_EQ(fired, Burst::kEvents);
+  EXPECT_EQ(eng.events_executed(), 1u + Burst::kEvents);
 }
 
 TEST(Engine, SpawnFromInsideProcess) {
