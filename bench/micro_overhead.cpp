@@ -5,7 +5,11 @@
 // sweep.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/decouple.hpp"
+#include "mpi/ops.hpp"
 #include "mpi/rank.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
@@ -32,6 +36,30 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventQueuePushPop);
+
+/// The same queue traffic with callbacks shaped like the simulator's: each
+/// captures a pointer and an op handle (16 bytes), plus `kPadWords` words of
+/// schedule data (48 bytes at 4). A capture-free lambda relocates nothing,
+/// so only these time what moving a callback costs on push and pop.
+template <int kPadWords>
+void BM_EventQueuePushPopCapturing(benchmark::State& state) {
+  mpi::detail::OpPool<mpi::detail::SendOp> pool;  // outlives the queue
+  const auto op = pool.acquire();
+  sim::EventQueue queue;
+  std::uint64_t sink = 0;
+  util::SimTime t = 0;
+  for (auto _ : state) {
+    if constexpr (kPadWords == 0) {
+      queue.push(++t, [sink = &sink, op] { *sink += op->refs; });
+    } else {
+      const std::array<std::uint64_t, kPadWords> pad{};
+      queue.push(++t, [sink = &sink, op, pad] { *sink += op->refs + pad[0]; });
+    }
+    if (queue.size() > 1024) benchmark::DoNotOptimize(queue.pop());
+  }
+}
+BENCHMARK_TEMPLATE(BM_EventQueuePushPopCapturing, 0);
+BENCHMARK_TEMPLATE(BM_EventQueuePushPopCapturing, 4);
 
 void BM_EngineSelfWake(benchmark::State& state) {
   // One advance() = schedule + fiber switch out + event dispatch + switch in.

@@ -83,21 +83,15 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
   ch.config_ = config;
   ch.producer_count_ = producers;
   ch.consumer_count_ = consumers;
-  // Record where each consumer lives (the machine's node structure is the
-  // same on every rank, so this is collectively consistent), and shape the
-  // term tree from it when asked.
-  const auto& network = self.machine().config().network;
-  ch.consumer_node_.reserve(static_cast<std::size_t>(consumers));
-  for (int c = 0; c < consumers; ++c) {
-    const int world = members[static_cast<std::size_t>(producers + c)];
-    ch.consumer_node_.push_back(
-        network.ranks_per_node > 0 ? world / network.ranks_per_node : world);
-  }
-  if (config.node_aware_term && ch.tree_termination())
-    ch.build_node_aware_tree();
+  // The machine's node structure is the same on every rank, so a consumer's
+  // node, and the term tree shaped from it when asked, are collectively
+  // consistent.
+  ch.ranks_per_node_ = self.machine().config().network.ranks_per_node;
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
   const mpi::Comm channel_comm(ctx, mpi::Group(std::move(members)));
+  if (config.node_aware_term && ch.tree_termination())
+    ch.build_node_aware_tree(channel_comm);
   // Non-members keep an invalid comm -> inert handle.
   if (channel_comm.rank_of_world(self.world_rank()) >= 0)
     ch.comm_ = channel_comm;
@@ -144,7 +138,12 @@ int Channel::route(int producer, std::uint64_t seq) const noexcept {
   return block_route(producer, producer_count_, consumer_count_);
 }
 
-void Channel::build_node_aware_tree() {
+int Channel::consumer_node(const mpi::Comm& comm, int c) const noexcept {
+  const int world = comm.world_rank(consumer_rank(c));
+  return ranks_per_node_ > 0 ? world / ranks_per_node_ : world;
+}
+
+void Channel::build_node_aware_tree(const mpi::Comm& comm) {
   const int consumers = consumer_count_;
   if (consumers <= 1) return;  // a single consumer needs no tree
   term_parent_.assign(static_cast<std::size_t>(consumers), -1);
@@ -156,8 +155,7 @@ void Channel::build_node_aware_tree() {
   std::vector<int> leaders;
   std::vector<int> leader_of(static_cast<std::size_t>(consumers));
   for (int c = 0; c < consumers; ++c) {
-    const auto [it, inserted] =
-        leader_on_node.emplace(consumer_node_[static_cast<std::size_t>(c)], c);
+    const auto [it, inserted] = leader_on_node.emplace(consumer_node(comm, c), c);
     if (inserted) leaders.push_back(c);
     leader_of[static_cast<std::size_t>(c)] = it->second;
   }
@@ -205,12 +203,11 @@ int Channel::term_tree_depth() const noexcept {
 }
 
 int Channel::term_cross_node_edges() const noexcept {
-  if (consumer_node_.empty()) return 0;
+  if (!valid()) return 0;
   int edges = 0;
   for (int c = 1; c < consumer_count_; ++c) {
     const int parent = term_parent_of(c);
-    if (parent >= 0 && consumer_node_[static_cast<std::size_t>(c)] !=
-                           consumer_node_[static_cast<std::size_t>(parent)])
+    if (parent >= 0 && consumer_node(comm_, c) != consumer_node(comm_, parent))
       ++edges;
   }
   return edges;

@@ -254,7 +254,8 @@ class Channel {
   /// Tree edges whose endpoint consumers live on different nodes — the
   /// term messages that must cross the fabric. The node-aware shape bounds
   /// this by the leader tree (O(nodes)); the flat heap scatters edges
-  /// across nodes. Benches use it to compare the shapes.
+  /// across nodes. Benches use it to compare the shapes. 0 on an inert
+  /// handle.
   [[nodiscard]] int term_cross_node_edges() const noexcept;
 
   /// Channel rank (in comm()) of producer p / consumer c.
@@ -264,7 +265,9 @@ class Channel {
   }
 
  private:
-  void build_node_aware_tree();
+  /// Node of consumer `c` of a channel over `comm`: its world rank's node.
+  [[nodiscard]] int consumer_node(const mpi::Comm& comm, int c) const noexcept;
+  void build_node_aware_tree(const mpi::Comm& comm);
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
                        const std::vector<std::int8_t>& roles,
                        ChannelConfig config);
@@ -273,8 +276,9 @@ class Channel {
   mpi::Comm comm_{};
   int producer_count_ = 0;
   int consumer_count_ = 0;
-  /// Node id per consumer (filled at create; empty for inert handles).
-  std::vector<int> consumer_node_;
+  /// The machine's ranks per node (<= 0: one rank per node), from which
+  /// consumer_node derives a consumer's node.
+  int ranks_per_node_ = 0;
   /// Node-aware term-tree parents (empty = flat heap shape).
   std::vector<int> term_parent_;
 };

@@ -148,8 +148,9 @@ struct CoalesceState {
   bool resilient = false;
   std::size_t frame_overhead = kFrameOverhead;  ///< + epoch header if resilient
   std::uint32_t checkpoint_interval = 0;
-  std::vector<resilience::ReplayLog> logs;  ///< by flow (original consumer)
-  std::vector<int> redirect;   ///< physical consumer per flow (identity start)
+  /// Physical consumer per flow (identity start). Dense, like
+  /// flow_incarnation: failover rebinds and counts every flow, open or not.
+  std::vector<int> redirect;
   std::uint64_t seen_failure_epoch = 0;
   std::uint64_t seen_rejoin_epoch = 0;
   /// Last observed incarnation of each flow's *home* rank: a bump while the
@@ -176,21 +177,53 @@ struct CoalesceState {
     /// per-consumer counts and the resilient counted term's per-flow ones.
     std::uint64_t sent = 0;
   };
-  std::vector<Pending> pending;  ///< by flow
+
+  /// Flow state exists only for the flows this producer has put an element
+  /// on — one for a Block producer, or a Directed one on its default route;
+  /// every consumer for a RoundRobin one. `slot` maps a flow to its index in
+  /// `frames` and, on a resilient stream, in `logs` (kNoSlot while the flow
+  /// is unopened, which reads as an empty frame slot and an empty log).
+  /// Only open() adds to `frames` and `logs`, and nothing holds a reference
+  /// into them across it: backstop events keep a slot, not a reference.
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slot;          ///< by flow
+  std::vector<Pending> frames;              ///< by slot
+  std::vector<resilience::ReplayLog> logs;  ///< by slot (resilient)
 
   std::uint64_t frames_sent = 0;
+
+  /// The flow's slot, opening the flow at its first use.
+  std::uint32_t open(std::size_t flow) {
+    std::uint32_t& s = slot[flow];
+    if (s == kNoSlot) {
+      s = static_cast<std::uint32_t>(frames.size());
+      // Geometric growth, capped at one slot per consumer.
+      if (frames.size() == frames.capacity())
+        frames.reserve(std::min(slot.size(), 2 * frames.size() + 1));
+      frames.emplace_back();
+      if (resilient) {
+        logs.reserve(frames.capacity());
+        logs.emplace_back();
+      }
+    }
+    return s;
+  }
+  /// The flow's frame slot, or null while the flow is unopened.
+  Pending* frame_of(std::size_t flow) {
+    return slot[flow] == kNoSlot ? nullptr : &frames[slot[flow]];
+  }
 
   /// Post one flow's pending frame (fiber or event context) and reset the
   /// slot. Resilient flows retain the frame bytes for replay before posting.
   /// Returns the frame's wire size for the controller.
-  std::uint64_t post_frame(int consumer) {
-    Pending& p = pending[static_cast<std::size_t>(consumer)];
+  std::uint64_t post_frame(std::uint32_t s) {
+    Pending& p = frames[s];
     FrameHeader header{p.elements,
                        static_cast<std::uint32_t>(p.buf.size() - kFrameOverhead)};
     std::memcpy(p.buf.data(), &header, sizeof header);
     if (resilient)
-      logs[static_cast<std::size_t>(consumer)].retain(
-          p.seq0, p.elements, p.wire, p.buf.data(), p.buf.size());
+      logs[s].retain(p.seq0, p.elements, p.wire, p.buf.data(), p.buf.size());
     machine->post_send(context, producer_index, src_world, p.dst_world,
                        frame_tag,
                        mpi::SendBuf{p.buf.data(), p.buf.size(), p.wire});
@@ -279,6 +312,7 @@ StreamStats Stream::stats() const noexcept {
   s.max_inflight_now = credit_window();
   if (coalesce_) {
     s.frames_sent = coalesce_->frames_sent;
+    s.open_flows = static_cast<std::uint32_t>(coalesce_->frames.size());
     s.replayed_elements = coalesce_->replayed_elements;
     for (const resilience::ReplayLog& log : coalesce_->logs)
       s.retained_elements += log.retained_elements();
@@ -325,7 +359,7 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
   st->inject_overhead = cfg.inject_overhead;
   st->send_overhead = self.machine().config().network.send_overhead;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  st->pending.resize(consumers);
+  st->slot.assign(consumers, CoalesceState::kNoSlot);
   if (cfg.max_inflight > 0 && st->autotune) {
     st->window_cfg = cfg.max_inflight;
     st->window_cap = cfg.max_inflight * ChannelConfig::kWindowGrowthCap;
@@ -334,7 +368,6 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
   if (st->resilient) {
     auto& machine = self.machine();
     st->checkpoint_interval = cfg.checkpoint_interval;
-    st->logs.resize(consumers);
     st->redirect.resize(consumers);
     st->flow_incarnation.resize(st->redirect.size());
     for (std::size_t c = 0; c < st->redirect.size(); ++c) {
@@ -359,11 +392,12 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
                               mpi::SendBuf element) {
   CoalesceState& st = *coalesce_;
   const std::size_t el_wire = element.on_wire();
-  auto& p = st.pending[static_cast<std::size_t>(flow)];
+  const std::uint32_t s = st.open(static_cast<std::size_t>(flow));
+  auto& p = st.frames[s];
   if (p.elements > 0 &&
       (p.wire + kSubOverhead + el_wire > st.budget ||
        p.elements >= ChannelConfig::kCoalesceMaxElements)) {
-    flush_frame(self, flow, FlushTrigger::Budget);
+    flush_frame(self, s, FlushTrigger::Budget);
   }
   const bool opened = p.elements == 0;
   if (opened) {
@@ -395,14 +429,14 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
   // acknowledgments (which arrive at epoch granularity) always truncate
   // whole frames from the replay log.
   if (st.resilient && p.sent % st.checkpoint_interval == 0) {
-    flush_frame(self, flow, FlushTrigger::Other);
+    flush_frame(self, s, FlushTrigger::Other);
     return;
   }
   // No further element fits — always so under coalesce_budget = 0, and for
   // an element larger than the budget: post the frame now, from the fiber,
   // so one-element frames pay the per-element o plus o_s at their own send.
   if (p.wire + kSubOverhead > st.budget) {
-    flush_frame(self, flow, FlushTrigger::Budget);
+    flush_frame(self, s, FlushTrigger::Budget);
     return;
   }
   // Same-instant backstop for a frame left open: the moment this fiber
@@ -413,21 +447,22 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
   if (opened)
     self.machine().engine().schedule(
         self.machine().engine().now(),
-        [st = coalesce_, flow, epoch = p.epoch] {
-          auto& slot = st->pending[static_cast<std::size_t>(flow)];
-          if (slot.epoch != epoch || slot.elements == 0) return;
+        [st = coalesce_, s, epoch = p.epoch] {
+          const auto& frame = st->frames[s];
+          if (frame.epoch != epoch || frame.elements == 0) return;
           // Event context: no fiber to charge — carry the CPU cost as debt,
           // settled on the producer's next fiber-side flush.
-          st->debt += st->inject_overhead * slot.elements + st->send_overhead;
-          const std::uint32_t n = slot.elements;
-          const std::uint64_t wire = st->post_frame(flow);
+          st->debt += st->inject_overhead * frame.elements + st->send_overhead;
+          const std::uint32_t n = frame.elements;
+          const std::uint64_t wire = st->post_frame(s);
           st->retune(FlushTrigger::Idle, n, wire);
         });
 }
 
-void Stream::flush_frame(mpi::Rank& self, int consumer, FlushTrigger trigger) {
+void Stream::flush_frame(mpi::Rank& self, std::uint32_t slot,
+                         FlushTrigger trigger) {
   CoalesceState& st = *coalesce_;
-  auto& p = st.pending[static_cast<std::size_t>(consumer)];
+  auto& p = st.frames[slot];
   if (p.elements == 0) return;
   // One aggregate advance per frame replaces the per-element wake/advance
   // pair: n injections' worth of `o` plus one per-message o_s, plus any
@@ -436,15 +471,16 @@ void Stream::flush_frame(mpi::Rank& self, int consumer, FlushTrigger trigger) {
       st.debt + st.inject_overhead * p.elements + st.send_overhead;
   st.debt = 0;
   const std::uint32_t n = p.elements;
-  const std::uint64_t wire = st.post_frame(consumer);
+  const std::uint64_t wire = st.post_frame(slot);
   st.retune(trigger, n, wire);
   self.process().advance(charge);
 }
 
 void Stream::flush_all_frames(mpi::Rank& self, FlushTrigger trigger) {
   if (!coalesce_) return;
-  for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
-    flush_frame(self, static_cast<int>(c), trigger);
+  // In ascending flow order, which fixes the order the frames are posted in.
+  for (const std::uint32_t s : coalesce_->slot)
+    if (s != CoalesceState::kNoSlot) flush_frame(self, s, trigger);
 }
 
 void Stream::flush(mpi::Rank& self) {
@@ -546,9 +582,9 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // logical consumer indices, so the counts hold even after a resilient
   // flow moved to a failover target.
   term_entries_.clear();
-  for (std::size_t c = 0; c < coalesce_->pending.size(); ++c)
-    if (coalesce_->pending[c].sent > 0)
-      term_entries_.push_back(TermEntry{c, coalesce_->pending[c].sent});
+  for (std::size_t c = 0; c < coalesce_->slot.size(); ++c)
+    if (const auto* p = coalesce_->frame_of(c); p != nullptr && p->sent > 0)
+      term_entries_.push_back(TermEntry{c, p->sent});
   auto& machine = self.machine();
   auto post_term = [&](int root) {
     self.process().advance(machine.config().network.send_overhead);
@@ -589,8 +625,8 @@ void Stream::terminate_impl(mpi::Rank& self) {
     park(self, "stream release wait");
   }
   // The release retires every replay log: everything sent is accounted for.
-  for (std::size_t f = 0; f < coalesce_->logs.size(); ++f)
-    coalesce_->logs[f].truncate(coalesce_->pending[f].sent);
+  for (std::size_t s = 0; s < coalesce_->logs.size(); ++s)
+    coalesce_->logs[s].truncate(coalesce_->frames[s].sent);
 }
 
 int Stream::term_root(mpi::Rank& self) const {
@@ -807,11 +843,11 @@ bool Stream::check_producer_failover(mpi::Rank& self) {
     ++st.failovers;
     st.redirect[flow] = target;
 
-    auto& p = st.pending[flow];
     // A frame still being packed follows the flow to its new target.
     const int dst_world =
         channel_->comm().world_rank(channel_->consumer_rank(target));
-    if (p.elements > 0) p.dst_world = dst_world;
+    if (auto* p = st.frame_of(flow); p != nullptr && p->elements > 0)
+      p->dst_world = dst_world;
     // A rebind back home (the dead adopter's failover target can be the
     // flow's own rejoined slot) counts as reconciliation with the current
     // incarnation — the replay below is the resynchronization.
@@ -828,7 +864,9 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
                             "replay");
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
-  const resilience::ReplayLog& log = st.logs[flow];
+  // An unopened flow has an empty log: nothing to hand over or replay.
+  if (st.slot[flow] == CoalesceState::kNoSlot) return;
+  const resilience::ReplayLog& log = st.logs[st.slot[flow]];
   // Hand the flow over: the durable point travels ahead of the replayed
   // frames (per-source FIFO), so the receiver's cursor skips whatever the
   // previous owner already made durable — even mid-frame.
@@ -864,7 +902,8 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
         channel_->consumer_rank(static_cast<int>(flow)));
     // Still away, or dead at home: crashes are check_producer_failover's job.
     if (machine.rank_failed(home_world)) continue;
-    auto& p = st.pending[flow];
+    auto* p = st.frame_of(flow);
+    const std::uint64_t sent = p != nullptr ? p->sent : 0;
     if (st.redirect[flow] != static_cast<int>(flow)) {
       // Hand the flow back to its rejoined home slot. New elements go home;
       // the previous owner gets a handback marker telling it to ship its
@@ -875,11 +914,11 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       const int prev = st.redirect[flow];
       st.redirect[flow] = static_cast<int>(flow);
       st.flow_incarnation[flow] = machine.incarnation(home_world);
-      if (p.elements > 0) p.dst_world = home_world;
-      if (p.sent > 0 ||
+      if (p != nullptr && p->elements > 0) p->dst_world = home_world;
+      if (sent > 0 ||
           (!channel_->tree_termination() &&
            channel_->route(st.producer_index, 0) == static_cast<int>(flow))) {
-        const FlowHandoff marker{p.sent, static_cast<std::uint32_t>(flow), 0};
+        const FlowHandoff marker{sent, static_cast<std::uint32_t>(flow), 0};
         self.process().advance(st.send_overhead);
         machine.post_send(
             context_, st.producer_index, st.src_world,
@@ -1227,9 +1266,11 @@ void Stream::drain_durable_acks(mpi::Rank& self) {
                                  st.source, kTagDurable,
                                  mpi::RecvBuf::of(&ack, 1));
     self.wait(req);  // completes synchronously after a successful probe
+    // Acks name flows this producer sent on, which are open; open() keeps
+    // the durable point of any other flow, as an empty log would.
     if (!req->status.synthetic && req->status.bytes >= sizeof ack &&
-        ack.flow < coalesce_->logs.size())
-      coalesce_->logs[ack.flow].truncate(ack.upto);
+        ack.flow < coalesce_->slot.size())
+      coalesce_->logs[coalesce_->open(ack.flow)].truncate(ack.upto);
   }
 }
 

@@ -180,6 +180,11 @@ struct StreamStats {
   /// Current effective credit window: the configured max_inflight, grown
   /// (never below it) on credit stalls when flow_autotune is on.
   std::uint32_t max_inflight_now = 0;
+  /// Flows this producer holds frame state (and, when resilient, a replay
+  /// log) for. Each opens at its first element, so this counts the flows
+  /// the producer sends on, not the consumers: one under Block (or Directed
+  /// on its default route), up to every consumer under RoundRobin.
+  std::uint32_t open_flows = 0;
 
   // ---- consumer ----
   /// Data elements processed: handed to the operator, duplicates excluded.
@@ -330,9 +335,11 @@ class Stream {
   /// element would overflow the budget or the element cap, and posting the
   /// frame at once when no further element fits (or an epoch ends).
   void coalesce_element(mpi::Rank& self, int flow, mpi::SendBuf element);
-  /// Fiber-context flush of one consumer's pending frame (post, retune,
-  /// charge the deferred per-element + per-message overhead as one advance).
-  void flush_frame(mpi::Rank& self, int consumer, FlushTrigger trigger);
+  /// Fiber-context flush of one open flow's pending frame, by its slot in
+  /// the framing state (post, retune, charge the deferred per-element +
+  /// per-message overhead as one advance).
+  void flush_frame(mpi::Rank& self, std::uint32_t slot, FlushTrigger trigger);
+  /// flush_frame for every open flow, in ascending flow order.
   void flush_all_frames(mpi::Rank& self, FlushTrigger trigger);
   /// Unpack state for the frame just received into message_;
   /// consume_frame_element() then hands elements to the operator one at a

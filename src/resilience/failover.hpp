@@ -6,10 +6,11 @@
 //  * ReplayLog    — producer-side bounded retention: every flushed frame of a
 //    resilient flow is retained (in its wire form) until the consumer
 //    acknowledges epoch durability, then truncated. On failover the retained
-//    frames are re-posted verbatim to the adopting consumer. A log that never
-//    retains a frame allocates nothing (a producer holds one log per flow
-//    but usually routes to few of them), and buffers recycle through a small
-//    freelist, so steady-state retention does not allocate either.
+//    frames are re-posted verbatim to the adopting consumer. A producer
+//    creates a flow's log at the flow's first element, so it holds logs only
+//    for the flows it sends on; a log that never retains a frame allocates
+//    nothing, and buffers recycle through a small freelist, so steady-state
+//    retention does not allocate either.
 //  * DedupFilter  — consumer-side exactly-once admission: every resilient
 //    frame carries its flow id and starting sequence number; the filter
 //    admits each (producer, flow, seq) at most once, so replay overlap can

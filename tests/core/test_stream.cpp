@@ -359,6 +359,47 @@ TEST(Stream, IsendToOnBlockAddressesOnlyTheRoutedConsumer) {
   EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
 }
 
+TEST(Stream, ProducerHoldsStateOnlyForTheFlowsItSendsOn) {
+  // A flow's frame slot (and replay log) opens at its first element, so a
+  // producer's framing memory follows the flows it sends on, not the
+  // consumer count: on 64 consumers a Block producer holds one flow, with
+  // or without resilience, and a RoundRobin producer all 64.
+  constexpr int kConsumers = 64, kEach = 256;
+  for (const auto mapping :
+       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::RoundRobin}) {
+    for (const std::uint32_t interval : {0u, 8u}) {
+      std::uint32_t open_at_start = 1, open_at_end = 0;
+      std::uint64_t consumed = 0;
+      testing::run_program(
+          testing::tiny_machine(1 + kConsumers), [&](Rank& self) {
+            const bool producer = self.world_rank() == 0;
+            ChannelConfig cfg;
+            cfg.mapping = mapping;
+            cfg.checkpoint_interval = interval;
+            const Channel ch =
+                Channel::create(self, self.world(), producer, !producer, cfg);
+            Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
+            if (producer) {
+              open_at_start = s.stats().open_flows;
+              for (std::uint64_t i = 0; i < kEach; ++i)
+                s.isend(self, SendBuf::of(&i, 1));
+              s.terminate(self);
+              open_at_end = s.stats().open_flows;
+            } else {
+              consumed += s.operate(self);
+            }
+          });
+      SCOPED_TRACE(::testing::Message()
+                   << "mapping " << static_cast<int>(mapping)
+                   << " checkpoint_interval " << interval);
+      EXPECT_EQ(open_at_start, 0u);
+      EXPECT_EQ(open_at_end,
+                mapping == ChannelConfig::Mapping::Block ? 1u : 64u);
+      EXPECT_EQ(consumed, static_cast<std::uint64_t>(kEach));
+    }
+  }
+}
+
 TEST(Stream, MaxInflightThrottlesProducerToConsumerPace) {
   // Credit-based backpressure: with a window of 2 and a consumer that needs
   // 100 us per element, a 20-element producer must stay within ~2 elements

@@ -304,6 +304,59 @@ TEST(StreamFailover, ZeroSendProducerTermRoutesToFailoverTarget) {
   EXPECT_EQ(survivor_elements, 1u);
 }
 
+TEST(StreamFailover, UnopenedFlowFailsOverBeforeItsFirstElement) {
+  // A producer holds state only for the flows it has sent on. Consumer 2
+  // dies after the producer's first element (to consumer 0) but before its
+  // first isend_to at consumer 2: the failover pass still rebinds, and
+  // counts, the unopened flow, so the flow opens toward the failover target
+  // and its element reaches that target exactly once.
+  constexpr int kConsumers = 3;
+  auto config = testing::tiny_machine(1 + kConsumers);
+  config.faults.crash(/*world rank of consumer 2=*/3, util::microseconds(10));
+  std::vector<std::vector<std::uint64_t>> delivered(kConsumers);
+  stream::StreamStats producer_stats;
+  int target = -1;
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.mapping = ChannelConfig::Mapping::Directed;
+    cfg.checkpoint_interval = 4;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = ch.my_consumer_index(self);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [&](const StreamElement& el) {
+                                std::uint64_t id = 0;
+                                std::memcpy(&id, el.data, sizeof id);
+                                delivered[static_cast<std::size_t>(me)]
+                                    .push_back(id);
+                              });
+    if (producer) {
+      const std::uint64_t first = element_id(0, 0);
+      s.isend_to(self, 0, SendBuf::of(&first, 1));
+      self.compute(util::microseconds(30));  // consumer 2 dies meanwhile
+      target = resilience::failover_target(ch, 2, self.machine());
+      const std::uint64_t second = element_id(0, 1);
+      s.isend_to(self, 2, SendBuf::of(&second, 1));
+      s.terminate(self);
+      producer_stats = s.stats();
+    } else {
+      s.operate(self);
+    }
+  });
+  ASSERT_GE(target, 0);
+  ASSERT_NE(target, 2);
+  for (int c = 0; c < kConsumers; ++c) {
+    const auto& d = delivered[static_cast<std::size_t>(c)];
+    EXPECT_EQ(std::count(d.begin(), d.end(), element_id(0, 1)),
+              c == target ? 1 : 0)
+        << "consumer " << c;
+  }
+  EXPECT_EQ(producer_stats.failovers, 1u);
+  EXPECT_EQ(producer_stats.replayed_elements, 0u);
+  EXPECT_EQ(producer_stats.open_flows, 2u);
+}
+
 TEST(StreamFailover, ManualDurabilityBlockProducerStaysUntilReleased) {
   // Block with manual durability: both consumers compute 5 us per element,
   // and consumer 1 is crashed at 60 us, long after both producers
