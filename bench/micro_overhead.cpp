@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "core/decouple.hpp"
 #include "mpi/ops.hpp"
@@ -92,6 +93,36 @@ void BM_SimulatedP2PMessage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * messages);
 }
 BENCHMARK(BM_SimulatedP2PMessage)->Arg(5000);
+
+/// Mailbox matching with a rank receiving on `contexts` communicators at
+/// once: the sender round-robins messages over them and the receiver drains
+/// them in the same order, so each receive post and each arrival (deposit)
+/// matches inside its own context's queues. The communicators are built
+/// locally from derived contexts, so the timing holds no set-up collective.
+void BM_MailboxMatchingAcrossContexts(benchmark::State& state) {
+  const auto contexts = static_cast<int>(state.range(0));
+  constexpr std::int64_t kMessages = 4096;
+  for (auto _ : state) {
+    mpi::Machine machine(mpi::MachineConfig::testbed(2));
+    machine.run([contexts](mpi::Rank& self) {
+      std::vector<mpi::Comm> comms;
+      for (int c = 0; c < contexts; ++c)
+        comms.emplace_back(mpi::Machine::derive_context(
+                               self.world().context(), 0xBE7C4ull,
+                               static_cast<std::uint64_t>(c)),
+                           self.world().group());
+      for (std::int64_t i = 0; i < kMessages; ++i) {
+        const mpi::Comm& comm = comms[static_cast<std::size_t>(i % contexts)];
+        if (self.world_rank() == 0)
+          self.send(comm, 1, 0, mpi::SendBuf::synthetic(64));
+        else
+          (void)self.recv(comm, 0, 0, mpi::RecvBuf::discard(64));
+      }
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kMessages);
+}
+BENCHMARK(BM_MailboxMatchingAcrossContexts)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_SimulatedStreamElement(benchmark::State& state) {
   // Host cost per simulated MPIStream element: producer inject -> fabric ->

@@ -19,11 +19,10 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
   mpi::Comm active = parent;
   for (int attempt = 0;; ++attempt) {
     // Everyone learns everyone's role — the same traffic MPI_Comm_split
-    // pays. Zero-initialized so a block satisfied by failure reads as "not
-    // a member" instead of garbage.
-    std::vector<std::int8_t> roles(static_cast<std::size_t>(active.size()), 0);
-    const mpi::Status st =
-        self.allgather(active, mpi::SendBuf::of(&my_role, 1), roles.data());
+    // pays — from the allgather's one shared copy. A member that crashed
+    // before depositing reads as "not a member".
+    const mpi::AllgatherResult roles =
+        self.allgather(active, mpi::SendBuf::of(&my_role, 1));
     // Commit the exchange through agreement: collective outcomes may
     // diverge when a crash races the last rounds (one rank completes clean
     // before the crash instant, its neighbor observes the failure), and a
@@ -32,9 +31,9 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
     // and settles one failure view, so either everyone builds from this
     // exchange or everyone retries.
     const mpi::AgreeResult verdict =
-        self.agree(active, st.failed ? 1u : 0u);
+        self.agree(active, roles.status.failed ? 1u : 0u);
     if (verdict.value == 0 && verdict.clean())
-      return build(self, active, roles, config);
+      return build(self, active, *roles.blocks, config);
     // A crash landed inside setup: re-derive membership from the agreed
     // survivor view and retry the exchange over it. Each retry excludes at
     // least one newly dead rank, so the loop terminates — with a channel
@@ -52,26 +51,26 @@ Channel Channel::attach(mpi::Rank& self, const mpi::Comm& parent,
                         ChannelConfig config) {
   if (self.rank_in(parent) < 0)
     throw std::logic_error("Channel::attach: caller not in parent communicator");
-  std::vector<std::int8_t> roles(static_cast<std::size_t>(parent.size()));
+  std::vector<std::byte> roles(static_cast<std::size_t>(parent.size()));
   for (int r = 0; r < parent.size(); ++r)
-    roles[static_cast<std::size_t>(r)] = role_of(r);
+    roles[static_cast<std::size_t>(r)] = static_cast<std::byte>(role_of(r));
   return build(self, parent, roles, config);
 }
 
 Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
-                       const std::vector<std::int8_t>& roles,
+                       std::span<const std::byte> roles,
                        ChannelConfig config) {
   const int size = parent.size();
   std::vector<int> members;  // world ranks: producers first, then consumers
   int producers = 0;
   for (int r = 0; r < size; ++r)
-    if (roles[static_cast<std::size_t>(r)] == 1) {
+    if (roles[static_cast<std::size_t>(r)] == std::byte{1}) {
       members.push_back(parent.world_rank(r));
       ++producers;
     }
   int consumers = 0;
   for (int r = 0; r < size; ++r)
-    if (roles[static_cast<std::size_t>(r)] == 2) {
+    if (roles[static_cast<std::size_t>(r)] == std::byte{2}) {
       members.push_back(parent.world_rank(r));
       ++consumers;
     }

@@ -19,8 +19,10 @@
 // owns channel lifetime and role dispatch.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -268,8 +270,12 @@ class Channel {
   /// Node of consumer `c` of a channel over `comm`: its world rank's node.
   [[nodiscard]] int consumer_node(const mpi::Comm& comm, int c) const noexcept;
   void build_node_aware_tree(const mpi::Comm& comm);
+  /// The channel over `parent` whose members' roles are `roles`, one byte
+  /// per parent rank (1 = producer, 2 = consumer). create passes the shared
+  /// result of its role allgather, read in place, and attach a list it
+  /// computed locally; either way every member derives the same channel.
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
-                       const std::vector<std::int8_t>& roles,
+                       std::span<const std::byte> roles,
                        ChannelConfig config);
 
   ChannelConfig config_{};

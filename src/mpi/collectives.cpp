@@ -282,11 +282,13 @@ struct IreduceOp final : CollBase {
 // ------------------------------------------------------------- allgatherv --
 // Recursive doubling (log2 P rounds) when P is a power of two — essential at
 // scale, where a ring's P-1 rounds per rank would mean O(P^2) messages — and
-// a ring otherwise. Block r starts at r * block (allgather, which keeps no
-// per-member array at all) or at the sum of the counts before it
-// (allgatherv). Recursive doubling only ever touches the boundaries of my
-// aligned 2^k-member block and of its end, so it keeps those
-// <= 2 log2 P + 2 offsets; the ring visits every block and keeps all P + 1.
+// a ring otherwise. Block r starts at r * block (the count-free allgather,
+// whose blocks travel through the machine's shared result entry, so its
+// rounds carry synthetic payloads and keep no per-member array) or at the
+// sum of the counts before it (allgatherv). Recursive doubling only ever
+// touches the boundaries of my aligned 2^k-member block and of its end, so
+// it keeps those <= 2 log2 P + 2 offsets; the ring visits every block and
+// keeps all P + 1.
 struct IallgathervOp final : CollBase {
   std::byte* out = nullptr;
   std::size_t block = 0;
@@ -579,6 +581,23 @@ namespace {
   self.wait(req);
   return req->status;
 }
+
+/// A member's hold on its allgather result entry, released when the call
+/// returns or while a crash unwinds the member's fiber.
+class ExchangeHold {
+ public:
+  ExchangeHold(Machine& machine, std::uint64_t key,
+               detail::Exchange& entry) noexcept
+      : machine_(machine), key_(key), entry_(entry) {}
+  ExchangeHold(const ExchangeHold&) = delete;
+  ExchangeHold& operator=(const ExchangeHold&) = delete;
+  ~ExchangeHold() { machine_.release_exchange(key_, entry_); }
+
+ private:
+  Machine& machine_;
+  std::uint64_t key_;
+  detail::Exchange& entry_;  ///< kept alive by the caller's shared_ptr
+};
 }  // namespace
 
 Status Rank::barrier(const Comm& comm) {
@@ -651,18 +670,27 @@ Status Rank::allgatherv(const Comm& comm, SendBuf mine, void* out,
   return wait_outcome(*this, iallgatherv(comm, mine, out, counts));
 }
 
-Request Rank::iallgather(const Comm& comm, SendBuf mine, void* out) {
+AllgatherResult Rank::allgather(const Comm& comm, SendBuf mine) {
+  const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgather");
   const int me = rank_in(comm);
-  if (me < 0) throw std::logic_error("iallgather: not a member");
+  if (me < 0) throw std::logic_error("allgather: not a member");
   process_->advance(static_cast<util::SimTime>(
       machine_->config().network.coll_post_ns_per_peer * comm.size()));
-  return IallgathervOp::launch(*machine_, comm, me, mine, out,
-                               /*counts=*/nullptr, next_coll_tag(comm));
-}
-
-Status Rank::allgather(const Comm& comm, SendBuf mine, void* out) {
-  const sim::SpanScope span(*process_, obs::SpanKind::Collective, "allgather");
-  return wait_outcome(*this, iallgather(comm, mine, out));
+  const int tag = next_coll_tag(comm);
+  // Every member of this call derives the same key from the communicator
+  // and the collective's tag (a salt apart from write_all's claim key).
+  const std::uint64_t key = Machine::derive_context(
+      comm.context(), 0xA11A7E5ull, static_cast<std::uint32_t>(tag));
+  const std::shared_ptr<detail::Exchange> entry =
+      machine_->exchange(key, comm.size(), me, mine);
+  const ExchangeHold hold(*machine_, key, *entry);
+  // The blocks travel through the entry; the wire carries same-size
+  // synthetic payloads, so the cost is that of the real exchange.
+  const Status status = wait_outcome(
+      *this, IallgathervOp::launch(*machine_, comm, me,
+                                   SendBuf::synthetic(mine.on_wire()),
+                                   /*out=*/nullptr, /*counts=*/nullptr, tag));
+  return AllgatherResult{status, {entry, &entry->data}};
 }
 
 Request Rank::ialltoallv(const Comm& comm, const void* send_buf,

@@ -37,15 +37,15 @@ Status File::write_all(Rank& self, SendBuf local) {
   const int group_end = std::min(group + aggregator_stride_, size);
 
   // Phase 0: everyone learns everyone's block size (the collective-buffering
-  // equivalent of exchanging file-view offsets). Zero-initialized so a
-  // block satisfied by failure reads as a zero-byte member — the phase
-  // structure below then runs identically on every live member regardless
-  // of where a crash lands (no per-rank decision that could diverge), which
-  // is what makes the whole collective hang-free. The top bit of an entry
-  // marks a block that carries real bytes (all of them, at least one). One
-  // pass yields the total and my aggregation group's offset; the aggregator
-  // keeps its group's sizes. The P-entry array is gone before any block
-  // ships.
+  // equivalent of exchanging file-view offsets), reading the allgather's one
+  // shared copy. A block never deposited reads as a zero-byte member, and a
+  // receive satisfied by failure still completes, so the phase structure
+  // below runs to completion on every live member wherever a crash lands,
+  // which is what makes the whole collective hang-free. The top bit of an
+  // entry marks a block that carries real bytes (all of them, at least
+  // one). One pass yields the total and my aggregation group's offset; the
+  // aggregator keeps its group's sizes. No member holds the sizes once
+  // blocks ship.
   constexpr std::uint64_t kRealBit = std::uint64_t{1} << 63;
   std::uint64_t total = 0;
   std::uint64_t group_base = 0;  // file offset of my group's first block
@@ -53,18 +53,18 @@ Status File::write_all(Rank& self, SendBuf local) {
   bool real = false;  // aggregator only: some block of my group is real
   Status exchanged;
   {
-    std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size), 0);
     const bool carries = local.ptr != nullptr && local.bytes > 0 &&
                          local.bytes == local.on_wire();
     const std::uint64_t mine = local.on_wire() | (carries ? kRealBit : 0);
-    exchanged = self.allgather(comm_, SendBuf::of(&mine, 1), sizes.data());
+    const AllgatherResult sizes = self.allgather(comm_, SendBuf::of(&mine, 1));
+    exchanged = sizes.status;
     for (int r = 0; r < size; ++r) {
       if (r == group) group_base = total;
-      total += sizes[static_cast<std::size_t>(r)] & ~kRealBit;
+      total += sizes.at<std::uint64_t>(static_cast<std::size_t>(r)) & ~kRealBit;
     }
     if (me == group) {
       for (int r = group; r < group_end; ++r) {
-        const std::uint64_t entry = sizes[static_cast<std::size_t>(r)];
+        const auto entry = sizes.at<std::uint64_t>(static_cast<std::size_t>(r));
         group_sizes.push_back(entry & ~kRealBit);
         real = real || (entry & kRealBit) != 0;
       }

@@ -47,9 +47,11 @@ class File {
   /// communicator's context and the collective's tag, so every member
   /// lands on the same base whichever File handle it writes through, and a
   /// fresh handle over the same communicator appends after earlier writes.
-  /// Each member holds the P-entry size array only for the size exchange:
-  /// one pass yields the total and its aggregation group's offset, and the
-  /// array is released before blocks ship.
+  /// The sizes are exchanged by the count-free allgather, and every member
+  /// reads its one shared result: no member fills a P-entry size array of
+  /// its own. One pass over it yields the total and the member's
+  /// aggregation group's offset, and members let go of it before blocks
+  /// ship.
   ///
   /// Failure-aware: a member crash never hangs the collective. The phase
   /// structure runs to completion on every live member (a dead member's

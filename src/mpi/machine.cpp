@@ -157,11 +157,11 @@ void Machine::kill_rank(int world_rank) {
   for (auto& [context, q] : box.contexts) {
     (void)context;
     while (!q.unexpected.empty()) {
-      const auto msg = q.unexpected.take(0);
+      const auto msg = q.unexpected.pop_front();
       if (!msg->complete) complete_op(*msg);
     }
     while (!q.posted.empty()) {
-      const auto recv = q.posted.take(0);
+      const auto recv = q.posted.pop_front();
       recv->status = Status{};
       recv->status.failed = true;
       complete_op(*recv);
@@ -176,17 +176,18 @@ void Machine::kill_rank(int world_rank) {
   // with Status::failed so failure-aware callers (collectives, p2p waits,
   // aggregated IO) observe the crash instead of deadlocking. Collect before
   // completing: completions run continuations that post new receives into
-  // the very queues being scanned (and can create new context buckets);
-  // interior take() erases, so scan each queue high-to-low.
+  // the very queues being scanned (and can create new context buckets).
+  // Each queue's orphans complete newest first, the order whose event
+  // sequence numbers the virtual-time baselines were recorded with.
   std::vector<detail::OpRef<detail::RecvOp>> orphaned;
+  const auto names_dead = [world_rank](const detail::RecvOp& recv) {
+    return recv.src_world == world_rank;
+  };
   for (int r = 0; r < config_.world_size; ++r) {
     if (r == world_rank || dead_[static_cast<std::size_t>(r)] != 0) continue;
     for (auto& [context, q] : mailboxes_[static_cast<std::size_t>(r)].contexts) {
       (void)context;
-      for (std::size_t i = q.posted.size(); i-- > 0;) {
-        if (q.posted[i]->src_world == world_rank)
-          orphaned.push_back(q.posted.take(i));
-      }
+      q.posted.take_all(names_dead, orphaned);
     }
   }
   for (const auto& recv : orphaned) {
@@ -226,6 +227,37 @@ std::shared_ptr<resilience::Agreement> Machine::agreement(std::uint64_t key,
 }
 
 void Machine::release_agreement(std::uint64_t key) { agreements_.erase(key); }
+
+std::shared_ptr<detail::Exchange> Machine::exchange(std::uint64_t key,
+                                                    int size, int member,
+                                                    SendBuf mine) {
+  const std::size_t block = mine.on_wire();
+  auto& slot = exchanges_[key];
+  if (!slot) {
+    slot = std::make_shared<detail::Exchange>();
+    slot->block = block;
+    slot->data.resize(static_cast<std::size_t>(size) * block);
+  } else if (slot->block != block) {
+    throw std::logic_error(
+        "allgather: members contribute blocks of different sizes");
+  }
+  if (mine.ptr != nullptr && mine.bytes > 0)
+    std::memcpy(slot->data.data() + static_cast<std::size_t>(member) * block,
+                mine.ptr, mine.bytes);
+  ++slot->readers_left;
+  return slot;
+}
+
+void Machine::release_exchange(std::uint64_t key,
+                               detail::Exchange& entry) noexcept {
+  if (--entry.readers_left > 0) return;
+  // Under a crash, members that finished early can release an entry before
+  // a late member deposits; the latter then starts a fresh entry under the
+  // same key, which only its own readers may erase.
+  const auto it = exchanges_.find(key);
+  if (it != exchanges_.end() && it->second.get() == &entry)
+    exchanges_.erase(it);
+}
 
 void Machine::add_failure_waiter(int pid) {
   // Registrations outlive individual waits (they are only consumed by the
@@ -339,12 +371,11 @@ detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
   auto& q = box.touch(context);
   // The unexpected queue is scanned first even when the named sender is
   // already dead: a message that outran the crash still matches.
-  for (std::size_t i = 0; i < q.unexpected.size(); ++i) {
-    if (detail::matches(*op, *q.unexpected[i])) {
-      const auto send = q.unexpected.take(i);
-      start_transfer(op, send);
-      return op;
-    }
+  const auto send = q.unexpected.take_first(
+      [&op](const detail::SendOp& msg) { return detail::matches(*op, msg); });
+  if (send) {
+    start_transfer(op, send);
+    return op;
   }
   if (rank_failed(dst_world) || (src_world >= 0 && rank_failed(src_world))) {
     // Satisfied-by-failure: either the only sender that could match is dead,
@@ -377,12 +408,12 @@ void Machine::deposit(const detail::OpRef<detail::SendOp>& msg) {
   }
   auto& box = mailboxes_.at(static_cast<std::size_t>(msg->dst_world));
   auto& q = box.touch(msg->context);
-  for (std::size_t i = 0; i < q.posted.size(); ++i) {
-    if (detail::matches(*q.posted[i], *msg)) {
-      const auto recv = q.posted.take(i);
-      start_transfer(recv, msg);
-      return;
-    }
+  const auto recv = q.posted.take_first([&msg](const detail::RecvOp& posted) {
+    return detail::matches(posted, *msg);
+  });
+  if (recv) {
+    start_transfer(recv, msg);
+    return;
   }
   q.unexpected.push_back(msg);
   if (!box.probe_waiters.empty()) {
@@ -432,15 +463,13 @@ bool Machine::match_probe(std::uint64_t context, int dst_world, int src_filter,
   const auto& box = mailboxes_.at(static_cast<std::size_t>(dst_world));
   const auto it = box.contexts.find(context);
   if (it == box.contexts.end()) return false;
-  const auto& unexpected = it->second.unexpected;
-  for (std::size_t i = 0; i < unexpected.size(); ++i) {
-    const auto& msg = unexpected[i];
-    if (detail::matches_filters(src_filter, tag_filter, *msg)) {
-      if (out) *out = Status{msg->src_comm_rank, msg->tag, msg->bytes};
-      return true;
-    }
-  }
-  return false;
+  const detail::SendOp* msg =
+      it->second.unexpected.find([=](const detail::SendOp& s) {
+        return detail::matches_filters(src_filter, tag_filter, s);
+      });
+  if (msg == nullptr) return false;
+  if (out) *out = Status{msg->src_comm_rank, msg->tag, msg->bytes};
+  return true;
 }
 
 void Machine::add_probe_waiter(int dst_world, int pid) {

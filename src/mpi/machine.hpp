@@ -3,6 +3,7 @@
 // state machines sit on.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -21,6 +22,16 @@
 namespace ds::mpi {
 
 class Rank;
+
+namespace detail {
+/// The one result buffer of a count-free allgather, shared by the members
+/// of the call (see Rank::allgather and Machine::exchange).
+struct Exchange {
+  std::size_t block = 0;         ///< bytes per member
+  std::vector<std::byte> data;   ///< member r's block at r * block
+  int readers_left = 0;          ///< depositors yet to release the entry
+};
+}  // namespace detail
 
 struct MachineConfig {
   int world_size = 1;
@@ -203,6 +214,27 @@ class Machine {
       std::uint64_t key, int size);
   void release_agreement(std::uint64_t key);
 
+  /// Deposit `mine` as member `member`'s block of one count-free allgather
+  /// and return the call's shared result entry, created zero-filled with
+  /// `size` blocks of `mine.on_wire()` bytes by its first depositor (`key` =
+  /// context derived from the communicator and the collective's tag, so
+  /// every member of the same call lands on the same entry). Throws
+  /// std::logic_error when members contribute different block sizes, whose
+  /// deposits would not fit the entry's layout. Each
+  /// depositor calls `release_exchange` exactly once, after reading the
+  /// result or while its fiber unwinds; the last one erases the entry, and
+  /// members still holding it keep the buffer alive.
+  [[nodiscard]] std::shared_ptr<detail::Exchange> exchange(std::uint64_t key,
+                                                           int size,
+                                                           int member,
+                                                           SendBuf mine);
+  void release_exchange(std::uint64_t key, detail::Exchange& entry) noexcept;
+  /// Live allgather result entries (introspection: none outlives a
+  /// fault-free run).
+  [[nodiscard]] std::size_t exchange_count() const noexcept {
+    return exchanges_.size();
+  }
+
   /// Control-message wire size used by rendezvous handshakes.
   static constexpr std::size_t kControlBytes = 64;
 
@@ -241,6 +273,9 @@ class Machine {
   /// Live agreement ledgers (see agreement()); erased when read out.
   std::unordered_map<std::uint64_t, std::shared_ptr<resilience::Agreement>>
       agreements_;
+  /// Live allgather results (see exchange()); erased by the last reader.
+  std::unordered_map<std::uint64_t, std::shared_ptr<detail::Exchange>>
+      exchanges_;
 };
 
 }  // namespace ds::mpi

@@ -20,7 +20,10 @@
 //    recycles, so even rendezvous-class reuse is allocation-free in steady
 //    state — however long a receiver holds a message.
 //  * Matching state is bucketed per context id (communicator / stream), so
-//    concurrent streams on one rank never scan each other's traffic.
+//    concurrent streams on one rank never scan each other's traffic. The
+//    queues of a bucket link their ops through the ops themselves
+//    (OpState::next), so a queue owns no storage and a push never
+//    allocates.
 //  * Collective state machines remain individually heap-allocated (pool ==
 //    nullptr => delete on last release): they are per-collective, not
 //    per-element.
@@ -57,7 +60,9 @@ struct OpState {
   sim::Callback on_complete;    ///< event-context continuation
   Status status{};              ///< filled in for receive-like ops
   OpPoolBase* pool = nullptr;   ///< home pool; null = heap-owned (delete)
-  OpState* next_free = nullptr; ///< intrusive freelist link while recycled
+  /// Intrusive link: the pool's freelist while recycled, a mailbox queue
+  /// while queued. A queued op holds a reference, so it is never both.
+  OpState* next = nullptr;
 
   OpState() = default;
   explicit OpState(OpKind k) noexcept : kind(k) {}
@@ -151,6 +156,12 @@ class OpRef {
     T* op = op_;
     op_ = nullptr;
     return op;
+  }
+  /// Take over a reference the caller holds (the inverse of detach).
+  [[nodiscard]] static OpRef adopt(T* op) noexcept {
+    OpRef ref;
+    ref.op_ = op;
+    return ref;
   }
 
  private:
@@ -341,8 +352,8 @@ class OpPool final : public OpPoolBase {
     ++stats_.acquired;
     if (free_head_ != nullptr) {
       T* op = static_cast<T*>(free_head_);
-      free_head_ = op->next_free;
-      op->next_free = nullptr;
+      free_head_ = op->next;
+      op->next = nullptr;
       return OpRef<T>(op);
     }
     ++stats_.created;
@@ -359,7 +370,7 @@ class OpPool final : public OpPoolBase {
     // recursively releasing them; each inner release completes before the
     // outer freelist push, so the list stays consistent.
     static_cast<T*>(op)->reset_for_reuse();
-    op->next_free = free_head_;
+    op->next = free_head_;
     free_head_ = op;
   }
 
@@ -374,61 +385,89 @@ class OpPool final : public OpPoolBase {
   OpPoolStats stats_;
 };
 
-/// FIFO over vector storage with a sliding head: push at the tail, match
-/// scans and removals start at the oldest element. Preferred over
-/// std::deque here because a deque recycles its block nodes as the queue
-/// oscillates, which shows up as steady-state allocation churn in the
-/// per-element hot path; vector capacity is retained across drain cycles.
+/// FIFO of queued ops, linked through OpState::next in push order. The
+/// queue owns no storage: it holds one reference per queued op and two
+/// pointers, so a push never allocates and a context that sits idle costs
+/// nothing beyond its bucket. Matching scans from the oldest op and unlinks
+/// the first hit wherever it sits (a filtered match behind older traffic of
+/// the same context) in O(1).
 template <typename T>
-class FifoQueue {
+class OpQueue {
  public:
-  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return items_.size() - head_;
-  }
-  /// i-th live element, 0 = oldest.
-  [[nodiscard]] T& operator[](std::size_t i) noexcept {
-    return items_[head_ + i];
-  }
-  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
-    return items_[head_ + i];
+  OpQueue() noexcept = default;
+  OpQueue(const OpQueue&) = delete;
+  OpQueue& operator=(const OpQueue&) = delete;
+  ~OpQueue() {
+    while (!empty()) (void)pop_front();
   }
 
-  void push_back(T value) {
-    // First touch reserves the whole steady-state regime: the sliding head
-    // compacts at kCompactAt, so a queue that never fully drains needs up to
-    // ~2*kCompactAt slots. Growing there lazily would land mid-run — a
-    // bounded-but-late allocation the zero-alloc steady-state gate (and its
-    // two-length delta method) would misread as a per-element cost.
-    if (items_.capacity() == 0) items_.reserve(2 * kCompactAt);
-    items_.push_back(std::move(value));
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+
+  void push_back(OpRef<T> op) noexcept {
+    T* raw = op.detach();  // the queue keeps the reference
+    raw->next = nullptr;
+    if (tail_ != nullptr)
+      tail_->next = raw;
+    else
+      head_ = raw;
+    tail_ = raw;
   }
 
-  /// Remove and return the i-th live element. Head removal slides the
-  /// window (amortized O(1)); interior removal shifts the tail (rare: a
-  /// filtered match sitting behind older traffic of the same context).
-  [[nodiscard]] T take(std::size_t i) {
-    T out = std::move(items_[head_ + i]);
-    if (i == 0) {
-      ++head_;
-      if (head_ == items_.size()) {
-        items_.clear();  // keeps capacity
-        head_ = 0;
-      } else if (head_ >= kCompactAt && head_ * 2 >= items_.size()) {
-        items_.erase(items_.begin(),
-                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    } else {
-      items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(head_ + i));
+  /// Unlink the oldest queued op; the queue must not be empty.
+  [[nodiscard]] OpRef<T> pop_front() noexcept { return unlink(nullptr, head_); }
+
+  /// Oldest queued op satisfying `pred`, left in place; null if none does.
+  template <typename Pred>
+  [[nodiscard]] const T* find(Pred pred) const {
+    for (const T* op = head_; op != nullptr; op = next_of(op))
+      if (pred(*op)) return op;
+    return nullptr;
+  }
+
+  /// Unlink the oldest queued op satisfying `pred`; null if none does.
+  template <typename Pred>
+  [[nodiscard]] OpRef<T> take_first(Pred pred) {
+    T* prev = nullptr;
+    for (T* op = head_; op != nullptr; prev = op, op = next_of(op))
+      if (pred(*op)) return unlink(prev, op);
+    return nullptr;
+  }
+
+  /// Unlink every queued op satisfying `pred` and append them to `out`,
+  /// newest first.
+  template <typename Pred>
+  void take_all(Pred pred, std::vector<OpRef<T>>& out) {
+    const std::size_t first = out.size();
+    T* prev = nullptr;
+    for (T* op = head_; op != nullptr;) {
+      T* following = next_of(op);
+      if (pred(*op))
+        out.push_back(unlink(prev, op));
+      else
+        prev = op;
+      op = following;
     }
-    return out;
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
   }
 
  private:
-  static constexpr std::size_t kCompactAt = 64;
-  std::vector<T> items_;
-  std::size_t head_ = 0;
+  [[nodiscard]] static T* next_of(const T* op) noexcept {
+    return static_cast<T*>(op->next);
+  }
+  /// Unlink `op`, which follows `prev` (null: `op` is the head).
+  [[nodiscard]] OpRef<T> unlink(T* prev, T* op) noexcept {
+    T* following = next_of(op);
+    if (prev != nullptr)
+      prev->next = following;
+    else
+      head_ = following;
+    if (tail_ == op) tail_ = prev;
+    op->next = nullptr;
+    return OpRef<T>::adopt(op);
+  }
+
+  T* head_ = nullptr;
+  T* tail_ = nullptr;
 };
 
 /// Matching filters against an arrived message (context equality is the
@@ -446,10 +485,11 @@ class FifoQueue {
 /// Unexpected arrivals and posted receives of one matching context, both in
 /// arrival/post order, per MPI matching semantics. A single FIFO per context
 /// preserves per-(context, source) arrival order, and wildcard receives see
-/// the earliest arrival of the context first.
+/// the earliest arrival of the context first. Both queues are intrusive, so
+/// a bucket is its 40 bytes whatever traffic it has seen.
 struct ContextQueues {
-  FifoQueue<OpRef<SendOp>> unexpected;
-  FifoQueue<OpRef<RecvOp>> posted;
+  OpQueue<SendOp> unexpected;
+  OpQueue<RecvOp> posted;
   bool touched = true;  ///< traffic since the last sweep
 
   [[nodiscard]] bool drained() const noexcept {
@@ -466,7 +506,8 @@ struct ContextQueues {
 /// whole interval are erased. Hot buckets (which pass through empty between
 /// messages constantly) carry the touched mark and are never churned, so
 /// the steady state stays allocation-free while dead contexts (short-lived
-/// communicators/streams) cannot accumulate without bound.
+/// communicators/streams) cannot accumulate without bound. Queueing an op
+/// never allocates: it links the op into its bucket.
 struct Mailbox {
   static constexpr std::uint32_t kSweepInterval = 1024;
 

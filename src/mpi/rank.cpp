@@ -230,10 +230,11 @@ Comm Rank::split(const Comm& comm, int color, int key) {
   (void)require_member(comm, world_rank_, "split");
   const int size = comm.size();
 
-  // Allgather (color, key) pairs — the same wire traffic MPI_Comm_split pays.
+  // Allgather (color, key) pairs — the same wire traffic MPI_Comm_split
+  // pays. Every member reads the one shared copy.
   const std::array<std::int32_t, 2> mine = {color, key};
-  std::vector<std::int32_t> all(static_cast<std::size_t>(2 * size));
-  allgather(comm, SendBuf::of(mine.data(), mine.size()), all.data());
+  const AllgatherResult all =
+      allgather(comm, SendBuf::of(mine.data(), mine.size()));
 
   const std::uint64_t epoch = split_seq_[comm.context()]++;
   if (color < 0) return Comm{};  // MPI_UNDEFINED: not a member of any result
@@ -242,8 +243,9 @@ Comm Rank::split(const Comm& comm, int color, int key) {
   // rank order among equal keys, matching MPI_Comm_split.
   std::vector<std::pair<std::int32_t, int>> picked;  // (key, old comm rank)
   for (int r = 0; r < size; ++r) {
-    if (all[static_cast<std::size_t>(2 * r)] == color)
-      picked.emplace_back(all[static_cast<std::size_t>(2 * r + 1)], r);
+    if (all.at<std::int32_t>(static_cast<std::size_t>(2 * r)) == color)
+      picked.emplace_back(
+          all.at<std::int32_t>(static_cast<std::size_t>(2 * r + 1)), r);
   }
   std::stable_sort(picked.begin(), picked.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -7,8 +7,11 @@
 // fiber's compute — the property the paper's nonblocking baselines rely on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,6 +38,23 @@ struct AgreeResult {
   Group survivors;          ///< members alive at the freeze, in comm order
   std::vector<int> failed;  ///< world ranks dead at the freeze
   [[nodiscard]] bool clean() const noexcept { return failed.empty(); }
+};
+
+/// Outcome of Rank::allgather: the exchange's status and a read-only view
+/// of the gathered blocks, member r's at offset r * block. Every member of
+/// one call holds the same buffer; copying the result copies a pointer.
+struct AllgatherResult {
+  Status status;
+  std::shared_ptr<const std::vector<std::byte>> blocks;
+
+  /// Element `i` (< blocks->size() / sizeof(T)) of the blocks read as one
+  /// array of T: member r's block of k elements holds [r * k, (r + 1) * k).
+  template <typename T>
+  [[nodiscard]] T at(std::size_t i) const noexcept {
+    T value;
+    std::memcpy(&value, blocks->data() + i * sizeof(T), sizeof(T));
+    return value;
+  }
 };
 
 class Rank {
@@ -122,14 +142,18 @@ class Rank {
   Status allreduce(const Comm& comm, SendBuf in, void* out, ReduceFn fn);
   Request iallreduce(const Comm& comm, SendBuf in, void* out, ReduceFn fn);
 
-  /// Gather one equal-size block from every rank into `out` on every rank
-  /// (MPI_Allgather): each member contributes `mine.on_wire()` bytes and
-  /// block r lands at offset r * block. The same rounds, messages and
-  /// posting charge as allgatherv with uniform counts, but no per-member
-  /// count or displacement array on any rank. Null `out` runs it with
-  /// synthetic payloads.
-  Status allgather(const Comm& comm, SendBuf mine, void* out);
-  Request iallgather(const Comm& comm, SendBuf mine, void* out);
+  /// Gather one equal-size block from every member (MPI_Allgather): each
+  /// contributes `mine.on_wire()` bytes, and the result holds member r's
+  /// block at offset r * block. The members of one call share a single
+  /// read-only result buffer held by the machine, so no rank keeps a
+  /// P-entry receive array: each member deposits its block there at launch,
+  /// the machine drops its entry once every depositor has read it (the
+  /// buffer lives on while any result holds it), and a block never
+  /// deposited (its member crashed first) reads as zeros. The wire cost is
+  /// allgatherv's with uniform counts: the same rounds, messages, bytes and
+  /// posting charge, run with synthetic payloads. A failed outcome leaves
+  /// the data undefined, as for every collective.
+  AllgatherResult allgather(const Comm& comm, SendBuf mine);
 
   /// Gather variable-size blocks from all ranks into `out` on every rank.
   /// `counts[r]` is rank r's block size in bytes; block r lands at offset

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
+#include "mpi/io.hpp"
 
 namespace ds::mpi {
 namespace {
@@ -174,10 +177,15 @@ TEST(Collectives, AllgatherMatchesUniformAllgatherv) {
         const std::vector<std::size_t> counts(static_cast<std::size_t>(p),
                                               sizeof(mine));
         const auto idx = static_cast<std::size_t>(me);
-        o.status[idx] = with_counts ? self.allgatherv(self.world(), block,
-                                                      out.data(), counts)
-                                    : self.allgather(self.world(), block,
-                                                     out.data());
+        if (with_counts) {
+          o.status[idx] =
+              self.allgatherv(self.world(), block, out.data(), counts);
+        } else {
+          const AllgatherResult gathered = self.allgather(self.world(), block);
+          o.status[idx] = gathered.status;
+          for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = gathered.at<std::int32_t>(i);
+        }
         o.out[idx] = std::move(out);
       };
       o.makespan = testing::run_program(testing::tiny_machine(p), program);
@@ -198,6 +206,88 @@ TEST(Collectives, AllgatherMatchesUniformAllgatherv) {
       EXPECT_EQ(plain.status[idx].synthetic, v.status[idx].synthetic);
     }
   }
+}
+
+TEST(Collectives, AllgatherMembersShareOneResultBuffer) {
+  // P = 1, 2, 8 and 16 take recursive doubling, P = 3 and 5 the ring. Every
+  // member sees every block, all members hold the one shared buffer, and
+  // the makespan equals that of the allgatherv form.
+  for (const int p : {1, 2, 3, 5, 8, 16}) {
+    const auto block_of = [](int r) {
+      return std::array<std::int64_t, 2>{r, 100 + r};
+    };
+    std::vector<AllgatherResult> results(static_cast<std::size_t>(p));
+    const util::SimTime shared =
+        testing::run_program(testing::tiny_machine(p), [&](Rank& self) {
+          const auto mine = block_of(self.world_rank());
+          results[static_cast<std::size_t>(self.world_rank())] = self.allgather(
+              self.world(), SendBuf::of(mine.data(), mine.size()));
+        });
+    const util::SimTime with_counts =
+        testing::run_program(testing::tiny_machine(p), [&](Rank& self) {
+          const auto mine = block_of(self.world_rank());
+          std::vector<std::int64_t> out(static_cast<std::size_t>(2 * p));
+          const std::vector<std::size_t> counts(static_cast<std::size_t>(p),
+                                                sizeof(mine));
+          (void)self.allgatherv(self.world(),
+                                SendBuf::of(mine.data(), mine.size()),
+                                out.data(), counts);
+        });
+    EXPECT_EQ(shared, with_counts) << "P = " << p;
+    for (int r = 0; r < p; ++r) {
+      const AllgatherResult& got = results[static_cast<std::size_t>(r)];
+      EXPECT_FALSE(got.status.failed) << "P = " << p << ", rank " << r;
+      ASSERT_TRUE(got.blocks) << "P = " << p << ", rank " << r;
+      EXPECT_EQ(got.blocks, results[0].blocks) << "P = " << p << ", rank " << r;
+      ASSERT_EQ(got.blocks->size(), 2 * sizeof(std::int64_t) * p);
+      for (int b = 0; b < p; ++b) {
+        const auto want = block_of(b);
+        const auto first = static_cast<std::size_t>(2 * b);
+        EXPECT_EQ(got.at<std::int64_t>(first), want[0]);
+        EXPECT_EQ(got.at<std::int64_t>(first + 1), want[1]);
+      }
+    }
+  }
+}
+
+TEST(Collectives, NoAllgatherEntryOutlivesAFaultFreeRun) {
+  // The count-free allgather and the collectives built on it (split, the
+  // size exchange of write_all) leave no shared result entry behind once
+  // every member has read it, however long members hold their results.
+  constexpr int kP = 6;
+  Machine machine(testing::tiny_machine(kP));
+  std::vector<std::size_t> live_while_held(kP, 0);
+  machine.run([&](Rank& self) {
+    const int me = self.world_rank();
+    const AllgatherResult held =
+        self.allgather(self.world(), SendBuf::of(&me, 1));
+    const Comm half = self.split(self.world(), me % 2, me);
+    File file(self.machine(), half, "entries.dat");
+    (void)file.write_all(self, SendBuf::of(&me, 1));
+    (void)self.allgather(half, SendBuf::synthetic(16));
+    self.barrier(self.world());
+    live_while_held[static_cast<std::size_t>(me)] =
+        self.machine().exchange_count();
+    EXPECT_EQ(held.at<int>(kP - 1), kP - 1);
+  });
+  for (const std::size_t live : live_while_held) EXPECT_EQ(live, 0u);
+  EXPECT_EQ(machine.exchange_count(), 0u);
+}
+
+TEST(Collectives, AllgatherRejectsUnequalBlocks) {
+  // MPI_Allgather takes one block size: a member that contributes a
+  // different size would not fit the shared entry's layout, so the call
+  // reports the protocol error instead of writing past its block.
+  EXPECT_THROW(
+      testing::run_program(testing::tiny_machine(2),
+                           [](Rank& self) {
+                             const std::array<int, 2> mine{1, 2};
+                             (void)self.allgather(
+                                 self.world(),
+                                 SendBuf::of(mine.data(),
+                                             self.world_rank() == 0 ? 1 : 2));
+                           }),
+      std::logic_error);
 }
 
 TEST(Collectives, AlltoallvExchangesPersonalizedData) {

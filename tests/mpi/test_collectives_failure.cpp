@@ -22,6 +22,7 @@ namespace ds {
 namespace {
 
 using mpi::AgreeResult;
+using mpi::AllgatherResult;
 using mpi::Rank;
 using mpi::RecvBuf;
 using mpi::SendBuf;
@@ -44,7 +45,8 @@ std::vector<util::SimTime> crash_grid(util::SimTime makespan) {
 
 /// Run `program` with `victim` crashed at `at`; assert the run completes and
 /// drains both op pools (the collective state machines released every slot
-/// even though the schedule was cut by the crash).
+/// even though the schedule was cut by the crash) and leaves no allgather
+/// result entry behind (the victim lets go of its entry as it unwinds).
 void run_with_crash(int world, int victim, util::SimTime at,
                     const std::function<void(Rank&)>& program) {
   auto config = testing::tiny_machine(world);
@@ -54,6 +56,7 @@ void run_with_crash(int world, int victim, util::SimTime at,
   EXPECT_TRUE(machine.rank_failed(victim));
   EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u) << "crash at " << at;
   EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u) << "crash at " << at;
+  EXPECT_EQ(machine.exchange_count(), 0u) << "crash at " << at;
 }
 
 TEST(CollectivesFailure, BarrierSurvivesCrashAtEveryRound) {
@@ -139,10 +142,14 @@ TEST(CollectivesFailure, AllgathervSurvivesCrashAtEveryRound) {
   for (const bool with_counts : {true, false}) {
     const auto gather = [&](Rank& self, const std::int32_t& mine,
                             std::vector<std::int32_t>& out) {
-      return with_counts ? self.allgatherv(self.world(), SendBuf::of(&mine, 1),
-                                           out.data(), counts)
-                         : self.allgather(self.world(), SendBuf::of(&mine, 1),
-                                          out.data());
+      if (with_counts)
+        return self.allgatherv(self.world(), SendBuf::of(&mine, 1), out.data(),
+                               counts);
+      const AllgatherResult gathered =
+          self.allgather(self.world(), SendBuf::of(&mine, 1));
+      for (std::size_t r = 0; r < out.size(); ++r)
+        out[r] = gathered.at<std::int32_t>(r);
+      return gathered.status;
     };
     const util::SimTime makespan =
         testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {

@@ -9,6 +9,7 @@
 // never resurrected into a live request while held.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -114,6 +115,121 @@ TEST(Matching, TagFilteredReceiveSkipsOlderTraffic) {
       }
     }
   });
+}
+
+TEST(Matching, UnexpectedQueueUnlinksMiddleAndTailThenAppends) {
+  // Four messages wait as unexpected arrivals. Filtered receives take the
+  // third (from the middle of the queue) and then the fourth (its tail);
+  // later arrivals must queue behind the two left, and a wildcard drain
+  // must see all four in arrival order.
+  std::vector<int> drained;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    if (self.world_rank() == 0) {
+      const std::array<int, 4> tags{1, 1, 2, 3};
+      for (int i = 0; i < 4; ++i)
+        self.send(self.world(), 1, tags[static_cast<std::size_t>(i)],
+                  SendBuf::of(&i, 1));
+      self.process().advance(util::milliseconds(5));
+      for (const int i : {4, 5})
+        self.send(self.world(), 1, i == 4 ? 4 : 1, SendBuf::of(&i, 1));
+    } else {
+      self.process().advance(util::milliseconds(1));  // all four queued
+      int value = -1;
+      (void)self.recv(self.world(), 0, 2, RecvBuf::of(&value, 1));
+      EXPECT_EQ(value, 2);
+      (void)self.recv(self.world(), 0, 3, RecvBuf::of(&value, 1));
+      EXPECT_EQ(value, 3);
+      self.process().advance(util::milliseconds(10));  // 4 and 5 queued
+      for (int i = 0; i < 4; ++i) {
+        (void)self.recv(self.world(), kAnySource, kAnyTag,
+                        RecvBuf::of(&value, 1));
+        drained.push_back(value);
+      }
+    }
+  });
+  EXPECT_EQ(drained, (std::vector<int>{0, 1, 4, 5}));
+}
+
+TEST(Matching, PostedQueueUnlinksMiddleAndTailThenAppends) {
+  // Three receives are posted with distinct tags. Arrivals match the second
+  // (the middle of the queue) and then the third (its tail); a receive
+  // posted afterwards must queue behind the first and still match.
+  std::array<int, 4> got{-1, -1, -1, -1};
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    if (self.world_rank() == 0) {
+      self.process().advance(util::milliseconds(1));
+      for (const int tag : {2, 3})
+        self.send(self.world(), 1, tag, SendBuf::of(&tag, 1));
+      self.process().advance(util::milliseconds(1));
+      for (const int tag : {4, 1})
+        self.send(self.world(), 1, tag, SendBuf::of(&tag, 1));
+    } else {
+      std::vector<Request> reqs;
+      for (const int tag : {1, 2, 3}) {
+        int* slot = &got[static_cast<std::size_t>(tag - 1)];
+        reqs.push_back(self.irecv(self.world(), 0, tag, RecvBuf::of(slot, 1)));
+      }
+      self.wait(reqs[2]);  // the tail matched; the middle before it
+      EXPECT_TRUE(reqs[1]->complete);
+      EXPECT_FALSE(reqs[0]->complete);
+      reqs.push_back(self.irecv(self.world(), 0, 4, RecvBuf::of(&got[3], 1)));
+      self.wait_all(reqs);
+    }
+  });
+  EXPECT_EQ(got, (std::array<int, 4>{1, 2, 3, 4}));
+}
+
+TEST(Matching, CrashCompletesOrphanedReceivesNewestFirst) {
+  // A survivor's receives that can only match the crashed rank complete
+  // with Status::failed, newest first within their context: the order whose
+  // event sequence numbers the virtual-time baselines were recorded with.
+  // A receive from a live rank, queued between them, stays posted; one
+  // posted after the drain queues behind it; and the run ends with every
+  // pool slot back.
+  constexpr int kVictim = 0, kSurvivor = 1, kLive = 2;
+  auto config = testing::tiny_machine(3);
+  config.faults.crash(kVictim, util::milliseconds(1));
+  Machine machine(config);
+  std::vector<int> completed;
+  std::array<int, 2> live_values{-1, -1};
+  machine.run([&](Rank& self) {
+    const int me = self.world_rank();
+    if (me == kVictim) {
+      self.compute(util::milliseconds(5));
+      return;
+    }
+    if (me == kLive) {
+      self.process().advance(util::milliseconds(2));
+      for (const int tag : {9, 10})
+        self.send(self.world(), kSurvivor, tag, SendBuf::of(&tag, 1));
+      return;
+    }
+    // Failure-aware receives name their only sender's world rank, as
+    // collectives and aggregated IO post them.
+    const auto from_victim = [&](int tag) {
+      return self.machine().post_recv(
+          self.world().context(), kSurvivor, kVictim, tag, RecvBuf::discard(4),
+          [&completed, tag] { completed.push_back(tag); },
+          /*fused_wake=*/false, /*src_world=*/kVictim);
+    };
+    std::vector<Request> orphans;
+    orphans.push_back(from_victim(0));
+    const Request live_first =
+        self.irecv(self.world(), kLive, 9, RecvBuf::of(&live_values[0], 1));
+    orphans.push_back(from_victim(1));
+    orphans.push_back(from_victim(2));  // the tail
+    self.wait_all(orphans);
+    for (const Request& r : orphans) EXPECT_TRUE(r->status.failed);
+    EXPECT_FALSE(live_first->complete);
+    const Request live_second =
+        self.irecv(self.world(), kLive, 10, RecvBuf::of(&live_values[1], 1));
+    self.wait(live_first);
+    self.wait(live_second);
+  });
+  EXPECT_EQ(completed, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(live_values, (std::array<int, 2>{9, 10}));
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
 }
 
 TEST(Matching, ProbeThenRecvConsistency) {

@@ -112,7 +112,7 @@ def check_drift(name, key, reference, got, tolerance):
     if abs(got - reference) > abs(reference) * tolerance:
         fail(f"scenario '{name}' metric '{key}': baseline "
              f"{reference:.6g}, fresh {got:.6g} "
-             f"(> {tolerance:.0%} drift)")
+             f"(> {tolerance:.4g} relative drift)")
 
 
 def check_topology(baseline_doc, fresh_doc):
@@ -138,7 +138,7 @@ def check_topology(baseline_doc, fresh_doc):
             if got is not None:
                 check_drift(name, key, float(value), got, tolerance)
     print(f"topology sweep: {len(scenarios)} scenario(s) compared at "
-          f"{tolerance:.0%} tolerance")
+          f"relative tolerance {tolerance:.4g}")
 
 
 def check_fault_recovery(baseline_doc, fresh_doc):
@@ -167,7 +167,7 @@ def check_fault_recovery(baseline_doc, fresh_doc):
         if reference is not None and got is not None:
             check_drift(name, "virtual_s", reference, got, tolerance)
     print(f"fault recovery: virtual_s of {len(scenarios)} scenario(s) "
-          f"compared at {tolerance:.0%} tolerance")
+          f"compared at relative tolerance {tolerance:.4g}")
     if setup_in_baseline:
         setup = scenario(fresh_doc, "setup_crash", "fresh")
         if setup is not None:
