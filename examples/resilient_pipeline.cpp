@@ -57,7 +57,7 @@ int main() {
   machine.run([&](mpi::Rank& self) {
     auto pipeline = decouple::Pipeline::over(self, self.world())
                         .with_helper_ranks({kWorkers, kWorkers + 1})
-                        .with_resilience({.checkpoint_interval = 64});
+                        .with_resilience(/*checkpoint_interval=*/64);
     const auto samples = pipeline.stream<Sample>();
 
     pipeline.run(

@@ -143,9 +143,7 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
       // batches stream runs manual durability: a writer's batches become
       // durable only when their bytes reach the file, so a writer crash
       // replays exactly the unflushed tail to the adopting writer.
-      resilience::ResilienceOptions ro;
-      ro.checkpoint_interval = config.checkpoint_interval;
-      pipeline.with_resilience(ro);
+      pipeline.with_resilience(config.checkpoint_interval);
     }
     const auto compute_stage = pipeline.stage(
         chained ? std::vector<int>(worker_ranks.begin(), worker_ranks.end() - 1)

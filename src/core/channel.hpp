@@ -116,7 +116,7 @@ struct ChannelConfig {
   /// Durability-acknowledgment mode for resilient streams: false = automatic
   /// at epoch boundaries (processing counts as durable); true = the consumer
   /// application calls Stream::ack_durable once its external effects are
-  /// safe. See resilience::ResilienceOptions.
+  /// safe. See README "Resilience".
   bool manual_durability = false;
 
   /// Node-aware termination aggregation (tree mappings only): shape the term

@@ -13,10 +13,9 @@ namespace ds::decouple {
 
 namespace {
 
-/// Default base for the channel ids the facade assigns (base + declaration
-/// index). Offset so hand-made channels on the same parent (ids 0..) never
-/// collide with a pipeline's. Two pipelines *concurrently live* over the
-/// same parent must be disambiguated with with_channel_base.
+/// Base for the channel ids the facade assigns (base + declaration index).
+/// Offset so hand-made channels on the same parent (ids 0..) never collide
+/// with a pipeline's.
 constexpr std::uint64_t kChannelIdBase = 0xDC00;
 
 }  // namespace
@@ -227,7 +226,7 @@ StreamBase& Context::slot(int index) const {
 // ----------------------------------------------------------------- Pipeline --
 
 Pipeline::Pipeline(mpi::Rank& self, mpi::Comm parent)
-    : self_(&self), parent_(std::move(parent)), channel_base_(kChannelIdBase) {}
+    : self_(&self), parent_(std::move(parent)) {}
 
 Pipeline Pipeline::over(mpi::Rank& self, const mpi::Comm& parent) {
   if (self.rank_in(parent) < 0)
@@ -305,17 +304,12 @@ Pipeline& Pipeline::with_worker_comm() & {
   return *this;
 }
 
-Pipeline& Pipeline::with_channel_base(std::uint64_t base) & {
-  channel_base_ = base;
-  return *this;
-}
-
-Pipeline& Pipeline::with_resilience(resilience::ResilienceOptions options) & {
-  if (options.checkpoint_interval == 0)
+Pipeline& Pipeline::with_resilience(std::uint32_t checkpoint_interval) & {
+  if (checkpoint_interval == 0)
     throw std::invalid_argument(
         "Pipeline::with_resilience: checkpoint_interval must be > 0 "
         "(resilience without epochs would retain unboundedly)");
-  resilience_ = options;
+  checkpoint_interval_ = checkpoint_interval;
   return *this;
 }
 
@@ -455,12 +449,9 @@ void Pipeline::launch(const RoleFn& role_fn) {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     stream::ChannelConfig config = slot.options;
-    config.channel_id = channel_base_ + i;
-    if (resilience_ && config.checkpoint_interval == 0) {
-      config.checkpoint_interval = resilience_->checkpoint_interval;
-      config.manual_durability =
-          config.manual_durability || resilience_->manual_durability;
-    }
+    config.channel_id = kChannelIdBase + i;
+    if (config.checkpoint_interval == 0)
+      config.checkpoint_interval = checkpoint_interval_;
     const bool to_helpers = slot.options.direction == Direction::ToHelpers;
     const auto role_of = [&](int r) -> std::int8_t {
       const bool w = !is_helper_rank(r);

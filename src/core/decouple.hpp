@@ -46,7 +46,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -56,7 +55,6 @@
 #include "core/stream.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/group.hpp"
-#include "resilience/options.hpp"
 
 namespace ds::mpi {
 class Rank;
@@ -78,8 +76,8 @@ enum class Direction { ToHelpers, ToWorkers };
 using RolePredicate = std::function<bool(int parent_rank)>;
 
 /// One stream's configuration: its channel's stream::ChannelConfig plus
-/// which way the stream flows. Pipeline sets channel_id (base + declaration
-/// index) and applies its with_resilience defaults.
+/// which way the stream flows. Pipeline sets channel_id (a fixed base +
+/// declaration index) and applies its with_resilience interval.
 struct StreamOptions : stream::ChannelConfig {
   Direction direction = Direction::ToHelpers;
   /// Endpoint overrides for streams that do not follow the worker/helper
@@ -481,22 +479,15 @@ class Pipeline {
   /// Also split a workers-only communicator (for in-group collectives).
   Pipeline& with_worker_comm() &;
   Pipeline&& with_worker_comm() && { return std::move(with_worker_comm()); }
-  /// Base for the channel ids this pipeline assigns (base + declaration
-  /// index). Only needed when two pipelines are concurrently live over the
-  /// same parent communicator: give each a distinct base so their derived
-  /// matching contexts never collide.
-  Pipeline& with_channel_base(std::uint64_t base) &;
-  Pipeline&& with_channel_base(std::uint64_t base) && {
-    return std::move(with_channel_base(base));
-  }
-  /// Resilience defaults for every stream of this pipeline: stream epochs,
-  /// bounded replay, and consumer failover (see README "Resilience"). A
-  /// stream whose StreamOptions sets checkpoint_interval explicitly keeps
-  /// its own value; manual_durability likewise composes per stream (a
-  /// stream-level `true` is never overridden).
-  Pipeline& with_resilience(resilience::ResilienceOptions options = {}) &;
-  Pipeline&& with_resilience(resilience::ResilienceOptions options = {}) && {
-    return std::move(with_resilience(options));
+  /// Resilience for every stream of this pipeline: stream epochs of
+  /// `checkpoint_interval` elements per flow, bounded replay, and consumer
+  /// failover (see README "Resilience"). A stream whose StreamOptions sets
+  /// checkpoint_interval explicitly keeps its own value. Throws
+  /// std::invalid_argument for 0: resilience without epochs would retain
+  /// unboundedly.
+  Pipeline& with_resilience(std::uint32_t checkpoint_interval = 1024) &;
+  Pipeline&& with_resilience(std::uint32_t checkpoint_interval = 1024) && {
+    return std::move(with_resilience(checkpoint_interval));
   }
 
   // ---- stream declaration ----
@@ -583,8 +574,7 @@ class Pipeline {
   bool split_configured_ = false;
   bool want_worker_comm_ = false;
   bool ran_ = false;
-  std::uint64_t channel_base_ = 0;
-  std::optional<resilience::ResilienceOptions> resilience_;
+  std::uint32_t checkpoint_interval_ = 0;  ///< 0 = with_resilience not set
   mpi::Comm worker_comm_{};
   std::vector<Slot> slots_;
 };

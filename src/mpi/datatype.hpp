@@ -1,71 +1,31 @@
-// Derived datatypes (sized descriptions of wire elements).
+// Stream element datatypes.
 //
-// MPIStream binds a datatype to every stream (paper Sec. III-A step 2) so
-// elements can have non-contiguous layouts with zero-copy packing. We model
-// the part that matters for timing and correctness: the wire size, the
-// memory extent, and pack/unpack for strided (vector) layouts.
+// MPIStream binds a datatype to every stream (paper Sec. III-A step 2). What
+// the simulated stream needs from it is the element's wire size: the cost
+// model charges bytes on the wire, and Stream::attach fixes the largest
+// element a stream accepts.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace ds::mpi {
 
-struct DatatypeField;
-
 class Datatype {
  public:
-  /// Fundamental types.
-  [[nodiscard]] static Datatype bytes(std::size_t n, std::string name = "bytes");
-  [[nodiscard]] static Datatype int32();
-  [[nodiscard]] static Datatype int64();
-  [[nodiscard]] static Datatype float64();
+  /// An element of `n` bytes on the wire.
+  [[nodiscard]] static constexpr Datatype bytes(std::size_t n) noexcept {
+    return Datatype(n);
+  }
+  [[nodiscard]] static constexpr Datatype int32() noexcept { return bytes(4); }
+  [[nodiscard]] static constexpr Datatype int64() noexcept { return bytes(8); }
 
-  /// `count` consecutive copies of `base`.
-  [[nodiscard]] static Datatype contiguous(std::size_t count, const Datatype& base);
-
-  /// `count` blocks of `block_len` base elements, blocks `stride` base
-  /// elements apart (MPI_Type_vector).
-  [[nodiscard]] static Datatype vector(std::size_t count, std::size_t block_len,
-                                       std::size_t stride, const Datatype& base);
-
-  /// Heterogeneous record: fields at explicit byte offsets (MPI_Type_struct).
-  [[nodiscard]] static Datatype record(const std::vector<DatatypeField>& fields,
-                                       std::size_t extent,
-                                       std::string name = "record");
-
-  /// Bytes this type occupies on the wire (sum of leaf sizes).
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Bytes the type spans in memory (>= size for strided/padded layouts).
-  [[nodiscard]] std::size_t extent() const noexcept { return extent_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] bool is_contiguous() const noexcept { return size_ == extent_; }
-
-  /// Gather this type's bytes from `src` (laid out with extent/gaps) into the
-  /// dense wire representation at `dst`. `dst` must hold size() bytes.
-  void pack(const std::byte* src, std::byte* dst) const;
-  /// Scatter the dense wire representation back into memory layout.
-  void unpack(const std::byte* src, std::byte* dst) const;
+  /// Bytes this type occupies on the wire.
+  [[nodiscard]] constexpr std::size_t size() const noexcept { return size_; }
 
  private:
-  Datatype(std::string name, std::size_t size, std::size_t extent)
-      : name_(std::move(name)), size_(size), extent_(extent) {}
+  explicit constexpr Datatype(std::size_t size) noexcept : size_(size) {}
 
-  struct Segment {
-    std::size_t mem_offset;
-    std::size_t length;
-  };
-  std::vector<Segment> segments_;  // dense leaf runs, in wire order
-  std::string name_;
   std::size_t size_ = 0;
-  std::size_t extent_ = 0;
-};
-
-/// One field of a record datatype: a member type at a byte offset.
-struct DatatypeField {
-  std::size_t offset;
-  Datatype type;
 };
 
 }  // namespace ds::mpi

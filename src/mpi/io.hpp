@@ -72,8 +72,6 @@ class File {
   /// member — yields a failed status on the survivors, never a deadlock).
   Status set_view(Rank& self);
 
-  [[nodiscard]] fs::SimFile& sim_file() noexcept { return *file_; }
-
  private:
   Machine* machine_;
   Comm comm_;

@@ -27,7 +27,6 @@ Machine::Machine(MachineConfig config)
       filesystem_(config_.filesystem),
       world_(/*context=*/1, Group::world(config_.world_size)),
       mailboxes_(static_cast<std::size_t>(config_.world_size)),
-      pids_(static_cast<std::size_t>(config_.world_size), -1),
       dead_(static_cast<std::size_t>(config_.world_size), 0),
       incarnation_(static_cast<std::size_t>(config_.world_size), 0) {
   if (config_.observability.metrics) {
@@ -77,19 +76,18 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
 }
 
 void Machine::spawn_rank(int r) {
-  pids_[static_cast<std::size_t>(r)] =
-      engine_.spawn([this, r](sim::Process& p) {
-        // Every incarnation of a world rank records on the same trace track,
-        // even though restart_rank fibers get fresh engine pids.
-        p.set_trace_rank(r);
-        Rank rank(*this, p, r);
-        try {
-          program_(rank);
-        } catch (const RankFailure&) {
-          // Fail-stop: the crashed fiber unwinds here and simply ends; the
-          // rest of the simulation keeps running.
-        }
-      });
+  engine_.spawn([this, r](sim::Process& p) {
+    // Every incarnation of a world rank records on the same trace track,
+    // even though restart_rank fibers get fresh engine pids.
+    p.set_trace_rank(r);
+    Rank rank(*this, p, r);
+    try {
+      program_(rank);
+    } catch (const RankFailure&) {
+      // Fail-stop: the crashed fiber unwinds here and simply ends; the
+      // rest of the simulation keeps running.
+    }
+  });
 }
 
 void Machine::install_faults() {
@@ -105,32 +103,6 @@ void Machine::apply_fault(const sim::FaultEvent& event) {
       break;
     case sim::FaultEvent::Kind::RankRestart:
       restart_rank(event.rank);
-      break;
-    case sim::FaultEvent::Kind::LinkDegrade:
-      if (auto* t = engine_.trace())
-        t->instant(event.rank, engine_.now(), "link-degrade");
-      if (event.rank_b >= 0) {
-        // Path form: the fault addresses the shared links on the topology
-        // route (a cable/switch-port failure). No compute perturbation —
-        // the endpoints' cores are healthy.
-        fabric_.degrade_path(event.rank, event.rank_b, event.factor);
-        if (event.duration > 0) {
-          engine_.schedule_after(
-              event.duration, [this, a = event.rank, b = event.rank_b] {
-                fabric_.degrade_path(a, b, 1.0);
-              });
-        }
-        break;
-      }
-      fabric_.set_degrade(event.rank, event.factor);
-      engine_.set_compute_degrade(pids_[static_cast<std::size_t>(event.rank)],
-                                  event.factor);
-      if (event.duration > 0) {
-        engine_.schedule_after(event.duration, [this, r = event.rank] {
-          fabric_.set_degrade(r, 1.0);
-          engine_.set_compute_degrade(pids_[static_cast<std::size_t>(r)], 1.0);
-        });
-      }
       break;
   }
 }

@@ -264,7 +264,6 @@ class Machine {
 
   // fault-injection state
   std::function<void(Rank&)> program_;     ///< for restart_rank respawns
-  std::vector<int> pids_;                  ///< engine pid per world rank
   std::vector<std::uint8_t> dead_;         ///< fail-stopped ranks
   std::vector<int> incarnation_;           ///< fiber (re)starts per rank
   std::uint64_t failure_epoch_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace ds::net {
 
@@ -11,65 +10,9 @@ Fabric::Fabric(NetworkConfig config, int endpoints)
       topology_(config_, endpoints > 0 ? endpoints : 1),
       tx_free_(static_cast<std::size_t>(endpoints > 0 ? endpoints : 1), 0),
       rx_free_(tx_free_.size(), 0),
-      degrade_(tx_free_.size(), 1.0),
       link_free_(static_cast<std::size_t>(topology_.link_count()), 0),
-      link_degrade_(link_free_.size(), 1.0),
       link_bytes_(link_free_.size(), 0) {
   if (endpoints <= 0) throw std::invalid_argument("Fabric: endpoints must be > 0");
-}
-
-void Fabric::check_endpoint(int endpoint, const char* what) const {
-  if (endpoint < 0 || endpoint >= endpoints()) {
-    throw std::out_of_range(std::string(what) + ": endpoint " +
-                            std::to_string(endpoint) +
-                            " out of range [0, " + std::to_string(endpoints()) +
-                            ")");
-  }
-}
-
-void Fabric::check_link(int link, const char* what) const {
-  if (link < 0 || link >= topology_.link_count()) {
-    throw std::out_of_range(
-        std::string(what) + ": link " + std::to_string(link) +
-        " out of range [0, " + std::to_string(topology_.link_count()) +
-        ") for topology '" + topology_.config().name() + "'");
-  }
-}
-
-void Fabric::set_degrade(int endpoint, double factor) {
-  check_endpoint(endpoint, "Fabric::set_degrade");
-  degrade_[static_cast<std::size_t>(endpoint)] = factor < 1.0 ? 1.0 : factor;
-}
-
-double Fabric::degrade(int endpoint) const {
-  check_endpoint(endpoint, "Fabric::degrade");
-  return degrade_[static_cast<std::size_t>(endpoint)];
-}
-
-void Fabric::set_link_degrade(int link, double factor) {
-  check_link(link, "Fabric::set_link_degrade");
-  link_degrade_[static_cast<std::size_t>(link)] = factor < 1.0 ? 1.0 : factor;
-}
-
-double Fabric::link_degrade(int link) const {
-  check_link(link, "Fabric::link_degrade");
-  return link_degrade_[static_cast<std::size_t>(link)];
-}
-
-int Fabric::degrade_path(int src, int dst, double factor) {
-  check_endpoint(src, "Fabric::degrade_path");
-  check_endpoint(dst, "Fabric::degrade_path");
-  const LinkPath path = topology_.route(src, dst);
-  if (path.empty()) {
-    // Flat topology or same-node pair: no shared links to address, so the
-    // fault lands on the endpoints themselves.
-    set_degrade(src, factor);
-    set_degrade(dst, factor);
-    return 0;
-  }
-  for (int i = 0; i < path.count; ++i)
-    set_link_degrade(path.links[static_cast<std::size_t>(i)], factor);
-  return path.count;
 }
 
 DeliverySchedule Fabric::schedule_message(int src, int dst, std::size_t bytes,
@@ -78,9 +21,8 @@ DeliverySchedule Fabric::schedule_message(int src, int dst, std::size_t bytes,
   auto& rx = rx_free_.at(static_cast<std::size_t>(dst));
 
   const double byte_ns = config_.byte_time(src, dst);
-  const auto payload_time = static_cast<util::SimTime>(
-      degrade_[static_cast<std::size_t>(src)] * byte_ns *
-      static_cast<double>(bytes));
+  const auto payload_time =
+      static_cast<util::SimTime>(byte_ns * static_cast<double>(bytes));
 
   // Transmit: wait for the sender port, then occupy it for gap + payload.
   const util::SimTime tx_start = std::max(earliest, tx);
@@ -93,10 +35,10 @@ DeliverySchedule Fabric::schedule_message(int src, int dst, std::size_t bytes,
   util::SimTime head = tx_end;
   const LinkPath path = topology_.route(src, dst);
   for (int i = 0; i < path.count; ++i) {
-    const auto link = static_cast<std::size_t>(path.links[static_cast<std::size_t>(i)]);
+    const int link_id = path.links[static_cast<std::size_t>(i)];
+    const auto link = static_cast<std::size_t>(link_id);
     const auto link_time = static_cast<util::SimTime>(
-        link_degrade_[link] * topology_.link_ns_per_byte(path.links[static_cast<std::size_t>(i)]) *
-        static_cast<double>(bytes));
+        topology_.link_ns_per_byte(link_id) * static_cast<double>(bytes));
     const util::SimTime start = std::max(head, link_free_[link]);
     head = start + link_time;
     link_free_[link] = head;
@@ -107,8 +49,7 @@ DeliverySchedule Fabric::schedule_message(int src, int dst, std::size_t bytes,
   const util::SimTime arrival =
       head + config_.wire_latency(src, dst) + path.extra_latency;
   const auto drain_time = static_cast<util::SimTime>(
-      degrade_[static_cast<std::size_t>(dst)] * config_.receiver_drain_factor *
-      byte_ns * static_cast<double>(bytes));
+      config_.receiver_drain_factor * byte_ns * static_cast<double>(bytes));
   const util::SimTime rx_start = std::max(arrival, rx);
   const util::SimTime rx_end = rx_start + drain_time;
   rx = rx_end;

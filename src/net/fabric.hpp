@@ -44,33 +44,9 @@ class Fabric {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] std::uint64_t total_messages() const noexcept { return total_messages_; }
 
-  /// Fault-injected link degradation (resilience::FaultPlan): messages
-  /// touching a degraded endpoint occupy its ports `factor` times longer
-  /// (payload and drain time; propagation latency is unaffected). 1 restores
-  /// nominal. Throws std::out_of_range naming the bad endpoint.
-  void set_degrade(int endpoint, double factor);
-  [[nodiscard]] double degrade(int endpoint) const;
-
-  /// Per-link degradation under a non-flat topology: traffic crossing the
-  /// link takes `factor` times longer on it. Throws std::out_of_range naming
-  /// the bad link id (valid ids are [0, topology().link_count())).
-  void set_link_degrade(int link, double factor);
-  [[nodiscard]] double link_degrade(int link) const;
-
-  /// Degrade the shared links on the route src -> dst (the ISSUE's
-  /// link-addressed fault form). Under a flat topology — or for same-node
-  /// pairs, which cross no shared links — falls back to degrading both
-  /// endpoints so the fault still bites. Returns the number of shared links
-  /// affected (0 indicates the endpoint fallback was used).
-  int degrade_path(int src, int dst, double factor);
-
   /// Cumulative bytes carried per shared link (bench/diagnostic heat map).
   [[nodiscard]] const std::vector<std::uint64_t>& link_bytes() const noexcept {
     return link_bytes_;
-  }
-  /// When each shared link last frees up (diagnostics).
-  [[nodiscard]] util::SimTime link_busy_until(int link) const {
-    return link_free_.at(static_cast<std::size_t>(link));
   }
 
   /// Snapshot fabric state into the metrics registry (a ds::obs collector):
@@ -79,16 +55,11 @@ class Fabric {
   void sample_metrics(obs::Metrics& m) const;
 
  private:
-  void check_endpoint(int endpoint, const char* what) const;
-  void check_link(int link, const char* what) const;
-
   NetworkConfig config_;
   Topology topology_;
   std::vector<util::SimTime> tx_free_;    // per-endpoint transmit port
   std::vector<util::SimTime> rx_free_;    // per-endpoint drain port
-  std::vector<double> degrade_;           // per-endpoint port-cost multiplier
   std::vector<util::SimTime> link_free_;  // per shared link occupancy
-  std::vector<double> link_degrade_;      // per shared link cost multiplier
   std::vector<std::uint64_t> link_bytes_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_messages_ = 0;

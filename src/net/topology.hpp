@@ -61,9 +61,6 @@ class Topology {
   [[nodiscard]] int node_of(int rank) const noexcept {
     return ranks_per_node_ > 0 ? rank / ranks_per_node_ : rank;
   }
-  [[nodiscard]] int pod_of(int rank) const noexcept {
-    return node_of(rank) / nodes_per_pod_;
-  }
 
   // Link-id accessors (valid only for non-flat topologies).
   [[nodiscard]] int node_up_link(int node) const noexcept { return node; }

@@ -189,7 +189,7 @@ int failover_target(const stream::Channel& channel, int dead_consumer,
       channel.comm().world_rank(channel.consumer_rank(dead_consumer));
   // First choice: an available consumer on the vacated slot's own node — the
   // adopted flows then travel over shared memory instead of the fabric's
-  // (possibly degraded) shared links.
+  // shared links.
   for (int step = 1; step < consumers; ++step) {
     const int c = (dead_consumer + step) % consumers;
     const int world = channel.comm().world_rank(channel.consumer_rank(c));

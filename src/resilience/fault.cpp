@@ -15,7 +15,7 @@ void require_rank(int rank, const char* who) {
 
 FaultPlan& FaultPlan::crash(int rank, util::SimTime at) {
   require_rank(rank, "FaultPlan::crash");
-  events.push_back(FaultEvent{FaultEvent::Kind::RankCrash, at, rank, 1.0, 0});
+  events.push_back(FaultEvent{FaultEvent::Kind::RankCrash, at, rank});
   return *this;
 }
 
@@ -29,31 +29,7 @@ FaultPlan& FaultPlan::crash_during_setup(int rank) {
 
 FaultPlan& FaultPlan::restart(int rank, util::SimTime at) {
   require_rank(rank, "FaultPlan::restart");
-  events.push_back(FaultEvent{FaultEvent::Kind::RankRestart, at, rank, 1.0, 0});
-  return *this;
-}
-
-FaultPlan& FaultPlan::degrade_link(int rank, util::SimTime at, double factor,
-                                   util::SimTime duration) {
-  require_rank(rank, "FaultPlan::degrade_link");
-  if (factor < 1.0)
-    throw std::invalid_argument(
-        "FaultPlan::degrade_link: factor must be >= 1 (a slowdown)");
-  events.push_back(
-      FaultEvent{FaultEvent::Kind::LinkDegrade, at, rank, factor, duration});
-  return *this;
-}
-
-FaultPlan& FaultPlan::degrade_path(int src, int dst, util::SimTime at,
-                                   double factor, util::SimTime duration) {
-  require_rank(src, "FaultPlan::degrade_path");
-  require_rank(dst, "FaultPlan::degrade_path");
-  if (factor < 1.0)
-    throw std::invalid_argument(
-        "FaultPlan::degrade_path: factor must be >= 1 (a slowdown)");
-  FaultEvent ev{FaultEvent::Kind::LinkDegrade, at, src, factor, duration};
-  ev.rank_b = dst;
-  events.push_back(ev);
+  events.push_back(FaultEvent{FaultEvent::Kind::RankRestart, at, rank});
   return *this;
 }
 
@@ -73,11 +49,6 @@ void FaultPlan::validate(int world_size) const {
       throw std::invalid_argument(
           "FaultPlan: event at t=" + std::to_string(ev.at) + " targets rank " +
           std::to_string(ev.rank) + ", outside world of " +
-          std::to_string(world_size));
-    if (ev.rank_b >= world_size)
-      throw std::invalid_argument(
-          "FaultPlan: path-degrade at t=" + std::to_string(ev.at) +
-          " endpoint " + std::to_string(ev.rank_b) + " outside world of " +
           std::to_string(world_size));
     auto& d = down[static_cast<std::size_t>(ev.rank)];
     switch (ev.kind) {
@@ -103,8 +74,6 @@ void FaultPlan::validate(int world_size) const {
               " at t=" + std::to_string(ev.at) +
               " which is not down (no earlier crash)");
         d = 0;
-        break;
-      case FaultEvent::Kind::LinkDegrade:
         break;
     }
   }

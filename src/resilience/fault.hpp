@@ -12,10 +12,9 @@
 //    dropped on arrival. Pooled operation slots are released, never leaked.
 //  * rank restart — the machine respawns the program fiber for a previously
 //    crashed rank; Rank::incarnation() tells restarted code apart.
-//  * link degrade — the endpoint's fabric ports slow by a factor for a
-//    window (failing NIC, thermal throttling); the same factor composes
-//    with the NoiseModel for the rank's compute perturbation, so degraded
-//    intervals still carry jitter and detours on top.
+//
+// Slow ranks and links are not faults here: load imbalance (OS noise,
+// workload skew) is sim::NoiseModel's job.
 //
 // A FaultPlan is a schedule of such events, installed via
 // mpi::MachineConfig::faults and executed by the engine at exact virtual
@@ -40,22 +39,10 @@
 namespace ds::sim {
 
 struct FaultEvent {
-  enum class Kind { RankCrash, RankRestart, LinkDegrade };
+  enum class Kind { RankCrash, RankRestart };
   Kind kind = Kind::RankCrash;
   util::SimTime at = 0;  ///< absolute virtual time
   int rank = -1;         ///< world rank the event targets
-  /// LinkDegrade: cost multiplier (>= 1) applied to the rank's fabric port
-  /// occupancy and composed into its compute perturbation.
-  double factor = 1.0;
-  /// LinkDegrade: window length; 0 degrades until the end of the run.
-  util::SimTime duration = 0;
-  /// LinkDegrade path form (degrade_path): second endpoint. When >= 0 the
-  /// fault addresses the *shared links* on the topology route rank -> rank_b
-  /// (Fabric::degrade_path) instead of rank's own ports, and no compute
-  /// perturbation is applied — it is a cable, not a core. Under a flat
-  /// topology (or a same-node pair) the fabric falls back to degrading both
-  /// endpoints. -1 keeps the classic endpoint form.
-  int rank_b = -1;
 };
 
 /// A deterministic schedule of fault events (builder-style).
@@ -69,12 +56,6 @@ struct FaultPlan {
   /// time lands mid-protocol. Exercises the failure-aware setup path.
   FaultPlan& crash_during_setup(int rank);
   FaultPlan& restart(int rank, util::SimTime at);
-  FaultPlan& degrade_link(int rank, util::SimTime at, double factor,
-                          util::SimTime duration = 0);
-  /// Degrade the shared links on the topology route src -> dst (endpoint
-  /// fallback when the route has none). See FaultEvent::rank_b.
-  FaultPlan& degrade_path(int src, int dst, util::SimTime at, double factor,
-                          util::SimTime duration = 0);
 
   [[nodiscard]] bool empty() const noexcept { return events.empty(); }
   /// First crash scheduled for `rank`, or -1 when none.
@@ -85,7 +66,6 @@ struct FaultPlan {
   /// throws std::invalid_argument with a descriptive message for plans that
   /// would otherwise be silent no-ops or undefined mid-run behavior:
   ///  * any event addressing a rank outside [0, world_size)
-  ///  * a path-degrade whose second endpoint is outside the world
   ///  * a crash at exactly t=0 (the rank would die before its program fiber
   ///    ever runs — crash_during_setup schedules the earliest useful crash)
   ///  * a crash of a rank that is already down at that time

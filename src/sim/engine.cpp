@@ -21,7 +21,7 @@ void Process::advance(util::SimTime d) {
 }
 
 void Process::compute(util::SimTime nominal, const char* label) {
-  const util::SimTime d = engine_->noise().perturb(nominal, rng_, degrade_);
+  const util::SimTime d = engine_->noise().perturb(nominal, rng_);
   trace_begin(label, obs::SpanKind::Compute);
   advance(d);
   trace_end();
@@ -105,15 +105,6 @@ void Engine::wake_at(int pid, util::SimTime t) {
       p->wake_pending_ = true;
     }
   });
-}
-
-void Engine::set_compute_degrade(int pid, double factor) {
-  processes_.at(static_cast<std::size_t>(pid))->degrade_ =
-      factor < 1.0 ? 1.0 : factor;
-}
-
-double Engine::compute_degrade(int pid) const {
-  return processes_.at(static_cast<std::size_t>(pid))->degrade_;
 }
 
 void Engine::resume_process(Process& p) {

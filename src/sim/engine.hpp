@@ -100,7 +100,6 @@ class Process {
   util::Rng rng_;
   State state_ = State::Created;
   bool wake_pending_ = false;
-  double degrade_ = 1.0;  ///< fault-injected compute slowdown (>= 1)
   const char* state_note_ = nullptr;
   std::unique_ptr<Fiber> fiber_;
 };
@@ -154,11 +153,6 @@ class Engine {
 
   /// Process currently executing, or nullptr when the engine itself runs.
   [[nodiscard]] Process* current() noexcept { return running_; }
-
-  /// Fault-injected compute slowdown for `pid` (>= 1, 1 = nominal): composed
-  /// with the noise model by Process::compute. See sim::FaultPlan.
-  void set_compute_degrade(int pid, double factor);
-  [[nodiscard]] double compute_degrade(int pid) const;
 
   /// Span/instant recorder (ds::obs), or nullptr when tracing is off
   /// (EngineConfig::record_trace / mpi::MachineConfig::observability).

@@ -13,11 +13,8 @@ NoiseModel::NoiseModel(NoiseConfig config) noexcept : config_(config) {
   }
 }
 
-util::SimTime NoiseModel::perturb(util::SimTime nominal, util::Rng& rng,
-                                  double degrade) const {
+util::SimTime NoiseModel::perturb(util::SimTime nominal, util::Rng& rng) const {
   if (nominal <= 0) return 0;
-  if (degrade > 1.0)
-    nominal = static_cast<util::SimTime>(static_cast<double>(nominal) * degrade);
   if (!config_.enabled()) return nominal;
 
   double duration = static_cast<double>(nominal);

@@ -44,13 +44,7 @@ class NoiseModel {
 
   /// Perturb a nominal compute duration. Always >= 0; equals nominal when
   /// the model is disabled. Deterministic given the RNG state.
-  ///
-  /// `degrade` composes fault-injected degradation (>= 1, see
-  /// sim::FaultPlan) with the noise model: the nominal duration is scaled
-  /// first, then jitter and detours apply to the slowed interval — a
-  /// degraded rank still sees proportional OS noise on top of its slowdown.
-  [[nodiscard]] util::SimTime perturb(util::SimTime nominal, util::Rng& rng,
-                                      double degrade = 1.0) const;
+  [[nodiscard]] util::SimTime perturb(util::SimTime nominal, util::Rng& rng) const;
 
   [[nodiscard]] const NoiseConfig& config() const noexcept { return config_; }
 

@@ -307,6 +307,39 @@ TEST(Pipeline, MisuseIsRejected) {
   });
 }
 
+TEST(Pipeline, WithResilienceFillsOnlyUnsetIntervals) {
+  testing::run_program(testing::tiny_machine(4), [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({3});
+    EXPECT_THROW(pipeline.with_resilience(0), std::invalid_argument);
+    pipeline.with_resilience(16);
+    auto inherits = pipeline.raw_stream(8);
+    StreamOptions own_options;
+    own_options.checkpoint_interval = 4;
+    auto own = pipeline.raw_stream(8, own_options);
+    StreamOptions manual_options;
+    manual_options.manual_durability = true;
+    auto manual = pipeline.raw_stream(8, manual_options);
+    const auto check = [&](Context& ctx) {
+      EXPECT_EQ(ctx[inherits].channel().config().checkpoint_interval, 16u);
+      EXPECT_FALSE(ctx[inherits].channel().config().manual_durability);
+      EXPECT_EQ(ctx[own].channel().config().checkpoint_interval, 4u);
+      EXPECT_EQ(ctx[manual].channel().config().checkpoint_interval, 16u);
+      EXPECT_TRUE(ctx[manual].channel().config().manual_durability);
+    };
+    pipeline.run(
+        [&](Context& ctx) {
+          check(ctx);
+          for (const auto& h : {inherits, own, manual})
+            ctx[h].send_synthetic(8);
+        },
+        [&](Context& ctx) {
+          check(ctx);
+          for (const auto& h : {inherits, own, manual})
+            EXPECT_EQ(ctx[h].operate(), 3u);
+        });
+  });
+}
+
 TEST(ScopedChannel, FreesOnScopeExitAndMoves) {
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;

@@ -73,6 +73,18 @@ TEST(Fabric, ZeroDrainFactorSkipsReceiverSerialization) {
   EXPECT_EQ(a.deliver_at, b.deliver_at);  // no drain queueing
 }
 
+TEST(Fabric, FractionalDrainFactorScalesOnlyTheDrain) {
+  NetworkConfig c = flat_config();
+  c.receiver_drain_factor = 0.5;
+  Fabric f(c, 4);
+  const auto a = f.schedule_message(0, 1, 1000, 0);
+  // tx: gap 100 + payload 1000 = 1100; + latency 1000; drain 0.5 x 1000.
+  EXPECT_EQ(a.sender_free_at, 1100);
+  EXPECT_EQ(a.deliver_at, 2600);
+  // Another sender's message to rank 1 queues behind a's drain.
+  EXPECT_EQ(f.schedule_message(2, 1, 1000, 0).deliver_at, 3100);
+}
+
 TEST(Fabric, InvalidEndpointCountThrows) {
   EXPECT_THROW(Fabric(flat_config(), 0), std::invalid_argument);
 }
@@ -150,59 +162,6 @@ TEST(Fabric, DeliveryMonotoneUnderMultiLinkCongestion) {
     EXPECT_GE(s.deliver_at, last_deliver);
     last_deliver = s.deliver_at;
   }
-}
-
-TEST(Fabric, EndpointDegradeValidatesRange) {
-  Fabric f(flat_config(), 4);
-  EXPECT_THROW(f.set_degrade(-1, 2.0), std::out_of_range);
-  EXPECT_THROW(f.set_degrade(4, 2.0), std::out_of_range);
-  EXPECT_THROW((void)f.degrade(17), std::out_of_range);
-  f.set_degrade(2, 0.25);  // sub-nominal factors clamp to 1 (never speed up)
-  EXPECT_DOUBLE_EQ(f.degrade(2), 1.0);
-}
-
-TEST(Fabric, LinkDegradeValidatesAgainstTopology) {
-  Fabric flat(flat_config(), 4);
-  EXPECT_THROW(flat.set_link_degrade(0, 2.0), std::out_of_range);
-  Fabric f(twolevel_config(), 6);
-  EXPECT_THROW(f.set_link_degrade(-1, 2.0), std::out_of_range);
-  EXPECT_THROW(f.set_link_degrade(f.topology().link_count(), 2.0),
-               std::out_of_range);
-  f.set_link_degrade(f.topology().node_up_link(0), 3.0);
-  EXPECT_DOUBLE_EQ(f.link_degrade(f.topology().node_up_link(0)), 3.0);
-}
-
-TEST(Fabric, LinkDegradeSlowsOnlyCrossingTraffic) {
-  Fabric nominal(twolevel_config(), 6);
-  Fabric degraded(twolevel_config(), 6);
-  degraded.set_link_degrade(degraded.topology().node_up_link(0), 4.0);
-  // Through the degraded up-link: slower by 3 extra payload times.
-  EXPECT_EQ(degraded.schedule_message(0, 2, 1000, 0).deliver_at,
-            nominal.schedule_message(0, 2, 1000, 0).deliver_at + 3000);
-  // Traffic from another node never touches it.
-  EXPECT_EQ(degraded.schedule_message(2, 4, 1000, 0).deliver_at,
-            nominal.schedule_message(2, 4, 1000, 0).deliver_at);
-}
-
-TEST(Fabric, DegradePathFlatFallsBackToEndpoints) {
-  Fabric f(flat_config(), 4);
-  EXPECT_EQ(f.degrade_path(0, 1, 4.0), 0);
-  EXPECT_DOUBLE_EQ(f.degrade(0), 4.0);
-  EXPECT_DOUBLE_EQ(f.degrade(1), 4.0);
-  EXPECT_DOUBLE_EQ(f.degrade(2), 1.0);
-  EXPECT_THROW(f.degrade_path(0, 9, 2.0), std::out_of_range);
-}
-
-TEST(Fabric, DegradePathHitsRouteLinksNotEndpoints) {
-  Fabric f(twolevel_config(), 6);
-  EXPECT_EQ(f.degrade_path(0, 4, 4.0), 2);
-  EXPECT_DOUBLE_EQ(f.link_degrade(f.topology().node_up_link(0)), 4.0);
-  EXPECT_DOUBLE_EQ(f.link_degrade(f.topology().node_down_link(2)), 4.0);
-  EXPECT_DOUBLE_EQ(f.degrade(0), 1.0);  // ports untouched
-  EXPECT_DOUBLE_EQ(f.degrade(4), 1.0);
-  // A same-node pair crosses no shared links: endpoint fallback.
-  EXPECT_EQ(f.degrade_path(2, 3, 2.0), 0);
-  EXPECT_DOUBLE_EQ(f.degrade(2), 2.0);
 }
 
 TEST(Fabric, TaperSlowsSharedLinksOnly) {
