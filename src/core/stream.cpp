@@ -686,10 +686,6 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   matrix_ = resilience::CountMatrix(static_cast<int>(producers),
                                     static_cast<int>(consumers));
   term_from_.assign(producers, 0);
-  if (channel_->tree_termination()) {
-    term_entries_.reserve(consumers);
-    term_slice_.reserve(consumers);
-  }
   if (resilient_) {
     adopted_.assign(consumers, 0);
     // A rejoined rank (or a consumer attaching after crashes) must derive
@@ -1121,10 +1117,9 @@ bool Stream::announce_collected(mpi::Rank& self) {
     announce_failure_epoch_ = fe;
     announce_rejoin_epoch_ = re;
     announce_acked_[static_cast<std::size_t>(my_consumer_)] = 1;
-    // The fabric charges the full P x C matrix whichever form travels.
-    const std::vector<std::byte> announce = matrix_.encode();
-    const mpi::SendBuf payload{announce.data(), announce.size(),
-                               matrix_.dense_bytes()};
+    // Every send references the one sealed copy of the cells; the fabric
+    // charges each the full P x C matrix.
+    const mpi::SharedBuf announce = matrix_.share();
     for (int c = 0; c < consumers; ++c) {
       if (c == my_consumer_ ||
           announce_acked_[static_cast<std::size_t>(c)] != 0 ||
@@ -1134,7 +1129,7 @@ bool Stream::announce_collected(mpi::Rank& self) {
       machine.post_send(
           context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
           channel_->comm().world_rank(channel_->consumer_rank(c)),
-          kTagAnnounce, payload);
+          kTagAnnounce, announce);
       ++term_msgs_sent_;
     }
   }
@@ -1410,9 +1405,10 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
     return;
   }
   if (status.tag == kTagAnnounce) {
-    if (resilient_ && !status.synthetic && matrix_.decode(payload)) {
-      // The announce carries every producer's final row: should this
-      // consumer take the aggregator role over, no term is owed any more.
+    if (resilient_ && matrix_.adopt(message_->shared_payload(), payload)) {
+      // The announce carries every producer's final row, shared with the
+      // announcer rather than copied: should this consumer take the
+      // aggregator role over, no term is owed any more.
       std::fill(term_from_.begin(), term_from_.end(), 1);
       seal_matrix(self);
       // Ack to whoever announced (the role may move under us; the reply

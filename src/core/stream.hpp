@@ -84,16 +84,16 @@
 //    Rows are recorded idempotently, so re-sent terms are harmless.
 //  * The root releases once its own count cells are satisfied, its
 //    distribution is collected (on trees: every live consumer has acked
-//    the announced matrix — its nonzero cells, or the dense matrix
-//    when that is no larger; the fabric charges the full P x C counts
-//    either way) and its durable point, if registered, has run. The release
-//    goes to the producers it roots and, on trees, to every consumer, in
-//    one atomic fiber step, and it retires the producers' replay logs. On
-//    trees this yields the invariant that makes an aggregator crash
-//    mid-protocol survivable: if any producer was released, every live
-//    consumer already holds the matrix, so a newly elected aggregator
-//    either re-collects terms (producers are still blocked and resend) or
-//    re-announces from its own copy.
+//    the announced matrix — one shared copy of its nonzero cells that
+//    every consumer keeps a reference to, while the fabric charges each
+//    announce the full P x C counts) and its durable point, if
+//    registered, has run. The release goes to the producers it roots and,
+//    on trees, to every consumer, in one atomic fiber step, and it retires
+//    the producers' replay logs. On trees this yields the invariant that
+//    makes an aggregator crash mid-protocol survivable: if any producer
+//    was released, every live consumer already holds the matrix, so a
+//    newly elected aggregator either re-collects terms (producers are
+//    still blocked and resend) or re-announces the shared copy it adopted.
 //  * Per-(producer, flow) accounting means a dead producer's lost tail can
 //    never mask a live producer's in-flight data.
 //
@@ -551,8 +551,9 @@ class Stream {
   char state_note_buf_[192] = {};
   [[nodiscard]] const char* blocked_note(const char* what);
 
-  // termination scratch, reserved once and reused across terms/children so
-  // the fan-out does not reallocate per child slice
+  // termination scratch, reused across terms and children so the fan-out
+  // does not reallocate per child slice (left unreserved: a resilient tree
+  // never fills them, and C entries on each of C consumers is O(C^2))
   /// A producer's term entries; a tree consumer's totals to fan out (built
   /// by the aggregator, decoded from the parent's term elsewhere).
   std::vector<TermEntry> term_entries_;
@@ -574,9 +575,10 @@ class Stream {
   /// delivers it first and the adopter's dedup cursor skips the replay's
   /// already-durable prefix.
   static constexpr int kTagHandoff = 5;
-  /// Aggregator -> consumers: the (producer x flow) count matrix, encoded
-  /// by resilience::CountMatrix (the distribution of resilient trees).
-  /// Idempotent; resent after crashes and rejoins until acked.
+  /// Aggregator -> consumers: the (producer x flow) count matrix (the
+  /// distribution of resilient trees), a shared payload every consumer
+  /// adopts in place (resilience::CountMatrix::share/adopt). Idempotent;
+  /// resent after crashes and rejoins until acked.
   static constexpr int kTagAnnounce = 6;
   /// Consumer -> aggregator: matrix received.
   static constexpr int kTagAnnounceAck = 7;

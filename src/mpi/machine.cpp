@@ -279,20 +279,42 @@ detail::OpRef<detail::SendOp> Machine::post_send(std::uint64_t context,
                                                  int tag, SendBuf data,
                                                  sim::Callback on_complete) {
   auto op = send_pool_.acquire();
+  op->buffers = &payload_buffers_;
+  if (data.ptr && data.bytes > 0) {
+    // Buffered-send semantics: the payload is copied out immediately (into
+    // the op's inline buffer for small sizes), so the caller may reuse its
+    // buffer as soon as post_send returns.
+    op->store_payload(data.ptr, data.bytes);
+  }
+  launch(op, context, src_comm_rank, src_world, dst_world, tag,
+         data.on_wire(), std::move(on_complete));
+  return op;
+}
+
+detail::OpRef<detail::SendOp> Machine::post_send(std::uint64_t context,
+                                                 int src_comm_rank,
+                                                 int src_world, int dst_world,
+                                                 int tag, SharedBuf data,
+                                                 sim::Callback on_complete) {
+  auto op = send_pool_.acquire();
+  op->buffers = &payload_buffers_;
+  op->share_payload(std::move(data.owner), data.bytes);
+  launch(op, context, src_comm_rank, src_world, dst_world, tag,
+         data.wire_bytes, std::move(on_complete));
+  return op;
+}
+
+void Machine::launch(const detail::OpRef<detail::SendOp>& op,
+                     std::uint64_t context, int src_comm_rank, int src_world,
+                     int dst_world, int tag, std::size_t wire_bytes,
+                     sim::Callback on_complete) {
   op->context = context;
   op->src_comm_rank = src_comm_rank;
   op->src_world = src_world;
   op->dst_world = dst_world;
   op->tag = tag;
-  op->bytes = data.on_wire();
+  op->bytes = wire_bytes;
   op->on_complete = std::move(on_complete);
-  op->buffers = &payload_buffers_;
-  if (data.ptr && data.bytes > 0) {
-    // Buffered-send semantics: the payload is copied out immediately (into
-    // the op's inline buffer for eager-class sizes), so the caller may reuse
-    // its buffer as soon as post_send returns.
-    op->store_payload(data.ptr, data.bytes);
-  }
   op->mode = op->bytes > fabric_.config().eager_threshold
                  ? detail::SendMode::Rendezvous
                  : detail::SendMode::Eager;
@@ -301,7 +323,7 @@ detail::OpRef<detail::SendOp> Machine::post_send(std::uint64_t context,
   // and must not leave traffic behind); the op completes inert.
   if (rank_failed(src_world)) {
     complete_op(*op);
-    return op;
+    return;
   }
 
   const util::SimTime now = engine_.now();
@@ -318,7 +340,6 @@ detail::OpRef<detail::SendOp> Machine::post_send(std::uint64_t context,
         fabric_.schedule_message(src_world, dst_world, kControlBytes, now);
     engine_.schedule(sched.deliver_at, [this, op] { deposit(op); });
   }
-  return op;
 }
 
 detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
@@ -418,7 +439,7 @@ void Machine::finish_delivery(const detail::OpRef<detail::RecvOp>& recv,
                               const detail::OpRef<detail::SendOp>& send) {
   if (recv->borrow) {
     recv->message = send;  // read in place; no copy, no capacity limit
-  } else if (recv->out && send->has_payload()) {
+  } else if (recv->out && send->payload_bytes > 0) {
     std::memcpy(recv->out, send->payload(),
                 std::min(recv->capacity, send->payload_bytes));
   }

@@ -100,6 +100,15 @@ class Machine {
                                           int src_comm_rank, int src_world,
                                           int dst_world, int tag, SendBuf data,
                                           sim::Callback on_complete = {});
+  /// post_send of a shared read-only payload: the op holds a reference to
+  /// `data.owner` instead of a copy of the bytes, so one buffer sent to
+  /// many destinations is one buffer in memory. The fabric charges
+  /// `data.wire_bytes`, as it charges any send its wire size.
+  detail::OpRef<detail::SendOp> post_send(std::uint64_t context,
+                                          int src_comm_rank, int src_world,
+                                          int dst_world, int tag,
+                                          SharedBuf data,
+                                          sim::Callback on_complete = {});
 
   /// Post a receive; matches immediately against unexpected arrivals.
   /// A borrowing receive (`out` = RecvBuf::borrowed()) copies nothing: on
@@ -242,6 +251,10 @@ class Machine {
   void spawn_rank(int r);
   void install_faults();
   void apply_fault(const sim::FaultEvent& event);
+  /// Address `op`, whose payload is attached, and put it on the fabric.
+  void launch(const detail::OpRef<detail::SendOp>& op, std::uint64_t context,
+              int src_comm_rank, int src_world, int dst_world, int tag,
+              std::size_t wire_bytes, sim::Callback on_complete);
   void deposit(const detail::OpRef<detail::SendOp>& msg);
   void start_transfer(const detail::OpRef<detail::RecvOp>& recv,
                       const detail::OpRef<detail::SendOp>& send);

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -95,6 +97,17 @@ struct SendBuf {
                                            std::size_t wire) noexcept {
     return SendBuf{&header, sizeof(T), wire};
   }
+};
+
+/// Outgoing payload that many sends share instead of copying (see
+/// Machine::post_send): each send holds a reference to `owner`, which keeps
+/// `bytes` alive and unchanged until the last send lets go. The message
+/// occupies `wire_bytes` on the simulated network whatever the size of its
+/// host form.
+struct SharedBuf {
+  std::shared_ptr<const void> owner;
+  std::span<const std::byte> bytes;
+  std::size_t wire_bytes = 0;
 };
 
 /// Incoming buffer. `ptr == nullptr` discards payload content (synthetic

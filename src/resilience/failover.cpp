@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "core/channel.hpp"
@@ -70,44 +71,60 @@ bool by_flow(const CountMatrix::Cell& a, const CountMatrix::Cell& b) noexcept {
   return a.flow != b.flow ? a.flow < b.flow : a.producer < b.producer;
 }
 
+/// Append `producer`'s nonzero counts to `cells`, in flow order.
+void append_row(std::vector<CountMatrix::Cell>& cells, std::uint32_t producer,
+                std::span<const std::uint64_t> counts) {
+  for (std::size_t f = 0; f < counts.size(); ++f)
+    if (counts[f] > 0)
+      cells.push_back(CountMatrix::Cell{producer, static_cast<std::uint32_t>(f),
+                                        counts[f]});
+}
+
 }  // namespace
 
 void CountMatrix::set_row(int producer, std::span<const std::uint64_t> counts) {
   const auto row = static_cast<std::uint32_t>(producer);
-  const std::size_t flows = std::min(counts.size(), flows_);
-  if (!sealed_) {
+  counts = counts.first(std::min(counts.size(), flows_));
+  if (!sealed()) {
     // Gathering: append, dropping an earlier copy of the row if there is one.
     if (has_row_.empty()) has_row_.assign(producers_, 0);
     if (has_row_[row] != 0)
-      std::erase_if(cells_, [row](const Cell& c) { return c.producer == row; });
+      std::erase_if(gathered_,
+                    [row](const Cell& c) { return c.producer == row; });
     has_row_[row] = 1;
-    for (std::size_t f = 0; f < flows; ++f)
-      if (counts[f] > 0)
-        cells_.push_back(Cell{row, static_cast<std::uint32_t>(f), counts[f]});
+    append_row(gathered_, row, counts);
     return;
   }
-  // Sealed: rewrite cell by cell in place, keeping the order.
-  for (std::size_t f = 0; f < flows_; ++f) {
-    const Cell cell{row, static_cast<std::uint32_t>(f),
-                    f < flows ? counts[f] : 0};
-    const auto it =
-        std::lower_bound(cells_.begin(), cells_.end(), cell, by_flow);
-    const bool present = it != cells_.end() && it->flow == cell.flow &&
-                         it->producer == row;
-    if (present && cell.count > 0)
-      it->count = cell.count;
-    else if (present)
-      cells_.erase(it);
-    else if (cell.count > 0)
-      cells_.insert(it, cell);
-  }
+  // Sealed: the cells may be shared, so a row that changes anything is
+  // written to a copy, which becomes this matrix's own buffer.
+  bool same = true;
+  for (std::size_t f = 0; f < flows_ && same; ++f)
+    same = count(producer, static_cast<int>(f)) ==
+           (f < counts.size() ? counts[f] : 0);
+  if (same) return;
+  std::vector<Cell> cells;
+  cells.reserve(cells_.size() + counts.size());
+  std::copy_if(cells_.begin(), cells_.end(), std::back_inserter(cells),
+               [row](const Cell& c) { return c.producer != row; });
+  const auto kept = static_cast<std::ptrdiff_t>(cells.size());
+  append_row(cells, row, counts);
+  // The row's cells come in flow order: one merge restores the cell order.
+  std::inplace_merge(cells.begin(), cells.begin() + kept, cells.end(),
+                     by_flow);
+  own(std::move(cells));
 }
 
 void CountMatrix::seal() {
-  if (sealed_) return;
-  std::sort(cells_.begin(), cells_.end(), by_flow);
-  sealed_ = true;
+  if (sealed()) return;
+  std::sort(gathered_.begin(), gathered_.end(), by_flow);
+  own(std::exchange(gathered_, {}));
   has_row_ = {};
+}
+
+void CountMatrix::own(std::vector<Cell> cells) {
+  auto buffer = std::make_shared<const std::vector<Cell>>(std::move(cells));
+  cells_ = *buffer;
+  owner_ = std::move(buffer);
 }
 
 std::span<const CountMatrix::Cell> CountMatrix::flow(int flow) const noexcept {
@@ -125,52 +142,30 @@ std::uint64_t CountMatrix::flow_total(int flow) const noexcept {
   return total;
 }
 
-std::vector<std::byte> CountMatrix::encode() const {
-  const std::uint64_t n = cells_.size();
-  const std::size_t sparse = sizeof n + n * sizeof(Cell);
-  std::vector<std::byte> out;
-  if (sparse < dense_bytes()) {
-    // The count prefix keeps even an all-zero matrix a real payload.
-    out.resize(sparse);
-    std::memcpy(out.data(), &n, sizeof n);
-    if (n > 0)
-      std::memcpy(out.data() + sizeof n, cells_.data(), n * sizeof(Cell));
-    return out;
-  }
-  // About half full or more: the dense matrix is no larger than the cells.
-  out.assign(dense_bytes(), std::byte{0});
-  for (const Cell& c : cells_)
-    std::memcpy(out.data() + (c.producer * flows_ + c.flow) * sizeof c.count,
-                &c.count, sizeof c.count);
-  return out;
+std::uint64_t CountMatrix::count(int producer, int flow) const noexcept {
+  const auto p = static_cast<std::uint32_t>(producer);
+  const std::span<const Cell> cells = this->flow(flow);
+  const auto it = std::partition_point(
+      cells.begin(), cells.end(),
+      [p](const Cell& c) { return c.producer < p; });
+  return it != cells.end() && it->producer == p ? it->count : 0;
 }
 
-bool CountMatrix::decode(std::span<const std::byte> payload) {
-  std::vector<Cell> cells;
-  if (payload.size() == dense_bytes()) {
-    // Column by column, so the cells come out sealed.
-    for (std::size_t f = 0; f < flows_; ++f)
-      for (std::size_t p = 0; p < producers_; ++p) {
-        std::uint64_t count = 0;
-        std::memcpy(&count, payload.data() + (p * flows_ + f) * sizeof count,
-                    sizeof count);
-        if (count > 0)
-          cells.push_back(Cell{static_cast<std::uint32_t>(p),
-                               static_cast<std::uint32_t>(f), count});
-      }
-  } else {
-    std::uint64_t n = 0;
-    if (payload.size() < sizeof n) return false;
-    std::memcpy(&n, payload.data(), sizeof n);
-    if (n > payload.size() / sizeof(Cell) ||
-        payload.size() != sizeof n + n * sizeof(Cell))
-      return false;
-    cells.resize(n);
-    if (n > 0)
-      std::memcpy(cells.data(), payload.data() + sizeof n, n * sizeof(Cell));
-  }
-  cells_ = std::move(cells);
-  sealed_ = true;
+mpi::SharedBuf CountMatrix::share() const {
+  return mpi::SharedBuf{owner_, std::as_bytes(cells_), dense_bytes()};
+}
+
+bool CountMatrix::adopt(std::shared_ptr<const void> owner,
+                        std::span<const std::byte> cells) {
+  if (owner == nullptr || cells.size() % sizeof(Cell) != 0 ||
+      reinterpret_cast<std::uintptr_t>(cells.data()) % alignof(Cell) != 0)
+    return false;
+  // The bytes are the announcer's Cell array (share()), so they are read
+  // back as the cells they are.
+  cells_ = {reinterpret_cast<const Cell*>(cells.data()),
+            cells.size() / sizeof(Cell)};
+  owner_ = std::move(owner);
+  gathered_ = {};
   has_row_ = {};
   return true;
 }

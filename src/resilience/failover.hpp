@@ -16,8 +16,9 @@
 //    admits each (producer, flow, seq) at most once, so replay overlap can
 //    never deliver an element to application code twice.
 //  * CountMatrix  — the (producer x flow) element counts a term root gathers
-//    from counted terms, nonzero cells only, plus the announce codec that
-//    ships them to the consumers of a resilient tree.
+//    from counted terms, nonzero cells only, sealed into one read-only
+//    buffer that the announce of a resilient tree shares with every
+//    consumer.
 //  * failover_target — the deterministic, topology-aware adoption rule: the
 //    next live consumer on the dead consumer's *node* (cyclically), falling
 //    back to the next live consumer anywhere. Every rank evaluates it
@@ -35,9 +36,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
+
+#include "mpi/types.hpp"
 
 namespace ds::mpi {
 class Machine;
@@ -151,8 +155,14 @@ class DedupFilter {
 /// nonzero cells are stored, so memory follows the routes in use instead of
 /// P x C (a producer that talks to one consumer costs one cell). Rows
 /// gather unordered from counted terms; seal() orders the cells by flow
-/// once the counts are complete, and later row writes (a Block root that
-/// adopts a dead consumer's producers) keep that order.
+/// into one read-only buffer once the counts are complete.
+///
+/// The sealed cells are shared, not copied: an announce references the
+/// buffer (share()) and each consumer keeps that reference (adopt()), so a
+/// fan-out to C consumers holds one matrix, not C. A later row write that
+/// changes a sealed matrix (a Block root that adopts a dead consumer's
+/// producers, a takeover root) copies the cells first, so no other
+/// holder's view changes; a repeated row copies nothing.
 class CountMatrix {
  public:
   struct Cell {
@@ -169,34 +179,48 @@ class CountMatrix {
   /// Replace `producer`'s row with `counts` (one count per flow; zeros
   /// clear cells). Idempotent: a repeated row leaves the matrix unchanged.
   void set_row(int producer, std::span<const std::uint64_t> counts);
-  /// Order the cells by (flow, producer); flow() needs it. Idempotent.
+  /// Order the cells by (flow, producer) into the shared read-only buffer;
+  /// flow() needs it. Idempotent.
   void seal();
-  [[nodiscard]] bool sealed() const noexcept { return sealed_; }
+  [[nodiscard]] bool sealed() const noexcept { return owner_ != nullptr; }
 
   /// The nonzero cells of one flow, by producer (sealed matrices only).
   [[nodiscard]] std::span<const Cell> flow(int flow) const noexcept;
   /// Elements announced on one flow across all producers (sealed only).
   [[nodiscard]] std::uint64_t flow_total(int flow) const noexcept;
-  [[nodiscard]] std::size_t cells() const noexcept { return cells_.size(); }
+  /// One cell's count, 0 when the cell is empty (sealed only).
+  [[nodiscard]] std::uint64_t count(int producer, int flow) const noexcept;
+  [[nodiscard]] std::size_t cells() const noexcept {
+    return sealed() ? cells_.size() : gathered_.size();
+  }
 
-  /// Announce payload of a sealed matrix: the cell count and the cells, or
-  /// the dense row-major P x C counts when that is no larger. Never longer
-  /// than dense_bytes(), the size the announce is modeled (and charged) at.
-  [[nodiscard]] std::vector<std::byte> encode() const;
-  /// Adopt an announced matrix (sealed). The two forms differ in length: a
-  /// payload of exactly dense_bytes() is dense. Returns false, leaving the
-  /// matrix unchanged, when the payload is neither form.
-  bool decode(std::span<const std::byte> payload);
+  /// The announce of a sealed matrix: a reference to its cells, charged on
+  /// the wire as the dense P x C counts (dense_bytes()), the size the
+  /// announce is modeled at whatever its host form.
+  [[nodiscard]] mpi::SharedBuf share() const;
+  /// Adopt an announced matrix (sealed): keep `owner`'s reference to
+  /// `cells`, the cell bytes of another matrix's share(), instead of
+  /// copying them. Replaces whatever this matrix held. Returns false,
+  /// leaving the matrix unchanged, when `owner` is null (no shared
+  /// payload) or `cells` is not a whole, aligned array of cells.
+  bool adopt(std::shared_ptr<const void> owner,
+             std::span<const std::byte> cells);
   [[nodiscard]] std::size_t dense_bytes() const noexcept {
     return producers_ * flows_ * sizeof(std::uint64_t);
   }
 
  private:
+  /// Seal `cells` (ordered by flow) as this matrix's own shared buffer.
+  void own(std::vector<Cell> cells);
+
   std::size_t producers_ = 0;
   std::size_t flows_ = 0;
-  bool sealed_ = false;
-  std::vector<Cell> cells_;
+  std::vector<Cell> gathered_;         ///< gathering: rows in arrival order
   std::vector<std::uint8_t> has_row_;  ///< gathering: producer wrote a row
+  /// Sealed: the cells by (flow, producer), read-only, and the reference
+  /// that keeps them alive (this matrix's own buffer, or an announcer's).
+  std::shared_ptr<const void> owner_;
+  std::span<const Cell> cells_;
 };
 
 /// True when consumer slot `c` is available: its rank is live in

@@ -11,6 +11,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -295,7 +297,108 @@ TEST(Matching, PayloadBuffersRecycleBySizeClass) {
   EXPECT_EQ(smaller.data(), storage);
   EXPECT_TRUE(smaller.empty());
   const auto fresh = buffers.take(1500);  // nothing spare: a 2 KiB buffer
-  EXPECT_EQ(fresh.capacity(), detail::PayloadBuffers::kMinBytes);
+  EXPECT_EQ(fresh.capacity(), 2048u);
+  // The smallest class holds any payload one byte over the inline budget.
+  EXPECT_EQ(detail::PayloadBuffers::kMinBytes,
+            2 * detail::SendOp::kInlineBytes);
+  EXPECT_EQ(buffers.take(detail::SendOp::kInlineBytes + 1).capacity(), 128u);
+}
+
+// A pool slot is paid for by every op the run ever has alive at once, so
+// its inline budget stays small (about 1.2 KB per slot with a 1 KiB one).
+static_assert(sizeof(detail::SendOp) <= 320);
+
+TEST(Matching, PayloadsAtTheInlineBudgetRoundTripCopiedAndBorrowed) {
+  // Payloads of exactly the inline budget and one byte over it (which
+  // borrows a size-class buffer) arrive intact through a copying receive
+  // and through a borrowed one read in place; every pool slot comes back.
+  constexpr std::size_t kSizes[] = {detail::SendOp::kInlineBytes,
+                                    detail::SendOp::kInlineBytes + 1};
+  const auto pattern = [](std::size_t n, int salt) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i)
+      bytes[i] =
+          static_cast<std::uint8_t>(i * 7 + static_cast<std::size_t>(salt));
+    return bytes;
+  };
+  Machine machine(testing::tiny_machine(2));
+  std::vector<std::vector<std::uint8_t>> copied, borrowed;
+  machine.run([&](Rank& self) {
+    for (const std::size_t n : kSizes) {
+      if (self.world_rank() == 0) {
+        for (const int salt : {1, 2}) {
+          const auto bytes = pattern(n, salt);
+          self.send(self.world(), 1, salt, SendBuf::of(bytes.data(), n));
+        }
+        continue;
+      }
+      std::vector<std::uint8_t> into(n);
+      const Status st =
+          self.recv(self.world(), 0, 1, RecvBuf::of(into.data(), n));
+      EXPECT_EQ(st.bytes, n);
+      EXPECT_FALSE(st.synthetic);
+      copied.push_back(into);
+      Request req = self.machine().post_recv(self.world().context(), 1, 0, 2,
+                                             RecvBuf::borrowed());
+      self.wait(req);
+      const auto& recv = static_cast<const detail::RecvOp&>(*req);
+      ASSERT_TRUE(recv.message);
+      ASSERT_EQ(recv.message->payload_bytes, n);
+      const auto* data =
+          reinterpret_cast<const std::uint8_t*>(recv.message->payload());
+      borrowed.emplace_back(data, data + n);
+    }
+  });
+  ASSERT_EQ(copied.size(), 2u);
+  ASSERT_EQ(borrowed.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(copied[i], pattern(kSizes[i], 1)) << kSizes[i] << " bytes";
+    EXPECT_EQ(borrowed[i], pattern(kSizes[i], 2)) << kSizes[i] << " bytes";
+  }
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
+}
+
+TEST(Matching, SharedPayloadIsReferencedNotCopied) {
+  // One read-only buffer sent to two receivers: each op references it (a
+  // borrowed receive reads the sender's own bytes), a copying receive still
+  // gets the bytes, the wire carries the declared size, and the last
+  // reference goes when the ops recycle.
+  constexpr std::size_t kWire = 4096;
+  auto buffer = std::make_shared<const std::vector<std::uint64_t>>(
+      std::vector<std::uint64_t>{11, 22, 33});
+  const std::byte* shared_bytes = std::as_bytes(std::span(*buffer)).data();
+  Machine machine(testing::tiny_machine(3));
+  std::array<std::uint64_t, 3> copied{};
+  const std::byte* borrowed_at = nullptr;
+  std::array<std::size_t, 2> wire{};
+  machine.run([&](Rank& self) {
+    const std::uint64_t ctx = self.world().context();
+    if (self.world_rank() == 0) {
+      const SharedBuf data{buffer, std::as_bytes(std::span(*buffer)), kWire};
+      for (const int dst : {1, 2})
+        (void)self.machine().post_send(ctx, 0, 0, dst, 4, data);
+      return;
+    }
+    if (self.world_rank() == 1) {
+      wire[0] =
+          self.recv(self.world(), 0, 4, RecvBuf::of(copied.data(), 3)).bytes;
+      return;
+    }
+    Request req = self.machine().post_recv(ctx, 2, 0, 4, RecvBuf::borrowed());
+    self.wait(req);
+    const auto& recv = static_cast<const detail::RecvOp&>(*req);
+    wire[1] = recv.status.bytes;
+    EXPECT_FALSE(recv.status.synthetic);
+    borrowed_at = recv.message->payload();
+    EXPECT_EQ(recv.message->shared_payload(), buffer);
+  });
+  EXPECT_EQ(copied, (std::array<std::uint64_t, 3>{11, 22, 33}));
+  EXPECT_EQ(borrowed_at, shared_bytes);
+  EXPECT_EQ(wire, (std::array<std::size_t, 2>{kWire, kWire}));
+  EXPECT_EQ(buffer.use_count(), 1);
+  EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
+  EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);
 }
 
 TEST(Matching, HeldRequestPinsItsCompletedOp) {

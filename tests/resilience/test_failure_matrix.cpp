@@ -232,7 +232,9 @@ TEST(FailureMatrix, AggregatorCrashMidProtocolReelectsAndReleases) {
 /// release: its durable point runs only once every announce-ack is in, and
 /// computes for 50 us, and the crash lands in the middle of it. The
 /// survivors then hold the count matrix only as the announced copy, which
-/// the re-elected aggregator must re-announce and release from.
+/// they share with the dead aggregator's announce; the re-elected
+/// aggregator must re-announce that shared copy and release from it, and
+/// every pool slot the announces held comes back.
 void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
   constexpr int kProducers = 6, kConsumers = 3, kEach = 9;
   struct Outcome {
@@ -240,12 +242,14 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
     std::array<bool, kConsumers> done{};
     std::array<std::uint64_t, kConsumers> term_messages{};
     util::SimTime hook_at = 0;  ///< consumer 0 entered its durable point
+    mpi::Machine::PoolStats pools{};
   };
   const auto run = [&](util::SimTime crash_at) {
     Outcome out;
     auto config = testing::tiny_machine(kProducers + kConsumers);
     if (crash_at > 0) config.faults.crash(/*consumer 0=*/kProducers, crash_at);
-    testing::run_program(config, [&](Rank& self) {
+    mpi::Machine machine(config);
+    machine.run([&](Rank& self) {
       const bool producer = self.world_rank() < kProducers;
       ChannelConfig cfg;
       cfg.mapping = mapping;
@@ -282,6 +286,7 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
       out.done[static_cast<std::size_t>(me)] = s.exhausted();
       out.term_messages[static_cast<std::size_t>(me)] = s.stats().term_messages;
     });
+    out.pools = machine.pool_stats();
     return out;
   };
 
@@ -289,6 +294,8 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
   ASSERT_GT(clean.hook_at, 0);
   EXPECT_TRUE(clean.done[0] && clean.done[1] && clean.done[2]);
   EXPECT_LT(clean.term_messages[1], static_cast<std::uint64_t>(kProducers));
+  EXPECT_EQ(clean.pools.send.outstanding(), 0u);
+  EXPECT_EQ(clean.pools.recv.outstanding(), 0u);
 
   const Outcome crashed = run(clean.hook_at + util::microseconds(25));
   EXPECT_EQ(crashed.hook_at, clean.hook_at);  // same schedule up to the crash
@@ -304,16 +311,19 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
     for (int i = 0; i < kEach; ++i)
       EXPECT_TRUE(seen.count(element_id(p, i)))
           << "lost element " << p << ":" << i;
+  EXPECT_EQ(crashed.pools.send.outstanding(), 0u);
+  EXPECT_EQ(crashed.pools.recv.outstanding(), 0u);
 }
 
 TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromSparseCopy) {
   // Directed, one flow per producer: 6 of 18 cells are nonzero, so the
-  // announce travels as sparse entries.
+  // shared cells are smaller than the dense counts the wire carries.
   aggregator_crash_before_release(ChannelConfig::Mapping::Directed);
 }
 
 TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromDenseCopy) {
-  // RoundRobin: every cell is nonzero, so the announce travels dense.
+  // RoundRobin: every cell is nonzero, so the shared cells outweigh the
+  // dense counts the wire carries.
   aggregator_crash_before_release(ChannelConfig::Mapping::RoundRobin);
 }
 

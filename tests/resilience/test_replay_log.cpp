@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "mpi/types.hpp"
 #include "resilience/failover.hpp"
 
 namespace ds::resilience {
@@ -127,9 +128,10 @@ TEST(DedupFilter, ForEachVisitsEveryTrackedFlow) {
   return out;
 }
 
-TEST(CountMatrix, SparseAnnounceRoundTrips) {
-  // One flow per producer: 6 of 18 cells set, so the cells travel as
-  // entries, well under the modeled dense size.
+TEST(CountMatrix, AdoptedMatrixReadsTheAnnouncersCells) {
+  // One flow per producer: 6 of 18 cells set. The announce is a reference
+  // to the sealed cells, charged on the wire as the dense 6 x 3 counts; the
+  // adopter reads the announcer's storage and re-announces it unchanged.
   CountMatrix agg(6, 3);
   for (int p = 5; p >= 0; --p) {  // rows arrive in any order
     std::vector<std::uint64_t> row(3, 0);
@@ -139,46 +141,92 @@ TEST(CountMatrix, SparseAnnounceRoundTrips) {
   agg.seal();
   EXPECT_EQ(agg.cells(), 6u);
   EXPECT_EQ(agg.flow_total(1), 11u + 14u);
-  const auto wire = agg.encode();
-  EXPECT_EQ(wire.size(), sizeof(std::uint64_t) + 6 * sizeof(CountMatrix::Cell));
-  EXPECT_LT(wire.size(), agg.dense_bytes());
+  EXPECT_EQ(agg.count(4, 1), 14u);
+  EXPECT_EQ(agg.count(4, 0), 0u);
+  const mpi::SharedBuf announce = agg.share();
+  EXPECT_EQ(announce.bytes.size(), 6 * sizeof(CountMatrix::Cell));
+  EXPECT_EQ(announce.wire_bytes, agg.dense_bytes());
 
   CountMatrix copy(6, 3);
-  ASSERT_TRUE(copy.decode(wire));
+  ASSERT_TRUE(copy.adopt(announce.owner, announce.bytes));
   EXPECT_TRUE(copy.sealed());
+  for (int f = 0; f < 3; ++f)
+    EXPECT_EQ(copy.flow(f).data(), agg.flow(f).data()) << "flow " << f;
   EXPECT_EQ(cells_of(copy, 3), cells_of(agg, 3));
   EXPECT_EQ(cells_of(copy, 3).front(),
             (std::vector<std::uint64_t>{0, 0, 10}));
+  const mpi::SharedBuf again = copy.share();
+  EXPECT_EQ(again.owner, announce.owner);
+  EXPECT_EQ(again.bytes.data(), announce.bytes.data());
+  EXPECT_EQ(again.wire_bytes, announce.wire_bytes);
 }
 
-TEST(CountMatrix, DenseAnnounceRoundTrips) {
-  // Every cell set: the dense matrix is smaller than the entries.
+TEST(CountMatrix, FullMatrixAnnounceIsChargedAsTheDenseCounts) {
+  // Every cell set: the shared cells (16 bytes each) outweigh the dense
+  // counts (8 bytes each), and the wire still carries the dense size.
   CountMatrix agg(4, 3);
   for (int p = 0; p < 4; ++p) {
     const std::uint64_t first = 1u + static_cast<std::uint64_t>(p);
     agg.set_row(p, std::vector<std::uint64_t>{first, 2, 3});
   }
   agg.seal();
-  const auto wire = agg.encode();
-  EXPECT_EQ(wire.size(), agg.dense_bytes());
+  const mpi::SharedBuf announce = agg.share();
+  EXPECT_GT(announce.bytes.size(), agg.dense_bytes());
+  EXPECT_EQ(announce.wire_bytes, agg.dense_bytes());
   CountMatrix copy(4, 3);
-  ASSERT_TRUE(copy.decode(wire));
+  ASSERT_TRUE(copy.adopt(announce.owner, announce.bytes));
   EXPECT_EQ(copy.cells(), 12u);
   EXPECT_EQ(cells_of(copy, 3), cells_of(agg, 3));
   EXPECT_EQ(copy.flow_total(0), 1u + 2u + 3u + 4u);
 }
 
-TEST(CountMatrix, AllZeroMatrixIsStillARealAnnounce) {
+TEST(CountMatrix, AdoptedAnnounceReplacesAStaleGatheredRow) {
+  // An all-zero matrix shares no cells, yet it is a real announce: it
+  // seals the adopter and drops the row it had gathered.
   CountMatrix agg(3, 4);
   for (int p = 0; p < 3; ++p) agg.set_row(p, std::vector<std::uint64_t>(4, 0));
   agg.seal();
-  const auto wire = agg.encode();
-  EXPECT_EQ(wire.size(), sizeof(std::uint64_t));  // a payload, not synthetic
+  const mpi::SharedBuf announce = agg.share();
+  EXPECT_TRUE(announce.bytes.empty());
+  ASSERT_NE(announce.owner, nullptr);
   CountMatrix copy(3, 4);
   copy.set_row(1, std::vector<std::uint64_t>{0, 7, 0, 0});  // a stale term
-  ASSERT_TRUE(copy.decode(wire));
+  ASSERT_TRUE(copy.adopt(announce.owner, announce.bytes));
+  EXPECT_TRUE(copy.sealed());
   EXPECT_EQ(copy.cells(), 0u);
   EXPECT_EQ(copy.flow_total(1), 0u);
+}
+
+TEST(CountMatrix, RowWritesCopyTheSharedCellsAndLeaveOtherHoldersAlone) {
+  CountMatrix agg(3, 2);
+  agg.set_row(0, std::vector<std::uint64_t>{4, 0});
+  agg.set_row(2, std::vector<std::uint64_t>{0, 6});
+  agg.seal();
+  const auto announced = cells_of(agg, 2);
+  const mpi::SharedBuf announce = agg.share();
+  CountMatrix copy(3, 2);
+  ASSERT_TRUE(copy.adopt(announce.owner, announce.bytes));
+
+  // A repeated row (a re-sent term) copies nothing.
+  copy.set_row(0, std::vector<std::uint64_t>{4, 0});
+  EXPECT_EQ(copy.flow(0).data(), agg.flow(0).data());
+
+  // A takeover root rewrites a row: its own copy changes, the announcer's
+  // cells do not.
+  copy.set_row(1, std::vector<std::uint64_t>{2, 0});
+  EXPECT_EQ(cells_of(copy, 2), (std::vector<std::vector<std::uint64_t>>{
+                                   {0, 0, 4}, {1, 0, 2}, {2, 1, 6}}));
+  EXPECT_EQ(cells_of(agg, 2), announced);
+  EXPECT_NE(copy.share().owner, announce.owner);
+
+  // And the other way round: the announcer's rewrite leaves the adopter's
+  // view as it was.
+  CountMatrix other(3, 2);
+  ASSERT_TRUE(other.adopt(announce.owner, announce.bytes));
+  agg.set_row(2, std::vector<std::uint64_t>{0, 0});
+  EXPECT_EQ(cells_of(agg, 2),
+            (std::vector<std::vector<std::uint64_t>>{{0, 0, 4}}));
+  EXPECT_EQ(cells_of(other, 2), announced);
 }
 
 TEST(CountMatrix, RowRewritesAreIdempotentBeforeAndAfterSealing) {
@@ -198,15 +246,17 @@ TEST(CountMatrix, RowRewritesAreIdempotentBeforeAndAfterSealing) {
   EXPECT_TRUE(m.flow(1).empty());
 }
 
-TEST(CountMatrix, MalformedAnnounceIsRejected) {
+TEST(CountMatrix, AdoptRejectsAPayloadThatIsNotSharedCells) {
   CountMatrix m(2, 2);
   m.set_row(0, std::vector<std::uint64_t>{3, 0});
   m.seal();
-  auto wire = m.encode();
-  wire.pop_back();
+  const mpi::SharedBuf announce = m.share();
   CountMatrix copy(2, 2);
-  EXPECT_FALSE(copy.decode(wire));
-  EXPECT_FALSE(copy.decode({}));
+  // No owner: a copied or synthetic payload is no shared announce.
+  EXPECT_FALSE(copy.adopt(nullptr, announce.bytes));
+  // Not a whole number of cells.
+  EXPECT_FALSE(copy.adopt(announce.owner, announce.bytes.first(
+                                              announce.bytes.size() - 1)));
   EXPECT_FALSE(copy.sealed());
 }
 
