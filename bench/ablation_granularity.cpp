@@ -28,8 +28,6 @@ int main(int argc, char** argv) {
       cfg.corpus.seed = seed;
       cfg.block_bytes = block;
       cfg.stride = 16;
-      // Exaggerate the per-element cost so the overhead side of the
-      // trade-off is visible at this reduced scale.
       const auto result = apps::wordcount::run_decoupled(
           cfg, bench::beskow_like(p, seed, opt));
       elements = result.elements_streamed;

@@ -2,7 +2,7 @@
 // channels.
 //
 // The seed library broadcast a term message from every producer to every
-// consumer under the Directed/RoundRobin mappings — O(P*C) messages, and
+// consumer under the Directed mapping — O(P*C) messages, and
 // O(C) serialized sends on each terminating producer. The aggregated tree
 // protocol sends one term per producer to an aggregator consumer, which
 // fans the collective term down a binary tree: O(P + C) messages total,

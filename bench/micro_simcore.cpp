@@ -20,11 +20,6 @@
 //    per-rank mailbox scans in O(backlog) and context-hashed mailboxes
 //    match in O(1). Reported with the same two-length allocation delta as
 //    steady_stream.
-//  * credit_batching — flow-control message counts at ack_interval 1 vs.
-//    the batched default vs. 16, via the fabric's total message counter.
-//  * coalesce_budget — fabric messages/element and throughput across frame
-//    budgets (0 = one element per frame .. 8 KiB), pinned (no self-tuning),
-//    plus the self-tuned default the steady_stream scenario runs with.
 //  * obs_enabled     — the steady scenario with the ds::obs layer fully on
 //    (span tracing + metrics): the observability overhead contract. Gated
 //    at <= 5% eps loss vs. the disabled run (tolerance overridable via
@@ -101,6 +96,7 @@ using namespace ds;
 constexpr int kWorld = 64;        ///< the 64-rank streaming scenario
 constexpr int kProducers = 32;
 constexpr int kElementBytes = 64;
+constexpr std::uint32_t kWindow = 64;  ///< steady_stream's credit window
 
 struct RunResult {
   double wall_s = 0;
@@ -117,19 +113,11 @@ struct RunResult {
   return config;
 }
 
-/// Sentinel for run_steady: keep the library-default coalesce budget and
-/// self-tuning (what applications get out of the box).
-constexpr std::uint32_t kLibraryDefault = 0xFFFFFFFFu;
-
 /// steady_stream: 32 producers block-map onto 32 consumers, each sending
 /// `elements_per_producer` real 64-byte eager elements under a credit
 /// window — the windowed steady state whose per-element allocation count
-/// the delta method isolates. `coalesce_budget` pins the frame budget with
-/// self-tuning off; kLibraryDefault runs the out-of-the-box transport.
-RunResult run_steady(int elements_per_producer, std::uint32_t ack_interval,
-                     std::uint32_t window,
-                     std::uint32_t coalesce_budget = kLibraryDefault,
-                     bool obs_on = false) {
+/// the delta method isolates.
+RunResult run_steady(int elements_per_producer, bool obs_on = false) {
   RunResult result;
   mpi::Machine machine(bench_machine(obs_on));
   const auto t0 = std::chrono::steady_clock::now();
@@ -138,12 +126,7 @@ RunResult run_steady(int elements_per_producer, std::uint32_t ack_interval,
     const bool producer = self.world_rank() < kProducers;
     stream::ChannelConfig cfg;
     cfg.mapping = stream::ChannelConfig::Mapping::Block;
-    cfg.max_inflight = window;
-    cfg.ack_interval = ack_interval;
-    if (coalesce_budget != kLibraryDefault) {
-      cfg.coalesce_budget = coalesce_budget;
-      cfg.flow_autotune = false;
-    }
+    cfg.max_inflight = kWindow;
     const stream::Channel ch =
         stream::Channel::create(self, self.world(), producer, !producer, cfg);
     std::uint64_t consumed = 0;
@@ -232,8 +215,8 @@ int main() {
   std::string json = "{\"bench\":\"micro_simcore\",\"world\":64,\"scenarios\":[";
 
   // -- steady_stream: throughput + allocation delta --------------------------
-  const RunResult warm = run_steady(e_short, /*ack_interval=*/0, /*window=*/64);
-  const RunResult steady = run_steady(e_long, /*ack_interval=*/0, /*window=*/64);
+  const RunResult warm = run_steady(e_short);
+  const RunResult steady = run_steady(e_long);
   ok &= warm.elements ==
         static_cast<std::uint64_t>(kProducers) * static_cast<std::uint64_t>(e_short);
   ok &= steady.elements ==
@@ -286,74 +269,6 @@ int main() {
                 multi_eps, multi_allocs_per_element,
                 static_cast<unsigned long long>(multi.fabric_messages));
   json += entry;
-  json += "],\"credit_batching\":[";
-
-  // -- credit batching: flow-control message count vs. ack_interval ----------
-  bool first = true;
-  for (const std::uint32_t interval : {1u, 0u, 16u}) {  // 0 = library default
-    const RunResult r = run_steady(opt.fast ? 300 : 1000, interval, 16);
-    ok &= r.elements == static_cast<std::uint64_t>(kProducers) *
-                            static_cast<std::uint64_t>(opt.fast ? 300 : 1000);
-    const double msgs_per_element =
-        static_cast<double>(r.fabric_messages) / static_cast<double>(r.elements);
-    table.add_row({std::string("ack_interval=") +
-                       (interval == 0 ? "default" : std::to_string(interval)),
-                   std::to_string(r.elements), fmt(r.wall_s),
-                   fmt(static_cast<double>(r.elements) / r.wall_s),
-                   fmt(msgs_per_element) + " msg/elem",
-                   std::to_string(r.fabric_messages)});
-    std::snprintf(entry, sizeof entry,
-                  "%s{\"ack_interval\":%u,\"elements\":%llu,"
-                  "\"fabric_messages\":%llu,\"messages_per_element\":%.4f}",
-                  first ? "" : ",", interval,
-                  static_cast<unsigned long long>(r.elements),
-                  static_cast<unsigned long long>(r.fabric_messages),
-                  msgs_per_element);
-    json += entry;
-    first = false;
-  }
-  json += "],\"coalesce_budget\":[";
-
-  // -- coalescing: messages/element and throughput vs. frame budget ----------
-  // Pinned budgets (self-tuning off) isolate the budget's effect; the last
-  // row is the out-of-the-box self-tuned default — the configuration
-  // steady_stream above ran with.
-  first = true;
-  const int e_sweep = opt.fast ? 300 : 1000;
-  for (const std::uint32_t budget :
-       {0u, 256u, 1024u, stream::ChannelConfig::kDefaultCoalesceBudget, 8192u,
-        kLibraryDefault}) {
-    const RunResult r = run_steady(e_sweep, /*ack_interval=*/0, /*window=*/64,
-                                   budget);
-    ok &= r.elements == static_cast<std::uint64_t>(kProducers) *
-                            static_cast<std::uint64_t>(e_sweep);
-    const double msgs_per_element =
-        static_cast<double>(r.fabric_messages) / static_cast<double>(r.elements);
-    const std::string label =
-        budget == kLibraryDefault
-            ? "coalesce=default+tune"
-            : "coalesce_budget=" + std::to_string(budget);
-    table.add_row({label, std::to_string(r.elements), fmt(r.wall_s),
-                   fmt(static_cast<double>(r.elements) / r.wall_s),
-                   fmt(msgs_per_element) + " msg/elem",
-                   std::to_string(r.fabric_messages)});
-    std::snprintf(entry, sizeof entry,
-                  "%s{\"coalesce_budget\":%lld,\"self_tuned\":%s,"
-                  "\"elements\":%llu,\"elements_per_sec\":%.1f,"
-                  "\"fabric_messages\":%llu,\"messages_per_element\":%.4f}",
-                  first ? "" : ",",
-                  budget == kLibraryDefault
-                      ? static_cast<long long>(
-                            stream::ChannelConfig::kDefaultCoalesceBudget)
-                      : static_cast<long long>(budget),
-                  budget == kLibraryDefault ? "true" : "false",
-                  static_cast<unsigned long long>(r.elements),
-                  static_cast<double>(r.elements) / r.wall_s,
-                  static_cast<unsigned long long>(r.fabric_messages),
-                  msgs_per_element);
-    json += entry;
-    first = false;
-  }
   json += "],";
 
   // -- obs_enabled: the observability overhead contract ----------------------
@@ -369,8 +284,7 @@ int main() {
   std::vector<double> eps_off, eps_on, pair_overhead;
   for (int pair = 0; pair < kObsPairs; ++pair) {
     const auto run_obs = [&](bool obs_on) {
-      const RunResult r = run_steady(e_long, /*ack_interval=*/0, /*window=*/64,
-                                     kLibraryDefault, obs_on);
+      const RunResult r = run_steady(e_long, obs_on);
       ok &= r.elements == steady.elements;
       return static_cast<double>(r.elements) / r.wall_s;
     };

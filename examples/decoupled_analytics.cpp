@@ -4,8 +4,8 @@
 // group consumes them on the fly (histogram + running energy), exactly the
 // "call an independent data-analytics application without interfering with
 // the remaining processes" pattern of Sec. II-E. The example also shows the
-// RoundRobin mapping spreading analytics load over several consumers, and
-// send_modeled: a real typed header riding on a modeled field body.
+// Directed mapping spreading analytics load over several consumers, and
+// send_modeled_to: a real typed header riding on a modeled field body.
 //
 // Run: ./decoupled_analytics
 #include <cstdio>
@@ -36,10 +36,10 @@ int main() {
       double energy;
     };
 
-    // One analytics process per 4 simulation processes; RoundRobin spreads
-    // snapshots over all of them.
+    // One analytics process per 4 simulation processes; each simulation
+    // process rotates its snapshots over all of them.
     decouple::StreamOptions options;
-    options.mapping = decouple::Mapping::RoundRobin;
+    options.mapping = decouple::Mapping::Directed;
     auto pipeline = decouple::Pipeline::over(self, self.world()).with_stride(4);
     auto snapshots = pipeline.stream<SnapshotHeader>(
         kCellsPerRank * sizeof(double), options);
@@ -57,8 +57,10 @@ int main() {
               energy += v * v;
             }
             // Stream the snapshot: real header, modeled field body.
-            s.send_modeled(SnapshotHeader{step, kCellsPerRank, energy},
-                           kCellsPerRank * sizeof(double));
+            s.send_modeled_to(
+                (s.producer_index() + step) % s.channel().consumer_count(),
+                SnapshotHeader{step, kCellsPerRank, energy},
+                kCellsPerRank * sizeof(double));
           }
         },
         [&](decouple::Context& ctx) {  // analytics group

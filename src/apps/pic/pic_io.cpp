@@ -139,8 +139,9 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
 
     auto pipeline = decouple::Pipeline::over(self, self.world());
     if (resilient) {
-      // Stream epochs + consumer failover for the whole chain. The bulk
-      // batches stream runs manual durability: a writer's batches become
+      // Stream epochs + consumer failover for the whole chain. On the bulk
+      // batches stream each writer registers a durable point (write_fn
+      // below), which makes its durability manual: a writer's batches become
       // durable only when their bytes reach the file, so a writer crash
       // replays exactly the unflushed tail to the adopting writer.
       pipeline.with_resilience(config.checkpoint_interval);
@@ -156,9 +157,8 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
     decouple::StreamOptions batch_options;
     if (resilient) {
       // Writers have external effects: batches become durable at the file
-      // flush, not at consumption (see ack_durable in write_fn below).
+      // flush, not at consumption (see the durable point in write_fn below).
       batch_options.checkpoint_interval = config.checkpoint_interval;
-      batch_options.manual_durability = true;
       // Directed keeps the exact Block routing (Channel::route's default
       // peer is the same block assignment). Either mapping keeps producers
       // in their release wait — replay logs alive, terms re-sendable —
@@ -316,14 +316,16 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
         consumed_bytes += el.bytes;
         if (buffered >= config.helper_buffer_bytes) flush();
       });
-      // Durability-gated termination: the stream's release barrier invokes
-      // the flush right before this writer's announce-ack (and before the
-      // aggregator's release broadcast), so the release certifies that
-      // every batch anywhere reached the file — producers hold their
-      // replay logs, in their release wait and able to service failover,
-      // until then. The flush must therefore happen *inside* operate(),
-      // not after it: a writer past operate() could no longer consume the
-      // replays a mid-flush crash of its peer would send here.
+      // Durability-gated termination: registering the flush as the durable
+      // point makes the batches stream acknowledge only at file flushes,
+      // and the stream's release barrier invokes the flush right before
+      // this writer's announce-ack (and before the aggregator's release
+      // broadcast), so the release certifies that every batch anywhere
+      // reached the file — producers hold their replay logs, in their
+      // release wait and able to service failover, until then. The flush
+      // must therefore happen *inside* operate(), not after it: a writer
+      // past operate() could no longer consume the replays a mid-flush
+      // crash of its peer would send here.
       if (resilient) s.on_durable_point(flush);
       s.operate();
       if (resilient) flush();  // safety net; normally a no-op after release

@@ -184,9 +184,7 @@ WordcountResult run_decoupled(const WordcountConfig& config,
     // histogram records injected back to back share frames (vocabulary-sized
     // real blocks are framed alone), and self-tuning keeps the frame budget
     // matched to the block-size mix while the reducers ack whole frames
-    // instead of per element. Nothing here needs pinning — set
-    // StreamOptions::coalesce_budget = 0 on a hop for one element per frame,
-    // the paper's per-element cost model, in comparison runs.
+    // instead of per element.
     const auto blocks = pipeline.raw_stream_between(
         map_stage, master_only ? master_stage : reduce_stage, element_capacity);
     decouple::RawStreamHandle updates;

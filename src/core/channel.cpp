@@ -127,16 +127,6 @@ int Channel::my_consumer_index(const mpi::Rank& self) const noexcept {
   return r >= producer_count_ ? r - producer_count_ : -1;
 }
 
-int Channel::route(int producer, std::uint64_t seq) const noexcept {
-  if (config_.mapping == ChannelConfig::Mapping::RoundRobin) {
-    return static_cast<int>((static_cast<std::uint64_t>(producer) + seq) %
-                            static_cast<std::uint64_t>(consumer_count_));
-  }
-  // Block (and the default peer for Directed): contiguous producer slices
-  // share one consumer.
-  return block_route(producer, producer_count_, consumer_count_);
-}
-
 int Channel::consumer_node(const mpi::Comm& comm, int c) const noexcept {
   const int world = comm.world_rank(consumer_rank(c));
   return ranks_per_node_ > 0 ? world / ranks_per_node_ : world;

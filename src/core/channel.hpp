@@ -7,12 +7,11 @@
 // groups and non-members receive an inert handle.
 //
 // Producers address consumers through a mapping policy:
-//  * Block      — producer p always streams to consumer floor(p*C/P); stable
-//                 peer, preserves per-producer element order at the consumer.
-//  * RoundRobin — producer p spreads elements over all consumers; spreads
-//                 load, order preserved only per (producer, consumer) pair.
-//  * Directed   — producer p addresses a consumer per element (isend_to);
-//                 order preserved only per (producer, consumer) pair.
+//  * Block    — producer p always streams to consumer floor(p*C/P); stable
+//               peer, preserves per-producer element order at the consumer.
+//  * Directed — producer p addresses a consumer per element (isend_to), e.g.
+//               rotating over all consumers to spread load; order preserved
+//               only per (producer, consumer) pair.
 //
 // This is the implementation layer: application code normally goes through
 // the typed RAII facade in core/decouple.hpp (decouple::Pipeline), which
@@ -36,16 +35,12 @@ struct ChannelConfig {
   /// concurrently live channel on one parent needs a distinct id.
   std::uint64_t channel_id = 0;
 
-  /// Per-element injection overhead `o` (paper Eq. 4): element construction
-  /// plus the library call, charged to the producer at every stream_isend.
-  util::SimTime inject_overhead = util::nanoseconds(150);
-
-  /// Block      — producer p streams to one fixed consumer, route(p, 0),
-  ///              the only one its isend_to may address.
-  /// RoundRobin — producer p rotates over all consumers.
-  /// Directed   — producers address consumers per element via isend_to;
-  ///              termination is aggregated (see term_* metadata below).
-  enum class Mapping { Block, RoundRobin, Directed };
+  /// Block    — producer p streams to one fixed consumer, route(p), the only
+  ///            one its isend_to may address.
+  /// Directed — producers address consumers per element via isend_to (isend
+  ///            goes to route(p)); termination is aggregated (see term_*
+  ///            metadata below).
+  enum class Mapping { Block, Directed };
   Mapping mapping = Mapping::Block;
 
   /// Producer-side flow-control window: the maximum number of elements a
@@ -56,50 +51,19 @@ struct ChannelConfig {
   /// flow-controlled stream must consume every element (operate to
   /// exhaustion); a consumer that stops with more than a window of elements
   /// outstanding leaves the producer blocked.
+  ///
+  /// The flow controller doubles the effective window on credit stalls, up
+  /// to kWindowGrowthCap times this value, and decays it back toward, never
+  /// below, it. Consumers return credits in batches (one ack message per
+  /// batch per producer), starting at kAckBatch and tracking the observed
+  /// frame occupancy between half the liveness clamp and the clamp
+  /// ceil(max_inflight / spread), where spread is the number of consumers a
+  /// producer can route to (1 under Block, the consumer count under
+  /// Directed): a blocked producer then always has some consumer holding a
+  /// full batch. Remaining credits are flushed whenever a termination
+  /// message is observed and when the stream is exhausted, so the producer
+  /// window never stalls on the tail.
   std::uint32_t max_inflight = 0;
-
-  /// Credit batching: a flow-controlled consumer returns credits every
-  /// `ack_interval`-th element per producer (one ack message carrying the
-  /// batched count) instead of per element, cutting flow-control message
-  /// count ~ack_interval-fold. Remaining credits are flushed whenever a
-  /// termination message is observed and when the stream is exhausted, so
-  /// the producer window never stalls on the tail. For liveness the
-  /// effective batch is clamped to ceil(max_inflight / spread), where
-  /// spread is the number of consumers a producer can route to (1 under
-  /// Block, the consumer count under RoundRobin/Directed): a blocked
-  /// producer then always has some consumer holding a full batch. 0 picks
-  /// the library default (kDefaultAckInterval). Only meaningful with
-  /// max_inflight > 0.
-  std::uint32_t ack_interval = 0;
-
-  /// Default credit batch when ack_interval is 0: every 4th element acks.
-  static constexpr std::uint32_t kDefaultAckInterval = 4;
-
-  /// Frame budget: every element travels in a frame — one fabric message
-  /// of length-prefixed sub-records — and a producer packs same-destination
-  /// elements injected at the same virtual instant into one frame of up to
-  /// `coalesce_budget` wire bytes and kCoalesceMaxElements elements. A frame
-  /// leaves once no further element fits, when the producer terminates or
-  /// blocks on a credit, and — via a same-instant backstop event — the
-  /// moment the producing fiber yields the CPU, so elements are never
-  /// delayed in virtual time beyond the instant they were injected at. An
-  /// element larger than the budget travels in a frame of its own. 0 means
-  /// one element per frame: each element pays its injection overhead plus
-  /// one per-message o_s/o_r (the paper's fine-grained cost model).
-  std::uint32_t coalesce_budget = kDefaultCoalesceBudget;
-
-  /// Self-tuning flow control, the paper's Sec. III adaptive-configuration
-  /// extension: when true, a producer retunes its frame budget once per 16
-  /// frame flushes — doubling it (up to kCoalesceGrowthCap times the
-  /// configured value) while bursts keep filling frames, halving it (down
-  /// to 256 bytes, or the configured value if smaller) while the backstop
-  /// keeps flushing near-empty ones; when max_inflight is set, the effective
-  /// credit window doubles on credit stalls and decays back toward, never
-  /// below, the configured value; and when ack_interval is 0, the
-  /// consumer's credit batch tracks the observed frame occupancy (one ack
-  /// per drained frame) between half the liveness clamp and the clamp. Pin
-  /// coalesce_budget/ack_interval and set this false for fixed behavior.
-  bool flow_autotune = true;
 
   /// Stream epochs / consumer failover (ds::resilience): when nonzero, every
   /// element of the stream travels in a framed message stamped with its flow
@@ -108,16 +72,12 @@ struct ChannelConfig {
   /// frames for replay, and on an injected consumer crash the producers
   /// rebind the dead consumer's flows to the deterministic failover target,
   /// replay the open epoch, and the receiver dedupes by (flow, seq) so
-  /// delivery stays exactly-once from the application's view. 0 (default)
-  /// disables all resilience machinery — the fault-free hot path is
-  /// untouched.
+  /// delivery stays exactly-once from the application's view. A consumer
+  /// acknowledges durability at every epoch boundary, or, once it registers
+  /// a durable point (Stream::set_durable_point), only through that hook.
+  /// 0 (default) disables all resilience machinery — the fault-free hot
+  /// path is untouched.
   std::uint32_t checkpoint_interval = 0;
-
-  /// Durability-acknowledgment mode for resilient streams: false = automatic
-  /// at epoch boundaries (processing counts as durable); true = the consumer
-  /// application calls Stream::ack_durable once its external effects are
-  /// safe. See README "Resilience".
-  bool manual_durability = false;
 
   /// Node-aware termination aggregation (tree mappings only): shape the term
   /// tree from the machine's node structure instead of the flat binary heap.
@@ -133,20 +93,40 @@ struct ChannelConfig {
     return checkpoint_interval > 0;
   }
 
-  /// Default frame budget in wire bytes (fits well under the default eager
-  /// threshold; ~28 64-byte elements per frame).
-  static constexpr std::uint32_t kDefaultCoalesceBudget = 2048;
+  /// Per-element injection overhead `o` (paper Eq. 4): element construction
+  /// plus the library call, charged to the producer at every stream_isend.
+  static constexpr util::SimTime kInjectOverhead = util::nanoseconds(150);
+  /// Frame budget every producer starts from, in wire bytes (fits well
+  /// under the default eager threshold; ~28 64-byte elements per frame).
+  /// Every element travels in a frame — one fabric message of
+  /// length-prefixed sub-records — and a producer packs same-destination
+  /// elements injected at the same virtual instant into one frame of up to
+  /// the budget and kCoalesceMaxElements elements. A frame leaves once no
+  /// further element fits, when the producer terminates or blocks on a
+  /// credit, and — via a same-instant backstop event — the moment the
+  /// producing fiber yields the CPU, so elements are never delayed in
+  /// virtual time beyond the instant they were injected at. An element
+  /// larger than the budget travels in a frame of its own and pays its
+  /// injection overhead plus one per-message o_s (the paper's fine-grained
+  /// cost model). The flow controller retunes the budget once per 16 frame
+  /// flushes: doubling it (up to kCoalesceGrowthCap times this value) while
+  /// bursts keep filling frames, halving it (down to 256 bytes) while the
+  /// backstop keeps flushing near-empty ones.
+  static constexpr std::uint32_t kCoalesceBudget = 2048;
   /// Element-count cap per frame (a frame never holds more than this many
   /// elements regardless of byte budget).
   static constexpr std::uint32_t kCoalesceMaxElements = 128;
-  /// Self-tuning may grow a frame budget to at most this multiple of its
-  /// configured value.
+  /// The flow controller may grow a frame budget to at most this multiple
+  /// of kCoalesceBudget.
   static constexpr std::uint32_t kCoalesceGrowthCap = 4;
-  /// Adaptive flow control may grow the effective credit window to at most
+  /// The flow controller may grow the effective credit window to at most
   /// this multiple of max_inflight (and never below it): the consumer-side
   /// liveness clamp is derived from the configured window, so growing — but
   /// never shrinking past — the configured value keeps the clamp valid.
   static constexpr std::uint32_t kWindowGrowthCap = 4;
+  /// Credit batch a flow-controlled consumer starts at (clamped to the
+  /// liveness clamp), and the floor of the batch it tracks.
+  static constexpr std::uint32_t kAckBatch = 4;
 };
 
 class Channel {
@@ -189,8 +169,11 @@ class Channel {
   /// This rank's consumer index, or -1.
   [[nodiscard]] int my_consumer_index(const mpi::Rank& self) const noexcept;
 
-  /// Consumer index element #`seq` from producer `p` is routed to.
-  [[nodiscard]] int route(int producer, std::uint64_t seq) const noexcept;
+  /// Consumer index producer `p`'s isend elements are routed to: its Block
+  /// consumer, which is also a Directed producer's default peer.
+  [[nodiscard]] int route(int producer) const noexcept {
+    return block_route(producer, producer_count_, consumer_count_);
+  }
 
   /// The Block assignment in closed form: the consumer a producer streams
   /// to when `producer_count` producers block-map onto `consumer_count`
@@ -205,16 +188,16 @@ class Channel {
   // ---- termination routing metadata --------------------------------------
   // Every producer sends one counted term to its term root (see
   // core/stream.hpp). Under Block mapping a producer has exactly one peer
-  // consumer, which is its root. RoundRobin and Directed producers can
-  // reach every consumer; broadcasting a term from each of P producers to
-  // each of C consumers would cost O(P*C) messages. Those mappings instead
-  // aggregate: every producer's term goes to a designated aggregator
+  // consumer, which is its root. Directed producers can reach every
+  // consumer; broadcasting a term from each of P producers to each of C
+  // consumers would cost O(P*C) messages. Directed termination instead
+  // aggregates: every producer's term goes to a designated aggregator
   // consumer, which fans the per-consumer totals down a binary tree over
   // the consumers — O(P + C) messages total, O(log C) hops on the
   // aggregation path.
 
   /// True when termination aggregates at one root and distributes down the
-  /// consumer tree (non-Block).
+  /// consumer tree (Directed).
   [[nodiscard]] bool tree_termination() const noexcept {
     return config_.mapping != ChannelConfig::Mapping::Block;
   }

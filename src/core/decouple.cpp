@@ -1,10 +1,10 @@
 #include "core/decouple.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "core/placement.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/machine.hpp"
 #include "mpi/rank.hpp"
@@ -17,6 +17,25 @@ namespace {
 /// Offset so hand-made channels on the same parent (ids 0..) never collide
 /// with a pipeline's.
 constexpr std::uint64_t kChannelIdBase = 0xDC00;
+
+/// The node-placement split: the parent ranks that are the last `per_node`
+/// members, in parent-rank order, of their node (world rank / ranks per
+/// node; every rank its own node when ranks_per_node <= 0), leaving every
+/// node at least one unselected member. Ascending.
+std::vector<int> tail_per_node(const mpi::Comm& parent, int ranks_per_node,
+                               int per_node) {
+  const int rpn = ranks_per_node > 0 ? ranks_per_node : 1;
+  std::map<int, std::vector<int>> by_node;
+  for (int r = 0; r < parent.size(); ++r)
+    by_node[parent.world_rank(r) / rpn].push_back(r);
+  std::vector<int> selected;
+  for (const auto& [node, members] : by_node) {
+    const int take = std::min(per_node, static_cast<int>(members.size()) - 1);
+    selected.insert(selected.end(), members.end() - take, members.end());
+  }
+  std::sort(selected.begin(), selected.end());
+  return selected;
+}
 
 }  // namespace
 
@@ -174,13 +193,6 @@ int Context::helper_of(int worker) const noexcept {
   return stream::Channel::block_route(worker, worker_count(), helper_count());
 }
 
-double Context::alpha() const noexcept {
-  const int total = worker_count() + helper_count();
-  return total == 0 ? 0.0
-                    : static_cast<double>(helper_count()) /
-                          static_cast<double>(total);
-}
-
 const mpi::Comm& Context::worker_comm() const {
   if (!pipeline_->want_worker_comm_)
     throw std::logic_error(
@@ -260,10 +272,6 @@ Pipeline& Pipeline::with_stride(int stride) & {
   return with_plan(stream::GroupPlan::interleaved(parent_, stride));
 }
 
-Pipeline& Pipeline::with_alpha(double alpha) & {
-  return with_plan(stream::GroupPlan::with_alpha(parent_, alpha));
-}
-
 Pipeline& Pipeline::with_plan(const stream::GroupPlan& plan) & {
   set_split(plan.helpers());
   return *this;
@@ -282,19 +290,13 @@ Pipeline& Pipeline::with_node_placement(int helpers_per_node) & {
   if (helpers_per_node < 1)
     throw std::invalid_argument(
         "Pipeline::with_node_placement: helpers_per_node must be >= 1");
-  const auto& config = self_->machine().config();
-  const stream::Placement placement(config.network, config.world_size);
-  std::vector<int> world;
-  world.reserve(static_cast<std::size_t>(parent_.size()));
-  for (int r = 0; r < parent_.size(); ++r) world.push_back(parent_.world_rank(r));
-  std::vector<int> helpers;
-  for (const int w : placement.tail_per_node(world, helpers_per_node))
-    helpers.push_back(parent_.rank_of_world(w));
+  std::vector<int> helpers =
+      tail_per_node(parent_, self_->machine().config().network.ranks_per_node,
+                    helpers_per_node);
   if (helpers.empty())
     throw std::invalid_argument(
         "Pipeline::with_node_placement: no node hosts two members of the "
         "parent communicator (nothing to co-locate)");
-  std::sort(helpers.begin(), helpers.end());
   set_split(std::move(helpers));
   return *this;
 }
@@ -395,8 +397,8 @@ RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
 void Pipeline::run(const RoleFn& worker_fn, const RoleFn& helper_fn) {
   if (!split_configured_)
     throw std::logic_error(
-        "Pipeline::run: declare a split first (with_stride / with_alpha / "
-        "with_plan / with_helper_ranks)");
+        "Pipeline::run: declare a split first (with_stride / with_plan / "
+        "with_helper_ranks / with_node_placement)");
   if (ran_) throw std::logic_error("Pipeline::run: pipeline already ran");
   const bool worker = !is_helper_rank(self_->rank_in(parent_));
   launch(worker ? worker_fn : helper_fn);

@@ -7,7 +7,7 @@
 // facade fuses those steps into one declarative object:
 //
 //   auto pipeline = decouple::Pipeline::over(self, self.world())
-//                       .with_stride(16)          // or .with_alpha(0.0625)
+//                       .with_stride(16)          // 1 helper per 16 ranks
 //                       .with_worker_comm();
 //   auto faces = pipeline.stream<FaceHeader>(max_face_bytes, options);
 //   pipeline.run(worker_fn, helper_fn);           // role dispatch
@@ -24,9 +24,10 @@
 //    Element<Record> values: no std::byte* arithmetic or memcpy at call
 //    sites. RawStream keeps the byte-level interface for payload-only
 //    streams.
-//  * One split, many streams — the worker/helper split (GroupPlan stride or
-//    alpha, or an explicit helper set) is declared once; each stream picks a
-//    direction relative to it, or overrides the endpoint groups entirely.
+//  * One split, many streams — the worker/helper split (a GroupPlan stride,
+//    a node placement, or an explicit helper set) is declared once; each
+//    stream picks a direction relative to it, or overrides the endpoint
+//    groups entirely.
 //  * Chained stages — Pipeline::stage() partitions the parent communicator
 //    into an ordered chain of role groups (worker -> helper -> helper ...);
 //    stream_between() links consecutive stages, so an intermediate stage is
@@ -170,17 +171,19 @@ class StreamBase {
   void terminate();
 
   // ---- consumer side ----
-  /// Resilient streams with manual durability: acknowledge that everything
-  /// consumed so far has durable effects (e.g. after a file flush); see
+  /// Resilient streams: acknowledge that everything consumed so far has
+  /// durable effects (e.g. after a file flush); see
   /// stream::Stream::ack_durable. No-op otherwise.
   void ack_durable();
-  /// Resilient streams with manual durability, any mapping: register the
-  /// hook the termination protocol runs before this consumer commits — a
-  /// root runs it before releasing its producers, a tree consumer before
-  /// its announce-ack. The hook must flush external effects and call
-  /// ack_durable — the release then certifies durability, so producers
-  /// retire replay logs only once no consumer they reported to still
-  /// buffers undurable state; see stream::Stream::set_durable_point.
+  /// Resilient streams, any mapping: register the hook the termination
+  /// protocol runs before this consumer commits — a root runs it before
+  /// releasing its producers, a tree consumer before its announce-ack — and
+  /// with it make durability manual: the consumer acknowledges only through
+  /// ack_durable, never at epoch boundaries. The hook must flush external
+  /// effects and call ack_durable — the release then certifies durability,
+  /// so producers retire replay logs only once no consumer they reported to
+  /// still buffers undurable state; see stream::Stream::set_durable_point.
+  /// Register it before the first operate.
   void on_durable_point(std::function<void()> hook);
   /// Process elements FCFS until every routed producer terminated.
   std::uint64_t operate();
@@ -401,7 +404,6 @@ class Context {
   /// Balanced block assignment of workers to helpers: the helper index
   /// responsible for `worker` under the Block consumer mapping.
   [[nodiscard]] int helper_of(int worker) const noexcept;
-  [[nodiscard]] double alpha() const noexcept;
 
   /// The workers-only communicator (requires with_worker_comm; invalid on
   /// helpers, MPI_UNDEFINED-style).
@@ -449,13 +451,11 @@ class Pipeline {
   ~Pipeline() = default;  // slots release their channels in declaration order
 
   // ---- split declaration (exactly one of the first four) ----
-  /// Every `stride`-th parent rank becomes a helper (GroupPlan::interleaved).
+  /// Every `stride`-th parent rank becomes a helper (GroupPlan::interleaved):
+  /// the paper's helper fractions 12.5%, 6.25% and 3.125% are strides 8, 16
+  /// and 32.
   Pipeline& with_stride(int stride) &;
   Pipeline&& with_stride(int stride) && { return std::move(with_stride(stride)); }
-  /// Closest interleaved split to helper fraction `alpha` (paper: 12.5%,
-  /// 6.25%, 3.125%).
-  Pipeline& with_alpha(double alpha) &;
-  Pipeline&& with_alpha(double alpha) && { return std::move(with_alpha(alpha)); }
   /// Adopt a split computed elsewhere (e.g. one shared with result sizing).
   Pipeline& with_plan(const stream::GroupPlan& plan) &;
   Pipeline&& with_plan(const stream::GroupPlan& plan) && {
@@ -467,11 +467,13 @@ class Pipeline {
     return std::move(with_helper_ranks(std::move(helpers)));
   }
   /// Topology-aware split: dedicate the last `helpers_per_node` ranks of
-  /// each compute node (stream::Placement over the machine's node
-  /// structure) to helper duty, so every worker streams to a helper on its
-  /// own node — over shared memory, off the fabric's shared links. Nodes
-  /// contributing a single rank keep it as a worker. Throws when no node
-  /// hosts two members of the parent communicator (no co-location exists).
+  /// each compute node (in parent-rank order, nodes as the machine's
+  /// NetworkConfig::ranks_per_node groups world ranks) to helper duty, so
+  /// every worker streams to a helper on its own node — over shared memory,
+  /// off the fabric's shared links. Every node keeps at least one worker, so
+  /// a node contributing a single rank contributes no helper. Throws when
+  /// `helpers_per_node` < 1, or when no node hosts two members of the
+  /// parent communicator (no co-location exists).
   Pipeline& with_node_placement(int helpers_per_node = 1) &;
   Pipeline&& with_node_placement(int helpers_per_node = 1) && {
     return std::move(with_node_placement(helpers_per_node));

@@ -1,7 +1,5 @@
 #include "core/group_plan.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ds::stream {
@@ -15,7 +13,6 @@ GroupPlan GroupPlan::interleaved(const mpi::Comm& parent, int stride) {
         "GroupPlan::interleaved: communicator smaller than one block");
   GroupPlan plan;
   plan.stride_ = stride;
-  plan.parent_size_ = size;
   for (int r = 0; r < size; ++r) {
     if (r % stride == stride - 1)
       plan.helpers_.push_back(r);
@@ -25,21 +22,8 @@ GroupPlan GroupPlan::interleaved(const mpi::Comm& parent, int stride) {
   return plan;
 }
 
-GroupPlan GroupPlan::with_alpha(const mpi::Comm& parent, double alpha) {
-  if (alpha <= 0.0 || alpha >= 1.0)
-    throw std::invalid_argument("GroupPlan::with_alpha: alpha must be in (0,1)");
-  const int stride = std::max(2, static_cast<int>(std::lround(1.0 / alpha)));
-  return interleaved(parent, stride);
-}
-
 bool GroupPlan::is_helper(int parent_rank) const noexcept {
   return stride_ >= 2 && parent_rank % stride_ == stride_ - 1;
-}
-
-double GroupPlan::alpha() const noexcept {
-  return parent_size_ == 0
-             ? 0.0
-             : static_cast<double>(helpers_.size()) / parent_size_;
 }
 
 }  // namespace ds::stream

@@ -3,8 +3,9 @@
 // The evaluation dedicates "one out of every 8 / 16 / 32 processes"
 // (alpha = 12.5% / 6.25% / 3.125%) to the decoupled operation. GroupPlan
 // captures that interleaved split of a communicator into workers (who keep
-// the main operations) and helpers (who run the decoupled one). A plan
-// plugs into decouple::Pipeline via with_plan / with_stride / with_alpha.
+// the main operations) and helpers (who run the decoupled one): stride 8,
+// 16 or 32. A plan plugs into decouple::Pipeline via with_plan /
+// with_stride.
 #pragma once
 
 #include <vector>
@@ -20,9 +21,6 @@ class GroupPlan {
   /// one full block.
   [[nodiscard]] static GroupPlan interleaved(const mpi::Comm& parent, int stride);
 
-  /// Closest interleaved plan to fraction `alpha` of helpers.
-  [[nodiscard]] static GroupPlan with_alpha(const mpi::Comm& parent, double alpha);
-
   [[nodiscard]] bool is_helper(int parent_rank) const noexcept;
   [[nodiscard]] bool is_worker(int parent_rank) const noexcept {
     return !is_helper(parent_rank);
@@ -36,14 +34,11 @@ class GroupPlan {
   /// Parent-comm ranks.
   [[nodiscard]] const std::vector<int>& workers() const noexcept { return workers_; }
   [[nodiscard]] const std::vector<int>& helpers() const noexcept { return helpers_; }
-  [[nodiscard]] int stride() const noexcept { return stride_; }
-  [[nodiscard]] double alpha() const noexcept;
 
  private:
   std::vector<int> workers_;
   std::vector<int> helpers_;
   int stride_ = 0;
-  int parent_size_ = 0;
 };
 
 }  // namespace ds::stream

@@ -12,7 +12,7 @@
 
 namespace ds::stream {
 
-/// Why a frame left the producer, as far as the self-tuning loop tells the
+/// Why a frame left the producer, as far as the flow controller tells the
 /// cases apart.
 enum class FlushTrigger : std::uint8_t {
   Budget,  ///< no further element fits: bursty arrivals fill frames
@@ -23,11 +23,13 @@ enum class FlushTrigger : std::uint8_t {
 
 namespace {
 
-// The self-tuning loop (ChannelConfig::flow_autotune) retunes a producer's
-// frame budget and credit window once per kTunePeriod frame flushes.
+// The flow controller retunes a producer's frame budget and credit window
+// once per kTunePeriod frame flushes.
 constexpr std::uint32_t kTunePeriod = 16;
-/// Shrink floor of the frame budget (or the configured budget, if smaller).
+/// Shrink floor and growth ceiling of the frame budget.
 constexpr std::uint32_t kMinTunedBudget = 256;
+constexpr std::uint32_t kMaxTunedBudget =
+    ChannelConfig::kCoalesceBudget * ChannelConfig::kCoalesceGrowthCap;
 /// Grow when at least this share of the period's flushes filled the budget.
 constexpr double kGrowFraction = 0.5;
 /// Shrink when no flush filled the budget and mean occupancy stayed below
@@ -75,7 +77,7 @@ struct DurableAck {
 /// Flow handoff sent at failover, ahead of the replayed frames: the adopted
 /// flow's durable point, so the adopter admits exactly the undurable tail
 /// even when a retained frame straddles the durability boundary (possible
-/// under manual acks, which land at arbitrary consumption points).
+/// with a durable point, whose acks land at arbitrary consumption points).
 struct FlowHandoff {
   std::uint64_t durable = 0;
   std::uint32_t flow = 0;
@@ -119,10 +121,8 @@ struct CoalesceState {
   int src_world = -1;
   int frame_tag = 0;  ///< Stream::kTagFrame (private there; stashed at init)
 
-  std::uint32_t budget = 0;        ///< current effective frame budget (wire)
-  std::uint32_t budget_cap = 0;    ///< growth ceiling (kCoalesceGrowthCap x)
-  std::uint32_t budget_floor = 0;  ///< shrink floor
-  bool autotune = false;
+  /// Current effective frame budget (wire bytes).
+  std::uint32_t budget = ChannelConfig::kCoalesceBudget;
   // The open tuning period: its flushes, their wire bytes, and how many of
   // them each trigger caused.
   std::uint32_t period_flushes = 0;
@@ -131,12 +131,11 @@ struct CoalesceState {
   std::uint32_t credit_flushes = 0;
   std::uint64_t period_bytes = 0;
 
-  util::SimTime inject_overhead = 0;
   util::SimTime send_overhead = 0;
   util::SimTime debt = 0;  ///< CPU owed from event-context flushes
 
-  // Adaptive credit window (flow_autotune && max_inflight > 0): grown on
-  // credit stalls, decayed back toward — never below — the configured value.
+  // Adaptive credit window (max_inflight > 0): grown on credit stalls,
+  // decayed back toward — never below — the configured value.
   std::uint32_t window_cfg = 0;
   std::uint32_t window_cap = 0;
   std::uint32_t window_now = 0;
@@ -180,9 +179,10 @@ struct CoalesceState {
 
   /// Flow state exists only for the flows this producer has put an element
   /// on — one for a Block producer, or a Directed one on its default route;
-  /// every consumer for a RoundRobin one. `slot` maps a flow to its index in
-  /// `frames` and, on a resilient stream, in `logs` (kNoSlot while the flow
-  /// is unopened, which reads as an empty frame slot and an empty log).
+  /// up to every consumer for a Directed one that spreads its elements.
+  /// `slot` maps a flow to its index in `frames` and, on a resilient
+  /// stream, in `logs` (kNoSlot while the flow is unopened, which reads as
+  /// an empty frame slot and an empty log).
   /// Only open() adds to `frames` and `logs`, and nothing holds a reference
   /// into them across it: backstop events keep a slot, not a reference.
   static constexpr std::uint32_t kNoSlot =
@@ -236,13 +236,12 @@ struct CoalesceState {
     return wire;
   }
 
-  /// The self-tuning loop's one step — the paper's Sec. III adaptive
+  /// The flow controller's one step — the paper's Sec. III adaptive
   /// configuration, applied to the transport granularity of Eq. 4: record a
   /// flush of `elements`/`wire` under `trigger`, and once per kTunePeriod
   /// flushes retune the budget (and, when flow control is on, the credit
   /// window) from the period's frame occupancy and trigger mix.
   void retune(FlushTrigger trigger, std::uint32_t elements, std::uint64_t wire) {
-    if (!autotune) return;
     ++period_flushes;
     period_bytes += wire;
     if (trigger == FlushTrigger::Budget) ++budget_flushes;
@@ -258,13 +257,13 @@ struct CoalesceState {
     if (budget_fraction >= kGrowFraction) {
       // Bursts keep filling frames: double the budget so each burst leaves
       // in fewer, larger messages (more per-message software cost amortized).
-      budget = std::min(budget_cap, budget * 2);
+      budget = std::min(kMaxTunedBudget, budget * 2);
     } else if (budget_flushes == 0 && occupancy < kShrinkOccupancy &&
                idle_flushes > 0) {
       // Sparse producer: frames leave near-empty from the backstop, so a
       // large budget buys nothing; a small one keeps the packing memcpy and
       // the buffer footprint low.
-      budget = std::max(budget_floor, budget / 2);
+      budget = std::max(kMinTunedBudget, budget / 2);
     }
     if (window_cfg > 0) {
       // Credit stalls mean the producer keeps blocking on its window: double
@@ -350,17 +349,10 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
   st->resilient = cfg.resilient();
   st->frame_overhead =
       kFrameOverhead + (st->resilient ? kEpochOverhead : 0);
-  // A zero budget admits one element per frame (an empty frame takes any
-  // element, and nothing fits after it), so coalescing off needs no case.
-  st->budget = cfg.coalesce_budget;
-  st->budget_cap = cfg.coalesce_budget * ChannelConfig::kCoalesceGrowthCap;
-  st->budget_floor = std::min(cfg.coalesce_budget, kMinTunedBudget);
-  st->autotune = cfg.flow_autotune && cfg.coalesce_budget > 0;
-  st->inject_overhead = cfg.inject_overhead;
   st->send_overhead = self.machine().config().network.send_overhead;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   st->slot.assign(consumers, CoalesceState::kNoSlot);
-  if (cfg.max_inflight > 0 && st->autotune) {
+  if (cfg.max_inflight > 0) {
     st->window_cfg = cfg.max_inflight;
     st->window_cap = cfg.max_inflight * ChannelConfig::kWindowGrowthCap;
     st->window_now = cfg.max_inflight;
@@ -432,9 +424,9 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
     flush_frame(self, s, FlushTrigger::Other);
     return;
   }
-  // No further element fits — always so under coalesce_budget = 0, and for
-  // an element larger than the budget: post the frame now, from the fiber,
-  // so one-element frames pay the per-element o plus o_s at their own send.
+  // No further element fits (always so after an element larger than the
+  // budget): post the frame now, from the fiber, so one-element frames pay
+  // the per-element o plus o_s at their own send.
   if (p.wire + kSubOverhead > st.budget) {
     flush_frame(self, s, FlushTrigger::Budget);
     return;
@@ -452,7 +444,8 @@ void Stream::coalesce_element(mpi::Rank& self, int flow,
           if (frame.epoch != epoch || frame.elements == 0) return;
           // Event context: no fiber to charge — carry the CPU cost as debt,
           // settled on the producer's next fiber-side flush.
-          st->debt += st->inject_overhead * frame.elements + st->send_overhead;
+          st->debt += ChannelConfig::kInjectOverhead * frame.elements +
+                      st->send_overhead;
           const std::uint32_t n = frame.elements;
           const std::uint64_t wire = st->post_frame(s);
           st->retune(FlushTrigger::Idle, n, wire);
@@ -468,7 +461,7 @@ void Stream::flush_frame(mpi::Rank& self, std::uint32_t slot,
   // pair: n injections' worth of `o` plus one per-message o_s, plus any
   // debt left by event-context (backstop) flushes.
   const util::SimTime charge =
-      st.debt + st.inject_overhead * p.elements + st.send_overhead;
+      st.debt + ChannelConfig::kInjectOverhead * p.elements + st.send_overhead;
   st.debt = 0;
   const std::uint32_t n = p.elements;
   const std::uint64_t wire = st.post_frame(slot);
@@ -490,7 +483,7 @@ void Stream::flush(mpi::Rank& self) {
 
 void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
   const int p = my_producer(self, "Stream::isend");
-  inject(self, p, channel_->route(p, sent_), element);
+  inject(self, p, channel_->route(p), element);
 }
 
 void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
@@ -499,7 +492,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
     throw std::out_of_range("Stream::isend_to: consumer index out of range");
   // A Block consumer learns its counts only from the producers it roots, so
   // it would never count an element another consumer's producer sent it.
-  if (!channel_->tree_termination() && consumer != channel_->route(p, 0))
+  if (!channel_->tree_termination() && consumer != channel_->route(p))
     throw std::invalid_argument(
         "Stream::isend_to: a Block producer may address only its own "
         "consumer");
@@ -633,7 +626,7 @@ int Stream::term_root(mpi::Rank& self) const {
   const CoalesceState& st = *coalesce_;
   if (!channel_->tree_termination()) {
     // Block: the current owner of this producer's one flow.
-    const int flow = channel_->route(st.producer_index, 0);
+    const int flow = channel_->route(st.producer_index);
     return st.resilient ? st.redirect[static_cast<std::size_t>(flow)] : flow;
   }
   if (!st.resilient) return Channel::term_aggregator();
@@ -698,25 +691,20 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   if (cfg.max_inflight > 0) {
     // Effective credit batch, clamped for liveness: a blocked producer has
     // max_inflight un-acked elements spread over the consumers it routes to
-    // (1 under Block, up to C under RoundRobin/Directed), so by pigeonhole
-    // some consumer holds >= ceil(window/spread) of them. Keeping the batch
-    // at or below that bound guarantees consumers can never jointly hold a
-    // whole window in sub-threshold batches (spread*(k-1) < window), i.e. a
+    // (1 under Block, up to C under Directed), so by pigeonhole some
+    // consumer holds >= ceil(window/spread) of them. Keeping the batch at or
+    // below that bound guarantees consumers can never jointly hold a whole
+    // window in sub-threshold batches (spread*(k-1) < window), i.e. a
     // blocked producer always gets a flush; the stream tail is covered by
-    // the term/exhaustion flushes in handle().
-    ack_every_ = cfg.ack_interval == 0 ? ChannelConfig::kDefaultAckInterval
-                                       : cfg.ack_interval;
+    // the term/exhaustion flushes in handle(). From the starting batch the
+    // consumer tracks the observed frame occupancy (one ack per drained
+    // frame) within the clamp.
     const auto spread = channel_->tree_termination()
                             ? static_cast<std::uint32_t>(
                                   channel_->consumer_count())
                             : 1u;
     ack_limit_ = std::max(1u, (cfg.max_inflight + spread - 1) / spread);
-    ack_every_ = std::max(1u, std::min(ack_every_, ack_limit_));
-    // Self-tuning acks: track the observed frame occupancy (one ack per
-    // drained frame) within the liveness clamp. Only when the interval was
-    // left at the library default — an explicit ack_interval stays pinned.
-    ack_auto_ =
-        cfg.flow_autotune && cfg.ack_interval == 0 && cfg.coalesce_budget > 0;
+    ack_every_ = std::min(ChannelConfig::kAckBatch, ack_limit_);
     credit_pending_.assign(producers, 0);
   }
 }
@@ -913,7 +901,7 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
       if (p != nullptr && p->elements > 0) p->dst_world = home_world;
       if (sent > 0 ||
           (!channel_->tree_termination() &&
-           channel_->route(st.producer_index, 0) == static_cast<int>(flow))) {
+           channel_->route(st.producer_index) == static_cast<int>(flow))) {
         const FlowHandoff marker{sent, static_cast<std::uint32_t>(flow), 0};
         self.process().advance(st.send_overhead);
         machine.post_send(
@@ -987,7 +975,7 @@ void Stream::check_consumer_failover(mpi::Rank& self) {
 bool Stream::roots(int producer) const noexcept {
   if (channel_->tree_termination())
     return my_consumer_ == effective_aggregator_;
-  const int flow = channel_->route(producer, 0);
+  const int flow = channel_->route(producer);
   return flow == my_consumer_ ||
          (resilient_ && adopted_[static_cast<std::size_t>(flow)] != 0);
 }
@@ -1082,7 +1070,7 @@ void Stream::progress_termination(mpi::Rank& self) {
   }
   if (tree && !announce_collected(self)) return;
   if (!matrix_satisfied_) return;
-  if (channel_->config().manual_durability && durable_point_) {
+  if (durable_point_) {
     // The root certifies its own durability last: everything it owes the
     // matrix is consumed and flushed before the release commits. The hook
     // may suspend (file I/O); if a crash or rejoin landed under the flush,
@@ -1353,20 +1341,22 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
   if (admit) {
     update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
-    if (resilient_ && !channel_->config().manual_durability &&
+    // Without a registered durable point, processing counts as durable:
+    // acknowledge at every epoch boundary.
+    if (resilient_ && !durable_point_ &&
         (seq + 1) % channel_->config().checkpoint_interval == 0)
       send_durable_ack(self, frame_source_, frame_flow_, seq + 1);
   }
-  if (frame_left_ == 0 && ack_auto_) {
+  if (frame_left_ == 0 && !credit_pending_.empty()) {
     // Close the loop with the producer's coalescer: one credit batch per
-    // drained frame, never below the library default nor above the liveness
-    // clamp — and never below half that clamp (about half the credit window
-    // per consumer): acking in window halves keeps a credit-blocked producer
+    // drained frame, never below kAckBatch nor above the liveness clamp —
+    // and never below half that clamp (about half the credit window per
+    // consumer): acking in window halves keeps a credit-blocked producer
     // refilling in large bursts. Without that floor the loop locks into
     // dribbles: each ack batch of k credits unblocks a k-element burst,
     // which flushes as a k-element frame, which retunes the batch back to k.
     const std::uint32_t target =
-        std::min(ack_limit_, std::max({ChannelConfig::kDefaultAckInterval,
+        std::min(ack_limit_, std::max({ChannelConfig::kAckBatch,
                                        frame_elements_, ack_limit_ / 2}));
     // Move halfway toward the target per frame: smooth against one-off
     // partial frames, converging in a few frames of steady occupancy.
@@ -1419,8 +1409,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
       // consumed *and* flushed durable, so progress_termination sends it
       // after the hook runs.
       const int announcer = channel_->comm().world_rank(status.source);
-      const bool deferred =
-          channel_->config().manual_durability && durable_point_;
+      const bool deferred = static_cast<bool>(durable_point_);
       announce_ack_owed_to_ = deferred ? announcer : -1;
       if (!deferred) send_announce_ack(self, announcer);
     }

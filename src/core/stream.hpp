@@ -13,7 +13,7 @@
 //  * One term, one root. Every producer sends one term, carrying its
 //    per-flow element counts, to its *term root*: under Block the current
 //    owner of the producer's flow (a routing with a single peer), under
-//    RoundRobin/Directed the channel's aggregator consumer.
+//    Directed the channel's aggregator consumer.
 //  * Gather. A root records the terms as rows of a resilience::CountMatrix
 //    and knows its counts once every producer it roots has reported or
 //    crashed. A counter of the terms still owed keeps this O(1) per
@@ -46,15 +46,17 @@
 // element costs the producer its injection overhead o (Eq. 4), and each
 // frame one per-message o_s at the producer and o_r at the consumer.
 // Elements a producer injects at the same virtual instant toward the same
-// consumer share a frame of up to ChannelConfig::coalesce_budget wire bytes;
-// element semantics (per-(context,src) FIFO, wildcard matching, count-based
-// termination exhaustion, credit accounting) are kept with counted rather
-// than per-message bookkeeping. A frame no further element fits is posted
-// at once, so coalesce_budget = 0 — one element per frame — is the paper's
-// per-element cost model, and so is an element larger than the budget. A
-// frame left open is flushed by a same-instant backstop event the moment
-// the producing fiber yields, so framing never delays an element in virtual
-// time. See ChannelConfig::flow_autotune for the self-tuning loop.
+// consumer share a frame of up to the producer's current frame budget
+// (starting at ChannelConfig::kCoalesceBudget wire bytes); element semantics
+// (per-(context,src) FIFO, wildcard matching, count-based termination
+// exhaustion, credit accounting) are kept with counted rather than
+// per-message bookkeeping. A frame no further element fits is posted at
+// once, so an element larger than the budget travels alone under the
+// paper's per-element cost model. A frame left open is flushed by a
+// same-instant backstop event the moment the producing fiber yields, so
+// framing never delays an element in virtual time. A flow controller tunes
+// the frame budget, the credit window and the credit batch (the paper's
+// Sec. III adaptive-configuration extension; see ChannelConfig).
 //
 // Resilience (ChannelConfig::checkpoint_interval > 0, the ds::resilience
 // subsystem): every frame is additionally stamped with its *flow* (the
@@ -62,9 +64,9 @@
 // number of its first element. Producers cut an epoch every
 // checkpoint_interval elements per flow and retain flushed-but-not-durably-
 // acknowledged frames in a bounded replay log (resilience::ReplayLog);
-// consumers acknowledge epoch durability (automatically at epoch
-// boundaries, or via ack_durable for consumers with external effects),
-// which truncates the log. When fault
+// consumers acknowledge epoch durability (at every epoch boundary, or, for
+// consumers with external effects that register a durable point, through
+// that hook's ack_durable), which truncates the log. When fault
 // injection crashes a consumer, producers rebind the dead consumer's flows
 // to the deterministic failover target (resilience::failover_target) and
 // replay the retained frames; receivers dedupe by (producer, flow, seq), so
@@ -158,8 +160,8 @@ struct StreamStats {
   // ---- producer ----
   std::uint64_t elements_sent = 0;
   /// Frame messages posted. Every element leaves in a frame, so this equals
-  /// elements_sent when each frame carries one element (coalesce_budget = 0,
-  /// or elements larger than the budget).
+  /// elements_sent when each frame carries one element (e.g. elements larger
+  /// than the budget).
   std::uint64_t frames_sent = 0;
   /// Credits received back: elements consumed and acked, however batched.
   std::uint64_t credits_received = 0;
@@ -173,24 +175,24 @@ struct StreamStats {
   /// slot, and resynchronizations of a home slot that crashed and restarted
   /// unobserved.
   std::uint32_t rebalances = 0;
-  /// Current effective frame budget in wire bytes (self-tuned when
-  /// ChannelConfig::flow_autotune is on); 0 before the first stream
-  /// operation.
+  /// Current effective frame budget in wire bytes, as the flow controller
+  /// tuned it; 0 before the first stream operation.
   std::uint32_t coalesce_budget_now = 0;
   /// Current effective credit window: the configured max_inflight, grown
-  /// (never below it) on credit stalls when flow_autotune is on.
+  /// (never below it) on credit stalls.
   std::uint32_t max_inflight_now = 0;
   /// Flows this producer holds frame state (and, when resilient, a replay
   /// log) for. Each opens at its first element, so this counts the flows
   /// the producer sends on, not the consumers: one under Block (or Directed
-  /// on its default route), up to every consumer under RoundRobin.
+  /// on its default route), up to every consumer for a Directed producer
+  /// that spreads its elements.
   std::uint32_t open_flows = 0;
 
   // ---- consumer ----
   /// Data elements processed: handed to the operator, duplicates excluded.
   std::uint64_t elements_consumed = 0;
-  /// Credit ack messages sent (each carries a whole batch, so with
-  /// ack_interval k this is about elements / k).
+  /// Credit ack messages sent (each carries a whole batch, so with a batch
+  /// of k this is about elements / k).
   std::uint64_t ack_messages = 0;
   /// Duplicate deliveries the exactly-once filter suppressed.
   std::uint64_t duplicates_dropped = 0;
@@ -200,8 +202,8 @@ struct StreamStats {
   std::uint64_t dedup_entries = 0;
   /// Durability acknowledgments sent.
   std::uint64_t durable_acks = 0;
-  /// Current effective credit batch (self-tuned toward the observed frame
-  /// occupancy when flow_autotune is on and ack_interval is 0).
+  /// Current effective credit batch of a flow-controlled consumer (tuned
+  /// toward the observed frame occupancy); 1 without flow control.
   std::uint32_t ack_interval_now = 1;
 
   // ---- both roles ----
@@ -235,7 +237,7 @@ class Stream {
   /// e.g. halo faces addressed to a neighbour's helper). Throws
   /// std::out_of_range when `consumer` is not a valid consumer index, and
   /// std::invalid_argument on a Block channel unless `consumer` is this
-  /// producer's own consumer (route(p, 0)): a Block consumer counts only the
+  /// producer's own consumer (route(p)): a Block consumer counts only the
   /// producers it roots, so it could never account for the element.
   void isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element);
 
@@ -271,24 +273,28 @@ class Stream {
   /// operate_while accounting). Returns true iff a data element was consumed.
   bool poll_one(mpi::Rank& self);
 
-  /// Consumer (resilient streams with manual_durability): acknowledge that
-  /// every element consumed so far has durable effects (e.g. the writer's
-  /// buffer reached storage). Producers truncate their replay logs up to the
-  /// acknowledged sequences; a later crash of this consumer replays only
-  /// elements consumed after the last ack. No-op on non-resilient streams
-  /// and in automatic mode (where epoch boundaries ack on their own).
+  /// Consumer (resilient streams): acknowledge that every element consumed
+  /// so far has durable effects (e.g. the writer's buffer reached storage).
+  /// Producers truncate their replay logs up to the acknowledged sequences;
+  /// a later crash of this consumer replays only elements consumed after
+  /// the last ack. Sends the acks whether or not a durable point is
+  /// registered (without one, epoch boundaries also ack on their own). No-op
+  /// on non-resilient streams.
   void ack_durable(mpi::Rank& self);
 
-  /// Consumer (resilient streams with manual_durability, any mapping):
-  /// register the durability hook the termination protocol invokes before
-  /// this consumer commits — right before a root releases its producers,
-  /// and, on trees, right before a consumer's announce-ack. The hook must
-  /// make every consumed element's external effects durable and call
-  /// ack_durable (e.g. a writer's file flush). With it registered, the
-  /// release certifies durability: producers retire their replay logs
-  /// knowing no consumer they reported to still holds undurable state a
-  /// later crash could lose. Without a hook the release (and the
-  /// announce-ack) certifies only count agreement, as in automatic mode.
+  /// Consumer (resilient streams, any mapping): register the durability hook
+  /// the termination protocol invokes before this consumer commits — right
+  /// before a root releases its producers, and, on trees, right before a
+  /// consumer's announce-ack. The hook must make every consumed element's
+  /// external effects durable and call ack_durable (e.g. a writer's file
+  /// flush). Registering it is what makes durability manual: the consumer
+  /// then stops acknowledging at epoch boundaries and acknowledges only
+  /// through ack_durable, and the release certifies durability — producers
+  /// retire their replay logs knowing no consumer they reported to still
+  /// holds undurable state a later crash could lose. Without a hook every
+  /// epoch boundary acknowledges on consumption, and the release (and the
+  /// announce-ack) certifies count agreement. Register it before the first
+  /// operate; a hook on a non-resilient stream never runs.
   void set_durable_point(std::function<void()> hook) {
     durable_point_ = std::move(hook);
   }
@@ -481,13 +487,13 @@ class Stream {
   /// Counts known: gathered and sealed at a root, distributed elsewhere.
   bool counts_known_ = false;
   int rooted_pending_ = 0;  ///< live rooted producers whose term is owed
-  /// Credit batching (flow-controlled streams): per-producer count of
-  /// consumed-but-unacked elements, flushed every ack_every_-th element and
-  /// whenever a term arrives or the stream exhausts.
+  /// Credit batching (flow-controlled streams; empty otherwise):
+  /// per-producer count of consumed-but-unacked elements, flushed every
+  /// ack_every_-th element and whenever a term arrives or the stream
+  /// exhausts.
   std::vector<std::uint32_t> credit_pending_;
-  std::uint32_t ack_every_ = 1;  ///< effective min(ack_interval, window)
+  std::uint32_t ack_every_ = 1;  ///< current credit batch, tuned per frame
   std::uint32_t ack_limit_ = 1;  ///< liveness clamp ceil(window/spread)
-  bool ack_auto_ = false;        ///< self-tune ack_every_ to frame occupancy
 
   /// The received message being handled: a control message only while its
   /// handler runs, a frame until its last element has been consumed.

@@ -18,7 +18,7 @@ using mpi::Rank;
 std::vector<int> routed_to(const Channel& ch, int c) {
   std::vector<int> producers;
   for (int p = 0; p < ch.producer_count(); ++p)
-    if (ch.route(p, 0) == c) producers.push_back(p);
+    if (ch.route(p) == c) producers.push_back(p);
   return producers;
 }
 
@@ -68,28 +68,12 @@ TEST(Channel, BlockMappingIsStableAndBalanced) {
     const Channel ch = Channel::create(self, self.world(), me < 8, me >= 8);
     if (!ch.valid()) return;
     // 8 producers over 2 consumers: first half -> 0, second half -> 1.
-    EXPECT_EQ(ch.route(0, 0), 0);
-    EXPECT_EQ(ch.route(3, 99), 0);
-    EXPECT_EQ(ch.route(4, 0), 1);
-    EXPECT_EQ(ch.route(7, 5), 1);
+    EXPECT_EQ(ch.route(0), 0);
+    EXPECT_EQ(ch.route(3), 0);
+    EXPECT_EQ(ch.route(4), 1);
+    EXPECT_EQ(ch.route(7), 1);
     EXPECT_EQ(routed_to(ch, 0), (std::vector<int>{0, 1, 2, 3}));
     EXPECT_EQ(routed_to(ch, 1), (std::vector<int>{4, 5, 6, 7}));
-  });
-}
-
-TEST(Channel, RoundRobinCyclesConsumers) {
-  testing::run_program(testing::tiny_machine(5), [&](Rank& self) {
-    const int me = self.world_rank();
-    ChannelConfig cfg;
-    cfg.mapping = ChannelConfig::Mapping::RoundRobin;
-    const Channel ch =
-        Channel::create(self, self.world(), me < 2, me >= 2, cfg);
-    // Same producer, consecutive elements -> different consumers.
-    EXPECT_NE(ch.route(0, 0), ch.route(0, 1));
-    EXPECT_EQ(ch.route(0, 0), ch.route(0, 3));  // 3 consumers -> period 3
-    // Every producer reaches every consumer, consumer 1 included.
-    EXPECT_EQ(ch.route(0, 1), 1);
-    EXPECT_EQ(ch.route(1, 0), 1);
   });
 }
 
@@ -116,22 +100,36 @@ TEST(Channel, RequiresBothGroupsNonEmpty) {
 
 TEST(Channel, BlockRouteIsStableAcrossTheWholeSequence) {
   // Invariant: under Block mapping a producer's consumer never changes with
-  // the element sequence number — the property per-producer element order
-  // at the consumer relies on.
-  testing::run_program(testing::tiny_machine(12), [&](Rank& self) {
+  // the element sequence — the property per-producer element order at the
+  // consumer relies on. Every element a producer sends arrives at its
+  // route(p).
+  constexpr int kProducers = 9, kConsumers = 3, kEach = 256;
+  std::vector<int> received(kProducers, 0);
+  int misrouted = 0;
+  testing::run_program(testing::tiny_machine(kProducers + kConsumers),
+                       [&](Rank& self) {
     const int me = self.world_rank();
-    const Channel ch = Channel::create(self, self.world(), me < 9, me >= 9);
-    if (!ch.valid()) return;
-    for (int p = 0; p < ch.producer_count(); ++p) {
-      const int peer = ch.route(p, 0);
-      for (std::uint64_t seq = 1; seq < 257; ++seq)
-        ASSERT_EQ(ch.route(p, seq), peer) << "producer " << p << " seq " << seq;
+    const Channel ch =
+        Channel::create(self, self.world(), me < kProducers, me >= kProducers);
+    const int consumer = ch.my_consumer_index(self);
+    Stream s = Stream::attach(
+        ch, mpi::Datatype::int32(), [&](const StreamElement& el) {
+          if (ch.route(el.producer) != consumer) ++misrouted;
+          ++received[static_cast<std::size_t>(el.producer)];
+        });
+    if (consumer < 0) {
+      for (int i = 0; i < kEach; ++i) s.isend(self, mpi::SendBuf::of(&i, 1));
+      s.terminate(self);
+    } else {
+      (void)s.operate(self);
     }
   });
+  EXPECT_EQ(misrouted, 0);
+  for (const int n : received) EXPECT_EQ(n, kEach);
 }
 
 TEST(Channel, BlockRoutePartitionsProducersOverEveryConsumer) {
-  // Invariant: route(p, 0) partitions the producer set — every producer
+  // Invariant: route(p) partitions the producer set — every producer
   // routes to exactly one consumer's slice, the slices are disjoint and
   // contiguous, and no consumer is left without producers.
   testing::run_program(testing::tiny_machine(11), [&](Rank& self) {
@@ -152,28 +150,6 @@ TEST(Channel, BlockRoutePartitionsProducersOverEveryConsumer) {
       }
     }
     for (const int c : owner) EXPECT_GE(c, 0);
-  });
-}
-
-TEST(Channel, RoundRobinRotationCoversAllConsumersUniformly) {
-  // Invariant: under RoundRobin every producer reaches every consumer, and
-  // any window of C consecutive elements covers all C consumers exactly once.
-  testing::run_program(testing::tiny_machine(7), [&](Rank& self) {
-    const int me = self.world_rank();
-    ChannelConfig cfg;
-    cfg.mapping = ChannelConfig::Mapping::RoundRobin;
-    const Channel ch = Channel::create(self, self.world(), me < 4, me >= 4, cfg);
-    if (!ch.valid()) return;
-    const int consumers = ch.consumer_count();
-    for (int p = 0; p < ch.producer_count(); ++p) {
-      for (std::uint64_t start = 0; start < 8; ++start) {
-        std::vector<int> hits(static_cast<std::size_t>(consumers), 0);
-        for (int k = 0; k < consumers; ++k)
-          hits[static_cast<std::size_t>(
-              ch.route(p, start + static_cast<std::uint64_t>(k)))]++;
-        for (const int h : hits) EXPECT_EQ(h, 1);
-      }
-    }
   });
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <numeric>
@@ -308,6 +309,9 @@ TEST(Pipeline, MisuseIsRejected) {
 }
 
 TEST(Pipeline, WithResilienceFillsOnlyUnsetIntervals) {
+  // A stream whose consumer registers a durable point (manual durability)
+  // inherits the pipeline's interval like any other.
+  int hook_runs = 0;
   testing::run_program(testing::tiny_machine(4), [&](Rank& self) {
     auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({3});
     EXPECT_THROW(pipeline.with_resilience(0), std::invalid_argument);
@@ -316,28 +320,30 @@ TEST(Pipeline, WithResilienceFillsOnlyUnsetIntervals) {
     StreamOptions own_options;
     own_options.checkpoint_interval = 4;
     auto own = pipeline.raw_stream(8, own_options);
-    StreamOptions manual_options;
-    manual_options.manual_durability = true;
-    auto manual = pipeline.raw_stream(8, manual_options);
+    auto durable = pipeline.raw_stream(8);
     const auto check = [&](Context& ctx) {
       EXPECT_EQ(ctx[inherits].channel().config().checkpoint_interval, 16u);
-      EXPECT_FALSE(ctx[inherits].channel().config().manual_durability);
       EXPECT_EQ(ctx[own].channel().config().checkpoint_interval, 4u);
-      EXPECT_EQ(ctx[manual].channel().config().checkpoint_interval, 16u);
-      EXPECT_TRUE(ctx[manual].channel().config().manual_durability);
+      EXPECT_EQ(ctx[durable].channel().config().checkpoint_interval, 16u);
     };
     pipeline.run(
         [&](Context& ctx) {
           check(ctx);
-          for (const auto& h : {inherits, own, manual})
+          for (const auto& h : {inherits, own, durable})
             ctx[h].send_synthetic(8);
         },
         [&](Context& ctx) {
           check(ctx);
-          for (const auto& h : {inherits, own, manual})
+          auto& s = ctx[durable];
+          s.on_durable_point([&] {
+            ++hook_runs;
+            s.ack_durable();
+          });
+          for (const auto& h : {inherits, own, durable})
             EXPECT_EQ(ctx[h].operate(), 3u);
         });
   });
+  EXPECT_EQ(hook_runs, 1);
 }
 
 TEST(ScopedChannel, FreesOnScopeExitAndMoves) {
@@ -410,6 +416,16 @@ TEST(ScopedChannel, DeadlockWhileWaitingInTeardownReportsTheDeadlock) {
                sim::DeadlockError);
 }
 
+/// The helpers with_node_placement(`per_node`) picks over `parent`.
+std::vector<int> placed_helpers(Rank& self, const mpi::Comm& parent,
+                                int per_node) {
+  std::vector<int> helpers;
+  auto pipeline = Pipeline::over(self, parent).with_node_placement(per_node);
+  pipeline.run([&](Context& ctx) { helpers = ctx.helpers(); },
+               [&](Context& ctx) { helpers = ctx.helpers(); });
+  return helpers;
+}
+
 TEST(Pipeline, NodePlacementDedicatesTailRanksPerNode) {
   // 8 ranks, 4 per node: the placement split must pick the last rank of
   // each node as its helper, and the streams must still deliver everything.
@@ -461,6 +477,78 @@ TEST(Pipeline, NodePlacementRejectsDegenerateShapes) {
     auto pipeline = Pipeline::over(self, self.world());
     EXPECT_THROW(pipeline.with_node_placement(1), std::invalid_argument);
     EXPECT_THROW(pipeline.with_node_placement(0), std::invalid_argument);
+  });
+}
+
+/// A 12-rank machine with 4 ranks per node (nodes {0..3}, {4..7}, {8..11}).
+mpi::MachineConfig three_nodes_of_four() {
+  auto config = testing::tiny_machine(12);
+  config.network.ranks_per_node = 4;
+  return config;
+}
+
+TEST(Placement, NoLocalityGivesOneRankPerNode) {
+  // ranks_per_node <= 0 means no locality: every rank is its own node, so
+  // no node hosts two members and there is nothing to co-locate.
+  auto config = testing::tiny_machine(5);
+  config.network.ranks_per_node = 0;
+  testing::run_program(config, [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world());
+    EXPECT_THROW(pipeline.with_node_placement(1), std::invalid_argument);
+  });
+}
+
+TEST(Placement, GroupByNodeKeepsInputOrderWithinGroups) {
+  // The parent lists world ranks {9, 1, 0, 8, 5} in that order: node 0's
+  // members are parent ranks 1 and 2 (world 1, 0), node 1's is parent
+  // rank 4 alone, node 2's are parent ranks 0 and 3 (world 9, 8). The tail
+  // of each node is its last member in parent order: world 0 and world 8.
+  testing::run_program(three_nodes_of_four(), [&](Rank& self) {
+    constexpr std::array<int, 5> kOrder{9, 1, 0, 8, 5};
+    const int me = self.world_rank();
+    const auto* at = std::find(kOrder.begin(), kOrder.end(), me);
+    const bool member = at != kOrder.end();
+    const mpi::Comm sub = self.split(
+        self.world(), member ? 0 : -1,
+        member ? static_cast<int>(at - kOrder.begin()) : 0);
+    if (member) {
+      EXPECT_EQ(placed_helpers(self, sub, 1), (std::vector<int>{2, 3}));
+    }
+  });
+}
+
+TEST(Placement, TailPerNodeTakesLastMembers) {
+  testing::run_program(three_nodes_of_four(), [&](Rank& self) {
+    EXPECT_EQ(placed_helpers(self, self.world(), 1),
+              (std::vector<int>{3, 7, 11}));
+    EXPECT_EQ(placed_helpers(self, self.world(), 2),
+              (std::vector<int>{2, 3, 6, 7, 10, 11}));
+  });
+}
+
+TEST(Placement, TailPerNodeKeepsOneWorkerPerNode) {
+  // Over world ranks {0, 1, 2, 5}, node 0 contributes three members and
+  // node 1 just one: three helpers per node must leave a worker on node 0
+  // and skip node 1 entirely.
+  testing::run_program(three_nodes_of_four(), [&](Rank& self) {
+    const int me = self.world_rank();
+    const bool member = me == 0 || me == 1 || me == 2 || me == 5;
+    const mpi::Comm sub = self.split(self.world(), member ? 0 : -1, me);
+    if (member) {
+      EXPECT_EQ(placed_helpers(self, sub, 3), (std::vector<int>{1, 2}));
+    }
+  });
+}
+
+TEST(Placement, Validates) {
+  // A shape that places fine with one helper per node still rejects a
+  // count below one.
+  testing::run_program(three_nodes_of_four(), [&](Rank& self) {
+    auto pipeline = Pipeline::over(self, self.world());
+    EXPECT_THROW(pipeline.with_node_placement(0), std::invalid_argument);
+    EXPECT_THROW(pipeline.with_node_placement(-1), std::invalid_argument);
+    EXPECT_EQ(placed_helpers(self, self.world(), 1),
+              (std::vector<int>{3, 7, 11}));
   });
 }
 

@@ -13,7 +13,6 @@ TEST(GroupPlan, StrideSixteenMatchesPaperAlpha) {
   const GroupPlan plan = GroupPlan::interleaved(comm_of(32), 16);
   EXPECT_EQ(plan.helper_count(), 2);
   EXPECT_EQ(plan.worker_count(), 30);
-  EXPECT_DOUBLE_EQ(plan.alpha(), 1.0 / 16.0);
   EXPECT_TRUE(plan.is_helper(15));
   EXPECT_TRUE(plan.is_helper(31));
   EXPECT_TRUE(plan.is_worker(0));
@@ -27,26 +26,6 @@ TEST(GroupPlan, PartitionIsDisjointAndComplete) {
   for (const int h : plan.helpers()) EXPECT_TRUE(plan.is_helper(h));
 }
 
-TEST(GroupPlan, WithAlphaPicksNearestStride) {
-  // The paper's three evaluation points: 12.5%, 6.25%, 3.125% helpers.
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.125).stride(), 8);
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.0625).stride(), 16);
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.03125).stride(), 32);
-}
-
-TEST(GroupPlan, WithAlphaRoundsToTheClosestStride) {
-  // Off-grid alphas land on the stride closest to 1/alpha.
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.1).stride(), 10);
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.07).stride(), 14);   // 14.28…
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.06).stride(), 17);   // 16.67…
-  EXPECT_EQ(GroupPlan::with_alpha(comm_of(64), 0.9).stride(), 2);     // clamped
-  // And the realized alpha is within half a stride step of the request.
-  for (const double alpha : {0.125, 0.0625, 0.03125, 0.1, 0.05}) {
-    const GroupPlan plan = GroupPlan::with_alpha(comm_of(320), alpha);
-    EXPECT_NEAR(1.0 / plan.stride(), alpha, alpha * 0.5) << "alpha " << alpha;
-  }
-}
-
 TEST(GroupPlan, HelpersAreSpreadNotClustered) {
   const GroupPlan plan = GroupPlan::interleaved(comm_of(48), 16);
   EXPECT_EQ(plan.helpers(), (std::vector<int>{15, 31, 47}));
@@ -55,8 +34,6 @@ TEST(GroupPlan, HelpersAreSpreadNotClustered) {
 TEST(GroupPlan, InvalidArgumentsThrow) {
   EXPECT_THROW(GroupPlan::interleaved(comm_of(8), 1), std::invalid_argument);
   EXPECT_THROW(GroupPlan::interleaved(comm_of(8), 16), std::invalid_argument);
-  EXPECT_THROW(GroupPlan::with_alpha(comm_of(8), 0.0), std::invalid_argument);
-  EXPECT_THROW(GroupPlan::with_alpha(comm_of(8), 1.0), std::invalid_argument);
 }
 
 }  // namespace

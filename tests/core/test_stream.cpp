@@ -342,7 +342,7 @@ TEST(Stream, IsendToOnBlockAddressesOnlyTheRoutedConsumer) {
     Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
     if (producer) {
       const int p = ch.my_producer_index(self);
-      const int own = ch.route(p, 0);
+      const int own = ch.route(p);
       const int v = p;
       EXPECT_THROW(s.isend_to(self, 1 - own, SendBuf::of(&v, 1)),
                    std::invalid_argument);
@@ -363,10 +363,11 @@ TEST(Stream, ProducerHoldsStateOnlyForTheFlowsItSendsOn) {
   // A flow's frame slot (and replay log) opens at its first element, so a
   // producer's framing memory follows the flows it sends on, not the
   // consumer count: on 64 consumers a Block producer holds one flow, with
-  // or without resilience, and a RoundRobin producer all 64.
+  // or without resilience, and a Directed producer rotating over every
+  // consumer all 64.
   constexpr int kConsumers = 64, kEach = 256;
   for (const auto mapping :
-       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::RoundRobin}) {
+       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::Directed}) {
     for (const std::uint32_t interval : {0u, 8u}) {
       std::uint32_t open_at_start = 1, open_at_end = 0;
       std::uint64_t consumed = 0;
@@ -381,8 +382,13 @@ TEST(Stream, ProducerHoldsStateOnlyForTheFlowsItSendsOn) {
             Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
             if (producer) {
               open_at_start = s.stats().open_flows;
-              for (std::uint64_t i = 0; i < kEach; ++i)
-                s.isend(self, SendBuf::of(&i, 1));
+              for (std::uint64_t i = 0; i < kEach; ++i) {
+                if (mapping == ChannelConfig::Mapping::Directed)
+                  s.isend_to(self, static_cast<int>(i % kConsumers),
+                             SendBuf::of(&i, 1));
+                else
+                  s.isend(self, SendBuf::of(&i, 1));
+              }
               s.terminate(self);
               open_at_end = s.stats().open_flows;
             } else {
@@ -431,23 +437,26 @@ TEST(Stream, MaxInflightThrottlesProducerToConsumerPace) {
 }
 
 TEST(Stream, InjectionChargesOverheadToProducer) {
-  util::SimTime producer_done = 0;
+  // 100 elements injected at one instant share one frame: the producer pays
+  // 100 x the injection overhead o (paper Eq. 4) plus one o_s for the frame
+  // and one for its term.
+  util::SimTime elapsed = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
-    ChannelConfig cfg;
-    cfg.inject_overhead = util::microseconds(10);
-    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
     Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
     if (producer) {
+      const util::SimTime before = self.now();
       const int v = 0;
       for (int i = 0; i < 100; ++i) s.isend(self, SendBuf::of(&v, 1));
       s.terminate(self);
-      producer_done = self.now();
+      elapsed = self.now() - before;
     } else {
       (void)s.operate(self);
     }
   });
-  EXPECT_GE(producer_done, util::microseconds(1000));  // 100 x 10us
+  EXPECT_EQ(elapsed, 100 * ChannelConfig::kInjectOverhead +
+                         2 * testing::tiny_machine(2).network.send_overhead);
 }
 
 TEST(Stream, ModeledElementsLargerThanHostMemoryStream) {

@@ -1,17 +1,16 @@
-// Transport-level element coalescing (ChannelConfig::coalesce_budget).
+// Transport-level element coalescing (ChannelConfig::kCoalesceBudget).
 //
 // These tests pin the semantic contract of the coalesced transport: packed
 // frames must be invisible to stream consumers — per-(context,src) FIFO
 // order under wildcard receives, count-based termination exhaustion with
 // partial final frames, credit liveness, synthetic elements, oversized
-// elements framed alone — plus the single-transport cost model
-// (coalesce_budget = 0 frames every element alone and charges o + o_s at
-// each send), the liveness backstop (elements are never delayed past the
-// instant the producing fiber yields) and the self-tuning loop
-// (ChannelConfig::flow_autotune: the budget grows under bursty load and
-// shrinks for a sparse producer, the credit window grows on stalls and
-// decays back to its configured value, and ack batches track frame
-// occupancy above half the liveness clamp).
+// elements framed alone — plus the single-transport cost model (an element
+// larger than any frame budget travels alone and is charged o + o_s at its
+// own send), the liveness backstop (elements are never delayed past the
+// instant the producing fiber yields) and the flow controller (the budget
+// grows under bursty load and shrinks for a sparse producer, the credit
+// window grows on stalls and decays back to its configured value, and ack
+// batches track frame occupancy above half the liveness clamp).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -26,6 +25,15 @@ namespace {
 
 using mpi::Rank;
 using mpi::SendBuf;
+
+/// An element larger than the frame budget can ever grow to, so it always
+/// travels in a frame of its own, whatever the flow controller did.
+struct Big {
+  int seq = 0;
+  std::byte fill[9000] = {};
+};
+static_assert(sizeof(Big) > ChannelConfig::kCoalesceBudget *
+                                ChannelConfig::kCoalesceGrowthCap);
 
 TEST(StreamCoalesce, PartialFrameFlushesOnTerminate) {
   // Three small elements fit one frame with room to spare; terminate must
@@ -241,10 +249,6 @@ TEST(StreamCoalesce, OversizedElementsFramedAloneKeepOrder) {
   // Elements larger than the frame budget travel in frames of their own; a
   // pending frame toward the same consumer must flush first so arrival
   // order stays the send order.
-  struct Big {
-    int seq = 0;
-    std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
-  };
   std::vector<int> order;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
@@ -274,21 +278,27 @@ TEST(StreamCoalesce, OversizedElementsFramedAloneKeepOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(StreamCoalesce, ZeroBudgetFramesEveryElementAlone) {
-  // coalesce_budget = 0 is one element per frame on the single framed
-  // transport: every element leaves in a frame of its own, and consumers
+/// The paper's per-element cost on the test machine: the stream's injection
+/// overhead o plus one per-message send overhead o_s.
+util::SimTime per_element_cost() {
+  return ChannelConfig::kInjectOverhead +
+         testing::tiny_machine(2).network.send_overhead;
+}
+
+TEST(StreamCoalesce, OverBudgetElementsEachTravelAlone) {
+  // Elements larger than any frame budget leave one per frame, each charged
+  // the paper's per-element cost o + o_s at its own send, and consumers
   // still see each producer's elements in send order and reach exhaustion.
   constexpr int kProducers = 2, kEach = 40;
   std::vector<int> last_seq(kProducers, -1);
   std::vector<std::uint64_t> frames(kProducers, 0), sent(kProducers, 0);
+  std::vector<util::SimTime> send_time(kProducers, 0);
   std::uint64_t consumed = 0;
   bool order_ok = true, exhausted = false;
   testing::run_program(testing::tiny_machine(kProducers + 1), [&](Rank& self) {
     const bool producer = self.world_rank() < kProducers;
-    ChannelConfig cfg;
-    cfg.coalesce_budget = 0;
-    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
-    Stream s = Stream::attach(ch, mpi::Datatype::int32(),
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Big)),
                               [&](const StreamElement& el) {
                                 int seq = 0;
                                 std::memcpy(&seq, el.data, sizeof seq);
@@ -298,46 +308,43 @@ TEST(StreamCoalesce, ZeroBudgetFramesEveryElementAlone) {
                                 last = seq;
                               });
     if (producer) {
-      for (int i = 0; i < kEach; ++i) s.isend(self, SendBuf::of(&i, 1));
+      const auto p = static_cast<std::size_t>(self.world_rank());
+      const util::SimTime before = self.now();
+      for (int i = 0; i < kEach; ++i) {
+        Big big;
+        big.seq = i;
+        s.isend(self, SendBuf::of(&big, 1));
+      }
+      send_time[p] = self.now() - before;
       s.terminate(self);
       const StreamStats stats = s.stats();
-      frames[static_cast<std::size_t>(self.world_rank())] = stats.frames_sent;
-      sent[static_cast<std::size_t>(self.world_rank())] = stats.elements_sent;
+      frames[p] = stats.frames_sent;
+      sent[p] = stats.elements_sent;
     } else {
       consumed = s.operate(self);
       exhausted = s.exhausted();
     }
   });
   for (int p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(sent[static_cast<std::size_t>(p)], static_cast<std::uint64_t>(kEach));
-    EXPECT_EQ(frames[static_cast<std::size_t>(p)], sent[static_cast<std::size_t>(p)]);
-    EXPECT_EQ(last_seq[static_cast<std::size_t>(p)], kEach - 1);
+    const auto pz = static_cast<std::size_t>(p);
+    EXPECT_EQ(sent[pz], static_cast<std::uint64_t>(kEach));
+    EXPECT_EQ(frames[pz], sent[pz]);
+    EXPECT_EQ(send_time[pz], kEach * per_element_cost());
+    EXPECT_EQ(last_seq[pz], kEach - 1);
   }
   EXPECT_EQ(consumed, static_cast<std::uint64_t>(kProducers * kEach));
   EXPECT_TRUE(order_ok);
   EXPECT_TRUE(exhausted);
 }
 
-/// The paper's per-element cost on the test machine: the stream's injection
-/// overhead o plus one per-message send overhead o_s.
-util::SimTime per_element_cost() {
-  return ChannelConfig{}.inject_overhead +
-         testing::tiny_machine(2).network.send_overhead;
-}
-
 /// Producer clock advance charged inside the isend of an oversized element
 /// sent between two compute phases.
 util::SimTime oversized_isend_charge(std::uint32_t checkpoint_interval) {
-  struct Big {
-    int seq = 0;
-    std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
-  };
   util::SimTime charge = 0;
   std::uint64_t consumed = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
-    cfg.flow_autotune = false;  // keep the 2 KiB budget pinned
     cfg.checkpoint_interval = checkpoint_interval;
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Big)), {});
@@ -392,19 +399,19 @@ TEST(StreamCoalesce, SelfTuningGrowsBudgetUnderBurstyLoad) {
       (void)s.operate(self);
     }
   });
-  EXPECT_GT(budget_end, ChannelConfig::kDefaultCoalesceBudget);
-  EXPECT_LE(budget_end, ChannelConfig::kDefaultCoalesceBudget *
+  EXPECT_GT(budget_end, ChannelConfig::kCoalesceBudget);
+  EXPECT_LE(budget_end, ChannelConfig::kCoalesceBudget *
                             ChannelConfig::kCoalesceGrowthCap);
   EXPECT_EQ(sent, 3000u);
-  // Growth shows up as amortization: far fewer frames than a fixed default
+  // Growth shows up as amortization: far fewer frames than the starting
   // budget (~28 elements/frame) would need.
   EXPECT_LT(frames, 3000u / 28u);
 }
 
 TEST(StreamCoalesce, SelfTuningAcksTrackFrameOccupancy) {
-  // With flow control on and ack_interval left at the default, the consumer
-  // retunes its credit batch to the frame occupancy: ack messages land near
-  // one per frame, far below the per-4-elements default.
+  // With flow control on, the consumer retunes its credit batch to the
+  // frame occupancy: ack messages land near one per frame, far below the
+  // per-4-elements starting batch.
   constexpr int kElements = 2000;
   std::uint64_t acks = 0;
   std::uint32_t ack_now = 0;
@@ -427,8 +434,8 @@ TEST(StreamCoalesce, SelfTuningAcksTrackFrameOccupancy) {
       ack_now = stats.ack_interval_now;
     }
   });
-  EXPECT_LT(acks, kElements / 8u);   // default per-4 acking would be 500
-  EXPECT_GT(ack_now, ChannelConfig::kDefaultAckInterval);
+  EXPECT_LT(acks, kElements / 8u);   // per-4 acking would be 500
+  EXPECT_GT(ack_now, ChannelConfig::kAckBatch);
 }
 
 TEST(StreamCoalesce, SelfTuningShrinksBudgetForASparseProducer) {
@@ -486,7 +493,7 @@ TEST(StreamCoalesce, SelfTuningWindowDecaysBackToTheConfiguredValue) {
 }
 
 TEST(StreamCoalesce, SelfTuningAckBatchHoldsHalfTheLivenessClamp) {
-  // One-element frames would retune the credit batch down to the default;
+  // One-element frames would retune the credit batch down to kAckBatch;
   // the floor at half the liveness clamp (ceil(64 / 1 consumer) / 2) keeps
   // a credit-blocked producer refilling in window halves instead.
   std::uint32_t ack_now = 0;
@@ -581,17 +588,11 @@ TEST(StreamCoalesce, OversizedAsFinalElementBeforeTerminate) {
   // pending toward the same consumer. The ordering-preserving flush, the
   // oversized element's own frame, and the term must arrive in exactly
   // that order — nothing stranded, nothing overtaken.
-  struct Big {
-    int seq = 0;
-    std::byte fill[3000] = {};  // exceeds the default 2 KiB budget
-  };
   std::vector<int> order;
   std::uint64_t consumed = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
-    ChannelConfig cfg;
-    cfg.flow_autotune = false;  // keep the 2 KiB budget pinned
-    const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
+    const Channel ch = Channel::create(self, self.world(), producer, !producer);
     Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Big)),
                               [&](const StreamElement& el) {
                                 int seq = 0;
@@ -620,10 +621,6 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
   // partial final frame with an oversized element framed alone: count-based
   // exhaustion must account lone and packed elements alike, on every
   // consumer, or operate() would hang or exit early.
-  struct Big {
-    int seq = 0;
-    std::byte fill[2500] = {};
-  };
   constexpr int kProducers = 2, kConsumers = 3, kEach = 31;
   std::vector<std::uint64_t> per_consumer(kConsumers, 0);
   std::vector<bool> exhausted(kConsumers, false);
@@ -632,7 +629,6 @@ TEST(StreamCoalesce, OversizedInterleavedWithPartialFinalFramesUnderTreeTerminat
         const bool producer = self.world_rank() < kProducers;
         ChannelConfig cfg;
         cfg.mapping = ChannelConfig::Mapping::Directed;
-        cfg.flow_autotune = false;
         const Channel ch =
             Channel::create(self, self.world(), producer, !producer, cfg);
         const int me = ch.my_consumer_index(self);
@@ -670,17 +666,11 @@ TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
   // flow control: per-element credit accounting must stay exact across
   // both kinds of frame (a lone element acks like any other), so the
   // producer's window never wedges and the tail drains.
-  struct Big {
-    int seq = 0;
-    std::byte fill[2500] = {};
-  };
   std::uint64_t consumed = 0, credits = 0;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
     cfg.max_inflight = 3;
-    cfg.ack_interval = 2;
-    cfg.flow_autotune = false;
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Big)), {});
     if (producer) {
@@ -702,7 +692,9 @@ TEST(StreamCoalesce, AlternatingOversizedAndSmallWithCreditWindow) {
   });
   EXPECT_EQ(consumed, 20u);
   EXPECT_LE(credits, 20u);
-  EXPECT_GE(credits + 3u, 20u);  // everything beyond a window came back
+  // Everything beyond the largest window the flow controller may grow to
+  // came back.
+  EXPECT_GE(credits + 3u * ChannelConfig::kWindowGrowthCap, 20u);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-// Credit batching (ChannelConfig::ack_interval) under flow control.
+// Credit batching under flow control (ChannelConfig::max_inflight).
 //
 // The consumer returns credits every k-th consumed element per producer as
-// one batched ack message, flushing the remainder on terms and exhaustion.
-// These tests pin the liveness contract (the window never stalls mid-stream
-// or at the stream end, for any k, including k > window), the message-count
-// reduction the batching exists for, and that max_inflight still bounds
-// in-flight elements exactly.
+// one batched ack message, flushing the remainder on terms and exhaustion;
+// k starts at ChannelConfig::kAckBatch, is clamped to the liveness bound
+// ceil(window / spread), and tracks the frame occupancy. These tests pin the
+// liveness contract (the window never stalls mid-stream or at the stream
+// end, for any window, including one smaller than the starting batch),
+// credit conservation under a window the flow controller may grow to
+// kWindowGrowthCap x max_inflight, the message-count reduction the batching
+// exists for, and that max_inflight still bounds in-flight elements.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,23 +29,17 @@ struct CreditRun {
   std::uint64_t consumed = 0;
   std::uint64_t ack_messages = 0;
   std::uint64_t credits_received = 0;
+  std::uint32_t batch = 0;  ///< the consumer's credit batch at exhaustion
 };
 
 /// One producer, one consumer, Block mapping: send `elements`, terminate,
 /// consumer operates to exhaustion.
-CreditRun run_block(std::uint32_t window, std::uint32_t ack_interval,
-                    int elements) {
+CreditRun run_block(std::uint32_t window, int elements) {
   CreditRun run;
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
     cfg.max_inflight = window;
-    cfg.ack_interval = ack_interval;
-    // These tests pin exact ack-message counts for a given (window, k);
-    // self-tuning would retune k toward the coalesced frame occupancy, so
-    // it is disabled here (the autotuned interaction is covered in
-    // test_stream_coalesce).
-    cfg.flow_autotune = false;
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
     if (producer) {
@@ -53,68 +50,91 @@ CreditRun run_block(std::uint32_t window, std::uint32_t ack_interval,
     } else {
       run.consumed = s.operate(self);
       run.ack_messages = s.stats().ack_messages;
+      run.batch = s.stats().ack_interval_now;
     }
   });
   return run;
 }
 
+/// The most credits a producer can still be owed when it terminates: the
+/// largest window the flow controller may grow `window` to.
+std::uint64_t max_outstanding(std::uint32_t window) {
+  return static_cast<std::uint64_t>(window) * ChannelConfig::kWindowGrowthCap;
+}
+
 TEST(StreamCredits, WindowNeverStallsAtStreamEnd) {
-  // Element count not divisible by the batch, tail smaller than a batch:
-  // completion itself proves no stall, for a spread of (window, k) shapes.
-  for (const auto& [window, interval] : std::vector<std::pair<std::uint32_t,
-                                                              std::uint32_t>>{
-           {4u, 4u}, {2u, 2u}, {8u, 3u}, {1u, 1u}, {16u, 16u}}) {
-    const CreditRun run = run_block(window, interval, 37);
-    EXPECT_EQ(run.consumed, 37u) << "window=" << window << " k=" << interval;
+  // Element count not divisible by any batch, tail smaller than a batch:
+  // completion itself proves no stall, for a spread of windows (and so of
+  // liveness clamps, from below the starting batch to above it).
+  for (const std::uint32_t window : {4u, 2u, 8u, 1u, 16u}) {
+    const CreditRun run = run_block(window, 37);
+    EXPECT_EQ(run.consumed, 37u) << "window=" << window;
     // Credit accounting: the producer drains acks only while its window is
     // full, so it has consumed at least elements - window credits by the
     // last send, and batching must neither forge nor lose any.
-    EXPECT_GE(run.credits_received + window, 37u);
-    EXPECT_LE(run.credits_received, 37u);
+    EXPECT_GE(run.credits_received + max_outstanding(window), 37u)
+        << "window=" << window;
+    EXPECT_LE(run.credits_received, 37u) << "window=" << window;
   }
 }
 
 TEST(StreamCredits, AckIntervalLargerThanWindowIsClamped) {
-  // k > window would deadlock (the consumer would hold a full window of
-  // credits without flushing); the effective interval clamps to the window.
-  const CreditRun run = run_block(/*window=*/2, /*ack_interval=*/100, 25);
-  EXPECT_EQ(run.consumed, 25u);
+  // A starting batch above the window would deadlock (the consumer would
+  // hold a full window of credits without flushing); the effective batch
+  // clamps to the window, and the consumer's batch never leaves the clamp.
+  for (const std::uint32_t window : {1u, 2u, 3u}) {
+    ASSERT_LT(window, ChannelConfig::kAckBatch);
+    const CreditRun run = run_block(window, 25);
+    EXPECT_EQ(run.consumed, 25u) << "window=" << window;
+    EXPECT_GE(run.batch, 1u) << "window=" << window;
+    EXPECT_LE(run.batch, window) << "window=" << window;
+  }
 }
 
 TEST(StreamCredits, BatchingCutsAckMessageCount) {
+  // A window of 1 clamps the batch to one ack per element; wider windows
+  // let the batch start at kAckBatch and only grow with the frame
+  // occupancy, so the ack count falls at least kAckBatch-fold.
   const int elements = 64;
-  const CreditRun per_element = run_block(16, 1, elements);
-  const CreditRun batched4 = run_block(16, 4, elements);
-  const CreditRun batched16 = run_block(16, 16, elements);
+  const CreditRun per_element = run_block(1, elements);
+  const CreditRun batched16 = run_block(16, elements);
+  const CreditRun batched64 = run_block(64, elements);
   EXPECT_EQ(per_element.ack_messages, 64u);
-  EXPECT_EQ(batched4.ack_messages, 16u);
-  EXPECT_EQ(batched16.ack_messages, 4u);
+  EXPECT_LE(batched16.ack_messages, 64u / ChannelConfig::kAckBatch);
+  EXPECT_LE(batched64.ack_messages, 64u / ChannelConfig::kAckBatch);
   // Same credits flow back regardless of batching (none lost, none forged).
   EXPECT_EQ(per_element.consumed, 64u);
-  EXPECT_EQ(batched4.consumed, 64u);
   EXPECT_EQ(batched16.consumed, 64u);
+  EXPECT_EQ(batched64.consumed, 64u);
 }
 
 TEST(StreamCredits, RemainderFlushesOnTermination) {
-  // 10 elements, window 8, k 8: one full batch at 8, then the term must
-  // flush the remaining 2 — visible as a second ack message.
-  const CreditRun run = run_block(/*window=*/8, /*ack_interval=*/8, 10);
-  EXPECT_EQ(run.consumed, 10u);
-  EXPECT_EQ(run.ack_messages, 2u);
+  // 3 elements, window 16: no batch ever fills (the batch starts at
+  // kAckBatch and only grows), so the one ack message is the term's flush
+  // of the remainder.
+  ASSERT_LT(3u, ChannelConfig::kAckBatch);
+  const CreditRun run = run_block(/*window=*/16, 3);
+  EXPECT_EQ(run.consumed, 3u);
+  EXPECT_EQ(run.ack_messages, 1u);
 }
 
 TEST(StreamCredits, DefaultIntervalBatchesByFour) {
-  const CreditRun run = run_block(/*window=*/16, /*ack_interval=*/0, 64);
+  // The batch starts at kAckBatch = 4 and only grows from there (up to the
+  // clamp of 16), so 64 elements take at most 16 ack messages and at least
+  // 4.
+  const CreditRun run = run_block(/*window=*/16, 64);
   EXPECT_EQ(run.consumed, 64u);
-  EXPECT_EQ(run.ack_messages, 16u);  // kDefaultAckInterval == 4
+  EXPECT_LE(run.ack_messages, 64u / ChannelConfig::kAckBatch);
+  EXPECT_GE(run.ack_messages, 64u / 16u);
 }
 
 TEST(StreamCredits, MaxInflightStillBoundsInflightExactly) {
-  // Window 2, batch 2: the producer may run at most max_inflight elements
-  // ahead of consumption. The first credit batch (elements 1-2) flushes,
-  // then the consumer stalls inside element 3's operator — element 3's
-  // credit is pending, un-flushed. Sends 3-4 ride the flushed batch; send 5
-  // must block until the consumer resumes and completes the second batch.
+  // Window 2, batch 2 (kAckBatch clamped to the window): the producer may
+  // run at most max_inflight elements ahead of consumption. The first
+  // credit batch (elements 1-2) flushes, then the consumer stalls inside
+  // element 3's operator — element 3's credit is pending, un-flushed. Sends
+  // 3-4 ride the flushed batch; send 5 must block until the consumer
+  // resumes and completes the second batch.
   const util::SimTime stall = util::milliseconds(5);
   std::vector<util::SimTime> send_done(6, 0);
   util::SimTime stall_end = 0;
@@ -122,7 +142,6 @@ TEST(StreamCredits, MaxInflightStillBoundsInflightExactly) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
     cfg.max_inflight = 2;
-    cfg.ack_interval = 2;
     std::uint64_t consumed = 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int32(),
@@ -164,8 +183,6 @@ TEST(StreamCredits, DirectedMappingDrainsUnderBatchedCredits) {
     ChannelConfig cfg;
     cfg.mapping = ChannelConfig::Mapping::Directed;
     cfg.max_inflight = 3;
-    cfg.ack_interval = 3;
-    cfg.flow_autotune = false;  // pin the window: the bound below is exact
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int32(), {});
     if (producer) {
@@ -181,7 +198,8 @@ TEST(StreamCredits, DirectedMappingDrainsUnderBatchedCredits) {
   EXPECT_EQ(consumed, static_cast<std::uint64_t>(kProducers * kEach));
   // Each producer consumed at least kEach - window credits (it drains acks
   // only while blocked) and never more than it sent.
-  EXPECT_GE(credits + kProducers * 3u, static_cast<std::uint64_t>(kProducers * kEach));
+  EXPECT_GE(credits + kProducers * max_outstanding(3),
+            static_cast<std::uint64_t>(kProducers * kEach));
   EXPECT_LE(credits, static_cast<std::uint64_t>(kProducers * kEach));
 }
 
@@ -193,7 +211,7 @@ TEST(StreamCredits, ThrottledProducerStillPacedWithBatching) {
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     ChannelConfig cfg;
-    cfg.max_inflight = 2;  // default ack_interval, clamped to the window
+    cfg.max_inflight = 2;  // kAckBatch, clamped to the window
     const Channel ch = Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int32(),
                               [&](const StreamElement&) {

@@ -54,6 +54,8 @@ void expect_stream_contracts(const Shape& shape,
     if (producer) {
       for (int i = 0; i < shape.elements_per_producer; ++i) {
         const int id = me * 10000 + i;
+        // Directed producers rotate over every consumer, starting at their
+        // own index.
         if (shape.mapping == ChannelConfig::Mapping::Directed) {
           s.isend_to(self, (me + i) % shape.consumers, SendBuf::of(&id, 1));
         } else {
@@ -90,9 +92,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{4, 1, 10, ChannelConfig::Mapping::Block},
                       Shape{7, 3, 11, ChannelConfig::Mapping::Block},
                       Shape{15, 1, 6, ChannelConfig::Mapping::Block},
-                      Shape{3, 3, 9, ChannelConfig::Mapping::RoundRobin},
-                      Shape{8, 2, 12, ChannelConfig::Mapping::RoundRobin},
-                      Shape{2, 9, 6, ChannelConfig::Mapping::RoundRobin},
+                      Shape{3, 3, 9, ChannelConfig::Mapping::Directed},
+                      Shape{8, 2, 12, ChannelConfig::Mapping::Directed},
+                      Shape{2, 9, 6, ChannelConfig::Mapping::Directed},
                       Shape{5, 4, 7, ChannelConfig::Mapping::Directed},
                       Shape{2, 2, 25, ChannelConfig::Mapping::Directed},
                       // Wide consumer fan-outs stress the termination tree:
@@ -122,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
         ResilientShape{{2, 5, 9, ChannelConfig::Mapping::Block}, 4},
         // Tree shapes where a durability ack sent after the release would
         // strand in the mailbox of a producer that already left.
-        ResilientShape{{8, 2, 12, ChannelConfig::Mapping::RoundRobin}, 4},
+        ResilientShape{{8, 2, 12, ChannelConfig::Mapping::Directed}, 4},
         ResilientShape{{4, 13, 9, ChannelConfig::Mapping::Directed}, 4},
         ResilientShape{{1, 16, 32, ChannelConfig::Mapping::Directed}, 4}));
 

@@ -234,8 +234,9 @@ TEST(FailureMatrix, AggregatorCrashMidProtocolReelectsAndReleases) {
 /// survivors then hold the count matrix only as the announced copy, which
 /// they share with the dead aggregator's announce; the re-elected
 /// aggregator must re-announce that shared copy and release from it, and
-/// every pool slot the announces held comes back.
-void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
+/// every pool slot the announces held comes back. Producers stream Directed,
+/// each to one consumer, or, with `rotate`, over every consumer in turn.
+void aggregator_crash_before_release(bool rotate) {
   constexpr int kProducers = 6, kConsumers = 3, kEach = 9;
   struct Outcome {
     std::vector<std::vector<std::uint64_t>> delivered{kConsumers};
@@ -252,9 +253,8 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
     machine.run([&](Rank& self) {
       const bool producer = self.world_rank() < kProducers;
       ChannelConfig cfg;
-      cfg.mapping = mapping;
+      cfg.mapping = ChannelConfig::Mapping::Directed;
       cfg.checkpoint_interval = 4;
-      cfg.manual_durability = true;
       const Channel ch =
           Channel::create(self, self.world(), producer, !producer, cfg);
       const int me = ch.my_consumer_index(self);
@@ -268,11 +268,8 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
       if (producer) {
         for (int i = 0; i < kEach; ++i) {
           const std::uint64_t id = element_id(self.world_rank(), i);
-          if (mapping == ChannelConfig::Mapping::Directed)
-            s.isend_to(self, self.world_rank() % kConsumers,
-                       SendBuf::of(&id, 1));
-          else
-            s.isend(self, SendBuf::of(&id, 1));
+          s.isend_to(self, (self.world_rank() + (rotate ? i : 0)) % kConsumers,
+                     SendBuf::of(&id, 1));
         }
         s.terminate(self);
         return;
@@ -316,15 +313,15 @@ void aggregator_crash_before_release(ChannelConfig::Mapping mapping) {
 }
 
 TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromSparseCopy) {
-  // Directed, one flow per producer: 6 of 18 cells are nonzero, so the
-  // shared cells are smaller than the dense counts the wire carries.
-  aggregator_crash_before_release(ChannelConfig::Mapping::Directed);
+  // One flow per producer: 6 of 18 cells are nonzero, so the shared cells
+  // are smaller than the dense counts the wire carries.
+  aggregator_crash_before_release(/*rotate=*/false);
 }
 
 TEST(FailureMatrix, AggregatorCrashBeforeReleaseTakesOverFromDenseCopy) {
-  // RoundRobin: every cell is nonzero, so the shared cells outweigh the
-  // dense counts the wire carries.
-  aggregator_crash_before_release(ChannelConfig::Mapping::RoundRobin);
+  // Every producer rotates over every consumer: every cell is nonzero, so
+  // the shared cells outweigh the dense counts the wire carries.
+  aggregator_crash_before_release(/*rotate=*/true);
 }
 
 /// One resilient 4 x 2 stream with a crash of world rank `victim` at
@@ -385,7 +382,7 @@ TEST(FailureMatrix, ProducerCrashedInsideItsReleaseWaitUnwinds) {
   // ack's receive overhead) must still unwind it instead of leaving the
   // dead rank parked in the wait, which the engine reports as a deadlock.
   for (const auto mapping :
-       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::RoundRobin}) {
+       {ChannelConfig::Mapping::Block, ChannelConfig::Mapping::Directed}) {
     for (int us = 40; us <= 80; us += 2) {
       SCOPED_TRACE(::testing::Message() << static_cast<int>(mapping) << " crash at "
                                       << us << " us");
@@ -410,17 +407,14 @@ TEST(FailureMatrix, ConsumerCrashAfterTheReleaseNeedsNoAdoption) {
   // 1 may still be draining. Once released no flow moves any more — the
   // producers retired their replay logs — so the survivor must not adopt
   // the dead aggregator's flows and wait on counts nobody can replay.
-  for (const auto mapping : {ChannelConfig::Mapping::RoundRobin,
-                             ChannelConfig::Mapping::Directed}) {
-    for (int us = 60; us <= 72; us += 2) {
-      SCOPED_TRACE(::testing::Message() << static_cast<int>(mapping) << " crash at "
-                                      << us << " us");
-      CrashRun run;
-      ASSERT_NO_THROW(run = crash_run(mapping, /*consumer 0=*/4,
-                                      util::microseconds(us), 0));
-      EXPECT_TRUE(run.survivors_exhausted);
-      EXPECT_TRUE(all_unique(run.delivered[1]));
-    }
+  for (int us = 60; us <= 72; us += 2) {
+    SCOPED_TRACE(::testing::Message() << "crash at " << us << " us");
+    CrashRun run;
+    ASSERT_NO_THROW(run = crash_run(ChannelConfig::Mapping::Directed,
+                                    /*consumer 0=*/4, util::microseconds(us),
+                                    0));
+    EXPECT_TRUE(run.survivors_exhausted);
+    EXPECT_TRUE(all_unique(run.delivered[1]));
   }
 }
 

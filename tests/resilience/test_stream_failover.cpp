@@ -158,8 +158,7 @@ TEST(StreamFailover, CreditBlockedProducerRecoversAndReplays) {
     ChannelConfig cfg;
     cfg.mapping = ChannelConfig::Mapping::Directed;
     cfg.checkpoint_interval = 8;
-    cfg.max_inflight = 4;
-    cfg.flow_autotune = false;  // keep the window tight: the point is stalling
+    cfg.max_inflight = 4;  // tight: the point is stalling
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     const int me = ch.my_consumer_index(self);
@@ -191,8 +190,9 @@ TEST(StreamFailover, CreditBlockedProducerRecoversAndReplays) {
 
 TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
   // The replay log is the resilience cost in the fault-free run: with
-  // automatic epoch acks and a credit window, retention can never exceed
-  // the open epoch plus the window plus ack/batching slack.
+  // epoch-boundary acks and a credit window, retention can never exceed
+  // the open epoch plus the largest window the flow controller may grow to
+  // plus ack/batching slack.
   constexpr int kEach = 400;
   constexpr std::uint32_t kInterval = 16, kWindow = 8;
   std::uint64_t max_retained = 0;
@@ -202,11 +202,6 @@ TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
     ChannelConfig cfg;
     cfg.checkpoint_interval = kInterval;
     cfg.max_inflight = kWindow;
-    // Four-element frames: the resilient framing overhead (frame + epoch
-    // headers, 24 bytes) plus four 16-byte int64 sub-records fills the
-    // pinned budget exactly.
-    cfg.coalesce_budget = 24 + 4 * 16;
-    cfg.flow_autotune = false;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
@@ -222,13 +217,15 @@ TEST(StreamFailover, FaultFreeRetentionStaysBounded) {
       acks = s.stats().durable_acks;
     }
   });
-  // Open epoch + credit window + a frame and an ack batch of slack.
-  EXPECT_LE(max_retained, kInterval + 2 * kWindow + 8);
+  // Open epoch + grown credit window + an epoch of slack for the frame and
+  // the ack batch in flight.
+  EXPECT_LE(max_retained,
+            2 * kInterval + ChannelConfig::kWindowGrowthCap * kWindow);
   EXPECT_GE(acks, static_cast<std::uint64_t>(kEach / kInterval / 2));
 }
 
 TEST(StreamFailover, ManualDurabilityReplaysEverythingUnacked) {
-  // Under manual durability a consumer that never acknowledges is treated
+  // A consumer whose registered durable point never acknowledges is treated
   // as having no durable effects: after its crash the adopter receives the
   // dead consumer's entire flow from the start.
   constexpr int kProducers = 2, kConsumers = 2, kEach = 24;
@@ -239,7 +236,6 @@ TEST(StreamFailover, ManualDurabilityReplaysEverythingUnacked) {
     const bool producer = self.world_rank() < kProducers;
     ChannelConfig cfg;
     cfg.checkpoint_interval = 8;
-    cfg.manual_durability = true;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     const int me = ch.my_consumer_index(self);
@@ -258,6 +254,8 @@ TEST(StreamFailover, ManualDurabilityReplaysEverythingUnacked) {
       }
       s.terminate(self);
     } else {
+      // A durable point that acknowledges nothing: nothing becomes durable.
+      s.set_durable_point([] {});
       s.operate(self);
     }
   });
@@ -358,11 +356,12 @@ TEST(StreamFailover, UnopenedFlowFailsOverBeforeItsFirstElement) {
 }
 
 TEST(StreamFailover, ManualDurabilityBlockProducerStaysUntilReleased) {
-  // Block with manual durability: both consumers compute 5 us per element,
-  // and consumer 1 is crashed at 60 us, long after both producers
-  // terminated but before it finished consuming. Producer 1 must still be
-  // waiting for its root's release, so it can replay its whole unacked flow
-  // to the survivor and re-send its term there.
+  // Block with a durable point that acknowledges nothing: both consumers
+  // compute 5 us per element, and consumer 1 is crashed at 60 us, long
+  // after both producers terminated but before it finished consuming.
+  // Producer 1 must still be waiting for its root's release, so it can
+  // replay its whole unacked flow to the survivor and re-send its term
+  // there.
   constexpr int kProducers = 2, kConsumers = 2, kEach = 20;
   auto config = testing::tiny_machine(kProducers + kConsumers);
   config.faults.crash(/*world rank of consumer 1=*/3, util::microseconds(60));
@@ -373,7 +372,6 @@ TEST(StreamFailover, ManualDurabilityBlockProducerStaysUntilReleased) {
     const bool producer = self.world_rank() < kProducers;
     ChannelConfig cfg;
     cfg.checkpoint_interval = 4;
-    cfg.manual_durability = true;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     const int me = ch.my_consumer_index(self);
@@ -393,6 +391,7 @@ TEST(StreamFailover, ManualDurabilityBlockProducerStaysUntilReleased) {
       terminated_at[static_cast<std::size_t>(self.world_rank())] = self.now();
       s.terminate(self);
     } else {
+      s.set_durable_point([] {});  // acknowledges nothing
       s.operate(self);
       if (me == 0) survivor_exhausted = s.exhausted();
     }
@@ -424,7 +423,6 @@ TEST(StreamFailover, BlockDurablePointRunsOnceBeforeTheRelease) {
     const bool producer = self.world_rank() < kProducers;
     ChannelConfig cfg;
     cfg.checkpoint_interval = 4;
-    cfg.manual_durability = true;
     const Channel ch =
         Channel::create(self, self.world(), producer, !producer, cfg);
     Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
@@ -460,39 +458,137 @@ TEST(StreamFailover, BlockDurablePointRunsOnceBeforeTheRelease) {
   }
 }
 
-TEST(StreamFailover, AdaptiveWindowGrowsUnderCreditStallsOnly) {
-  // Satellite: flow_autotune retunes max_inflight from the controller's
-  // credit-stall signal — growth under stalls, pinned without autotune, and
-  // never below the configured value.
-  auto run = [&](bool autotune) {
-    std::uint32_t window_after = 0;
-    testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
-      const bool producer = self.world_rank() == 0;
-      ChannelConfig cfg;
-      cfg.max_inflight = 4;  // tight: a fast producer stalls constantly
-      cfg.flow_autotune = autotune;
-      const Channel ch =
-          Channel::create(self, self.world(), producer, !producer, cfg);
-      Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
-      if (producer) {
-        for (int i = 0; i < 600; ++i) {
-          const std::uint64_t id = element_id(0, i);
-          s.isend(self, SendBuf::of(&id, 1));
-        }
-        s.terminate(self);
-        window_after = s.stats().max_inflight_now;
-      } else {
-        s.operate(self);
+/// Durability acks one resilient consumer sends for 40 elements from one
+/// producer in epochs of 4, and how often its durable point ran. With
+/// `hook` the consumer registers a durable point that, with `ack`,
+/// acknowledges.
+struct DurableRun {
+  std::uint64_t durable_acks = 0;
+  int hook_runs = 0;
+};
+DurableRun durable_run(bool hook, bool ack) {
+  DurableRun out;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.checkpoint_interval = 4;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
+    if (producer) {
+      for (int i = 0; i < 40; ++i) {
+        const std::uint64_t id = element_id(0, i);
+        s.isend(self, SendBuf::of(&id, 1));
       }
+      s.terminate(self);
+      return;
+    }
+    if (hook)
+      s.set_durable_point([&] {
+        ++out.hook_runs;
+        if (ack) s.ack_durable(self);
+      });
+    s.operate(self);
+    out.durable_acks = s.stats().durable_acks;
+  });
+  return out;
+}
+
+TEST(StreamFailover, WithoutADurablePointEveryEpochBoundaryAcks) {
+  // Processing counts as durable: one ack per epoch of 4, 10 for 40
+  // elements.
+  EXPECT_EQ(durable_run(/*hook=*/false, /*ack=*/false).durable_acks, 10u);
+}
+
+TEST(StreamFailover, ADurablePointMakesItsAcksTheOnlyOnes) {
+  // A registered durable point is the manual mode: no epoch boundary acks
+  // on its own, the hook runs once before the release, and only what it
+  // acknowledges is acknowledged.
+  const DurableRun silent = durable_run(/*hook=*/true, /*ack=*/false);
+  EXPECT_EQ(silent.hook_runs, 1);
+  EXPECT_EQ(silent.durable_acks, 0u);
+  const DurableRun acking = durable_run(/*hook=*/true, /*ack=*/true);
+  EXPECT_EQ(acking.hook_runs, 1);
+  EXPECT_EQ(acking.durable_acks, 1u);  // one flow, acked once at the end
+}
+
+TEST(StreamFailover, TreeDurablePointRunsBeforeTheAnnounceAck) {
+  // Directed (tree) termination with a registered durable point on every
+  // consumer: each hook runs exactly once, and a consumer's announce-ack —
+  // which the aggregator needs before it releases anyone — waits for its
+  // hook, so no producer's terminate returns before every consumer's hook
+  // has finished.
+  constexpr int kProducers = 2, kConsumers = 3, kEach = 12;
+  std::array<int, kConsumers> hook_runs{};
+  std::array<util::SimTime, kConsumers> hook_done{};
+  std::array<util::SimTime, kProducers> terminate_returned{};
+  std::array<std::uint64_t, kConsumers> durable_acks{};
+  testing::run_program(testing::tiny_machine(kProducers + kConsumers),
+                       [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.mapping = ChannelConfig::Mapping::Directed;
+    cfg.checkpoint_interval = 4;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) {
+        const std::uint64_t id = element_id(self.world_rank(), i);
+        s.isend_to(self, (self.world_rank() + i) % kConsumers,
+                   SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+      terminate_returned[static_cast<std::size_t>(self.world_rank())] =
+          self.now();
+      return;
+    }
+    const auto me = static_cast<std::size_t>(ch.my_consumer_index(self));
+    // The non-aggregators flush longer than the aggregator, so an
+    // announce-ack sent ahead of its hook would let the release overtake it.
+    s.set_durable_point([&] {
+      ++hook_runs[me];
+      self.compute(util::microseconds(me == 0 ? 5 : 40));  // the flush
+      hook_done[me] = self.now();
     });
-    return window_after;
-  };
-  const std::uint32_t pinned = run(false);
-  const std::uint32_t tuned = run(true);
-  EXPECT_EQ(pinned, 4u);
-  EXPECT_GE(tuned, 4u);
-  EXPECT_LE(tuned, 4u * stream::ChannelConfig::kWindowGrowthCap);
-  EXPECT_GT(tuned, pinned);  // stall-heavy run must actually grow
+    s.operate(self);
+    durable_acks[me] = s.stats().durable_acks;
+  });
+  for (int c = 0; c < kConsumers; ++c) {
+    const auto cz = static_cast<std::size_t>(c);
+    EXPECT_EQ(hook_runs[cz], 1) << "consumer " << c;
+    EXPECT_EQ(durable_acks[cz], 0u) << "consumer " << c;
+    for (int p = 0; p < kProducers; ++p)
+      EXPECT_GE(terminate_returned[static_cast<std::size_t>(p)], hook_done[cz])
+          << "producer " << p << " consumer " << c;
+  }
+}
+
+TEST(StreamFailover, AdaptiveWindowGrowsUnderCreditStallsOnly) {
+  // The flow controller retunes max_inflight from its credit-stall signal:
+  // a fast producer against a tight window grows it, up to the growth cap
+  // and never below the configured value.
+  std::uint32_t window_after = 0;
+  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.max_inflight = 4;  // tight: a fast producer stalls constantly
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(), {});
+    if (producer) {
+      for (int i = 0; i < 600; ++i) {
+        const std::uint64_t id = element_id(0, i);
+        s.isend(self, SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+      window_after = s.stats().max_inflight_now;
+    } else {
+      s.operate(self);
+    }
+  });
+  EXPECT_GT(window_after, 4u);  // the stall-heavy run must actually grow
+  EXPECT_LE(window_after, 4u * stream::ChannelConfig::kWindowGrowthCap);
 }
 
 TEST(StreamFailover, FailoverTargetPrefersSameNodeConsumer) {
