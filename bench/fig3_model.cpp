@@ -24,7 +24,7 @@ util::BenchOptions g_opt;  ///< machine-model sweep (--topology= etc.)
 mpi::MachineConfig machine_config(std::uint64_t seed) {
   mpi::MachineConfig cfg = bench::beskow_like(kRanks, seed, g_opt);
   cfg.engine.noise = sim::NoiseConfig{0.25, 50.0, util::microseconds(600)};
-  cfg.engine.record_trace = true;
+  cfg.observability.trace = true;
   return cfg;
 }
 

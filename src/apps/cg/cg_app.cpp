@@ -279,16 +279,16 @@ CgResult run_cg(HaloVariant variant, const CgConfig& config,
                }()
              : shape.face_bytes());
 
-    decouple::StreamOptions to_helpers;
-    to_helpers.mapping = decouple::Mapping::Directed;
-    decouple::StreamOptions to_workers = to_helpers;
-    to_workers.direction = decouple::Direction::ToWorkers;
+    decouple::StreamOptions directed;
+    directed.mapping = decouple::Mapping::Directed;
 
     auto pipeline = decouple::Pipeline::over(self, self.world())
                         .with_plan(plan)
                         .with_worker_comm();
-    auto faces = pipeline.stream<FaceHeader>(max_face_bytes, to_helpers);
-    auto bundles = pipeline.stream<FaceHeader>(6 * max_face_bytes, to_workers);
+    auto faces = pipeline.stream<FaceHeader>(max_face_bytes, directed);
+    auto bundles = pipeline.stream_between<FaceHeader>(
+        pipeline.helper_stage(), pipeline.worker_stage(), 6 * max_face_bytes,
+        directed);
 
     pipeline.run(
         [&](decouple::Context& ctx) {

@@ -220,15 +220,16 @@ void run_decoupled_program(Rank& self, const PicConfig& cfg, const Domain& domai
   // share frames with whatever was injected at the same instant.
   // The closure protocol's latency is untouched: the same-instant backstop
   // flushes the moment the worker blocks waiting on its closes.
-  decouple::StreamOptions back_options;
-  back_options.direction = decouple::Direction::ToWorkers;
+  decouple::StreamOptions back_options;  // helpers -> workers
   back_options.mapping = decouple::Mapping::Directed;
   // CLOSE notifications are small directed records fanning from each helper
   // to its workers: frames pack a helper's same-instant closes per worker.
 
   auto pipeline = decouple::Pipeline::over(self, self.world()).with_plan(plan);
   auto outflow = pipeline.stream<PartHeader>(batch_payload, out_options);
-  auto backflow = pipeline.stream<PartHeader>(batch_payload, back_options);
+  auto backflow = pipeline.stream_between<PartHeader>(
+      pipeline.helper_stage(), pipeline.worker_stage(), batch_payload,
+      back_options);
 
   const auto worker_program = [&](decouple::Context& ctx) {
     const int w = ctx.worker_index();

@@ -224,8 +224,7 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
                                               0);
       in.on_receive([&](const decouple::Element<DumpSummary>& el) {
         // Same block assignment the batches channel routes with (the reduce
-        // stage holds an inert handle on that channel, so it uses the
-        // closed form).
+        // stage does not hold that stream, so it uses the closed form).
         const auto writer = static_cast<std::size_t>(
             stream::Channel::block_route(el.record.worker, producers, writers));
         writer_bytes[writer] += el.record.bytes;

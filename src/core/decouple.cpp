@@ -39,54 +39,27 @@ std::vector<int> tail_per_node(const mpi::Comm& parent, int ranks_per_node,
 
 }  // namespace
 
-// ------------------------------------------------------------ ScopedChannel --
+// --------------------------------------------------------------- StreamBase --
 
-ScopedChannel::ScopedChannel(ScopedChannel&& other) noexcept
-    : self_(std::exchange(other.self_, nullptr)),
-      channel_(std::exchange(other.channel_, stream::Channel{})) {}
-
-ScopedChannel& ScopedChannel::operator=(ScopedChannel&& other) noexcept {
-  if (this != &other) {
-    release();
-    self_ = std::exchange(other.self_, nullptr);
-    channel_ = std::exchange(other.channel_, stream::Channel{});
-  }
-  return *this;
-}
-
-ScopedChannel::~ScopedChannel() {
-  // A rank that crashes while it waits in the teardown collective (or that
-  // an aborted run fails there) must not throw out of a destructor. The
-  // crash stays recorded in the machine, so the rank's next runtime call
-  // throws again; release() itself still throws.
+StreamBase::~StreamBase() {
+  // The stream's state goes before the rank waits in the teardown
+  // collective. A rank that crashes while it waits there (or that an
+  // aborted run fails there) must not throw out of a destructor; the crash
+  // stays recorded in the machine, so the rank's next runtime call throws
+  // again.
+  stream_ = stream::Stream{};
   try {
-    release();
+    if (self_ != nullptr) channel_.free(*self_);
   } catch (const mpi::RankFailure&) {
   }
 }
 
-ScopedChannel ScopedChannel::create(mpi::Rank& self, const mpi::Comm& parent,
-                                    bool is_producer, bool is_consumer,
-                                    stream::ChannelConfig config) {
-  return ScopedChannel(
-      self, stream::Channel::create(self, parent, is_producer, is_consumer,
-                                    std::move(config)));
-}
-
-void ScopedChannel::release() {
-  if (self_ != nullptr && channel_.valid()) channel_.free(*self_);
-  self_ = nullptr;
-  channel_ = stream::Channel{};
-}
-
-// --------------------------------------------------------------- StreamBase --
-
-void StreamBase::bind(mpi::Rank& self, ScopedChannel channel,
+void StreamBase::bind(mpi::Rank& self, stream::Channel channel,
                       std::size_t element_bytes, std::uint64_t stream_id) {
   self_ = &self;
   channel_ = std::move(channel);
   stream_ = stream::Stream::attach(
-      channel_.get(), mpi::Datatype::bytes(element_bytes),
+      channel_, mpi::Datatype::bytes(element_bytes),
       [this](const stream::StreamElement& el) { dispatch(el); }, stream_id);
 }
 
@@ -126,11 +99,11 @@ bool StreamBase::is_producer() const { return producer_index() >= 0; }
 bool StreamBase::is_consumer() const { return consumer_index() >= 0; }
 
 int StreamBase::producer_index() const {
-  return self_ == nullptr ? -1 : channel_.get().my_producer_index(*self_);
+  return self_ == nullptr ? -1 : channel_.my_producer_index(*self_);
 }
 
 int StreamBase::consumer_index() const {
-  return self_ == nullptr ? -1 : channel_.get().my_consumer_index(*self_);
+  return self_ == nullptr ? -1 : channel_.my_consumer_index(*self_);
 }
 
 void StreamBase::send_raw(mpi::SendBuf element) {
@@ -161,32 +134,43 @@ int Context::parent_rank() const noexcept {
   return self().rank_in(pipeline_->parent_);
 }
 
-bool Context::is_worker() const noexcept {
-  return !pipeline_->is_helper_rank(parent_rank());
+int Context::stage_index() const noexcept {
+  return pipeline_->stage_of(parent_rank());
 }
 
-int Context::worker_index() const noexcept {
-  return pipeline_->workers_.rank_of(parent_rank());
+int Context::member_index(int stage) const noexcept {
+  return pipeline_->group(stage).rank_of(parent_rank());
 }
 
-int Context::helper_index() const noexcept {
-  return pipeline_->helpers_.rank_of(parent_rank());
+int Context::stage_member_index() const noexcept {
+  const int stage = stage_index();
+  return stage < 0 ? -1 : member_index(stage);
 }
+
+int Context::stage_size(int stage) const {
+  return static_cast<int>(stage_ranks(stage).size());
+}
+
+int Context::stage_size(StageHandle stage) const {
+  return stage_size(stage.index_);
+}
+
+const std::vector<int>& Context::stage_ranks(int stage) const {
+  if (stage < 0 || stage >= static_cast<int>(pipeline_->stages_.size()))
+    throw std::logic_error("decouple: stage index out of range");
+  return pipeline_->group(stage).members();
+}
+
+int Context::worker_index() const noexcept { return member_index(0); }
+
+int Context::helper_index() const noexcept { return member_index(1); }
 
 int Context::worker_count() const noexcept {
-  return pipeline_->workers_.size();
+  return pipeline_->group(0).size();
 }
 
 int Context::helper_count() const noexcept {
-  return pipeline_->helpers_.size();
-}
-
-const std::vector<int>& Context::workers() const noexcept {
-  return pipeline_->workers_.members();
-}
-
-const std::vector<int>& Context::helpers() const noexcept {
-  return pipeline_->helpers_.members();
+  return pipeline_->group(1).size();
 }
 
 int Context::helper_of(int worker) const noexcept {
@@ -200,39 +184,14 @@ const mpi::Comm& Context::worker_comm() const {
   return pipeline_->worker_comm_;
 }
 
-int Context::stage_count() const noexcept {
-  return static_cast<int>(pipeline_->stages_.size());
-}
-
-int Context::stage_index() const noexcept {
-  return pipeline_->stage_of(parent_rank());
-}
-
-int Context::stage_member_index() const noexcept {
-  const int stage = stage_index();
-  if (stage < 0) return -1;
-  return pipeline_->stages_[static_cast<std::size_t>(stage)].rank_of(
-      parent_rank());
-}
-
-int Context::stage_size(int stage) const {
-  return static_cast<int>(stage_ranks(stage).size());
-}
-
-int Context::stage_size(StageHandle stage) const {
-  return stage_size(stage.index_);
-}
-
-const std::vector<int>& Context::stage_ranks(int stage) const {
-  if (stage < 0 || stage >= stage_count())
-    throw std::logic_error("decouple: stage index out of range");
-  return pipeline_->stages_[static_cast<std::size_t>(stage)].members();
-}
-
 StreamBase& Context::slot(int index) const {
   if (index < 0 || index >= static_cast<int>(pipeline_->slots_.size()))
     throw std::logic_error("decouple: stream handle not from this pipeline");
-  return *pipeline_->slots_[static_cast<std::size_t>(index)].stream;
+  const auto& stream = pipeline_->slots_[static_cast<std::size_t>(index)].stream;
+  if (!stream)
+    throw std::logic_error(
+        "decouple: this rank is in neither stage the stream links");
+  return *stream;
 }
 
 // ----------------------------------------------------------------- Pipeline --
@@ -247,8 +206,10 @@ Pipeline Pipeline::over(mpi::Rank& self, const mpi::Comm& parent) {
 }
 
 void Pipeline::set_split(std::vector<int> helpers) {
-  if (split_configured_)
-    throw std::logic_error("Pipeline: split already configured");
+  if (!stages_.empty())
+    throw std::logic_error(
+        split_ ? "Pipeline: split already configured"
+               : "Pipeline: declare a split or stages, not both");
   std::sort(helpers.begin(), helpers.end());
   helpers.erase(std::unique(helpers.begin(), helpers.end()), helpers.end());
   // Workers are the complement: one merge pass against the sorted helpers.
@@ -263,9 +224,9 @@ void Pipeline::set_split(std::vector<int> helpers) {
   if (workers.empty() || helpers.empty())
     throw std::invalid_argument(
         "Pipeline: need at least one worker and one helper");
-  workers_ = mpi::Group(std::move(workers));
-  helpers_ = mpi::Group(std::move(helpers));
-  split_configured_ = true;
+  stages_.emplace_back(std::move(workers));
+  stages_.emplace_back(std::move(helpers));
+  split_ = true;
 }
 
 Pipeline& Pipeline::with_stride(int stride) & {
@@ -315,27 +276,48 @@ Pipeline& Pipeline::with_resilience(std::uint32_t checkpoint_interval) & {
   return *this;
 }
 
-bool Pipeline::is_helper_rank(int parent_rank) const noexcept {
-  return helpers_.contains(parent_rank);
+StageHandle Pipeline::split_stage(int index) const {
+  if (!split_)
+    throw std::logic_error(
+        "Pipeline: declare a split first (with_stride / with_plan / "
+        "with_helper_ranks / with_node_placement)");
+  return StageHandle(index);
 }
 
-int Pipeline::add_slot(std::unique_ptr<StreamBase> stream,
+int Pipeline::add_slot(StageHandle from, StageHandle to, StreamFactory make,
                        std::size_t element_bytes, StreamOptions options) {
   if (ran_)
     throw std::logic_error("Pipeline: streams must be declared before run()");
-  slots_.push_back(Slot{std::move(stream), element_bytes, std::move(options)});
+  const auto stage_count = static_cast<int>(stages_.size());
+  if (from.index_ < 0 || from.index_ >= stage_count || to.index_ < 0 ||
+      to.index_ >= stage_count)
+    throw std::logic_error(
+        "decouple: stream_between needs handles from this pipeline's stages");
+  if (from.index_ == to.index_)
+    throw std::invalid_argument(
+        "decouple: a stage cannot stream to itself (groups must be disjoint)");
+  const int me = self_->rank_in(parent_);
+  const bool endpoint =
+      group(from.index_).contains(me) || group(to.index_).contains(me);
+  slots_.push_back(Slot{endpoint ? make() : nullptr, element_bytes,
+                        std::move(options), from.index_, to.index_});
   return static_cast<int>(slots_.size()) - 1;
 }
 
-RawStreamHandle Pipeline::raw_stream(std::size_t element_bytes,
-                                     StreamOptions options) {
-  return RawStreamHandle(
-      add_slot(std::make_unique<RawStream>(), element_bytes, std::move(options)));
+RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
+                                             std::size_t element_bytes,
+                                             StreamOptions options) {
+  return RawStreamHandle(add_slot(
+      from, to,
+      []() -> std::unique_ptr<StreamBase> { return std::make_unique<RawStream>(); },
+      element_bytes, std::move(options)));
 }
 
 StageHandle Pipeline::stage(std::vector<int> parent_ranks) {
   if (ran_)
     throw std::logic_error("Pipeline: stages must be declared before run()");
+  if (split_)
+    throw std::logic_error("Pipeline: declare a split or stages, not both");
   if (!std::is_sorted(parent_ranks.begin(), parent_ranks.end()))
     std::sort(parent_ranks.begin(), parent_ranks.end());
   parent_ranks.erase(std::unique(parent_ranks.begin(), parent_ranks.end()),
@@ -368,75 +350,29 @@ int Pipeline::stage_of(int parent_rank) const noexcept {
   return -1;
 }
 
-void Pipeline::link_stages(StageHandle from, StageHandle to,
-                           StreamOptions& options) const {
-  const auto stage_count = static_cast<int>(stages_.size());
-  if (from.index_ < 0 || from.index_ >= stage_count || to.index_ < 0 ||
-      to.index_ >= stage_count)
-    throw std::logic_error(
-        "decouple: stream_between needs handles from this pipeline's stages");
-  if (from.index_ == to.index_)
-    throw std::invalid_argument(
-        "decouple: a stage cannot stream to itself (groups must be disjoint)");
-  // Capture by value (a pointer copy of the interned group): the predicates
-  // outlive this call and must stay pure functions of the rank number (they
-  // derive the collective channel roles).
-  options.producers = [group = stages_[static_cast<std::size_t>(from.index_)]](
-                          int r) { return group.contains(r); };
-  options.consumers = [group = stages_[static_cast<std::size_t>(to.index_)]](
-                          int r) { return group.contains(r); };
-}
-
-RawStreamHandle Pipeline::raw_stream_between(StageHandle from, StageHandle to,
-                                             std::size_t element_bytes,
-                                             StreamOptions options) {
-  link_stages(from, to, options);
-  return raw_stream(element_bytes, std::move(options));
-}
-
 void Pipeline::run(const RoleFn& worker_fn, const RoleFn& helper_fn) {
-  if (!split_configured_)
-    throw std::logic_error(
-        "Pipeline::run: declare a split first (with_stride / with_plan / "
-        "with_helper_ranks / with_node_placement)");
-  if (ran_) throw std::logic_error("Pipeline::run: pipeline already ran");
-  const bool worker = !is_helper_rank(self_->rank_in(parent_));
-  launch(worker ? worker_fn : helper_fn);
+  run_stages({worker_fn, helper_fn});
 }
 
 void Pipeline::run_stages(const std::vector<RoleFn>& stage_fns) {
   if (stages_.size() < 2)
     throw std::logic_error(
-        "Pipeline::run_stages: declare at least two stages first");
+        "Pipeline: declare a split (with_stride / with_plan / "
+        "with_helper_ranks / with_node_placement) or at least two stages "
+        "before running");
   if (stage_fns.size() != stages_.size())
     throw std::invalid_argument(
         "Pipeline::run_stages: need exactly one function per declared stage");
-  if (ran_) throw std::logic_error("Pipeline::run_stages: pipeline already ran");
-  // The chain induces the worker/helper split: the first stage is the worker
-  // group, every other rank (later stages and unassigned) is a helper. A
-  // split declared explicitly (with_plan etc.) is kept as-is.
-  if (!split_configured_) {
-    std::vector<int> helpers;
-    for (int r = 0; r < parent_.size(); ++r)
-      if (!stages_.front().contains(r)) helpers.push_back(r);
-    set_split(std::move(helpers));
-  }
-  const int my_stage = stage_of(self_->rank_in(parent_));
-  launch(my_stage >= 0 ? stage_fns[static_cast<std::size_t>(my_stage)]
-                       : RoleFn{});
-}
-
-void Pipeline::launch(const RoleFn& role_fn) {
+  if (ran_) throw std::logic_error("Pipeline: pipeline already ran");
   ran_ = true;
 
   mpi::Rank& self = *self_;
   const int me = self.rank_in(parent_);
-  const bool worker = !is_helper_rank(me);
 
   // A restarted incarnation rejoins a pipeline whose surviving members are
   // mid-run: no collective step can happen (peers are not at a matching
   // call). Channels are re-derived locally via Channel::attach from the
-  // same pure role predicates every rank evaluated at first launch.
+  // same stage membership every rank used at first launch.
   const bool rejoining = self.machine().incarnation(self.world_rank()) > 0;
   if (rejoining && want_worker_comm_)
     throw std::logic_error(
@@ -444,50 +380,53 @@ void Pipeline::launch(const RoleFn& role_fn) {
         "with_worker_comm (communicator splits are collective)");
 
   if (want_worker_comm_)
-    worker_comm_ = self.split(parent_, worker ? 0 : -1, me);
+    worker_comm_ = self.split(parent_, group(0).contains(me) ? 0 : -1, me);
 
   // Channel creation is collective over the parent: declaration order is the
-  // creation order on every rank. Rejoining ranks attach instead.
+  // creation order on every rank. Rejoining ranks attach instead. A rank in
+  // neither of a stream's stages gets an inert handle and drops it.
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     stream::ChannelConfig config = slot.options;
     config.channel_id = kChannelIdBase + i;
     if (config.checkpoint_interval == 0)
       config.checkpoint_interval = checkpoint_interval_;
-    const bool to_helpers = slot.options.direction == Direction::ToHelpers;
-    const auto role_of = [&](int r) -> std::int8_t {
-      const bool w = !is_helper_rank(r);
-      const bool produce = slot.options.producers
-                               ? slot.options.producers(r)
-                               : (to_helpers ? w : !w);
-      const bool consume = slot.options.consumers
-                               ? slot.options.consumers(r)
-                               : (to_helpers ? !w : w);
-      return produce ? std::int8_t{1} : (consume ? std::int8_t{2} : std::int8_t{0});
-    };
-    ScopedChannel channel;
+    const mpi::Group& producers = group(slot.from);
+    const mpi::Group& consumers = group(slot.to);
+    stream::Channel channel;
     if (rejoining) {
       if (!config.resilient())
         throw std::logic_error(
             "Pipeline: a restarted rank can only rejoin resilient streams "
             "(set checkpoint_interval or with_resilience)");
-      channel = ScopedChannel(
-          self, stream::Channel::attach(self, parent_, role_of, std::move(config)));
+      if (slot.stream)
+        channel = stream::Channel::attach(
+            self, parent_,
+            [&](int r) -> std::int8_t {
+              return producers.contains(r) ? 1 : (consumers.contains(r) ? 2 : 0);
+            },
+            std::move(config));
     } else {
-      channel = ScopedChannel::create(self, parent_, role_of(me) == 1,
-                                      role_of(me) == 2, std::move(config));
+      channel = stream::Channel::create(self, parent_, producers.contains(me),
+                                        consumers.contains(me), std::move(config));
     }
-    slot.stream->bind(self, std::move(channel), slot.element_bytes,
-                      /*stream_id=*/i + 1);
+    if (slot.stream)
+      slot.stream->bind(self, std::move(channel), slot.element_bytes,
+                        /*stream_id=*/i + 1);
   }
 
   Context context(*this);
-  if (role_fn) role_fn(context);
+  const int my_stage = stage_of(me);
+  if (my_stage >= 0) {
+    const RoleFn& stage_fn = stage_fns[static_cast<std::size_t>(my_stage)];
+    if (stage_fn) stage_fn(context);
+  }
 
   // RAII half of the termination protocol: whatever this rank produced is
   // now over; consumers' operate() unblocks as the terms land. In a chain
   // this is what propagates termination stage to stage.
-  for (Slot& slot : slots_) slot.stream->terminate();
+  for (Slot& slot : slots_)
+    if (slot.stream) slot.stream->terminate();
 }
 
 }  // namespace ds::decouple

@@ -2,9 +2,9 @@
 //
 // The low-level API (GroupPlan / Channel / Stream, paper Sec. III-A) stays
 // deliberately close to the paper's C interface: raw byte elements, manual
-// channel release, hand-rolled worker/helper role dispatch. Every decoupled
-// application repeated the same ~100 lines of boilerplate around it. This
-// facade fuses those steps into one declarative object:
+// channel release, hand-rolled role dispatch. Every decoupled application
+// repeated the same ~100 lines of boilerplate around it. This facade fuses
+// those steps into one declarative object:
 //
 //   auto pipeline = decouple::Pipeline::over(self, self.world())
 //                       .with_stride(16)          // 1 helper per 16 ranks
@@ -12,29 +12,28 @@
 //   auto faces = pipeline.stream<FaceHeader>(max_face_bytes, options);
 //   pipeline.run(worker_fn, helper_fn);           // role dispatch
 //
-// Three ideas:
-//  * RAII, move-only lifetime — run() creates every declared channel in
-//    declaration order (the collective order), producer streams terminate
-//    automatically when their role function returns, and channels are
-//    released when the Pipeline leaves scope. Call sites never invoke
-//    Channel::free or Stream::terminate by hand (early termination remains
-//    available for protocols that need it).
-//  * Typed elements — TypedStream<Record> serializes trivially-copyable
-//    records (plus an optional byte payload) and hands consumers decoded
-//    Element<Record> values: no std::byte* arithmetic or memcpy at call
-//    sites. RawStream keeps the byte-level interface for payload-only
-//    streams.
-//  * One split, many streams — the worker/helper split (a GroupPlan stride,
-//    a node placement, or an explicit helper set) is declared once; each
-//    stream picks a direction relative to it, or overrides the endpoint
-//    groups entirely.
-//  * Chained stages — Pipeline::stage() partitions the parent communicator
-//    into an ordered chain of role groups (worker -> helper -> helper ...);
-//    stream_between() links consecutive stages, so an intermediate stage is
-//    consumer of one typed stream and producer of the next. run_stages()
-//    dispatches each rank to its stage function, and the RAII termination
-//    pass propagates end-of-stream stage to stage: when a stage returns, its
-//    outgoing streams terminate and the next stage's operate() unblocks.
+// One role model: stages, and streams between them.
+//  * Stages — stage() appends a role group to an ordered chain of pairwise
+//    disjoint groups of parent ranks. A split (a GroupPlan stride, a plan,
+//    an explicit helper set or a node placement) is the two-stage chain:
+//    workers are stage 0, helpers stage 1, and run(worker_fn, helper_fn) is
+//    run_stages({worker_fn, helper_fn}). A pipeline declares a split or
+//    stages, not both.
+//  * Streams — every stream links a producer stage to a consumer stage
+//    (stream_between). On a split, stream() is the workers -> helpers
+//    stream and a reverse stream names its stages:
+//    stream_between(helper_stage(), worker_stage()). Only the ranks of a
+//    stream's two stages hold it; every rank joins its channel's collective
+//    creation.
+//
+// Around that model, lifetimes are RAII and elements typed. run_stages()
+// creates every declared channel in declaration order (the collective
+// order); when a stage function returns, that stage's outgoing streams
+// terminate, which unblocks the next stage's operate(), so end-of-stream
+// propagates down the chain; channels are released when the Pipeline
+// leaves scope. TypedStream<Record> serializes trivially-copyable records
+// (plus an optional byte payload) and hands consumers decoded
+// Element<Record> values; RawStream keeps the byte-level interface.
 //
 // Collective discipline: every member of the parent communicator must
 // declare the same split (or stages) and the same streams in the same order,
@@ -68,61 +67,14 @@ class Pipeline;
 
 using Mapping = stream::ChannelConfig::Mapping;
 
-/// Which way a pipeline stream flows between the two role groups.
-enum class Direction { ToHelpers, ToWorkers };
-
-/// Predicate over a parent-communicator rank. Evaluated with the same
-/// arguments on every rank (it derives the collective channel roles), so it
-/// must be a pure function of the rank number.
+/// Predicate over a parent-communicator rank, for stage(). Evaluated with
+/// the same arguments on every rank, so it must be a pure function of the
+/// rank number.
 using RolePredicate = std::function<bool(int parent_rank)>;
 
-/// One stream's configuration: its channel's stream::ChannelConfig plus
-/// which way the stream flows. Pipeline sets channel_id (a fixed base +
-/// declaration index) and applies its with_resilience interval.
-struct StreamOptions : stream::ChannelConfig {
-  Direction direction = Direction::ToHelpers;
-  /// Endpoint overrides for streams that do not follow the worker/helper
-  /// split (e.g. a reduce group's internal master stream); when set, they
-  /// replace the direction-derived groups.
-  RolePredicate producers;
-  RolePredicate consumers;
-};
-
-/// Move-only RAII ownership of a Channel: released (collectively) when the
-/// owner leaves scope. The building block Pipeline uses for every stream's
-/// channel; also usable standalone with the low-level Stream API.
-class ScopedChannel {
- public:
-  ScopedChannel() = default;
-  ScopedChannel(mpi::Rank& self, stream::Channel channel) noexcept
-      : self_(&self), channel_(std::move(channel)) {}
-  ScopedChannel(ScopedChannel&& other) noexcept;
-  ScopedChannel& operator=(ScopedChannel&& other) noexcept;
-  ScopedChannel(const ScopedChannel&) = delete;
-  ScopedChannel& operator=(const ScopedChannel&) = delete;
-  ~ScopedChannel();
-
-  /// Collective over `parent`, like Channel::create.
-  [[nodiscard]] static ScopedChannel create(mpi::Rank& self,
-                                            const mpi::Comm& parent,
-                                            bool is_producer, bool is_consumer,
-                                            stream::ChannelConfig config = {});
-
-  /// Collective over the channel members: quiesce and release early.
-  /// Idempotent; also what the destructor runs. Throws mpi::RankFailure
-  /// when this rank crashes while it waits; the destructor catches it.
-  void release();
-
-  [[nodiscard]] bool valid() const noexcept { return channel_.valid(); }
-  [[nodiscard]] const stream::Channel& get() const noexcept { return channel_; }
-  [[nodiscard]] const stream::Channel* operator->() const noexcept {
-    return &channel_;
-  }
-
- private:
-  mpi::Rank* self_ = nullptr;
-  stream::Channel channel_{};
-};
+/// One stream's configuration: its channel's. Pipeline sets channel_id (a
+/// fixed base + declaration index) and applies its with_resilience interval.
+using StreamOptions = stream::ChannelConfig;
 
 /// A decoded stream element, valid only during the handler invocation.
 template <typename Record>
@@ -155,15 +107,17 @@ struct RawElement {
   bool synthetic = false;
 };
 
-/// Role-aware RAII wrapper around one attached Stream, owned by a Pipeline
-/// and obtained inside run() via Context::operator[]. Knows its Rank, so no
-/// call threads `self` through; producers terminate automatically when
-/// their role function returns.
+/// Role-aware RAII wrapper around one attached Stream and its channel,
+/// owned by a Pipeline on the ranks of the stream's two stages and obtained
+/// inside run() via Context::operator[]. Knows its Rank, so no call threads
+/// `self` through; producers terminate automatically when their role
+/// function returns, and the channel is released (collectively over its
+/// members) when the stream is destroyed.
 class StreamBase {
  public:
   StreamBase(const StreamBase&) = delete;
   StreamBase& operator=(const StreamBase&) = delete;
-  virtual ~StreamBase() = default;
+  virtual ~StreamBase();
 
   // ---- producer side ----
   /// Signal end-of-stream now (paper's MPIStream_Terminate). Idempotent,
@@ -213,7 +167,7 @@ class StreamBase {
     return stream_.element_size();
   }
   [[nodiscard]] const stream::Channel& channel() const noexcept {
-    return channel_.get();
+    return channel_;
   }
 
  protected:
@@ -229,11 +183,11 @@ class StreamBase {
 
  private:
   friend class Pipeline;
-  void bind(mpi::Rank& self, ScopedChannel channel, std::size_t element_bytes,
-            std::uint64_t stream_id);
+  void bind(mpi::Rank& self, stream::Channel channel,
+            std::size_t element_bytes, std::uint64_t stream_id);
 
   mpi::Rank* self_ = nullptr;
-  ScopedChannel channel_;
+  stream::Channel channel_;
   stream::Stream stream_;
 };
 
@@ -383,35 +337,14 @@ class StageHandle {
   int index_ = -1;
 };
 
-/// What a role function sees: identity within the split, the split itself,
-/// and the pipeline's bound streams.
+/// What a role function sees: this rank's stage and position, the stages
+/// themselves, and the pipeline's bound streams.
 class Context {
  public:
   [[nodiscard]] mpi::Rank& self() const noexcept;
   [[nodiscard]] const mpi::Comm& parent() const noexcept;
   [[nodiscard]] int parent_rank() const noexcept;
 
-  [[nodiscard]] bool is_worker() const noexcept;
-  [[nodiscard]] bool is_helper() const noexcept { return !is_worker(); }
-  /// Index in the worker (helper) group, or -1 when the other role.
-  [[nodiscard]] int worker_index() const noexcept;
-  [[nodiscard]] int helper_index() const noexcept;
-  [[nodiscard]] int worker_count() const noexcept;
-  [[nodiscard]] int helper_count() const noexcept;
-  /// Parent-comm ranks, ascending.
-  [[nodiscard]] const std::vector<int>& workers() const noexcept;
-  [[nodiscard]] const std::vector<int>& helpers() const noexcept;
-  /// Balanced block assignment of workers to helpers: the helper index
-  /// responsible for `worker` under the Block consumer mapping.
-  [[nodiscard]] int helper_of(int worker) const noexcept;
-
-  /// The workers-only communicator (requires with_worker_comm; invalid on
-  /// helpers, MPI_UNDEFINED-style).
-  [[nodiscard]] const mpi::Comm& worker_comm() const;
-
-  // ---- chained stages (run_stages pipelines only) ----
-  /// Number of declared stages (0 for a classic worker/helper run).
-  [[nodiscard]] int stage_count() const noexcept;
   /// Index of the stage this rank belongs to, or -1 when unassigned.
   [[nodiscard]] int stage_index() const noexcept;
   /// This rank's position within its stage, or -1 when unassigned.
@@ -422,6 +355,21 @@ class Context {
   /// Parent-comm ranks of stage `stage`, ascending.
   [[nodiscard]] const std::vector<int>& stage_ranks(int stage) const;
 
+  // ---- the split's view: workers are stage 0, helpers stage 1 ----
+  /// Index in the worker (helper) group, or -1 when the other role.
+  [[nodiscard]] int worker_index() const noexcept;
+  [[nodiscard]] int helper_index() const noexcept;
+  [[nodiscard]] int worker_count() const noexcept;
+  [[nodiscard]] int helper_count() const noexcept;
+  /// Balanced block assignment of workers to helpers: the helper index
+  /// responsible for `worker` under the Block consumer mapping.
+  [[nodiscard]] int helper_of(int worker) const noexcept;
+  /// The workers-only communicator (requires with_worker_comm; invalid on
+  /// helpers, MPI_UNDEFINED-style).
+  [[nodiscard]] const mpi::Comm& worker_comm() const;
+
+  /// The stream behind `h`. Throws std::logic_error on a rank in neither of
+  /// the stream's stages: only those ranks hold it.
   template <typename Record>
   [[nodiscard]] TypedStream<Record>& operator[](StreamHandle<Record> h) const {
     return static_cast<TypedStream<Record>&>(slot(h.index_));
@@ -433,13 +381,15 @@ class Context {
  private:
   friend class Pipeline;
   explicit Context(Pipeline& pipeline) : pipeline_(&pipeline) {}
+  [[nodiscard]] int member_index(int stage) const noexcept;
   [[nodiscard]] StreamBase& slot(int index) const;
 
   Pipeline* pipeline_;
 };
 
-/// The pipeline builder/runner. Declare the split and the streams (same
-/// order on every rank), then run(worker_fn, helper_fn).
+/// The pipeline builder/runner. Declare a split or stages, then the streams
+/// (same order on every rank), then run(worker_fn, helper_fn) or
+/// run_stages(stage_fns).
 class Pipeline {
  public:
   [[nodiscard]] static Pipeline over(mpi::Rank& self, const mpi::Comm& parent);
@@ -451,6 +401,8 @@ class Pipeline {
   ~Pipeline() = default;  // slots release their channels in declaration order
 
   // ---- split declaration (exactly one of the first four) ----
+  // Each declares the two-stage chain workers (stage 0) -> helpers
+  // (stage 1); a pipeline that declared stage() rejects them.
   /// Every `stride`-th parent rank becomes a helper (GroupPlan::interleaved):
   /// the paper's helper fractions 12.5%, 6.25% and 3.125% are strides 8, 16
   /// and 32.
@@ -478,7 +430,8 @@ class Pipeline {
   Pipeline&& with_node_placement(int helpers_per_node = 1) && {
     return std::move(with_node_placement(helpers_per_node));
   }
-  /// Also split a workers-only communicator (for in-group collectives).
+  /// Also split a workers-only (stage 0) communicator, for in-group
+  /// collectives.
   Pipeline& with_worker_comm() &;
   Pipeline&& with_worker_comm() && { return std::move(with_worker_comm()); }
   /// Resilience for every stream of this pipeline: stream epochs of
@@ -492,25 +445,31 @@ class Pipeline {
     return std::move(with_resilience(checkpoint_interval));
   }
 
-  // ---- stream declaration ----
+  /// The split's two stages. Throw std::logic_error before a split is
+  /// declared.
+  [[nodiscard]] StageHandle worker_stage() const { return split_stage(0); }
+  [[nodiscard]] StageHandle helper_stage() const { return split_stage(1); }
+
+  // ---- stream declaration on a split: workers -> helpers ----
   /// A stream of `Record`s, each carrying up to `max_payload_bytes` extra.
   template <typename Record>
   [[nodiscard]] StreamHandle<Record> stream(std::size_t max_payload_bytes = 0,
                                             StreamOptions options = {}) {
-    return StreamHandle<Record>(add_slot(std::make_unique<TypedStream<Record>>(),
-                                         sizeof(Record) + max_payload_bytes,
-                                         std::move(options)));
+    return stream_between<Record>(worker_stage(), helper_stage(),
+                                  max_payload_bytes, std::move(options));
   }
   /// A payload-only stream of `element_bytes`-sized elements.
   [[nodiscard]] RawStreamHandle raw_stream(std::size_t element_bytes,
-                                           StreamOptions options = {});
+                                           StreamOptions options = {}) {
+    return raw_stream_between(worker_stage(), helper_stage(), element_bytes,
+                              std::move(options));
+  }
 
   // ---- chained-stage declaration ----
   /// Append a stage to the chain: the given parent-comm ranks form the next
   /// role group. Stages must be pairwise disjoint; every rank declares the
   /// same stages in the same order (the set derives collective channel
-  /// roles). The first stage is the chain's worker group; all later stages
-  /// are helper groups of the split.
+  /// roles). Throws std::logic_error after a split.
   StageHandle stage(std::vector<int> parent_ranks);
   /// Same, with membership given as a pure predicate over parent ranks.
   StageHandle stage(const RolePredicate& member);
@@ -523,8 +482,12 @@ class Pipeline {
                                                     StageHandle to,
                                                     std::size_t max_payload_bytes = 0,
                                                     StreamOptions options = {}) {
-    link_stages(from, to, options);
-    return stream<Record>(max_payload_bytes, std::move(options));
+    return StreamHandle<Record>(add_slot(
+        from, to,
+        []() -> std::unique_ptr<StreamBase> {
+          return std::make_unique<TypedStream<Record>>();
+        },
+        sizeof(Record) + max_payload_bytes, std::move(options)));
   }
   /// Payload-only variant of stream_between.
   [[nodiscard]] RawStreamHandle raw_stream_between(StageHandle from,
@@ -533,47 +496,50 @@ class Pipeline {
                                                    StreamOptions options = {});
 
   using RoleFn = std::function<void(Context&)>;
-  /// Create every declared channel (collective, declaration order), attach
-  /// the streams, and dispatch to `worker_fn` or `helper_fn` by role. When
-  /// the role function returns, producer streams terminate automatically;
-  /// channels are released when the Pipeline leaves scope.
+  /// run_stages({worker_fn, helper_fn}) on a split: `worker_fn` runs on the
+  /// workers, `helper_fn` on the helpers.
   void run(const RoleFn& worker_fn, const RoleFn& helper_fn);
 
-  /// Chained dispatch: `stage_fns[i]` runs on the members of stage i (one
+  /// Create every declared channel (collective, declaration order), attach
+  /// the streams, and run `stage_fns[i]` on the members of stage i (one
   /// function per declared stage; ranks in no stage only participate in the
   /// collective channel creation). Auto-termination propagates stage to
   /// stage: when a stage function returns, that stage's outgoing streams
-  /// terminate, unblocking the next stage's operate().
+  /// terminate, unblocking the next stage's operate(). Channels are released
+  /// when the Pipeline leaves scope.
   void run_stages(const std::vector<RoleFn>& stage_fns);
 
  private:
   friend class Context;
   Pipeline(mpi::Rank& self, mpi::Comm parent);
 
+  using StreamFactory = std::unique_ptr<StreamBase> (*)();
   struct Slot {
-    std::unique_ptr<StreamBase> stream;
+    std::unique_ptr<StreamBase> stream;  ///< null on ranks in neither stage
     std::size_t element_bytes = 0;
     StreamOptions options;
+    int from = -1;  ///< producer stage
+    int to = -1;    ///< consumer stage
   };
 
-  int add_slot(std::unique_ptr<StreamBase> stream, std::size_t element_bytes,
-               StreamOptions options);
+  /// Declare a stream from stage `from` to stage `to`; `make` builds its
+  /// object, called only on the ranks of those two stages.
+  int add_slot(StageHandle from, StageHandle to, StreamFactory make,
+               std::size_t element_bytes, StreamOptions options);
   void set_split(std::vector<int> helpers);
-  [[nodiscard]] bool is_helper_rank(int parent_rank) const noexcept;
-  /// Fill `options`' endpoint predicates from two declared stages.
-  void link_stages(StageHandle from, StageHandle to, StreamOptions& options) const;
+  [[nodiscard]] StageHandle split_stage(int index) const;
   [[nodiscard]] int stage_of(int parent_rank) const noexcept;
-  /// Channel creation + role dispatch + RAII termination for this rank.
-  void launch(const RoleFn& role_fn);
+  [[nodiscard]] const mpi::Group& group(int stage) const noexcept {
+    return stages_[static_cast<std::size_t>(stage)];
+  }
 
   mpi::Rank* self_;
   mpi::Comm parent_;
-  // Ascending parent ranks, interned: every rank of the pipeline shares one
-  // member list per group, and membership and position lookups are O(1).
-  mpi::Group workers_;
-  mpi::Group helpers_;
+  // Ascending parent ranks per stage, interned: every rank of the pipeline
+  // shares one member list per stage, and membership and position lookups
+  // are O(1). A split is stages 0 (workers) and 1 (helpers).
   std::vector<mpi::Group> stages_;
-  bool split_configured_ = false;
+  bool split_ = false;  ///< stages_ holds a split, not stage() declarations
   bool want_worker_comm_ = false;
   bool ran_ = false;
   std::uint32_t checkpoint_interval_ = 0;  ///< 0 = with_resilience not set

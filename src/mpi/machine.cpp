@@ -9,20 +9,9 @@
 
 namespace ds::mpi {
 
-namespace {
-/// The legacy engine switch and the obs config must agree: either one turns
-/// span tracing on (engine.record_trace predates ObsConfig and existing
-/// callers still set it directly).
-MachineConfig normalized(MachineConfig c) {
-  c.observability.trace = c.observability.trace || c.engine.record_trace;
-  c.engine.record_trace = c.observability.trace;
-  return c;
-}
-}  // namespace
-
 Machine::Machine(MachineConfig config)
-    : config_(normalized(std::move(config))),
-      engine_(config_.engine),
+    : config_(std::move(config)),
+      engine_(config_.engine, config_.observability.trace),
       fabric_(config_.network, config_.world_size),
       filesystem_(config_.filesystem),
       world_(/*context=*/1, Group::world(config_.world_size)),

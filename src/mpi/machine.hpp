@@ -42,8 +42,7 @@ struct MachineConfig {
   sim::FaultPlan faults{};
   /// Observability switches (ds::obs): span tracing and the metrics
   /// registry. Off by default — the hot path pays one null check per hook
-  /// when disabled. `engine.record_trace` implies `observability.trace`
-  /// (and vice versa), so legacy trace users keep working.
+  /// when disabled.
   obs::ObsConfig observability{};
   /// When nonzero, every collective arms a watchdog: an instance still
   /// incomplete after this much virtual time throws CollectiveTimeout out of

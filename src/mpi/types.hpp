@@ -34,8 +34,9 @@ struct Status {
 /// interaction (compute, send/recv, wait, collective) and unwinds. Caught by
 /// Machine::run's program wrapper, so the rest of the simulation continues;
 /// RAII cleanup along the unwind path must not start new communication
-/// (ScopedChannel/Channel::free and stream termination check
-/// Machine::rank_failed and become no-ops on a crashed rank).
+/// (Channel::free, which a decouple stream's destructor runs, and stream
+/// termination check Machine::rank_failed and become no-ops on a crashed
+/// rank).
 class RankFailure : public std::runtime_error {
  public:
   explicit RankFailure(int world_rank)

@@ -51,9 +51,9 @@ void Process::trace_instant(const char* name) {
   if (auto* t = engine_->trace()) t->instant(trace_rank_, engine_->now(), name);
 }
 
-Engine::Engine(EngineConfig config)
+Engine::Engine(EngineConfig config, bool trace)
     : config_(config), noise_(config.noise) {
-  if (config_.record_trace) trace_ = std::make_unique<obs::Recorder>();
+  if (trace) trace_ = std::make_unique<obs::Recorder>();
 }
 
 Engine::~Engine() = default;

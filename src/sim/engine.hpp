@@ -36,7 +36,6 @@ struct EngineConfig {
   std::size_t stack_bytes = Fiber::kDefaultStackBytes;
   std::uint64_t seed = 42;
   NoiseConfig noise{};
-  bool record_trace = false;
 };
 
 /// Raised when the event queue drains while processes are still blocked.
@@ -106,7 +105,9 @@ class Process {
 
 class Engine {
  public:
-  explicit Engine(EngineConfig config = {});
+  /// `trace` turns on span recording (trace()); mpi::Machine passes
+  /// MachineConfig::observability.trace.
+  explicit Engine(EngineConfig config = {}, bool trace = false);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -154,8 +155,7 @@ class Engine {
   /// Process currently executing, or nullptr when the engine itself runs.
   [[nodiscard]] Process* current() noexcept { return running_; }
 
-  /// Span/instant recorder (ds::obs), or nullptr when tracing is off
-  /// (EngineConfig::record_trace / mpi::MachineConfig::observability).
+  /// Span/instant recorder (ds::obs), or nullptr when tracing is off.
   [[nodiscard]] obs::Recorder* trace() noexcept { return trace_.get(); }
 
   /// Events executed so far (proxy for simulation cost; used by benches).

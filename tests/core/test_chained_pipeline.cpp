@@ -84,7 +84,7 @@ TEST(ChainedPipeline, StageMetadataAndDispatchAreConsistent) {
     auto note = [&](Context& ctx, int stage) {
       dispatched[static_cast<std::size_t>(ctx.parent_rank())] = stage;
       EXPECT_EQ(ctx.stage_index(), stage);
-      EXPECT_EQ(ctx.stage_count(), 3);
+      EXPECT_THROW((void)ctx.stage_size(3), std::logic_error);  // 3 stages
       EXPECT_EQ(ctx.stage_size(0), 2);
       EXPECT_EQ(ctx.stage_size(1), 2);
       EXPECT_EQ(ctx.stage_size(2), 1);

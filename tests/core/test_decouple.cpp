@@ -31,7 +31,7 @@ TEST(Pipeline, DispatchesRolesAndRoundTripsTypedRecords) {
     auto samples = pipeline.stream<Sample>();
     pipeline.run(
         [&](Context& ctx) {
-          EXPECT_TRUE(ctx.is_worker());
+          EXPECT_EQ(ctx.worker_index(), ctx.parent_rank() - ctx.parent_rank() / 4);
           EXPECT_EQ(ctx.worker_count(), 6);
           EXPECT_EQ(ctx.helper_count(), 2);
           EXPECT_EQ(ctx.helper_index(), -1);
@@ -43,7 +43,7 @@ TEST(Pipeline, DispatchesRolesAndRoundTripsTypedRecords) {
           // No terminate(): the pipeline handles it when this returns.
         },
         [&](Context& ctx) {
-          EXPECT_TRUE(ctx.is_helper());
+          EXPECT_EQ(ctx.helper_index(), ctx.parent_rank() / 4);
           EXPECT_EQ(ctx.worker_index(), -1);
           auto& s = ctx[samples];
           s.on_receive([&](const Element<Sample>& el) {
@@ -153,41 +153,37 @@ TEST(Pipeline, RawStreamsCarryBytesAndSynthetics) {
   EXPECT_EQ(synthetic_bytes, 128u);
 }
 
-TEST(Pipeline, CustomEndpointPredicatesOverrideTheSplit) {
-  // Three roles out of two groups: helpers split into one master (last
-  // helper) and reducers, as the wordcount reduce group does.
+TEST(Pipeline, OnePlanDeclaresAWorkersReducersMasterChain) {
+  // Three roles out of one GroupPlan: its helpers split into one master
+  // (the last helper) and reducers, as the wordcount reduce group does.
+  // Only a stream's two stages hold it.
   std::uint64_t master_received = 0;
   testing::run_program(testing::tiny_machine(6), [&](Rank& self) {
     const stream::GroupPlan plan = stream::GroupPlan::interleaved(self.world(), 3);
     const int master = plan.helpers().back();
-    auto is_reducer = [plan, master](int r) {
-      return plan.is_helper(r) && r != master;
-    };
-    StreamOptions down;  // workers -> reducers
-    down.consumers = is_reducer;
-    StreamOptions up;  // reducers -> master
-    up.producers = is_reducer;
-    up.consumers = [master](int r) { return r == master; };
-
-    auto pipeline = Pipeline::over(self, self.world()).with_plan(plan);
-    auto first = pipeline.raw_stream(64, down);
-    auto second = pipeline.raw_stream(64, up);
-    pipeline.run(
+    auto pipeline = Pipeline::over(self, self.world());
+    const auto workers = pipeline.stage(plan.workers());
+    const auto reducers = pipeline.stage(
+        [&](int r) { return plan.is_helper(r) && r != master; });
+    const auto top = pipeline.stage(std::vector<int>{master});
+    auto first = pipeline.raw_stream_between(workers, reducers, 64);
+    auto second = pipeline.raw_stream_between(reducers, top, 64);
+    pipeline.run_stages({
         [&](Context& ctx) { ctx[first].send_synthetic(64); },
         [&](Context& ctx) {
-          const bool reducer = is_reducer(ctx.parent_rank());
-          if (reducer) {
-            auto& in = ctx[first];
-            auto& out = ctx[second];
-            in.on_receive(
-                [&](const RawElement& el) { out.send_synthetic(el.bytes); });
-            in.operate();
-          } else {
-            auto& in = ctx[second];
-            in.on_receive([&](const RawElement&) { ++master_received; });
-            in.operate();
-          }
-        });
+          auto& in = ctx[first];
+          auto& out = ctx[second];
+          in.on_receive(
+              [&](const RawElement& el) { out.send_synthetic(el.bytes); });
+          in.operate();
+        },
+        [&](Context& ctx) {
+          EXPECT_THROW((void)ctx[first], std::logic_error);  // not its stages
+          auto& in = ctx[second];
+          in.on_receive([&](const RawElement&) { ++master_received; });
+          in.operate();
+        },
+    });
   });
   EXPECT_EQ(master_received, 4u);  // one element per worker, forwarded
 }
@@ -288,6 +284,12 @@ TEST(Pipeline, MisuseIsRejected) {
     {
       auto pipeline = Pipeline::over(self, self.world());
       EXPECT_THROW(pipeline.run({}, {}), std::logic_error);  // no split
+      EXPECT_THROW((void)pipeline.stream<Sample>(), std::logic_error);
+      EXPECT_THROW((void)pipeline.raw_stream(8), std::logic_error);
+      EXPECT_THROW((void)pipeline.worker_stage(), std::logic_error);
+      (void)pipeline.stage(std::vector<int>{0});
+      // A split or stages, not both.
+      EXPECT_THROW(pipeline.with_helper_ranks({1}), std::logic_error);
     }
     {
       auto pipeline = Pipeline::over(self, self.world());
@@ -297,6 +299,7 @@ TEST(Pipeline, MisuseIsRejected) {
     {
       auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
       EXPECT_THROW((void)pipeline.with_stride(2), std::logic_error);
+      EXPECT_THROW((void)pipeline.stage(std::vector<int>{0}), std::logic_error);
       pipeline.run(
           [&](Context& ctx) {
             EXPECT_THROW((void)ctx.worker_comm(), std::logic_error);
@@ -346,24 +349,6 @@ TEST(Pipeline, WithResilienceFillsOnlyUnsetIntervals) {
   EXPECT_EQ(hook_runs, 1);
 }
 
-TEST(ScopedChannel, FreesOnScopeExitAndMoves) {
-  testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
-    const bool producer = self.world_rank() == 0;
-    ScopedChannel outer;
-    {
-      ScopedChannel ch =
-          ScopedChannel::create(self, self.world(), producer, !producer);
-      EXPECT_TRUE(ch.valid());
-      EXPECT_EQ(ch->producer_count(), 1);
-      outer = std::move(ch);
-      EXPECT_FALSE(ch.valid());  // NOLINT(bugprone-use-after-move)
-    }
-    EXPECT_TRUE(outer.valid());
-    outer.release();  // collective: both ranks reach this in the same order
-    EXPECT_FALSE(outer.valid());
-  });
-}
-
 /// Ranks that got past their pipeline's teardown, when rank 0 (the only
 /// producer) crashes while it waits there for two consumers still busy.
 std::vector<int> finished_after_teardown_crash(bool resilient) {
@@ -391,12 +376,12 @@ std::vector<int> finished_after_teardown_crash(bool resilient) {
   return finished;
 }
 
-TEST(ScopedChannel, CrashWhileWaitingInTeardownEndsOnlyTheCrashedRank) {
+TEST(Pipeline, CrashWhileWaitingInTeardownEndsOnlyTheCrashedRank) {
   EXPECT_EQ(finished_after_teardown_crash(false), (std::vector<int>{0, 1, 1}));
   EXPECT_EQ(finished_after_teardown_crash(true), (std::vector<int>{0, 1, 1}));
 }
 
-TEST(ScopedChannel, DeadlockWhileWaitingInTeardownReportsTheDeadlock) {
+TEST(Pipeline, DeadlockWhileWaitingInTeardownReportsTheDeadlock) {
   // Rank 0 waits in its channel's teardown while rank 1 waits in a world
   // barrier rank 0 never joins. The aborted run fails every rank before it
   // unwinds them, so rank 0's teardown wait throws on a crashed rank; the
@@ -421,8 +406,8 @@ std::vector<int> placed_helpers(Rank& self, const mpi::Comm& parent,
                                 int per_node) {
   std::vector<int> helpers;
   auto pipeline = Pipeline::over(self, parent).with_node_placement(per_node);
-  pipeline.run([&](Context& ctx) { helpers = ctx.helpers(); },
-               [&](Context& ctx) { helpers = ctx.helpers(); });
+  pipeline.run([&](Context& ctx) { helpers = ctx.stage_ranks(1); },
+               [&](Context& ctx) { helpers = ctx.stage_ranks(1); });
   return helpers;
 }
 
@@ -438,7 +423,7 @@ TEST(Pipeline, NodePlacementDedicatesTailRanksPerNode) {
     auto data = pipeline.raw_stream(sizeof(std::int32_t));
     pipeline.run(
         [&](Context& ctx) {
-          EXPECT_EQ(ctx.helpers(), (std::vector<int>{3, 7}));
+          EXPECT_EQ(ctx.stage_ranks(1), (std::vector<int>{3, 7}));
           EXPECT_EQ(ctx.worker_count(), 6);
           auto& s = ctx[data];
           const std::int32_t v = ctx.parent_rank();
@@ -464,7 +449,9 @@ TEST(Pipeline, NodePlacementSkipsSingleRankNodes) {
         Pipeline::over(self, self.world()).with_node_placement(1);
     auto data = pipeline.raw_stream(8);
     pipeline.run(
-        [&](Context& ctx) { EXPECT_EQ(ctx.helpers(), (std::vector<int>{3, 7})); },
+        [&](Context& ctx) {
+          EXPECT_EQ(ctx.stage_ranks(1), (std::vector<int>{3, 7}));
+        },
         [&](Context& ctx) { (void)ctx[data].operate(); });
   });
 }

@@ -28,15 +28,6 @@ TEST(MachineObs, OffByDefault) {
   EXPECT_FALSE(machine.metrics_enabled());
 }
 
-TEST(MachineObs, LegacyEngineSwitchImpliesObsTrace) {
-  auto config = testing::tiny_machine(2);
-  config.engine.record_trace = true;
-  mpi::Machine machine(config);
-  EXPECT_NE(machine.engine().trace(), nullptr);
-  EXPECT_TRUE(machine.config().observability.trace);
-  EXPECT_EQ(machine.metrics(), nullptr);  // trace alone does not buy metrics
-}
-
 TEST(MachineObs, AutoSpansCoverComputeBlockingAndCollectives) {
   auto config = testing::tiny_machine(2);
   config.observability.trace = true;

@@ -117,9 +117,7 @@ TEST(Engine, RanksHaveIndependentRngStreams) {
 }
 
 TEST(Engine, TraceRecordsComputeIntervals) {
-  EngineConfig cfg;
-  cfg.record_trace = true;
-  Engine eng(cfg);
+  Engine eng(EngineConfig{}, /*trace=*/true);
   eng.spawn([](Process& p) { p.compute(util::microseconds(10), "work"); });
   eng.run();
   ASSERT_NE(eng.trace(), nullptr);
@@ -187,7 +185,7 @@ TEST(Engine, SpawnFromInsideProcess) {
 
 TEST(Engine, DeterministicEventOrderAcrossRuns) {
   auto run_once = [] {
-    Engine eng(EngineConfig{.stack_bytes = 32 * 1024, .seed = 5, .noise = {}, .record_trace = false});
+    Engine eng(EngineConfig{.stack_bytes = 32 * 1024, .seed = 5, .noise = {}});
     std::vector<int> order;
     for (int i = 0; i < 8; ++i) {
       eng.spawn([&order, i](Process& p) {
