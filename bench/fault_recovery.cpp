@@ -13,8 +13,9 @@
 //    through the fault-free makespan: measures recovery (makespan delta vs.
 //    fault_free), replayed elements, and verifies the exactly-once contract
 //    — every element reaches some consumer, no element reaches any single
-//    consumer twice, and per-producer replay stays within
-//    checkpoint_interval + credit-window slack.
+//    consumer twice, per-producer replay stays within
+//    checkpoint_interval + credit-window slack, and the survivors' filters
+//    drop no duplicate.
 //
 // With --churn a fourth scenario runs the crash/rejoin stress: ten
 // crash/rejoin cycles sweep across the consumer group while producers keep
@@ -360,6 +361,15 @@ int main(int argc, char** argv) {
     std::printf("FAIL: replayed %llu elements from one producer, bound %llu\n",
                 static_cast<unsigned long long>(crash.max_replayed_one),
                 static_cast<unsigned long long>(replay_bound));
+    ok = false;
+  }
+  // Durability is acknowledged at epoch boundaries, where frames are cut,
+  // so no replayed frame straddles the handoff's durable point: an adopter
+  // that filters a duplicate received a flow's frames out of order.
+  if (crash.duplicates_filtered != 0) {
+    std::printf("FAIL: the consumers filtered %llu duplicates after the "
+                "crash (expected 0)\n",
+                static_cast<unsigned long long>(crash.duplicates_filtered));
     ok = false;
   }
   const double recovery_s = crash.virtual_s - fault_free.virtual_s;

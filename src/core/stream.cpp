@@ -18,7 +18,7 @@ enum class FlushTrigger : std::uint8_t {
   Budget,  ///< no further element fits: bursty arrivals fill frames
   Idle,    ///< same-instant backstop: the fiber yielded mid-frame
   Credit,  ///< the producer blocked on its credit window
-  Other    ///< termination, an explicit flush, or an epoch cut
+  Other    ///< termination, a replay, or an epoch cut
 };
 
 namespace {
@@ -476,11 +476,6 @@ void Stream::flush_all_frames(mpi::Rank& self, FlushTrigger trigger) {
     if (s != CoalesceState::kNoSlot) flush_frame(self, s, trigger);
 }
 
-void Stream::flush(mpi::Rank& self) {
-  (void)my_producer(self, "Stream::flush");
-  flush_all_frames(self, FlushTrigger::Other);
-}
-
 void Stream::isend(mpi::Rank& self, mpi::SendBuf element) {
   const int p = my_producer(self, "Stream::isend");
   inject(self, p, channel_->route(p), element);
@@ -678,7 +673,6 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   matrix_ = resilience::CountMatrix(static_cast<int>(producers),
                                     static_cast<int>(consumers));
-  term_from_.assign(producers, 0);
   if (resilient_) {
     adopted_.assign(consumers, 0);
     // A rejoined rank (or a consumer attaching after crashes) must derive
@@ -849,28 +843,42 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
   // An unopened flow has an empty log: nothing to hand over or replay.
-  if (st.slot[flow] == CoalesceState::kNoSlot) return;
-  const resilience::ReplayLog& log = st.logs[st.slot[flow]];
+  const std::uint32_t slot = st.slot[flow];
+  if (slot == CoalesceState::kNoSlot) return;
+  // A frame the flow still has open holds its newest elements: it must
+  // leave after every replayed frame, or the adopter's cursor would pass
+  // the replayed sequences and drop them as duplicates. Its backstop, which
+  // would post it at the first advance below, is disarmed; the fiber
+  // flushes it once the replay is out.
+  CoalesceState::Pending& packing = st.frames[slot];
+  const bool flush_open = packing.elements > 0;
+  if (flush_open) ++packing.epoch;
+  const std::uint64_t durable = st.logs[slot].durable_seq();
   // Hand the flow over: the durable point travels ahead of the replayed
   // frames (per-source FIFO), so the receiver's cursor skips whatever the
   // previous owner already made durable — even mid-frame.
-  if (log.durable_seq() > 0) {
+  if (durable > 0) {
     self.process().trace_instant("handoff");
-    const FlowHandoff handoff{log.durable_seq(),
-                              static_cast<std::uint32_t>(flow), 0};
+    const FlowHandoff handoff{durable, static_cast<std::uint32_t>(flow), 0};
     self.process().advance(st.send_overhead);
     machine.post_send(context_, st.producer_index, st.src_world, dst_world,
                       kTagHandoff, mpi::SendBuf::of(&handoff, 1));
   }
   // Replay: re-post the retained frames verbatim (they are self-describing:
-  // flow id and sequences travel in the epoch header).
-  for (const resilience::RetainedFrame& rf : log.frames()) {
+  // flow id and sequences travel in the epoch header). The log is read
+  // afresh after every advance, so no view into it outlives a yield.
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < st.logs[slot].frame_count(); ++i) {
     self.process().advance(st.send_overhead);
+    const resilience::ReplayLog& log = st.logs[slot];
+    const resilience::RetainedFrame& rf = log.frames()[i];
     machine.post_send(context_, st.producer_index, st.src_world, dst_world,
                       kTagFrame,
-                      mpi::SendBuf{rf.buf.data(), rf.buf.size(), rf.wire});
+                      mpi::SendBuf{log.bytes().data() + at, rf.bytes, rf.wire});
     st.replayed_elements += rf.elements;
+    at += rf.bytes;
   }
+  if (flush_open) flush_frame(self, slot, FlushTrigger::Other);
 }
 
 bool Stream::check_producer_rebalance(mpi::Rank& self) {
@@ -984,8 +992,7 @@ void Stream::recount_rooted(mpi::Rank& self) {
   rooted_pending_ = 0;
   if (!channel_->tree_termination() || my_consumer_ == effective_aggregator_) {
     for (int p = 0; p < channel_->producer_count(); ++p)
-      if (term_from_[static_cast<std::size_t>(p)] == 0 && roots(p) &&
-          !producer_failed(self, p))
+      if (!matrix_.has_row(p) && roots(p) && !producer_failed(self, p))
         ++rooted_pending_;
     // A root that gained producers (an adoption) waits for their terms
     // again. A dead producer's unreported counts are waived: its undurable
@@ -1178,10 +1185,9 @@ void Stream::handle_counted_term(mpi::Rank& self, const mpi::Status& status,
     std::memcpy(&e, payload.data() + i * sizeof e, sizeof e);
     if (e.consumer < consumers) row[e.consumer] = e.count;
   }
+  const bool had_row = matrix_.has_row(p);
   matrix_.set_row(p, row);
-  auto& from = term_from_[static_cast<std::size_t>(p)];
-  if (from != 0) return;
-  from = 1;
+  if (had_row) return;
   // Counted only if recount_rooted counted it: rooted and alive (a death
   // since the last recount is corrected by the next one).
   if (roots(p) && !producer_failed(self, p)) --rooted_pending_;
@@ -1227,7 +1233,6 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
 void Stream::send_rebalance_sync(mpi::Rank& self, int flow, int producer) {
   const std::uint64_t next = dedup_.next_seq(producer, flow);
   dedup_.erase(producer, flow);
-  durable_acked_.erase(resilience::DedupFilter::key(producer, flow));
   if (next == 0) return;  // nothing consumed: the home slot starts at 0
   const SyncEntry entry{static_cast<std::uint64_t>(producer),
                         static_cast<std::uint64_t>(flow), next};
@@ -1259,9 +1264,7 @@ void Stream::drain_durable_acks(mpi::Rank& self) {
 
 void Stream::send_durable_ack(mpi::Rank& self, int producer, int flow,
                               std::uint64_t upto) {
-  auto& acked = durable_acked_[resilience::DedupFilter::key(producer, flow)];
-  if (upto <= acked) return;
-  acked = upto;
+  if (!dedup_.mark_durable(producer, flow, upto)) return;
   auto& machine = self.machine();
   const DurableAck ack{upto, static_cast<std::uint32_t>(flow), 0};
   self.process().advance(machine.config().network.send_overhead);
@@ -1398,8 +1401,8 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status,
     if (resilient_ && matrix_.adopt(message_->shared_payload(), payload)) {
       // The announce carries every producer's final row, shared with the
       // announcer rather than copied: should this consumer take the
-      // aggregator role over, no term is owed any more.
-      std::fill(term_from_.begin(), term_from_.end(), 1);
+      // aggregator role over, no term is owed any more (the adopted matrix
+      // holds every row).
       seal_matrix(self);
       // Ack to whoever announced (the role may move under us; the reply
       // address, not the derived aggregator, is what keeps the barrier

@@ -123,7 +123,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/channel.hpp"
@@ -245,14 +244,6 @@ class Stream {
   void isend_synthetic(mpi::Rank& self) {
     isend(self, mpi::SendBuf::synthetic(element_size_));
   }
-
-  /// Producer: flush any frames still open (one per addressed consumer).
-  /// Rarely needed by applications — frames flush on their own when the
-  /// byte budget or element cap fills, when the producer terminates or
-  /// blocks on a credit, and (via a same-instant backstop event) the moment
-  /// the producing fiber yields the CPU — but available for protocols that
-  /// want an explicit push.
-  void flush(mpi::Rank& self);
 
   /// Producer: signal end-of-stream (paper's MPIStream_Terminate).
   void terminate(mpi::Rank& self);
@@ -419,7 +410,8 @@ class Stream {
   void handle_counted_term(mpi::Rank& self, const mpi::Status& status,
                            Payload payload);
   /// Producer: hand one flow to `dst_world` — durable point first, then the
-  /// retained undurable frames, verbatim.
+  /// retained undurable frames, verbatim, then the flow's open frame, if
+  /// it has one: that frame's elements come after every retained one.
   void replay_flow(mpi::Rank& self, std::size_t flow, int dst_world);
   /// Consumer: apply/emit rejoin handback messages. handle_sync dispatches
   /// an incoming kTagSync (producer handback marker or consumer cursor
@@ -522,16 +514,13 @@ class Stream {
   /// Tree root: Channel::term_aggregator(), re-derived after crashes on
   /// resilient channels.
   int effective_aggregator_ = 0;
-  /// Highest durability ack already sent per (producer, flow) key.
-  std::unordered_map<std::uint64_t, std::uint64_t> durable_acked_;
   std::uint64_t durable_acks_sent_ = 0;
 
   // termination state machine
-  /// Per producer: its final row is known (term received, or announced).
-  std::vector<std::uint8_t> term_from_;
   /// The (producer x flow) count matrix, nonzero cells only: gathered row
   /// by row from counted terms at a root, adopted whole from an announce on
-  /// resilient trees, sealed once counts_known_.
+  /// resilient trees, sealed once counts_known_. Its row flags say whose
+  /// term a root has received.
   resilience::CountMatrix matrix_;
   bool matrix_satisfied_ = false;  ///< owned cursors reached the matrix
   bool released_ = false;  ///< resilient: release sent (root) or received

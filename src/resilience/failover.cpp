@@ -1,7 +1,6 @@
 #include "resilience/failover.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <utility>
 
@@ -13,37 +12,30 @@ namespace ds::resilience {
 void ReplayLog::retain(std::uint64_t seq0, std::uint32_t elements,
                        std::uint64_t wire, const std::byte* frame,
                        std::size_t bytes) {
-  RetainedFrame rf;
-  rf.seq0 = seq0;
-  rf.elements = elements;
-  rf.wire = wire;
-  if (!spare_.empty()) {
-    rf.buf = std::move(spare_.back());  // capacity recycled from a truncation
-    spare_.pop_back();
-    rf.buf.clear();
-  }
-  rf.buf.resize(bytes);
-  std::memcpy(rf.buf.data(), frame, bytes);
+  frames_.push_back(RetainedFrame{seq0, elements, wire, bytes});
+  bytes_.insert(bytes_.end(), frame, frame + bytes);
   retained_elements_ += elements;
-  frames_.push_back(std::move(rf));
 }
 
 void ReplayLog::truncate(std::uint64_t durable_seq) {
   if (durable_seq <= durable_) return;  // acks may arrive out of order
   durable_ = durable_seq;
-  // Frames are in seq0 order, so the durable ones form a prefix: recycle
-  // their buffers, then drop the prefix in one erase.
+  // Frames are in seq0 order, so the durable ones form a prefix of the
+  // records and of the bytes: drop each in one erase.
   auto live = frames_.begin();
+  std::size_t dropped_bytes = 0;
   for (; live != frames_.end() && live->seq0 + live->elements <= durable_;
        ++live) {
     retained_elements_ -= live->elements;
-    spare_.push_back(std::move(live->buf));
+    dropped_bytes += live->bytes;
   }
   frames_.erase(frames_.begin(), live);
+  bytes_.erase(bytes_.begin(),
+               bytes_.begin() + static_cast<std::ptrdiff_t>(dropped_bytes));
 }
 
 bool DedupFilter::admit(int producer, int flow, std::uint64_t seq) {
-  auto& next = next_[key(producer, flow)];
+  auto& next = cursors_[key(producer, flow)].next;
   if (seq < next) {
     ++duplicates_;
     return false;
@@ -55,13 +47,20 @@ bool DedupFilter::admit(int producer, int flow, std::uint64_t seq) {
 }
 
 void DedupFilter::advance_to(int producer, int flow, std::uint64_t seq) {
-  auto& next = next_[key(producer, flow)];
+  auto& next = cursors_[key(producer, flow)].next;
   if (seq > next) next = seq;
 }
 
+bool DedupFilter::mark_durable(int producer, int flow, std::uint64_t upto) {
+  auto& durable = cursors_[key(producer, flow)].durable;
+  if (upto <= durable) return false;
+  durable = upto;
+  return true;
+}
+
 std::uint64_t DedupFilter::next_seq(int producer, int flow) const noexcept {
-  const auto it = next_.find(key(producer, flow));
-  return it == next_.end() ? 0 : it->second;
+  const auto it = cursors_.find(key(producer, flow));
+  return it == cursors_.end() ? 0 : it->second.next;
 }
 
 namespace {
@@ -85,13 +84,16 @@ void append_row(std::vector<CountMatrix::Cell>& cells, std::uint32_t producer,
 void CountMatrix::set_row(int producer, std::span<const std::uint64_t> counts) {
   const auto row = static_cast<std::uint32_t>(producer);
   counts = counts.first(std::min(counts.size(), flows_));
+  const bool had = has_row(producer);
+  if (!every_row_) {
+    if (has_row_.empty()) has_row_.assign(producers_, 0);
+    has_row_[row] = 1;
+  }
   if (!sealed()) {
     // Gathering: append, dropping an earlier copy of the row if there is one.
-    if (has_row_.empty()) has_row_.assign(producers_, 0);
-    if (has_row_[row] != 0)
+    if (had)
       std::erase_if(gathered_,
                     [row](const Cell& c) { return c.producer == row; });
-    has_row_[row] = 1;
     append_row(gathered_, row, counts);
     return;
   }
@@ -118,7 +120,6 @@ void CountMatrix::seal() {
   if (sealed()) return;
   std::sort(gathered_.begin(), gathered_.end(), by_flow);
   own(std::exchange(gathered_, {}));
-  has_row_ = {};
 }
 
 void CountMatrix::own(std::vector<Cell> cells) {
@@ -167,6 +168,7 @@ bool CountMatrix::adopt(std::shared_ptr<const void> owner,
   owner_ = std::move(owner);
   gathered_ = {};
   has_row_ = {};
+  every_row_ = true;
   return true;
 }
 

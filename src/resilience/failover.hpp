@@ -9,8 +9,9 @@
 //    frames are re-posted verbatim to the adopting consumer. A producer
 //    creates a flow's log at the flow's first element, so it holds logs only
 //    for the flows it sends on; a log that never retains a frame allocates
-//    nothing, and buffers recycle through a small freelist, so steady-state
-//    retention does not allocate either.
+//    nothing. A log keeps its frames' bytes back to back in one buffer whose
+//    capacity truncation keeps, so steady-state retention does not allocate
+//    either.
 //  * DedupFilter  — consumer-side exactly-once admission: every resilient
 //    frame carries its flow id and starting sequence number; the filter
 //    admits each (producer, flow, seq) at most once, so replay overlap can
@@ -52,17 +53,18 @@ class Channel;
 
 namespace ds::resilience {
 
-/// One retained frame: the wire bytes of a coalesced frame (headers
-/// included) plus the flow positions it covers.
+/// One retained frame: where its wire bytes (headers included) sit in the
+/// log's byte buffer, and the flow positions it covers.
 struct RetainedFrame {
   std::uint64_t seq0 = 0;      ///< flow sequence of the first element
   std::uint32_t elements = 0;  ///< elements packed in the frame
   std::uint64_t wire = 0;      ///< simulated wire size of the frame
-  std::vector<std::byte> buf;  ///< frame bytes as they were posted
+  std::size_t bytes = 0;       ///< length of the frame's bytes
 };
 
-/// Producer-side retention of unacknowledged frames for one flow. Empty
-/// until the first retain: construction allocates nothing.
+/// Producer-side retention of unacknowledged frames for one flow: the
+/// frames' bytes back to back in one buffer, plus one record per frame.
+/// Empty until the first retain: construction allocates nothing.
 class ReplayLog {
  public:
   /// Retain a flushed frame (copies `bytes` of `frame`). Frames must be
@@ -71,12 +73,17 @@ class ReplayLog {
               const std::byte* frame, std::size_t bytes);
 
   /// Durability acknowledgment: every element below `durable_seq` is safe at
-  /// the consumer; frames entirely below it are dropped (buffers recycled).
+  /// the consumer; frames entirely below it are dropped (capacity kept).
   void truncate(std::uint64_t durable_seq);
 
-  /// Retained frames, oldest first.
+  /// Retained frames, oldest first; frame i's bytes follow frame i - 1's in
+  /// bytes().
   [[nodiscard]] std::span<const RetainedFrame> frames() const noexcept {
     return frames_;
+  }
+  /// The retained frames' bytes, back to back, oldest first.
+  [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
+    return bytes_;
   }
   [[nodiscard]] std::uint64_t durable_seq() const noexcept { return durable_; }
   [[nodiscard]] std::uint64_t retained_elements() const noexcept {
@@ -88,12 +95,14 @@ class ReplayLog {
 
  private:
   std::vector<RetainedFrame> frames_;  ///< in seq0 order; capacity kept
-  std::vector<std::vector<std::byte>> spare_;  ///< recycled frame buffers
+  std::vector<std::byte> bytes_;       ///< frames_' bytes; capacity kept
   std::uint64_t durable_ = 0;
   std::uint64_t retained_elements_ = 0;
 };
 
-/// Consumer-side exactly-once admission by (producer, flow, seq).
+/// Consumer-side exactly-once admission by (producer, flow, seq). Each
+/// tracked flow holds one cursor: the next expected sequence and the
+/// highest durability ack already sent for the flow.
 class DedupFilter {
  public:
   /// True when (producer, flow, seq) is new — the element may be delivered
@@ -107,24 +116,29 @@ class DedupFilter {
   /// skipped rather than re-delivered.
   void advance_to(int producer, int flow, std::uint64_t seq);
 
+  /// Raise the flow's durable-ack mark to `upto`: true when `upto` is above
+  /// the mark (an ack up to it is due), false for a repeated or lower one.
+  bool mark_durable(int producer, int flow, std::uint64_t upto);
+
   /// Next expected sequence for the flow (0 when never seen).
   [[nodiscard]] std::uint64_t next_seq(int producer, int flow) const noexcept;
   [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
     return duplicates_;
   }
 
-  /// Drop the cursor for one (producer, flow): the flow was handed back or
-  /// rebalanced to another consumer, whose sync message now carries the
-  /// cursor. Keeping the entry would leak memory under churn (every adopted
-  /// flow would pin a cursor forever) — and the stat below is the proof
-  /// retention stays bounded by the flows a consumer currently owns.
-  void erase(int producer, int flow) { next_.erase(key(producer, flow)); }
+  /// Drop the cursor for one (producer, flow), durable-ack mark included:
+  /// the flow was handed back or rebalanced to another consumer, whose sync
+  /// message now carries the cursor. Keeping the entry would leak memory
+  /// under churn (every adopted flow would pin a cursor forever) — and the
+  /// stat below is the proof retention stays bounded by the flows a
+  /// consumer currently owns.
+  void erase(int producer, int flow) { cursors_.erase(key(producer, flow)); }
 
   /// Tracked (producer, flow) cursors — the filter's entire memory
   /// footprint. Benches/tests assert this stays <= owned-flow count plus
   /// epoch/window slack under long churn runs.
   [[nodiscard]] std::size_t dedup_entries() const noexcept {
-    return next_.size();
+    return cursors_.size();
   }
 
   /// Visit every tracked flow as fn(producer, flow, next_seq) — the source
@@ -132,20 +146,24 @@ class DedupFilter {
   /// acknowledgments.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [k, next] : next_)
-      fn(static_cast<int>(k >> 32), static_cast<int>(k & 0xFFFFFFFFu), next);
+    for (const auto& [k, cursor] : cursors_)
+      fn(static_cast<int>(k >> 32), static_cast<int>(k & 0xFFFFFFFFu),
+         cursor.next);
   }
 
-  /// The (producer, flow) map key, shared with callers that keep parallel
-  /// bookkeeping (e.g. acks already sent per flow).
+ private:
+  struct Cursor {
+    std::uint64_t next = 0;     ///< next expected sequence
+    std::uint64_t durable = 0;  ///< highest durability ack sent
+  };
+
   [[nodiscard]] static std::uint64_t key(int producer, int flow) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(producer))
             << 32) |
            static_cast<std::uint32_t>(flow);
   }
 
- private:
-  std::unordered_map<std::uint64_t, std::uint64_t> next_;
+  std::unordered_map<std::uint64_t, Cursor> cursors_;
   std::uint64_t duplicates_ = 0;
 };
 
@@ -156,6 +174,12 @@ class DedupFilter {
 /// P x C (a producer that talks to one consumer costs one cell). Rows
 /// gather unordered from counted terms; seal() orders the cells by flow
 /// into one read-only buffer once the counts are complete.
+///
+/// The matrix records which producers' rows it holds, for its whole life:
+/// a root still waits for the term of every rooted producer without one.
+/// The record is a flag per producer, allocated at the first row write, so
+/// only a root that receives counted terms holds one; an adopted announce
+/// holds every row.
 ///
 /// The sealed cells are shared, not copied: an announce references the
 /// buffer (share()) and each consumer keeps that reference (adopt()), so a
@@ -177,8 +201,15 @@ class CountMatrix {
         flows_(static_cast<std::size_t>(flows)) {}
 
   /// Replace `producer`'s row with `counts` (one count per flow; zeros
-  /// clear cells). Idempotent: a repeated row leaves the matrix unchanged.
+  /// clear cells) and record the row as held. Idempotent: a repeated row
+  /// leaves the matrix unchanged.
   void set_row(int producer, std::span<const std::uint64_t> counts);
+  /// True once `producer`'s row was written, or an announce was adopted.
+  [[nodiscard]] bool has_row(int producer) const noexcept {
+    return every_row_ ||
+           (!has_row_.empty() &&
+            has_row_[static_cast<std::size_t>(producer)] != 0);
+  }
   /// Order the cells by (flow, producer) into the shared read-only buffer;
   /// flow() needs it. Idempotent.
   void seal();
@@ -200,9 +231,10 @@ class CountMatrix {
   [[nodiscard]] mpi::SharedBuf share() const;
   /// Adopt an announced matrix (sealed): keep `owner`'s reference to
   /// `cells`, the cell bytes of another matrix's share(), instead of
-  /// copying them. Replaces whatever this matrix held. Returns false,
-  /// leaving the matrix unchanged, when `owner` is null (no shared
-  /// payload) or `cells` is not a whole, aligned array of cells.
+  /// copying them. Replaces whatever this matrix held; every row then
+  /// counts as held. Returns false, leaving the matrix unchanged, when
+  /// `owner` is null (no shared payload) or `cells` is not a whole,
+  /// aligned array of cells.
   bool adopt(std::shared_ptr<const void> owner,
              std::span<const std::byte> cells);
   [[nodiscard]] std::size_t dense_bytes() const noexcept {
@@ -216,7 +248,8 @@ class CountMatrix {
   std::size_t producers_ = 0;
   std::size_t flows_ = 0;
   std::vector<Cell> gathered_;         ///< gathering: rows in arrival order
-  std::vector<std::uint8_t> has_row_;  ///< gathering: producer wrote a row
+  std::vector<std::uint8_t> has_row_;  ///< per producer: its row was written
+  bool every_row_ = false;             ///< an adopted announce: all rows held
   /// Sealed: the cells by (flow, producer), read-only, and the reference
   /// that keeps them alive (this matrix's own buffer, or an announcer's).
   std::shared_ptr<const void> owner_;

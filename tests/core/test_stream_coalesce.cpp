@@ -559,9 +559,10 @@ TEST(StreamCoalesce, HeaderOnlyElementsOfFallingSizePackAndArriveOnce) {
   EXPECT_LT(frames, kMaxItems);  // the small tail shared frames
 }
 
-TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
-  // Stream::flush pushes a partial frame without terminating; the consumer
-  // can poll it before any termination exists.
+TEST(StreamCoalesce, BackstopShipsAPartialFrame) {
+  // The same-instant backstop posts a partial frame the moment the producer
+  // yields, without a terminate; the consumer can poll it before any
+  // termination exists.
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const bool producer = self.world_rank() == 0;
     const Channel ch = Channel::create(self, self.world(), producer, !producer);
@@ -571,7 +572,6 @@ TEST(StreamCoalesce, ExplicitFlushShipsAPartialFrame) {
     if (producer) {
       const int v = 9;
       s.isend(self, SendBuf::of(&v, 1));
-      s.flush(self);
       self.process().advance(util::milliseconds(2));
       s.terminate(self);
     } else {

@@ -2,6 +2,7 @@
 // layer 2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -37,8 +38,12 @@ TEST(ReplayLog, RetainsUntilDurableTruncation) {
   EXPECT_EQ(log.frame_count(), 2u);
   EXPECT_EQ(log.retained_elements(), 12u);
   EXPECT_EQ(log.frames().front().seq0, 8u);
-  // Retained bytes are the frame as posted.
-  EXPECT_EQ(log.frames().front().buf, f1);
+  // Retained bytes are the frames as posted, back to back: f1, then f2.
+  EXPECT_EQ(log.frames()[0].bytes, f1.size());
+  EXPECT_EQ(log.frames()[1].bytes, f2.size());
+  std::vector<std::byte> expected = f1;
+  expected.insert(expected.end(), f2.begin(), f2.end());
+  EXPECT_TRUE(std::ranges::equal(log.bytes(), expected));
 
   // Out-of-order (stale) acks are ignored.
   log.truncate(4);
@@ -48,18 +53,23 @@ TEST(ReplayLog, RetainsUntilDurableTruncation) {
   log.truncate(20);
   EXPECT_EQ(log.frame_count(), 0u);
   EXPECT_EQ(log.retained_elements(), 0u);
+  EXPECT_TRUE(log.bytes().empty());
 }
 
-TEST(ReplayLog, RecyclesBuffersThroughTheSpareList) {
-  // Steady state: every retained frame reuses a truncated frame's capacity.
+TEST(ReplayLog, TruncationKeepsTheBufferForTheNextRetain) {
+  // Steady state: a frame retained after a truncation reuses the bytes the
+  // truncated frame held, so retention allocates nothing. Growing the
+  // buffer would move it.
   ReplayLog log;
   const auto frame = frame_bytes(0x55, 512);
   log.retain(0, 4, 600, frame.data(), frame.size());
+  const std::byte* buffer = log.bytes().data();
   log.truncate(4);
-  // The recycled buffer serves the next retention without growing.
+  EXPECT_TRUE(log.bytes().empty());
   log.retain(4, 4, 600, frame.data(), frame.size());
   EXPECT_EQ(log.frame_count(), 1u);
-  EXPECT_GE(log.frames().front().buf.capacity(), 512u);
+  EXPECT_EQ(log.bytes().data(), buffer);
+  EXPECT_TRUE(std::ranges::equal(log.bytes(), frame));
 }
 
 TEST(ReplayLog, EmptyLogAllocatesNothing) {
@@ -116,6 +126,24 @@ TEST(DedupFilter, ForEachVisitsEveryTrackedFlow) {
   });
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(total, 3u);
+}
+
+TEST(DedupFilter, DurableMarkOnlyRisesAndLeavesWithTheCursor) {
+  DedupFilter filter;
+  ASSERT_TRUE(filter.admit(2, 1, 0));
+  EXPECT_TRUE(filter.mark_durable(2, 1, 8));
+  // A repeated or lower mark sends no second ack.
+  EXPECT_FALSE(filter.mark_durable(2, 1, 8));
+  EXPECT_FALSE(filter.mark_durable(2, 1, 4));
+  EXPECT_TRUE(filter.mark_durable(2, 1, 16));
+  // The mark belongs to its flow's cursor: another flow starts at 0.
+  EXPECT_TRUE(filter.mark_durable(2, 0, 8));
+  EXPECT_EQ(filter.dedup_entries(), 2u);
+  // Erasing the cursor (a handback) drops the mark with it.
+  filter.erase(2, 1);
+  EXPECT_EQ(filter.dedup_entries(), 1u);
+  EXPECT_EQ(filter.next_seq(2, 1), 0u);
+  EXPECT_TRUE(filter.mark_durable(2, 1, 8));
 }
 
 /// Cells of a matrix as (producer, flow, count) triples, flow by flow.
@@ -246,6 +274,28 @@ TEST(CountMatrix, RowRewritesAreIdempotentBeforeAndAfterSealing) {
   EXPECT_TRUE(m.flow(1).empty());
 }
 
+TEST(CountMatrix, RecordsHeldRowsAcrossSealingAndAdoption) {
+  CountMatrix m(3, 2);
+  EXPECT_FALSE(m.has_row(0));
+  // A row of zeros stores no cell but is a held row all the same.
+  m.set_row(1, std::vector<std::uint64_t>{0, 0});
+  EXPECT_TRUE(m.has_row(1));
+  EXPECT_FALSE(m.has_row(0));
+  m.seal();
+  EXPECT_TRUE(m.has_row(1));
+  EXPECT_FALSE(m.has_row(2));
+  // A row written after sealing (a Block root adopting producers) counts.
+  m.set_row(2, std::vector<std::uint64_t>{0, 5});
+  EXPECT_TRUE(m.has_row(2));
+  EXPECT_FALSE(m.has_row(0));
+
+  // An adopted announce holds every producer's final row.
+  const mpi::SharedBuf announce = m.share();
+  CountMatrix copy(3, 2);
+  ASSERT_TRUE(copy.adopt(announce.owner, announce.bytes));
+  for (int p = 0; p < 3; ++p) EXPECT_TRUE(copy.has_row(p)) << p;
+}
+
 TEST(CountMatrix, AdoptRejectsAPayloadThatIsNotSharedCells) {
   CountMatrix m(2, 2);
   m.set_row(0, std::vector<std::uint64_t>{3, 0});
@@ -258,6 +308,7 @@ TEST(CountMatrix, AdoptRejectsAPayloadThatIsNotSharedCells) {
   EXPECT_FALSE(copy.adopt(announce.owner, announce.bytes.first(
                                               announce.bytes.size() - 1)));
   EXPECT_FALSE(copy.sealed());
+  EXPECT_FALSE(copy.has_row(0));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -561,6 +562,100 @@ TEST(StreamFailover, TreeDurablePointRunsBeforeTheAnnounceAck) {
     for (int p = 0; p < kProducers; ++p)
       EXPECT_GE(terminate_returned[static_cast<std::size_t>(p)], hook_done[cz])
           << "producer " << p << " consumer " << c;
+  }
+}
+
+/// One run of the burst-under-crash shape: producer 0 (world rank 0) sends
+/// kBurst 64-byte elements back to back to consumer `victim`, which crashes
+/// at `crash_at`; producer 1 sends kPaced elements to its default consumer,
+/// each after 10 us of compute. Nothing becomes durable (the epoch is
+/// longer than the stream), so the victim holds no element the survivor
+/// does not get again.
+struct BurstRun {
+  static constexpr int kBurst = 4000, kPaced = 200;
+  std::vector<std::vector<std::uint64_t>> delivered{2};
+  std::array<std::uint64_t, 2> duplicates{};
+};
+
+BurstRun burst_under_crash(ChannelConfig::Mapping mapping, int victim,
+                           util::SimTime crash_at) {
+  constexpr int kProducers = 2;
+  struct Element {
+    std::uint64_t id = 0;
+    std::array<std::byte, 56> pad{};
+  };
+  auto config = testing::tiny_machine(kProducers + 2);
+  config.faults.crash(kProducers + victim, crash_at);
+  BurstRun run;
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.mapping = mapping;
+    cfg.checkpoint_interval = 1u << 20;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = ch.my_consumer_index(self);
+    Stream s = Stream::attach(ch, mpi::Datatype::bytes(sizeof(Element)),
+                              [&](const StreamElement& el) {
+                                std::uint64_t id = 0;
+                                std::memcpy(&id, el.data, sizeof id);
+                                run.delivered[static_cast<std::size_t>(me)]
+                                    .push_back(id);
+                              });
+    if (self.world_rank() == 0) {
+      for (int i = 0; i < BurstRun::kBurst; ++i) {
+        const Element el{element_id(0, i), {}};
+        s.isend_to(self, victim, SendBuf::of(&el, 1));
+      }
+      s.terminate(self);
+    } else if (producer) {
+      for (int i = 0; i < BurstRun::kPaced; ++i) {
+        self.compute(util::microseconds(10));
+        const Element el{element_id(1, i), {}};
+        s.isend(self, SendBuf::of(&el, 1));
+      }
+      s.terminate(self);
+    } else {
+      s.operate(self);
+      run.duplicates[static_cast<std::size_t>(me)] =
+          s.stats().duplicates_dropped;
+    }
+  });
+  return run;
+}
+
+TEST(StreamFailover, BurstingFlowReplaysAheadOfItsOpenFrame) {
+  // A crash that lands inside a burst leaves the producer packing a frame
+  // when it rebinds the flow. That frame holds the flow's newest elements,
+  // so it must reach the adopter after the replayed ones: sent first, it
+  // would move the adopter's cursor past the whole replay, which would
+  // then be dropped as duplicates and lost. Swept over crash times before
+  // the victim releases its producers (about 628 us on Block), on Block, on
+  // a Directed tree leaf and on the tree's aggregator.
+  using Mapping = ChannelConfig::Mapping;
+  const std::array<std::pair<Mapping, int>, 3> cases{
+      {{Mapping::Block, 0}, {Mapping::Directed, 1}, {Mapping::Directed, 0}}};
+  for (const auto& [mapping, victim] : cases) {
+    for (int k = 0; k < 20; ++k) {
+      const auto crash_at = util::microseconds(5 + 30 * k);
+      SCOPED_TRACE(::testing::Message()
+                   << (mapping == Mapping::Block ? "Block" : "Directed")
+                   << ", consumer " << victim << " crashes at " << 5 + 30 * k
+                   << " us");
+      BurstRun run;
+      EXPECT_NO_THROW(run = burst_under_crash(mapping, victim, crash_at));
+      const auto survivor_index = static_cast<std::size_t>(1 - victim);
+      const auto& survivor = run.delivered[survivor_index];
+      EXPECT_EQ(run.duplicates[survivor_index], 0u);
+      EXPECT_TRUE(all_unique(survivor));
+      const std::set<std::uint64_t> seen(survivor.begin(), survivor.end());
+      int missing = 0;
+      for (int i = 0; i < BurstRun::kBurst; ++i)
+        missing += seen.count(element_id(0, i)) == 0 ? 1 : 0;
+      for (int i = 0; i < BurstRun::kPaced; ++i)
+        missing += seen.count(element_id(1, i)) == 0 ? 1 : 0;
+      EXPECT_EQ(missing, 0);
+    }
   }
 }
 
