@@ -32,8 +32,15 @@ Channel Channel::create(mpi::Rank& self, const mpi::Comm& parent,
     // exchange or everyone retries.
     const mpi::AgreeResult verdict =
         self.agree(active, roles.status.failed ? 1u : 0u);
-    if (verdict.value == 0 && verdict.clean())
-      return build(self, active, *roles.blocks, config);
+    if (verdict.value == 0 && verdict.clean()) {
+      // The first member to get here derives the members for the whole
+      // channel; the rest read its copy.
+      const auto members = roles.product<Members>(
+          [&active](const mpi::AllgatherResult& all) {
+            return members_of(active, *all.blocks);
+          });
+      return build(self, active, *members, config);
+    }
     // A crash landed inside setup: re-derive membership from the agreed
     // survivor view and retry the exchange over it. Each retry excludes at
     // least one newly dead rank, so the loop terminates — with a channel
@@ -54,12 +61,11 @@ Channel Channel::attach(mpi::Rank& self, const mpi::Comm& parent,
   std::vector<std::byte> roles(static_cast<std::size_t>(parent.size()));
   for (int r = 0; r < parent.size(); ++r)
     roles[static_cast<std::size_t>(r)] = static_cast<std::byte>(role_of(r));
-  return build(self, parent, roles, config);
+  return build(self, parent, members_of(parent, roles), config);
 }
 
-Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
-                       std::span<const std::byte> roles,
-                       ChannelConfig config) {
+Channel::Members Channel::members_of(const mpi::Comm& parent,
+                                     std::span<const std::byte> roles) {
   const int size = parent.size();
   std::vector<int> members;  // world ranks: producers first, then consumers
   int producers = 0;
@@ -77,18 +83,22 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
   if (producers == 0 || consumers == 0)
     throw std::invalid_argument(
         "Channel::create: need at least one producer and one consumer");
+  return {mpi::Group(std::move(members)), producers, consumers};
+}
 
+Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
+                       const Members& members, ChannelConfig config) {
   Channel ch;
   ch.config_ = config;
-  ch.producer_count_ = producers;
-  ch.consumer_count_ = consumers;
+  ch.producer_count_ = members.producers;
+  ch.consumer_count_ = members.consumers;
   // The machine's node structure is the same on every rank, so a consumer's
   // node, and the term tree shaped from it when asked, are collectively
   // consistent.
   ch.ranks_per_node_ = self.machine().config().network.ranks_per_node;
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
-  const mpi::Comm channel_comm(ctx, mpi::Group(std::move(members)));
+  const mpi::Comm channel_comm(ctx, members.group);
   if (config.node_aware_term && ch.tree_termination())
     ch.build_node_aware_tree(channel_comm);
   // Non-members keep an invalid comm -> inert handle.

@@ -253,13 +253,23 @@ class Channel {
   /// Node of consumer `c` of a channel over `comm`: its world rank's node.
   [[nodiscard]] int consumer_node(const mpi::Comm& comm, int c) const noexcept;
   void build_node_aware_tree(const mpi::Comm& comm);
-  /// The channel over `parent` whose members' roles are `roles`, one byte
-  /// per parent rank (1 = producer, 2 = consumer). create passes the shared
-  /// result of its role allgather, read in place, and attach a list it
-  /// computed locally; either way every member derives the same channel.
+  /// A channel's members: producers, then consumers, as world ranks.
+  struct Members {
+    mpi::Group group;
+    int producers = 0;
+    int consumers = 0;
+  };
+  /// The members of the channel over `parent` whose roles are `roles`, one
+  /// byte per parent rank (1 = producer, 2 = consumer). Throws
+  /// std::invalid_argument when either side is empty. create derives them
+  /// once per channel from the shared result of its role allgather, and
+  /// attach from a list it computed locally.
+  static Members members_of(const mpi::Comm& parent,
+                            std::span<const std::byte> roles);
+  /// The channel over `parent` with `members`; every member that passes the
+  /// same members derives the same channel.
   static Channel build(mpi::Rank& self, const mpi::Comm& parent,
-                       std::span<const std::byte> roles,
-                       ChannelConfig config);
+                       const Members& members, ChannelConfig config);
 
   ChannelConfig config_{};
   mpi::Comm comm_{};

@@ -51,9 +51,9 @@ namespace {
 /// completion under any crash pattern — no re-posting, no hang — and the
 /// op's outcome reports the failure: Status::failed is set when any of my
 /// own exchanges was satisfied by failure, or when any member of the
-/// communicator is dead by the time I finish (the scan is gated on
-/// failure_epoch(), so the fault-free path stays O(1) and bit-identical in
-/// timing to the non-failure-aware code).
+/// communicator is dead by the time I finish (the check asks the
+/// communicator about each dead rank, so the fault-free path is O(1) and
+/// the check costs O(dead ranks), not O(members)).
 struct CollBase : detail::OpState {
   Machine* m = nullptr;
   Comm comm;
@@ -112,9 +112,8 @@ struct CollBase : detail::OpState {
   }
   [[nodiscard]] bool observed_failure() const {
     if (peer_failed) return true;
-    if (m->failure_epoch() == 0) return false;
-    for (int r = 0; r < size; ++r)
-      if (m->rank_failed(comm.world_rank(r))) return true;
+    for (const int world : m->dead_ranks())
+      if (comm.rank_of_world(world) >= 0) return true;
     return false;
   }
   void finish() {
@@ -690,7 +689,7 @@ AllgatherResult Rank::allgather(const Comm& comm, SendBuf mine) {
       *this, IallgathervOp::launch(*machine_, comm, me,
                                    SendBuf::synthetic(mine.on_wire()),
                                    /*out=*/nullptr, /*counts=*/nullptr, tag));
-  return AllgatherResult{status, {entry, &entry->data}};
+  return AllgatherResult{status, {entry, &entry->data}, entry};
 }
 
 Request Rank::ialltoallv(const Comm& comm, const void* send_buf,

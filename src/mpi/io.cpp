@@ -43,9 +43,10 @@ Status File::write_all(Rank& self, SendBuf local) {
   // below runs to completion on every live member wherever a crash lands,
   // which is what makes the whole collective hang-free. The top bit of an
   // entry marks a block that carries real bytes (all of them, at least
-  // one). One pass yields the total and my aggregation group's offset; the
-  // aggregator keeps its group's sizes. No member holds the sizes once
-  // blocks ship.
+  // one). The first member to read the sizes derives their prefix sums
+  // once for the call; every member reads the total and its aggregation
+  // group's offset from them, and the aggregator keeps its group's sizes.
+  // No member holds the sizes once blocks ship.
   constexpr std::uint64_t kRealBit = std::uint64_t{1} << 63;
   std::uint64_t total = 0;
   std::uint64_t group_base = 0;  // file offset of my group's first block
@@ -58,10 +59,16 @@ Status File::write_all(Rank& self, SendBuf local) {
     const std::uint64_t mine = local.on_wire() | (carries ? kRealBit : 0);
     const AllgatherResult sizes = self.allgather(comm_, SendBuf::of(&mine, 1));
     exchanged = sizes.status;
-    for (int r = 0; r < size; ++r) {
-      if (r == group) group_base = total;
-      total += sizes.at<std::uint64_t>(static_cast<std::size_t>(r)) & ~kRealBit;
-    }
+    // offsets[r]: where member r's block starts within the append.
+    const auto offsets = sizes.product<std::vector<std::uint64_t>>(
+        [size](const AllgatherResult& all) {
+          std::vector<std::uint64_t> sums(static_cast<std::size_t>(size) + 1);
+          for (std::size_t r = 0; r + 1 < sums.size(); ++r)
+            sums[r + 1] = sums[r] + (all.at<std::uint64_t>(r) & ~kRealBit);
+          return sums;
+        });
+    total = offsets->back();
+    group_base = (*offsets)[static_cast<std::size_t>(group)];
     if (me == group) {
       for (int r = group; r < group_end; ++r) {
         const auto entry = sizes.at<std::uint64_t>(static_cast<std::size_t>(r));

@@ -49,9 +49,10 @@ class File {
   /// fresh handle over the same communicator appends after earlier writes.
   /// The sizes are exchanged by the count-free allgather, and every member
   /// reads its one shared result: no member fills a P-entry size array of
-  /// its own. One pass over it yields the total and the member's
-  /// aggregation group's offset, and members let go of it before blocks
-  /// ship.
+  /// its own. The first member to read it derives the sizes' prefix sums,
+  /// one P + 1 array per call that goes with the result; every member reads
+  /// the total and its aggregation group's offset there, and members let
+  /// go of both before blocks ship.
   ///
   /// Failure-aware: a member crash never hangs the collective. The phase
   /// structure runs to completion on every live member (a dead member's

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "mpi/rank.hpp"
@@ -58,6 +59,8 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
     // interaction, and its RAII cleanup skip protocol traffic, exactly as
     // after a crash; the engine then unwinds them.
     std::fill(dead_.begin(), dead_.end(), std::uint8_t{1});
+    dead_ranks_.resize(dead_.size());
+    std::iota(dead_ranks_.begin(), dead_ranks_.end(), 0);
     engine_.unwind_processes();
     throw;
   }
@@ -100,6 +103,7 @@ void Machine::kill_rank(int world_rank) {
   auto& dead = dead_.at(static_cast<std::size_t>(world_rank));
   if (dead != 0) return;
   dead = 1;
+  dead_ranks_.push_back(world_rank);
   ++failure_epoch_;
   if (auto* t = engine_.trace()) {
     // Fail-stop cuts the rank's activity off mid-span; close what is open so
@@ -167,6 +171,7 @@ void Machine::restart_rank(int world_rank) {
   auto& dead = dead_.at(static_cast<std::size_t>(world_rank));
   if (dead == 0) return;
   dead = 0;
+  std::erase(dead_ranks_, world_rank);
   ++incarnation_[static_cast<std::size_t>(world_rank)];
   ++rejoin_epoch_;
   if (auto* t = engine_.trace())
@@ -205,6 +210,9 @@ std::shared_ptr<detail::Exchange> Machine::exchange(std::uint64_t key,
   if (mine.ptr != nullptr && mine.bytes > 0)
     std::memcpy(slot->data.data() + static_cast<std::size_t>(member) * block,
                 mine.ptr, mine.bytes);
+  // Only a late depositor under a crash finds a product built: it left
+  // this block out, so the next reader derives it again.
+  slot->product.reset();
   ++slot->readers_left;
   return slot;
 }

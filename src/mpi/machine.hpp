@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <typeinfo>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,11 @@ struct Exchange {
   std::size_t block = 0;         ///< bytes per member
   std::vector<std::byte> data;   ///< member r's block at r * block
   int readers_left = 0;          ///< depositors yet to release the entry
+  /// A value derived from `data` by the first member that asked for it
+  /// (AllgatherResult::product), of type *product_type. A deposit drops
+  /// it, so no reader gets a product that misses a block it can read.
+  std::shared_ptr<const void> product;
+  const std::type_info* product_type = nullptr;
 };
 }  // namespace detail
 
@@ -171,6 +177,11 @@ class Machine {
   [[nodiscard]] bool rank_failed(int world_rank) const noexcept {
     return dead_[static_cast<std::size_t>(world_rank)] != 0;
   }
+  /// The ranks rank_failed holds for, in no promised order: a check for a
+  /// dead member walks these instead of a communicator's members.
+  [[nodiscard]] const std::vector<int>& dead_ranks() const noexcept {
+    return dead_ranks_;
+  }
   /// Monotone counter bumped on every crash: layers that must react to
   /// failures (stream failover) compare it against a cached value instead of
   /// scanning the dead set on every operation.
@@ -228,7 +239,8 @@ class Machine {
   /// context derived from the communicator and the collective's tag, so
   /// every member of the same call lands on the same entry). Throws
   /// std::logic_error when members contribute different block sizes, whose
-  /// deposits would not fit the entry's layout. Each
+  /// deposits would not fit the entry's layout. A deposit drops the entry's
+  /// derived product. Each
   /// depositor calls `release_exchange` exactly once, after reading the
   /// result or while its fiber unwinds; the last one erases the entry, and
   /// members still holding it keep the buffer alive.
@@ -277,6 +289,7 @@ class Machine {
   // fault-injection state
   std::function<void(Rank&)> program_;     ///< for restart_rank respawns
   std::vector<std::uint8_t> dead_;         ///< fail-stopped ranks
+  std::vector<int> dead_ranks_;            ///< the same ranks, listed
   std::vector<int> incarnation_;           ///< fiber (re)starts per rank
   std::uint64_t failure_epoch_ = 0;
   std::uint64_t rejoin_epoch_ = 0;

@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <typeinfo>
 #include <vector>
 
 #include "mpi/comm.hpp"
@@ -46,6 +48,8 @@ struct AgreeResult {
 struct AllgatherResult {
   Status status;
   std::shared_ptr<const std::vector<std::byte>> blocks;
+  /// The call's shared entry, which owns `blocks` and the derived product.
+  std::shared_ptr<detail::Exchange> entry;
 
   /// Element `i` (< blocks->size() / sizeof(T)) of the blocks read as one
   /// array of T: member r's block of k elements holds [r * k, (r + 1) * k).
@@ -54,6 +58,22 @@ struct AllgatherResult {
     T value;
     std::memcpy(&value, blocks->data() + i * sizeof(T), sizeof(T));
     return value;
+  }
+
+  /// A value derived from the blocks once per call, not once per member:
+  /// the first member that asks stores `make(*this)` in the entry, and
+  /// every member of the call reads that one object. `make` must be a pure
+  /// function of the blocks, and every member must ask for the same T. A
+  /// maker that throws stores nothing, so every member throws alike.
+  template <typename T, typename Make>
+  [[nodiscard]] std::shared_ptr<const T> product(Make&& make) const {
+    if (!entry->product) {
+      entry->product = std::make_shared<const T>(make(*this));
+      entry->product_type = &typeid(T);
+    } else if (*entry->product_type != typeid(T)) {
+      throw std::logic_error("allgather: members derive different products");
+    }
+    return std::static_pointer_cast<const T>(entry->product);
   }
 };
 

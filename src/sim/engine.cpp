@@ -14,8 +14,11 @@ void Process::advance(util::SimTime d) {
   Engine& eng = *engine_;
   const int pid = id_;
   eng.schedule(eng.now() + d, [&eng, pid] { eng.wake(pid); });
-  // Consume any stray wake token first so we sleep for the full duration:
-  // advance() models busy CPU time, not interruptible waiting.
+  // advance() models busy CPU time, yet any wake resumes it: one that
+  // arrives before `d` has elapsed (a probe or failure-waiter registration
+  // the process left behind) cuts the advance short, and a wake token
+  // pending from before is left for the next suspend. A known defect (see
+  // ROADMAP item 2): fixing it moves virtual time in crashed runs.
   state_ = State::Suspended;
   Fiber::yield();
 }
@@ -52,7 +55,9 @@ void Process::trace_instant(const char* name) {
 }
 
 Engine::Engine(EngineConfig config, bool trace)
-    : config_(config), noise_(config.noise) {
+    : config_(config),
+      stacks_(config.stack_bytes, StackChunks::kSlotsPerChunk),
+      noise_(config.noise) {
   if (trace) trace_ = std::make_unique<obs::Recorder>();
 }
 
@@ -63,7 +68,7 @@ int Engine::spawn(std::function<void(Process&)> body) {
   auto process = std::unique_ptr<Process>(new Process(this, pid, config_.seed));
   Process* p = process.get();
   p->fiber_ = std::make_unique<Fiber>(
-      [p, body = std::move(body)] { body(*p); }, config_.stack_bytes);
+      [p, body = std::move(body)] { body(*p); }, stacks_);
   p->state_ = Process::State::Runnable;
   processes_.push_back(std::move(process));
   ++live_;

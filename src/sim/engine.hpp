@@ -53,7 +53,9 @@ class Process {
   [[nodiscard]] util::SimTime now() const noexcept;
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
-  /// Occupy this process for exactly `d` of virtual time (no noise).
+  /// Occupy this process for `d` of virtual time (no noise). A wake from
+  /// elsewhere that arrives first ends it early (a known defect; see
+  /// engine.cpp).
   void advance(util::SimTime d);
 
   /// Occupy this process for `nominal` perturbed by the engine's noise model;
@@ -167,6 +169,7 @@ class Engine {
   [[noreturn]] void report_deadlock() const;
 
   EngineConfig config_;
+  StackChunks stacks_;  ///< every process's fiber stack
   NoiseModel noise_;
   EventQueue queue_;
   util::SimTime clock_ = 0;

@@ -118,22 +118,12 @@ extern "C" void ds_fiber_entry(void* fiber) noexcept {
   fiber_entry_thunk(static_cast<Fiber*>(fiber));
 }
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
-    : body_(std::move(body)) {
-  const std::size_t stack = round_up_pages(scaled_stack_bytes(stack_bytes));
-  map_bytes_ = stack + page_size();  // one guard page below the stack
-  stack_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (stack_ == MAP_FAILED) {
-    stack_ = nullptr;
-    throw std::runtime_error("Fiber: mmap of stack failed");
-  }
-  if (::mprotect(stack_, page_size(), PROT_NONE) != 0) {
-    ::munmap(stack_, map_bytes_);
-    stack_ = nullptr;
-    throw std::runtime_error("Fiber: mprotect of guard page failed");
-  }
-
+Fiber::Fiber(std::function<void()> body, StackChunks::Slot stack)
+    : body_(std::move(body)), stack_chunk_(std::move(stack.chunk)) {
+#ifdef DS_FIBER_ASAN
+  asan_stack_low_ = stack.low;
+  asan_stack_bytes_ = stack.bytes;
+#endif
   // Build the initial stack image ds_fiber_switch will restore from: the
   // control-word slot, six callee-saved registers (r12 carries `this` into
   // the entry shim), the shim as the `ret` target, and a null terminator
@@ -143,7 +133,7 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
   asm volatile("stmxcsr %0" : "=m"(mxcsr));
   asm volatile("fnstcw %0" : "=m"(fcw));
 
-  auto top = reinterpret_cast<std::uintptr_t>(stack_) + page_size() + stack;
+  auto top = reinterpret_cast<std::uintptr_t>(stack.low) + stack.bytes;
   top &= ~static_cast<std::uintptr_t>(15);  // 16-byte aligned stack top
   auto* sp = reinterpret_cast<std::uint64_t*>(top);
   *--sp = 0;  // fake return address: stops unwinders, keeps shim alignment
@@ -165,9 +155,8 @@ void Fiber::resume() {
   t_current_fiber = this;
   started_ = true;
 #ifdef DS_FIBER_ASAN
-  __sanitizer_start_switch_fiber(&asan_host_fake_,
-                                 static_cast<char*>(stack_) + page_size(),
-                                 map_bytes_ - page_size());
+  __sanitizer_start_switch_fiber(&asan_host_fake_, asan_stack_low_,
+                                 asan_stack_bytes_);
 #endif
   ds_fiber_switch(&host_sp_, fiber_sp_);
 #ifdef DS_FIBER_ASAN
@@ -200,26 +189,12 @@ void Fiber::yield() {
 
 #else  // !DS_FIBER_RAW_X86_64: portable ucontext implementation
 
-Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
-    : body_(std::move(body)) {
-  const std::size_t stack = round_up_pages(scaled_stack_bytes(stack_bytes));
-  map_bytes_ = stack + page_size();  // one guard page below the stack
-  stack_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (stack_ == MAP_FAILED) {
-    stack_ = nullptr;
-    throw std::runtime_error("Fiber: mmap of stack failed");
-  }
-  if (::mprotect(stack_, page_size(), PROT_NONE) != 0) {
-    ::munmap(stack_, map_bytes_);
-    stack_ = nullptr;
-    throw std::runtime_error("Fiber: mprotect of guard page failed");
-  }
-
+Fiber::Fiber(std::function<void()> body, StackChunks::Slot stack)
+    : body_(std::move(body)), stack_chunk_(std::move(stack.chunk)) {
   if (::getcontext(&context_) != 0)
     throw std::runtime_error("Fiber: getcontext failed");
-  context_.uc_stack.ss_sp = static_cast<char*>(stack_) + page_size();
-  context_.uc_stack.ss_size = stack;
+  context_.uc_stack.ss_sp = stack.low;
+  context_.uc_stack.ss_size = stack.bytes;
   context_.uc_link = &return_context_;  // falling off the end returns to resumer
 
   // makecontext only forwards ints; split `this` across two unsigned halves.
@@ -259,9 +234,34 @@ void Fiber::yield() {
 
 #endif  // DS_FIBER_RAW_X86_64
 
-Fiber::~Fiber() {
-  if (stack_) ::munmap(stack_, map_bytes_);
+StackChunks::StackChunks(std::size_t stack_bytes, std::size_t slots_per_chunk)
+    : stack_bytes_(round_up_pages(scaled_stack_bytes(stack_bytes))),
+      slots_per_chunk_(slots_per_chunk),
+      next_(slots_per_chunk) {}
+
+StackChunks::Slot StackChunks::take() {
+  const std::size_t slot_bytes = page_size() + stack_bytes_;  // guard + stack
+  if (next_ == slots_per_chunk_) {
+    const std::size_t bytes = slots_per_chunk_ * slot_bytes;
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED)
+      throw std::runtime_error("Fiber: mmap of stack chunk failed");
+    chunk_ = std::shared_ptr<void>(base,
+                                   [bytes](void* p) { ::munmap(p, bytes); });
+    next_ = 0;
+  }
+  char* guard = static_cast<char*>(chunk_.get()) + next_++ * slot_bytes;
+  if (::mprotect(guard, page_size(), PROT_NONE) != 0)
+    throw std::runtime_error("Fiber: mprotect of guard page failed");
+  return Slot{chunk_, guard + page_size(), stack_bytes_};
 }
+
+Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
+    : Fiber(std::move(body), StackChunks(stack_bytes, 1).take()) {}
+
+Fiber::Fiber(std::function<void()> body, StackChunks& stacks)
+    : Fiber(std::move(body), stacks.take()) {}
 
 void Fiber::run_body() {
   try {

@@ -2,9 +2,10 @@
 //
 // Every simulated MPI rank runs as a fiber, so application code reads like
 // ordinary blocking MPI code while the discrete-event engine multiplexes
-// thousands of ranks on one OS thread. Stacks are mmap-ed with a PROT_NONE
-// guard page below, so a rank that overflows its stack faults immediately
-// instead of corrupting a neighbour.
+// thousands of ranks on one OS thread. Stacks are carved out of chunk
+// mappings (StackChunks), each with a PROT_NONE guard page below it, so a
+// rank that overflows its stack faults immediately instead of corrupting a
+// neighbour.
 //
 // On x86-64 the context switch is a hand-rolled callee-saved-register swap
 // (boost::context style): glibc's swapcontext saves and restores the signal
@@ -16,6 +17,7 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <memory>
 
 #if defined(__x86_64__) && (defined(__linux__) || defined(__unix__))
 #define DS_FIBER_RAW_X86_64 1
@@ -37,6 +39,36 @@
 
 namespace ds::sim {
 
+/// Fiber stacks mapped a chunk of slots at a time: one mmap per chunk, one
+/// mprotect per slot's guard page (taken as the slot is handed out), and
+/// one munmap once the allocator has moved on and every fiber holding one
+/// of the chunk's slots is gone. A slot is never handed out twice. An
+/// Engine maps kSlotsPerChunk stacks at once; a standalone Fiber maps a
+/// chunk of one.
+class StackChunks {
+ public:
+  static constexpr std::size_t kSlotsPerChunk = 256;
+
+  /// One fiber's stack: `bytes` usable bytes from `low` up, the guard page
+  /// just below `low`. `chunk` keeps the mapping alive.
+  struct Slot {
+    std::shared_ptr<void> chunk;
+    char* low = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  /// Stacks of `stack_bytes` (page-rounded; scaled up under ASan).
+  StackChunks(std::size_t stack_bytes, std::size_t slots_per_chunk);
+
+  [[nodiscard]] Slot take();
+
+ private:
+  std::size_t stack_bytes_;  ///< usable bytes per slot
+  std::size_t slots_per_chunk_;
+  std::shared_ptr<void> chunk_;  ///< the chunk slots are taken from
+  std::size_t next_;             ///< its next free slot
+};
+
 class Fiber {
  public:
   /// 64 KiB is enough for the bundled apps; raise via EngineConfig for deep
@@ -45,7 +77,8 @@ class Fiber {
 
   explicit Fiber(std::function<void()> body,
                  std::size_t stack_bytes = kDefaultStackBytes);
-  ~Fiber();
+  /// A fiber on the next slot of `stacks`.
+  Fiber(std::function<void()> body, StackChunks& stacks);
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -63,11 +96,11 @@ class Fiber {
   [[nodiscard]] static bool in_fiber() noexcept;
 
  private:
+  Fiber(std::function<void()> body, StackChunks::Slot stack);
   void run_body();
 
   std::function<void()> body_;
-  void* stack_ = nullptr;          // mmap base (guard page + stack)
-  std::size_t map_bytes_ = 0;
+  std::shared_ptr<void> stack_chunk_;  ///< keeps this fiber's stack mapped
 #if DS_FIBER_RAW_X86_64
   friend void fiber_entry_thunk(Fiber* fiber);
   void* fiber_sp_ = nullptr;  ///< fiber's saved stack pointer while yielded
@@ -77,6 +110,8 @@ class Fiber {
   void* asan_fiber_fake_ = nullptr;  ///< fiber's fake stack while yielded
   const void* asan_host_bottom_ = nullptr;  ///< host stack, learned on entry
   std::size_t asan_host_size_ = 0;
+  const char* asan_stack_low_ = nullptr;  ///< this fiber's stack
+  std::size_t asan_stack_bytes_ = 0;
 #endif
 #else
   static void trampoline(unsigned hi, unsigned lo);

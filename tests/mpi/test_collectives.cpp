@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -271,6 +272,59 @@ TEST(Collectives, NoAllgatherEntryOutlivesAFaultFreeRun) {
     EXPECT_EQ(held.at<int>(kP - 1), kP - 1);
   });
   for (const std::size_t live : live_while_held) EXPECT_EQ(live, 0u);
+  EXPECT_EQ(machine.exchange_count(), 0u);
+}
+
+TEST(Collectives, AllgatherProductIsDerivedOnceForEveryMember) {
+  // All 64 members ask for the prefix sums of the gathered values: the
+  // maker runs once, and every member reads that one object.
+  constexpr int kP = 64;
+  int made = 0;
+  std::vector<std::shared_ptr<const std::vector<std::int64_t>>> got(kP);
+  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
+    const std::int64_t mine = 10 * self.world_rank() + 1;
+    const AllgatherResult all =
+        self.allgather(self.world(), SendBuf::of(&mine, 1));
+    got[static_cast<std::size_t>(self.world_rank())] =
+        all.product<std::vector<std::int64_t>>([&made](
+                                                   const AllgatherResult& r) {
+          ++made;
+          std::vector<std::int64_t> sums(kP + 1, 0);
+          for (std::size_t i = 0; i < kP; ++i)
+            sums[i + 1] = sums[i] + r.at<std::int64_t>(i);
+          return sums;
+        });
+  });
+  EXPECT_EQ(made, 1);
+  ASSERT_TRUE(got[0]);
+  for (const auto& sums : got) EXPECT_EQ(sums, got[0]);
+  ASSERT_EQ(got[0]->size(), static_cast<std::size_t>(kP + 1));
+  for (std::int64_t i = 0; i <= kP; ++i)
+    EXPECT_EQ((*got[0])[static_cast<std::size_t>(i)], 5 * i * (i - 1) + i);
+}
+
+TEST(Collectives, LateDepositDropsTheAllgatherProduct) {
+  // Under a crash a member can deposit after another member derived the
+  // product: the next reader derives it again, with the late block. Every
+  // member must ask for the same product type.
+  Machine machine(testing::tiny_machine(2));
+  const int first = 7;
+  const int late = 9;
+  const auto entry = machine.exchange(/*key=*/5, /*size=*/2, /*member=*/0,
+                                      SendBuf::of(&first, 1));
+  const AllgatherResult result{Status{}, {entry, &entry->data}, entry};
+  const auto sum = [](const AllgatherResult& r) {
+    return r.at<int>(0) + r.at<int>(1);
+  };
+  const auto before = result.product<int>(sum);
+  EXPECT_EQ(*before, 7);
+  EXPECT_EQ(result.product<int>(sum), before);
+  EXPECT_THROW((void)result.product<long>(sum), std::logic_error);
+  (void)machine.exchange(5, 2, 1, SendBuf::of(&late, 1));
+  EXPECT_EQ(*result.product<int>(sum), 16);
+  EXPECT_EQ(*before, 7);  // a reader's copy outlives the drop
+  machine.release_exchange(5, *entry);
+  machine.release_exchange(5, *entry);
   EXPECT_EQ(machine.exchange_count(), 0u);
 }
 

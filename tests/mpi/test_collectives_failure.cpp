@@ -376,6 +376,58 @@ TEST(CollectivesFailure, IoWriteAllSurvivesCrashAtEveryPhase) {
   }
 }
 
+TEST(CollectivesFailure, OnlyCommunicatorsHoldingADeadRankReportIt) {
+  // Rank 3 crashes at 10 us and restarts at 50 us. Between the two, a
+  // barrier over the other three completes clean and one over all four
+  // reports the failure; after the restart, a barrier over all four
+  // (with the new incarnation) completes clean again.
+  constexpr int kP = 4, kVictim = 3;
+  auto config = testing::tiny_machine(kP);
+  config.faults.crash(kVictim, util::microseconds(10))
+      .restart(kVictim, util::microseconds(50));
+  mpi::Machine machine(config);
+  const auto comm = [&machine](std::uint64_t salt, std::vector<int> ranks) {
+    return mpi::Comm(
+        mpi::Machine::derive_context(machine.world().context(), 0xDEAD, salt),
+        mpi::Group(std::move(ranks)));
+  };
+  const mpi::Comm without = comm(1, {0, 1, 2});
+  const mpi::Comm with = comm(2, {0, 1, 2, 3});
+  const mpi::Comm rejoined = comm(3, {0, 1, 2, 3});
+  std::vector<int> clean_without(kP, -1), clean_with(kP, -1),
+      clean_rejoined(kP, -1);
+  std::vector<int> dead_while_down;
+  machine.run([&](Rank& self) {
+    const auto me = static_cast<std::size_t>(self.world_rank());
+    if (self.world_rank() == kVictim) {
+      if (self.incarnation() == 0) {
+        self.compute(util::microseconds(20));  // crashed at 10 us
+        self.compute(util::microseconds(1));   // observes it and unwinds
+        ADD_FAILURE() << "the crashed incarnation ran on";
+        return;
+      }
+    } else {
+      self.compute(util::microseconds(20));
+      if (me == 0) dead_while_down = self.machine().dead_ranks();
+      clean_without[me] = !self.barrier(without).failed;
+      clean_with[me] = !self.barrier(with).failed;
+      self.compute(util::microseconds(100));
+    }
+    clean_rejoined[me] = !self.barrier(rejoined).failed;
+  });
+  EXPECT_EQ(dead_while_down, std::vector<int>{kVictim});
+  EXPECT_TRUE(machine.dead_ranks().empty());
+  EXPECT_FALSE(machine.rank_failed(kVictim));
+  for (int r = 0; r < kP; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (r != kVictim) {
+      EXPECT_EQ(clean_without[i], 1) << "rank " << r;
+      EXPECT_EQ(clean_with[i], 0) << "rank " << r;
+    }
+    EXPECT_EQ(clean_rejoined[i], 1) << "rank " << r;
+  }
+}
+
 TEST(CollectivesFailure, CollectiveTimeoutWatchdogAbortsWedgedCollective) {
   // A member that simply never shows up (no crash — the failure record
   // stays empty, so failure-awareness cannot release the others) trips the
