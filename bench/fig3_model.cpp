@@ -2,7 +2,13 @@
 // conventional staged, nonblocking, decoupled — realized both analytically
 // (Eqs. 1-4) and as a simulated synthetic two-operation application on four
 // ranks, printing the same three timelines the paper sketches.
+//
+// It also writes BENCH_fig3.json (DS_BENCH_JSON overrides the path): the
+// three simulated makespans and the Eq. 1, 2 and 4 values. Both are
+// deterministic per seed, so CI gates the JSON in virtual time against
+// bench/baselines/BENCH_fig3.json with tools/check_bench_regression.py.
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.hpp"
 #include "core/decouple.hpp"
@@ -120,12 +126,33 @@ int main(int argc, char** argv) {
   w.total_data = static_cast<double>(kOp1Bytes) * kRounds * (kRanks - 1);
   w.granularity = static_cast<double>(kOp1Bytes);
   w.overhead_per_element = 150e-9;
+  const double eq1 = model::conventional_time(w);
+  const double eq2 = model::decoupled_time_ideal(w);
+  const double eq4 = model::decoupled_time_full(w);
   std::printf("Analytic model: Eq.1 conventional %.3fs | Eq.2 ideal %.3fs | "
               "Eq.4 full %.3fs | predicted speedup %.2fx\n",
-              model::conventional_time(w), model::decoupled_time_ideal(w),
-              model::decoupled_time_full(w), model::predicted_speedup(w));
+              eq1, eq2, eq4, model::predicted_speedup(w));
   std::printf("Simulated:      conventional %.3fs | nonblocking %.3fs | "
               "decoupled %.3fs | speedup %.2fx\n",
               conv, nbc, dec, conv / dec);
+
+  char json[512];
+  std::snprintf(json, sizeof json,
+                "{\"bench\":\"fig3_model\",\"scenarios\":["
+                "{\"name\":\"simulated\",\"conventional_s\":%.9g,"
+                "\"nonblocking_s\":%.9g,\"decoupled_s\":%.9g},"
+                "{\"name\":\"model\",\"eq1_conventional_s\":%.9g,"
+                "\"eq2_decoupled_ideal_s\":%.9g,\"eq4_decoupled_full_s\":%.9g}"
+                "]}\n",
+                conv, nbc, dec, eq1, eq2, eq4);
+  const std::string json_path =
+      util::env_string("DS_BENCH_JSON", "BENCH_fig3.json");
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "fig3_model: could not write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::fputs(json, f);
+  std::fclose(f);
   return 0;
 }

@@ -50,17 +50,6 @@ void BM_VirtualAllgatherv4K(benchmark::State& state) {
 }
 BENCHMARK(BM_VirtualAllgatherv4K)->RangeMultiplier(4)->Range(8, 2048);
 
-void BM_VirtualGathervHotspot(benchmark::State& state) {
-  // Flat gather into a root: the drain-port hotspot grows linearly with P.
-  run_collective(state, [](mpi::Rank& self, std::size_t bytes) {
-    const std::vector<std::size_t> counts(
-        static_cast<std::size_t>(self.world().size()), bytes);
-    self.gatherv(self.world(), 0, mpi::SendBuf::synthetic(bytes),
-                 nullptr, counts);
-  }, 16 * 1024);
-}
-BENCHMARK(BM_VirtualGathervHotspot)->RangeMultiplier(4)->Range(8, 512);
-
 }  // namespace
 
 BENCHMARK_MAIN();

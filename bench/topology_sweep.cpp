@@ -1,10 +1,9 @@
 // Topology sweep (machine-model extension): the fig. 3 execution-model
-// comparison and the fig. 9 termination tree re-run across the pluggable
-// topologies (flat, two-level, fat-tree, dragonfly), plus a congestion
-// scenario that shrinks the bisection and watches placement start to
-// matter.
+// comparison re-run across the pluggable topologies (flat, two-level,
+// fat-tree, dragonfly), plus a congestion scenario that shrinks the
+// bisection and watches placement start to matter.
 //
-// Three scenario families, all virtual-time deterministic (no noise, fixed
+// Two scenario families, both virtual-time deterministic (no noise, fixed
 // seed — the JSON is byte-stable across machines and gated in CI by
 // tools/check_bench_regression.py):
 //
@@ -12,11 +11,6 @@
 //    the decoupled pipeline placed with with_node_placement(1) (one helper
 //    on every node, co-located with its producers). Decoupling must win on
 //    every topology.
-//
-//  * term_<topo>: a 16x48 Directed channel, default heap term tree vs the
-//    node-aware tree. The node-aware tree must not add cross-node edges —
-//    on multi-node topologies it must remove them — and must deliver
-//    exactly the same elements.
 //
 //  * congestion_<topo>_taper<t>: the same streaming workload under two
 //    placements — all helpers packed on the last node (every element
@@ -31,9 +25,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "core/channel.hpp"
 #include "core/decouple.hpp"
-#include "core/stream.hpp"
 #include "mpi/rank.hpp"
 
 namespace {
@@ -123,48 +115,6 @@ ModelResult run_model(const std::string& topology, int rounds) {
 }
 
 // ---------------------------------------------------------------------------
-// term_<topo>: default heap tree vs node-aware tree on a Directed channel.
-// ---------------------------------------------------------------------------
-
-constexpr int kTermProducers = 16;
-constexpr int kTermConsumers = kWorld - kTermProducers;
-constexpr int kTermElements = 4;
-
-struct TermResult {
-  int tree_depth = 0;
-  int cross_node_edges = 0;
-  std::uint64_t max_producer_terms = 0;
-  std::uint64_t consumed = 0;
-};
-
-TermResult run_term(const std::string& topology, bool node_aware) {
-  TermResult result;
-  mpi::Machine machine(topo_machine(topology, 1.0, 11));
-  machine.run([&](mpi::Rank& self) {
-    const int me = self.world_rank();
-    const bool producer = me < kTermProducers;
-    stream::ChannelConfig cfg;
-    cfg.mapping = stream::ChannelConfig::Mapping::Directed;
-    cfg.node_aware_term = node_aware;
-    const stream::Channel ch =
-        stream::Channel::create(self, self.world(), producer, !producer, cfg);
-    stream::Stream s = stream::Stream::attach(ch, mpi::Datatype::bytes(64), {});
-    if (producer) {
-      for (int i = 0; i < kTermElements; ++i)
-        s.isend_to(self, (me + i) % kTermConsumers, mpi::SendBuf::synthetic(64));
-      s.terminate(self);
-      result.max_producer_terms =
-          std::max(result.max_producer_terms, s.stats().term_messages);
-    } else {
-      result.consumed += s.operate(self);
-      result.tree_depth = ch.term_tree_depth();
-      result.cross_node_edges = ch.term_cross_node_edges();
-    }
-  });
-  return result;
-}
-
-// ---------------------------------------------------------------------------
 // congestion_<topo>_taper<t>: helper placement vs shrinking bisection.
 // ---------------------------------------------------------------------------
 
@@ -220,8 +170,8 @@ int main(int argc, char** argv) {
   g_opt = util::BenchOptions::parse(argc, argv);
   bench::print_header(
       "topology_sweep — machine model x execution model",
-      "fig. 3 model and fig. 9 termination across flat/twolevel/fattree/"
-      "dragonfly, plus decoupled placement advantage vs bisection taper",
+      "fig. 3 model across flat/twolevel/fattree/dragonfly, plus "
+      "decoupled placement advantage vs bisection taper",
       g_opt);
 
   const std::vector<std::string> topologies = {"flat", "twolevel", "fattree",
@@ -258,38 +208,6 @@ int main(int argc, char** argv) {
   }
   std::printf("fig. 3 model, 64 ranks (8/node), node-placed helpers:\n");
   bench::print_table(model_table);
-
-  // --- termination family -------------------------------------------------
-  util::Table term_table({"topology", "depth_default", "depth_aware",
-                          "cross_default", "cross_aware"});
-  for (const auto& topo : topologies) {
-    const TermResult flat_tree = run_term(topo, false);
-    const TermResult aware = run_term(topo, true);
-    const auto expected = static_cast<std::uint64_t>(kTermProducers) *
-                          static_cast<std::uint64_t>(kTermElements);
-    // The aware tree must deliver identically, keep one term per producer,
-    // and never add cross-node hops; with consumers spread over several
-    // nodes it must strictly remove some.
-    ok &= flat_tree.consumed == expected && aware.consumed == expected;
-    ok &= flat_tree.max_producer_terms == 1 && aware.max_producer_terms == 1;
-    ok &= aware.cross_node_edges <= flat_tree.cross_node_edges;
-    ok &= aware.cross_node_edges < kTermConsumers / kRanksPerNode + 1;
-    term_table.add_row({topo, std::to_string(flat_tree.tree_depth),
-                        std::to_string(aware.tree_depth),
-                        std::to_string(flat_tree.cross_node_edges),
-                        std::to_string(aware.cross_node_edges)});
-    char entry[320];
-    std::snprintf(entry, sizeof entry,
-                  "{\"name\":\"term_%s\",\"depth_default\":%d,"
-                  "\"depth_aware\":%d,\"cross_default\":%d,\"cross_aware\":%d,"
-                  "\"consumed\":%llu}",
-                  topo.c_str(), flat_tree.tree_depth, aware.tree_depth,
-                  flat_tree.cross_node_edges, aware.cross_node_edges,
-                  static_cast<unsigned long long>(aware.consumed));
-    emit(entry);
-  }
-  std::printf("fig. 9 termination tree, 16x48 Directed:\n");
-  bench::print_table(term_table);
 
   // --- congestion family --------------------------------------------------
   util::Table cong_table(

@@ -1,8 +1,7 @@
 #include "core/channel.hpp"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <vector>
 
 namespace ds::stream {
 
@@ -92,15 +91,9 @@ Channel Channel::build(mpi::Rank& self, const mpi::Comm& parent,
   ch.config_ = config;
   ch.producer_count_ = members.producers;
   ch.consumer_count_ = members.consumers;
-  // The machine's node structure is the same on every rank, so a consumer's
-  // node, and the term tree shaped from it when asked, are collectively
-  // consistent.
-  ch.ranks_per_node_ = self.machine().config().network.ranks_per_node;
   const std::uint64_t ctx = mpi::Machine::derive_context(
       parent.context(), 0xC4A77E1ull, config.channel_id);
   const mpi::Comm channel_comm(ctx, members.group);
-  if (config.node_aware_term && ch.tree_termination())
-    ch.build_node_aware_tree(channel_comm);
   // Non-members keep an invalid comm -> inert handle.
   if (channel_comm.rank_of_world(self.world_rank()) >= 0)
     ch.comm_ = channel_comm;
@@ -137,79 +130,10 @@ int Channel::my_consumer_index(const mpi::Rank& self) const noexcept {
   return r >= producer_count_ ? r - producer_count_ : -1;
 }
 
-int Channel::consumer_node(const mpi::Comm& comm, int c) const noexcept {
-  const int world = comm.world_rank(consumer_rank(c));
-  return ranks_per_node_ > 0 ? world / ranks_per_node_ : world;
-}
-
-void Channel::build_node_aware_tree(const mpi::Comm& comm) {
-  const int consumers = consumer_count_;
-  if (consumers <= 1) return;  // a single consumer needs no tree
-  term_parent_.assign(static_cast<std::size_t>(consumers), -1);
-
-  // Leaders: the first consumer index on each node (scan order makes
-  // leader < every other consumer of its node, and leaders ascend). The
-  // first leader is consumer 0, so the aggregator never moves.
-  std::map<int, int> leader_on_node;
-  std::vector<int> leaders;
-  std::vector<int> leader_of(static_cast<std::size_t>(consumers));
-  for (int c = 0; c < consumers; ++c) {
-    const auto [it, inserted] = leader_on_node.emplace(consumer_node(comm, c), c);
-    if (inserted) leaders.push_back(c);
-    leader_of[static_cast<std::size_t>(c)] = it->second;
-  }
-  // Non-leaders hang off their node's leader (intra-node edges); leaders
-  // form a binary heap over their positions (the only cross-node edges).
-  // Both rules keep parent index < child index, so subtree walks ascend.
-  for (int c = 0; c < consumers; ++c)
-    if (leader_of[static_cast<std::size_t>(c)] != c)
-      term_parent_[static_cast<std::size_t>(c)] =
-          leader_of[static_cast<std::size_t>(c)];
-  for (std::size_t j = 1; j < leaders.size(); ++j)
-    term_parent_[static_cast<std::size_t>(leaders[j])] = leaders[(j - 1) / 2];
-}
-
-std::vector<int> Channel::term_children(int consumer) const {
-  std::vector<int> children;
-  if (!term_parent_.empty()) {
-    // Parents always precede children, so scanning above `consumer` is
-    // exhaustive. O(C), but only on the termination path.
-    for (int c = consumer + 1; c < consumer_count_; ++c)
-      if (term_parent_[static_cast<std::size_t>(c)] == consumer)
-        children.push_back(c);
-    return children;
-  }
-  for (int k = 1; k <= 2; ++k) {
-    const int child = 2 * consumer + k;
-    if (child < consumer_count_) children.push_back(child);
-  }
-  return children;
-}
-
 int Channel::term_tree_depth() const noexcept {
-  if (!term_parent_.empty()) {
-    int max_depth = 0;
-    for (int leaf = 1; leaf < consumer_count_; ++leaf) {
-      int depth = 0;
-      for (int c = leaf; c > 0; c = term_parent_of(c)) ++depth;
-      max_depth = std::max(max_depth, depth);
-    }
-    return max_depth;
-  }
   int depth = 0;
   for (int c = consumer_count_ - 1; c > 0; c = term_parent(c)) ++depth;
   return depth;
-}
-
-int Channel::term_cross_node_edges() const noexcept {
-  if (!valid()) return 0;
-  int edges = 0;
-  for (int c = 1; c < consumer_count_; ++c) {
-    const int parent = term_parent_of(c);
-    if (parent >= 0 && consumer_node(comm_, c) != consumer_node(comm_, parent))
-      ++edges;
-  }
-  return edges;
 }
 
 }  // namespace ds::stream

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/rank.hpp"
@@ -78,16 +77,6 @@ struct ChannelConfig {
   /// 0 (default) disables all resilience machinery — the fault-free hot
   /// path is untouched.
   std::uint32_t checkpoint_interval = 0;
-
-  /// Node-aware termination aggregation (tree mappings only): shape the term
-  /// tree from the machine's node structure instead of the flat binary heap.
-  /// The first consumer on each node becomes the node's leader; leaders form
-  /// a binary tree among themselves (the only cross-node edges), and every
-  /// other consumer hangs off its own node's leader — so the collective term
-  /// crosses the fabric O(nodes) times instead of O(consumers), and the
-  /// per-node hops ride shared memory. The aggregator stays consumer 0.
-  /// False (default) keeps the flat heap tree exactly as before.
-  bool node_aware_term = false;
 
   [[nodiscard]] bool resilient() const noexcept {
     return checkpoint_interval > 0;
@@ -201,47 +190,24 @@ class Channel {
   [[nodiscard]] bool tree_termination() const noexcept {
     return config_.mapping != ChannelConfig::Mapping::Block;
   }
-  /// Consumer index that aggregates producer terms (tree root). Holds for
-  /// both tree shapes: the node-aware build keeps consumer 0 as the first
-  /// leader, so the root never moves.
+  /// Consumer index that aggregates producer terms (tree root).
   [[nodiscard]] static int term_aggregator() noexcept { return 0; }
-  /// Flat-heap tree parent of consumer `c` (-1 for the aggregator). Static
-  /// shape only; channel-aware code should use term_parent_of.
+  /// Tree parent of consumer `c` in the binary heap over the consumers (-1
+  /// for the aggregator). A parent's index is below its children's, so
+  /// subtree walks ascend strictly.
   [[nodiscard]] static int term_parent(int consumer) noexcept {
     return consumer <= 0 ? -1 : (consumer - 1) / 2;
   }
-  /// Tree parent of consumer `c` under this channel's tree shape (node-aware
-  /// when enabled, the flat heap otherwise). Both shapes guarantee
-  /// parent < child, so subtree walks ascend strictly.
-  [[nodiscard]] int term_parent_of(int consumer) const noexcept {
-    if (!term_parent_.empty())
-      return consumer <= 0 ? -1 : term_parent_[static_cast<std::size_t>(consumer)];
-    return term_parent(consumer);
-  }
-  /// True when the channel built a node-aware term tree.
-  [[nodiscard]] bool node_aware_term() const noexcept {
-    return !term_parent_.empty();
-  }
-  /// Tree children of consumer `c` under this channel's tree shape.
-  [[nodiscard]] std::vector<int> term_children(int consumer) const;
   /// True when `consumer` lies in the tree subtree rooted at `root`
-  /// (inclusive) under this channel's tree shape. Used to slice the
-  /// per-consumer counts a collective term carries down to just the
-  /// receiver's subtree.
-  [[nodiscard]] bool term_in_subtree_of(int consumer, int root) const noexcept {
-    while (consumer > root) consumer = term_parent_of(consumer);
+  /// (inclusive). Used to slice the per-consumer counts a collective term
+  /// carries down to just the receiver's subtree.
+  [[nodiscard]] static bool term_in_subtree_of(int consumer, int root) noexcept {
+    while (consumer > root) consumer = term_parent(consumer);
     return consumer == root;
   }
   /// Tree hops from the aggregator to the deepest consumer: the length of
-  /// the collective-term critical path. O(log C) for the flat heap;
-  /// O(log nodes + 1) node-aware.
+  /// the collective-term critical path, O(log C).
   [[nodiscard]] int term_tree_depth() const noexcept;
-  /// Tree edges whose endpoint consumers live on different nodes — the
-  /// term messages that must cross the fabric. The node-aware shape bounds
-  /// this by the leader tree (O(nodes)); the flat heap scatters edges
-  /// across nodes. Benches use it to compare the shapes. 0 on an inert
-  /// handle.
-  [[nodiscard]] int term_cross_node_edges() const noexcept;
 
   /// Channel rank (in comm()) of producer p / consumer c.
   [[nodiscard]] static int producer_rank(int p) noexcept { return p; }
@@ -250,9 +216,6 @@ class Channel {
   }
 
  private:
-  /// Node of consumer `c` of a channel over `comm`: its world rank's node.
-  [[nodiscard]] int consumer_node(const mpi::Comm& comm, int c) const noexcept;
-  void build_node_aware_tree(const mpi::Comm& comm);
   /// A channel's members: producers, then consumers, as world ranks.
   struct Members {
     mpi::Group group;
@@ -275,11 +238,6 @@ class Channel {
   mpi::Comm comm_{};
   int producer_count_ = 0;
   int consumer_count_ = 0;
-  /// The machine's ranks per node (<= 0: one rank per node), from which
-  /// consumer_node derives a consumer's node.
-  int ranks_per_node_ = 0;
-  /// Node-aware term-tree parents (empty = flat heap shape).
-  std::vector<int> term_parent_;
 };
 
 }  // namespace ds::stream

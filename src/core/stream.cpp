@@ -150,8 +150,7 @@ struct CoalesceState {
   /// Physical consumer per flow (identity start). Dense, like
   /// flow_incarnation: failover rebinds and counts every flow, open or not.
   std::vector<int> redirect;
-  std::uint64_t seen_failure_epoch = 0;
-  std::uint64_t seen_rejoin_epoch = 0;
+  std::uint64_t seen_epoch = 0;  ///< last membership epoch reacted to
   /// Last observed incarnation of each flow's *home* rank: a bump while the
   /// redirect still points home means the rank crashed and restarted without
   /// this producer ever noticing — everything sent during the dead window
@@ -374,8 +373,6 @@ void Stream::ensure_producer_state(mpi::Rank& self, int producer) {
         if (target >= 0) st->redirect[c] = target;
       }
     }
-    st->seen_failure_epoch = 0;
-    st->seen_rejoin_epoch = machine.rejoin_epoch();
   }
   coalesce_ = std::move(st);
 }
@@ -511,8 +508,7 @@ void Stream::inject(mpi::Rank& self, int p, int consumer,
     // replays), then react to crashes and rejoins observed since the last
     // send.
     drain_durable_acks(self);
-    check_producer_failover(self);
-    check_producer_rebalance(self);
+    check_producer_membership(self);
   }
 
   // Credit-based backpressure: block until the in-flight window has room —
@@ -554,8 +550,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
     // Repair routing before the counts go out; the release wait below keeps
     // servicing crashes and rejoins until the root releases this producer.
     drain_durable_acks(self);
-    check_producer_failover(self);
-    check_producer_rebalance(self);
+    check_producer_membership(self);
   }
   terminated_ = true;
   // Partial frames leave before the term so counts and order stay intact;
@@ -590,8 +585,7 @@ void Stream::terminate_impl(mpi::Rank& self) {
   // resendable when the root moves (failover, rejoin, aggregator takeover),
   // and the replay logs stay alive until the root has everything it owes.
   while (true) {
-    check_producer_failover(self);
-    check_producer_rebalance(self);
+    check_producer_membership(self);
     const int now_root = term_root(self);
     if (now_root != root) {
       // Rows are recorded idempotently, so a re-sent term is harmless.
@@ -705,14 +699,17 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
 
 void Stream::fan_out_term(mpi::Rank& self,
                           const std::vector<TermEntry>& entries) {
-  // Every child gets a collective term; its payload is sliced down to the
-  // counts of the child's own subtree. The slice scratch is a reserved
-  // member, reused across children instead of reallocating per slice.
+  // Each of the heap's (at most two) children gets a collective term; its
+  // payload is sliced down to the counts of the child's own subtree. The
+  // slice buffer is a reserved member, reused across children instead of
+  // reallocating per slice.
   auto& machine = self.machine();
-  for (const int child : channel_->term_children(my_consumer_)) {
+  const int first = 2 * my_consumer_ + 1;
+  const int end = std::min(first + 2, channel_->consumer_count());
+  for (int child = first; child < end; ++child) {
     term_slice_.clear();
     for (const TermEntry& e : entries)
-      if (channel_->term_in_subtree_of(static_cast<int>(e.consumer), child))
+      if (Channel::term_in_subtree_of(static_cast<int>(e.consumer), child))
         term_slice_.push_back(e);
     self.process().advance(machine.config().network.send_overhead);
     machine.post_send(context_, channel_->consumer_rank(my_consumer_),
@@ -779,8 +776,7 @@ void Stream::await_credit(mpi::Rank& self) {
       self.process().set_state_note("blocked in stream credit wait");
       self.process().suspend();
       machine.ensure_alive(self.world_rank());
-      check_producer_failover(self);
-      check_producer_rebalance(self);
+      check_producer_membership(self);
     }
     req->waiter_pid = -1;
     self.process().set_state_note({});
@@ -799,12 +795,23 @@ void Stream::await_credit(mpi::Rank& self) {
 // this block is inert unless ChannelConfig::checkpoint_interval > 0.
 // ---------------------------------------------------------------------------
 
-bool Stream::check_producer_failover(mpi::Rank& self) {
+void Stream::check_producer_membership(mpi::Rank& self) {
+  CoalesceState& st = *coalesce_;
+  const std::uint64_t epoch = self.machine().membership_epoch();
+  if (st.seen_epoch == epoch) return;
+  st.seen_epoch = epoch;
+  // Both walks run on every change, crash or restart. After crashes alone
+  // the rebalance walk finds nothing to move: every flow still pointed away
+  // from home has a dead home. After restarts alone the failover walk finds
+  // no dead target: each target was live when it was chosen, and every
+  // later death changed the epoch and ran that walk.
+  fail_over_flows(self);
+  rebalance_flows(self);
+}
+
+void Stream::fail_over_flows(mpi::Rank& self) {
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
-  if (st.seen_failure_epoch == machine.failure_epoch()) return false;
-  st.seen_failure_epoch = machine.failure_epoch();
-
   bool any = false;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   for (std::size_t flow = 0; flow < consumers; ++flow) {
@@ -834,7 +841,6 @@ bool Stream::check_producer_failover(mpi::Rank& self) {
     replay_flow(self, flow, dst_world);
   }
   if (any) self.process().trace_instant("failover");
-  return any;
 }
 
 void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
@@ -881,18 +887,15 @@ void Stream::replay_flow(mpi::Rank& self, std::size_t flow, int dst_world) {
   if (flush_open) flush_frame(self, slot, FlushTrigger::Other);
 }
 
-bool Stream::check_producer_rebalance(mpi::Rank& self) {
+void Stream::rebalance_flows(mpi::Rank& self) {
   CoalesceState& st = *coalesce_;
   auto& machine = self.machine();
-  if (st.seen_rejoin_epoch == machine.rejoin_epoch()) return false;
-  st.seen_rejoin_epoch = machine.rejoin_epoch();
-
   bool any = false;
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
   for (std::size_t flow = 0; flow < consumers; ++flow) {
     const int home_world = channel_->comm().world_rank(
         channel_->consumer_rank(static_cast<int>(flow)));
-    // Still away, or dead at home: crashes are check_producer_failover's job.
+    // Still away, or dead at home: crashes are fail_over_flows' job.
     if (machine.rank_failed(home_world)) continue;
     auto* p = st.frame_of(flow);
     const std::uint64_t sent = p != nullptr ? p->sent : 0;
@@ -934,16 +937,12 @@ bool Stream::check_producer_rebalance(mpi::Rank& self) {
     }
   }
   if (any) self.process().trace_instant("rejoin-rebalance");
-  return any;
 }
 
 void Stream::check_consumer_failover(mpi::Rank& self) {
   auto& machine = self.machine();
-  const std::uint64_t fe = machine.failure_epoch();
-  const std::uint64_t re = machine.rejoin_epoch();
-  if (consumer_failure_epoch_ == fe && consumer_rejoin_epoch_ == re) return;
-  consumer_failure_epoch_ = fe;
-  consumer_rejoin_epoch_ = re;
+  if (consumer_epoch_ == machine.membership_epoch()) return;
+  consumer_epoch_ = machine.membership_epoch();
 
   const int consumers = channel_->consumer_count();
   for (int c = 0; c < consumers; ++c) {
@@ -1083,9 +1082,8 @@ void Stream::progress_termination(mpi::Rank& self) {
     // may suspend (file I/O); if a crash or rejoin landed under the flush,
     // bail and let the next receive step re-derive the state first.
     durable_point_();
-    auto& machine = self.machine();
-    if (!matrix_satisfied_ || machine.failure_epoch() != consumer_failure_epoch_ ||
-        machine.rejoin_epoch() != consumer_rejoin_epoch_)
+    if (!matrix_satisfied_ ||
+        self.machine().membership_epoch() != consumer_epoch_)
       return;
   }
   release(self);
@@ -1098,10 +1096,8 @@ bool Stream::announce_collected(mpi::Rank& self) {
   // a consumer that rejoined (fresh state, never acked) is covered; sends
   // are idempotent and ack-gated, so this stays bounded by membership
   // events, not poll iterations.
-  const std::uint64_t fe = machine.failure_epoch();
-  const std::uint64_t re = machine.rejoin_epoch();
-  if (!announced_ || fe != announce_failure_epoch_ ||
-      re != announce_rejoin_epoch_) {
+  const std::uint64_t epoch = machine.membership_epoch();
+  if (!announced_ || epoch != announce_epoch_) {
     // Membership moved since the last announce: an adoption may have routed
     // replayed (undurable) elements to a consumer that already acked, so
     // the barrier is collected afresh — with durability-gated acks each
@@ -1109,8 +1105,7 @@ bool Stream::announce_collected(mpi::Rank& self) {
     if (announced_)
       std::fill(announce_acked_.begin(), announce_acked_.end(), 0);
     announced_ = true;
-    announce_failure_epoch_ = fe;
-    announce_rejoin_epoch_ = re;
+    announce_epoch_ = epoch;
     announce_acked_[static_cast<std::size_t>(my_consumer_)] = 1;
     // Every send references the one sealed copy of the cells; the fabric
     // charges each the full P x C matrix.

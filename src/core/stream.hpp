@@ -102,12 +102,12 @@
 // Membership has one signal, the machine's failure record: consumers leave
 // only by crashing and return only by restarting. Rejoin rides the failover
 // machinery: when a crashed rank restarts (Machine::restart_rank),
-// producers observe the rejoin epoch at their next stream operation, point
-// the flow back at its home slot, and send the previous owner a handback
-// marker; the owner replies to the home slot with a cursor sync carrying
-// its dedup cursor for that producer's flow (and erases it — the dedup
-// filter's memory bound), so the rejoined consumer resumes exactly where
-// its predecessor stopped.
+// producers observe the membership epoch move at their next stream
+// operation, point the flow back at its home slot, and send the previous
+// owner a handback marker; the owner replies to the home slot with a cursor
+// sync carrying its dedup cursor for that producer's flow (and erases it —
+// the dedup filter's memory bound), so the rejoined consumer resumes
+// exactly where its predecessor stopped.
 //
 // Instrumentation: Stream::stats() returns this rank's counters on the
 // stream as one StreamStats value, readable at any time. When the rank's
@@ -362,16 +362,17 @@ class Stream {
 
   // ---- resilience (ds::resilience; active only when the channel config
   // ---- sets checkpoint_interval > 0) ----
-  /// Producer: react to newly observed crashes — rebind dead consumers'
-  /// flows to their failover targets, retarget pending frames, and replay
-  /// retained frames. Returns true when at least one flow was rebound.
-  bool check_producer_failover(mpi::Rank& self);
-  /// Producer: react to rank rejoins — hand redirected flows back to a
-  /// rejoined home slot (with a handback marker to the previous owner), and
-  /// resynchronize (handoff + full undurable replay) with a home slot whose
-  /// rank crashed and restarted without the redirect ever moving. Returns
-  /// true when at least one flow moved.
-  bool check_producer_rebalance(mpi::Rank& self);
+  /// Producer: react to crashes and restarts observed since the last call,
+  /// once per membership epoch: fail_over_flows, then rebalance_flows.
+  void check_producer_membership(mpi::Rank& self);
+  /// Producer: rebind the flows whose consumer is dead to their failover
+  /// targets, retarget pending frames, and replay retained frames.
+  void fail_over_flows(mpi::Rank& self);
+  /// Producer: hand redirected flows back to a rejoined home slot (with a
+  /// handback marker to the previous owner), and resynchronize (handoff +
+  /// full undurable replay) with a home slot whose rank crashed and
+  /// restarted without the redirect ever moving.
+  void rebalance_flows(mpi::Rank& self);
   /// Consumer: react to newly observed crashes and rejoins — adopt dead
   /// consumers' flows this rank is the failover target of (until it is
   /// released), re-derive the effective aggregator, and recount the terms
@@ -508,8 +509,7 @@ class Stream {
   // consumer-side resilience state (inert unless the channel is resilient)
   bool resilient_ = false;  ///< ChannelConfig::resilient(), read per element
   resilience::DedupFilter dedup_;
-  std::uint64_t consumer_failure_epoch_ = 0;  ///< last crash count reacted to
-  std::uint64_t consumer_rejoin_epoch_ = 0;   ///< last restart count reacted to
+  std::uint64_t consumer_epoch_ = 0;  ///< last membership epoch reacted to
   std::vector<std::uint8_t> adopted_;  ///< dead consumers whose flows I took
   /// Tree root: Channel::term_aggregator(), re-derived after crashes on
   /// resilient channels.
@@ -526,8 +526,7 @@ class Stream {
   bool released_ = false;  ///< resilient: release sent (root) or received
   bool announced_ = false;         ///< aggregator: matrix broadcast begun
   std::vector<std::uint8_t> announce_acked_;  ///< aggregator: acks collected
-  std::uint64_t announce_failure_epoch_ = 0;  ///< re-announce keying
-  std::uint64_t announce_rejoin_epoch_ = 0;
+  std::uint64_t announce_epoch_ = 0;  ///< re-announce keying
   /// Durability hook (see set_durable_point): flushes this consumer's
   /// external effects before an announce-ack / the release commits.
   std::function<void()> durable_point_;

@@ -14,8 +14,6 @@
 //   allreduce    — reduce to 0 + bcast (2 log P rounds)
 //   allgather(v) — recursive doubling when P is a power of two, else ring
 //   alltoallv    — pairwise exchange, P-1 rounds
-//   gatherv      — flat tree into root (root's drain port is the bottleneck,
-//                  deliberately: that is the paper's master-congestion effect)
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -490,48 +488,11 @@ struct IalltoallvOp final : CollBase {
   }
 };
 
-// ---------------------------------------------------------------- gatherv --
-struct IgathervOp final : CollBase {
-  int pending = 0;
-
-  static Request launch(Machine& m, const Comm& c, int me, int root,
-                        SendBuf mine, void* out,
-                        const std::vector<std::size_t>& counts, int tag) {
-    auto op = detail::make_heap_op<IgathervOp>();
-    op->init(m, c, me, tag);
-    if (me != root) {
-      op->csend(root, mine, [op] { op->finish(); });
-      return op;
-    }
-    std::vector<std::size_t> displs(counts.size() + 1, 0);
-    std::partial_sum(counts.begin(), counts.end(), displs.begin() + 1);
-    auto* base = static_cast<std::byte*>(out);
-    if (base && mine.ptr)
-      std::memcpy(base + displs[static_cast<std::size_t>(root)], mine.ptr,
-                  mine.bytes);
-    op->pending = op->size - 1;
-    if (op->pending == 0) {
-      op->finish();
-      return op;
-    }
-    for (int r = 0; r < op->size; ++r) {
-      if (r == root) continue;
-      const auto idx = static_cast<std::size_t>(r);
-      op->crecv(r,
-                base ? RecvBuf{base + displs[idx], counts[idx]}
-                     : RecvBuf::discard(counts[idx]),
-                [op] {
-                  if (--op->pending == 0) op->finish();
-                });
-    }
-    return op;
-  }
-};
-
 // -------------------------------------------------------------- composite --
 struct CompositeOp final : detail::OpState {
-  /// Chains two already-launched stages? No — the second stage must only
-  /// start after the first completes, so we hold launch thunks.
+  /// Runs two stages in sequence. The second stage may start only after
+  /// the first completes, so both arrive as launch thunks, not as launched
+  /// requests.
   static Request launch(Machine& m, std::function<Request()> first,
                         std::function<Request()> second) {
     auto op = detail::make_heap_op<CompositeOp>();
@@ -726,16 +687,6 @@ Status Rank::alltoallv(const Comm& comm, const void* send_buf,
   const sim::SpanScope span(*process_, obs::SpanKind::Collective, "alltoallv");
   return wait_outcome(
       *this, ialltoallv(comm, send_buf, send_counts, recv_buf, recv_counts));
-}
-
-Status Rank::gatherv(const Comm& comm, int root, SendBuf mine, void* out,
-                     const std::vector<std::size_t>& counts) {
-  const sim::SpanScope span(*process_, obs::SpanKind::Collective, "gatherv");
-  const int me = rank_in(comm);
-  if (me < 0) throw std::logic_error("gatherv: not a member");
-  return wait_outcome(*this,
-                      IgathervOp::launch(*machine_, comm, me, root, mine, out,
-                                         counts, next_coll_tag(comm)));
 }
 
 }  // namespace ds::mpi

@@ -36,9 +36,6 @@ Machine::Machine(MachineConfig config)
       m.gauge("pool.recv.reused").set(static_cast<double>(pools.recv.reused()));
       m.gauge("pool.recv.outstanding")
           .set(static_cast<double>(pools.recv.outstanding()));
-      m.gauge("resilience.failure_epoch")
-          .set(static_cast<double>(failure_epoch_));
-      m.gauge("resilience.rejoin_epoch").set(static_cast<double>(rejoin_epoch_));
       fabric_.sample_metrics(m);
     });
   }
@@ -104,7 +101,7 @@ void Machine::kill_rank(int world_rank) {
   if (dead != 0) return;
   dead = 1;
   dead_ranks_.push_back(world_rank);
-  ++failure_epoch_;
+  ++membership_epoch_;
   if (auto* t = engine_.trace()) {
     // Fail-stop cuts the rank's activity off mid-span; close what is open so
     // the track stays balanced, then mark the crash as an instant event.
@@ -132,7 +129,8 @@ void Machine::kill_rank(int world_rank) {
       complete_op(*recv);
     }
   }
-  // The dead fiber may be parked in probe(); wake it so it can unwind.
+  // The dead fiber may be parked in a stream wait as a probe waiter; wake it
+  // so it can unwind.
   for (const int pid : box.probe_waiters) engine_.wake(pid);
   box.probe_waiters.clear();
 
@@ -173,7 +171,7 @@ void Machine::restart_rank(int world_rank) {
   dead = 0;
   std::erase(dead_ranks_, world_rank);
   ++incarnation_[static_cast<std::size_t>(world_rank)];
-  ++rejoin_epoch_;
+  ++membership_epoch_;
   if (auto* t = engine_.trace())
     t->instant(world_rank, engine_.now(), "rejoin");
   if (metrics_) metrics_->counter("resilience.rejoins", world_rank).add();

@@ -182,17 +182,12 @@ class Machine {
   [[nodiscard]] const std::vector<int>& dead_ranks() const noexcept {
     return dead_ranks_;
   }
-  /// Monotone counter bumped on every crash: layers that must react to
-  /// failures (stream failover) compare it against a cached value instead of
-  /// scanning the dead set on every operation.
-  [[nodiscard]] std::uint64_t failure_epoch() const noexcept {
-    return failure_epoch_;
-  }
-  /// Monotone counter bumped on every rank restart (the rejoin side of the
-  /// membership signal). Streams compare it against a cached value to notice
-  /// that a previously dead rank is live again and rebalance flows back.
-  [[nodiscard]] std::uint64_t rejoin_epoch() const noexcept {
-    return rejoin_epoch_;
+  /// Monotone counter bumped on every crash and every restart: layers that
+  /// must react to membership changes (stream failover and rebalancing)
+  /// compare it against a cached value instead of scanning the failure
+  /// record on every operation.
+  [[nodiscard]] std::uint64_t membership_epoch() const noexcept {
+    return membership_epoch_;
   }
   /// How many times `world_rank`'s program fiber has been (re)started; 0 for
   /// the original incarnation. Restart-aware programs branch on this.
@@ -291,8 +286,7 @@ class Machine {
   std::vector<std::uint8_t> dead_;         ///< fail-stopped ranks
   std::vector<int> dead_ranks_;            ///< the same ranks, listed
   std::vector<int> incarnation_;           ///< fiber (re)starts per rank
-  std::uint64_t failure_epoch_ = 0;
-  std::uint64_t rejoin_epoch_ = 0;
+  std::uint64_t membership_epoch_ = 0;     ///< crashes + restarts so far
   std::vector<int> failure_waiters_;  ///< pids to wake on the next crash/rejoin
   /// Live agreement ledgers (see agreement()); erased when read out.
   std::unordered_map<std::uint64_t, std::shared_ptr<resilience::Agreement>>

@@ -90,53 +90,8 @@ void Rank::wait(const Request& req) {
   charge_recv_overhead(req);
 }
 
-bool Rank::test(const Request& req) {
-  if (!req) throw std::invalid_argument("test: null request");
-  if (!req->complete) return false;
-  charge_recv_overhead(req);
-  return true;
-}
-
 void Rank::wait_all(std::span<const Request> reqs) {
   for (const Request& r : reqs) wait(r);
-}
-
-std::size_t Rank::wait_any(std::span<const Request> reqs) {
-  if (reqs.empty()) throw std::invalid_argument("wait_any: empty request list");
-  const sim::SpanScope span(*process_, blocked_kind(reqs[0]), "wait-any");
-  while (true) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i]->complete) {
-        for (const Request& r : reqs) r->waiter_pid = -1;
-        process_->set_state_note({});
-        charge_recv_overhead(reqs[i]);
-        return i;
-      }
-    }
-    for (const Request& r : reqs) r->waiter_pid = process_->id();
-    process_->set_state_note("blocked in wait_any()");
-    process_->suspend();
-    machine_->ensure_alive(world_rank_);
-  }
-}
-
-Status Rank::probe(const Comm& comm, int src, int tag) {
-  (void)require_member(comm, world_rank_, "probe");
-  Status st;
-  const sim::SpanScope span(*process_, obs::SpanKind::RecvBlocked, "probe");
-  while (!machine_->match_probe(comm.context(), world_rank_, src, tag, &st)) {
-    machine_->add_probe_waiter(world_rank_, process_->id());
-    process_->set_state_note("blocked in probe()");
-    process_->suspend();
-    machine_->ensure_alive(world_rank_);
-  }
-  process_->set_state_note({});
-  return st;
-}
-
-bool Rank::iprobe(const Comm& comm, int src, int tag, Status* status) {
-  (void)require_member(comm, world_rank_, "iprobe");
-  return machine_->match_probe(comm.context(), world_rank_, src, tag, status);
 }
 
 namespace {

@@ -127,15 +127,7 @@ class Rank {
   /// Block until `req` completes. Charges receiver overhead o_r exactly once
   /// for receive requests.
   void wait(const Request& req);
-  /// Nonblocking completion check (charges o_r on first true for receives).
-  bool test(const Request& req);
   void wait_all(std::span<const Request> reqs);
-  /// Block until any completes; returns its index.
-  std::size_t wait_any(std::span<const Request> reqs);
-
-  /// Block until a matching message has arrived (not consumed).
-  Status probe(const Comm& comm, int src, int tag);
-  bool iprobe(const Comm& comm, int src, int tag, Status* status = nullptr);
 
   // ---- collectives (all members of `comm` must call, in the same order) ----
   //
@@ -197,10 +189,6 @@ class Rank {
   Request ialltoallv(const Comm& comm, const void* send_buf,
                      const std::vector<std::size_t>& send_counts, void* recv_buf,
                      const std::vector<std::size_t>& recv_counts);
-
-  /// Gather variable-size blocks to `root` only.
-  Status gatherv(const Comm& comm, int root, SendBuf mine, void* out,
-                 const std::vector<std::size_t>& counts);
 
   /// Fault-tolerant agreement (ULFM-shrink style). Every live member of
   /// `comm` deposits `contribution` into a shared ledger and runs log-P

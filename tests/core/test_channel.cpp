@@ -155,7 +155,8 @@ TEST(Channel, BlockRoutePartitionsProducersOverEveryConsumer) {
 
 TEST(Channel, TermTreeMetadataFormsConsistentBinaryTree) {
   // Invariant: the termination tree spans every consumer exactly once, each
-  // node's parent/children agree, and the depth stays logarithmic.
+  // node has at most two children, the depth stays logarithmic, and the
+  // subtree slices a collective term is cut into partition the tree.
   testing::run_program(testing::tiny_machine(12), [&](Rank& self) {
     const int me = self.world_rank();
     ChannelConfig cfg;
@@ -167,20 +168,41 @@ TEST(Channel, TermTreeMetadataFormsConsistentBinaryTree) {
     ASSERT_EQ(consumers, 9);
     EXPECT_EQ(Channel::term_aggregator(), 0);
     EXPECT_EQ(Channel::term_parent(Channel::term_aggregator()), -1);
-    std::vector<int> reached(static_cast<std::size_t>(consumers), 0);
-    reached[0] = 1;
-    for (int c = 0; c < consumers; ++c) {
-      const auto children = ch.term_children(c);
-      EXPECT_LE(children.size(), 2u);
-      for (const int child : children) {
-        EXPECT_EQ(Channel::term_parent(child), c);
-        ++reached[static_cast<std::size_t>(child)];
-      }
-    }
     // Spanning, no duplicates: every consumer but the aggregator (which
-    // gets one term per producer) gets exactly one term, from its parent.
-    for (const int r : reached) EXPECT_EQ(r, 1);
+    // gets one term per producer) has exactly one parent below it, so it
+    // gets exactly one term; no consumer forwards to more than two children.
+    std::vector<int> children(static_cast<std::size_t>(consumers), 0);
+    for (int c = 1; c < consumers; ++c) {
+      const int parent = Channel::term_parent(c);
+      ASSERT_GE(parent, 0);
+      EXPECT_LT(parent, c);
+      ++children[static_cast<std::size_t>(parent)];
+    }
+    for (const int n : children) EXPECT_LE(n, 2);
     EXPECT_LE(ch.term_tree_depth(), 4);  // ceil(log2(9 + 1))
+
+    const auto subtree = [&](int root) {
+      std::vector<int> members;
+      for (int c = 0; c < consumers; ++c)
+        if (Channel::term_in_subtree_of(c, root)) members.push_back(c);
+      return members;
+    };
+    EXPECT_EQ(subtree(0).size(), 9u);
+    EXPECT_EQ(subtree(1), (std::vector<int>{1, 3, 4, 7, 8}));
+    EXPECT_EQ(subtree(2), (std::vector<int>{2, 5, 6}));
+    // A consumer's children's subtrees partition its own subtree minus
+    // itself: each slice a parent forwards reaches every count below it
+    // exactly once.
+    for (int root = 0; root < consumers; ++root) {
+      std::vector<int> covered(static_cast<std::size_t>(consumers), 0);
+      for (int child = 1; child < consumers; ++child)
+        if (Channel::term_parent(child) == root)
+          for (const int c : subtree(child)) ++covered[static_cast<std::size_t>(c)];
+      for (int c = 0; c < consumers; ++c)
+        EXPECT_EQ(covered[static_cast<std::size_t>(c)],
+                  c != root && Channel::term_in_subtree_of(c, root) ? 1 : 0)
+            << "root " << root << ", consumer " << c;
+    }
   });
 }
 
@@ -194,105 +216,6 @@ TEST(Channel, BlockMappingKeepsPerPeerTermAccounting) {
     EXPECT_EQ(routed_to(ch, 0).size(), 4u);
     EXPECT_EQ(routed_to(ch, 1).size(), 4u);
   });
-}
-
-TEST(Channel, NodeAwareTermTreeKeepsCrossNodeEdgesAtLeaderCount) {
-  // 12 ranks, 4 per node; producers 0-2, consumers on world ranks 3-11 so
-  // the consumer set spans node 0 (c0), node 1 (c1-c4), node 2 (c5-c8).
-  auto config = testing::tiny_machine(12);
-  config.network.ranks_per_node = 4;
-  testing::run_program(config, [&](Rank& self) {
-    const int me = self.world_rank();
-    ChannelConfig cfg;
-    cfg.mapping = ChannelConfig::Mapping::Directed;
-    cfg.node_aware_term = true;
-    const Channel ch = Channel::create(self, self.world(), me < 3, me >= 3, cfg);
-    if (!ch.valid()) return;
-    EXPECT_TRUE(ch.node_aware_term());
-    const int consumers = ch.consumer_count();
-    ASSERT_EQ(consumers, 9);
-
-    // The aggregator never moves, and both invariants the protocol relies
-    // on hold: parent < child everywhere, spanning without duplicates.
-    EXPECT_EQ(Channel::term_aggregator(), 0);
-    EXPECT_EQ(ch.term_parent_of(0), -1);
-    std::vector<int> reached(static_cast<std::size_t>(consumers), 0);
-    reached[0] = 1;
-    for (int c = 0; c < consumers; ++c) {
-      for (const int child : ch.term_children(c)) {
-        EXPECT_EQ(ch.term_parent_of(child), c);
-        EXPECT_LT(c, child);
-        ++reached[static_cast<std::size_t>(child)];
-      }
-    }
-    // Termination accounting is shape-independent: one parent, so one
-    // term, for every consumer but the aggregator.
-    for (const int r : reached) EXPECT_EQ(r, 1);
-
-    // Node leaders are c0, c1, c5; only their heap edges cross nodes.
-    EXPECT_EQ(ch.term_cross_node_edges(), 2);
-    EXPECT_EQ(ch.term_parent_of(2), 1);  // non-leaders hang off their leader
-    EXPECT_EQ(ch.term_parent_of(8), 5);
-    EXPECT_LE(ch.term_tree_depth(), 2);
-
-    // Subtree membership follows the node-aware shape, not the flat heap.
-    EXPECT_TRUE(ch.term_in_subtree_of(7, 5));
-    EXPECT_FALSE(ch.term_in_subtree_of(7, 1));
-    EXPECT_TRUE(ch.term_in_subtree_of(4, 1));
-  });
-}
-
-TEST(Channel, NodeAwareTermDefaultsOffAndFlatOnOneNode) {
-  testing::run_program(testing::tiny_machine(12), [&](Rank& self) {
-    const int me = self.world_rank();
-    ChannelConfig cfg;
-    cfg.mapping = ChannelConfig::Mapping::Directed;
-    const Channel off = Channel::create(self, self.world(), me < 3, me >= 3, cfg);
-    if (off.valid()) {
-      EXPECT_FALSE(off.node_aware_term());
-      for (int c = 0; c < off.consumer_count(); ++c)
-        EXPECT_EQ(off.term_parent_of(c), Channel::term_parent(c));
-    }
-    // With every consumer on one node (default 32 ranks/node) the aware
-    // tree has no fabric edges at all.
-    cfg.node_aware_term = true;
-    cfg.channel_id = 7;
-    const Channel on = Channel::create(self, self.world(), me < 3, me >= 3, cfg);
-    if (on.valid()) {
-      EXPECT_TRUE(on.node_aware_term());
-      EXPECT_EQ(on.term_cross_node_edges(), 0);
-    }
-  });
-}
-
-TEST(Channel, NodeAwareTermDeliversDirectedStreamExactly) {
-  // End to end through the protocol: the reshaped tree must not change what
-  // arrives — every element once, one term per producer.
-  constexpr int kProducers = 3, kConsumers = 9, kEach = 5;
-  auto config = testing::tiny_machine(kProducers + kConsumers);
-  config.network.ranks_per_node = 4;
-  std::uint64_t consumed = 0;
-  std::uint64_t producer_terms = 0;
-  testing::run_program(config, [&](Rank& self) {
-    const int me = self.world_rank();
-    const bool producer = me < kProducers;
-    ChannelConfig cfg;
-    cfg.mapping = ChannelConfig::Mapping::Directed;
-    cfg.node_aware_term = true;
-    const Channel ch =
-        Channel::create(self, self.world(), producer, !producer, cfg);
-    Stream s = Stream::attach(ch, mpi::Datatype::bytes(64), {});
-    if (producer) {
-      for (int i = 0; i < kEach; ++i)
-        s.isend_to(self, (me + i) % kConsumers, mpi::SendBuf::synthetic(64));
-      s.terminate(self);
-      producer_terms += s.stats().term_messages;
-    } else {
-      consumed += s.operate(self);
-    }
-  });
-  EXPECT_EQ(consumed, static_cast<std::uint64_t>(kProducers) * kEach);
-  EXPECT_EQ(producer_terms, static_cast<std::uint64_t>(kProducers));
 }
 
 TEST(Channel, DistinctChannelIdsGetDistinctContexts) {

@@ -383,21 +383,6 @@ TEST(Collectives, AlltoallvSparsePatternSkipsEmptyPairs) {
     EXPECT_EQ(got[static_cast<std::size_t>(me)], (me - 1 + kP) % kP);
 }
 
-TEST(Collectives, GathervCollectsAtRoot) {
-  constexpr int kP = 5;
-  std::vector<std::int64_t> result;
-  testing::run_program(testing::tiny_machine(kP), [&](Rank& self) {
-    const std::int64_t mine = self.world_rank() * 100;
-    const std::vector<std::size_t> counts(kP, sizeof(std::int64_t));
-    std::vector<std::int64_t> out(kP, -1);
-    self.gatherv(self.world(), 2, SendBuf::of(&mine, 1),
-                 self.world_rank() == 2 ? out.data() : nullptr, counts);
-    if (self.world_rank() == 2) result = out;
-  });
-  for (int r = 0; r < kP; ++r)
-    EXPECT_EQ(result[static_cast<std::size_t>(r)], r * 100);
-}
-
 TEST(Collectives, NonblockingReduceOverlapsCompute) {
   // The collective must progress while the fiber computes: total time should
   // be ~ the compute time, not compute + collective.

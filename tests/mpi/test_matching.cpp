@@ -79,19 +79,23 @@ TEST(Matching, ContextsDoNotCrossMatch) {
   // receives on another (different matching context, same endpoints).
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     const Comm other = self.split(self.world(), 0, self.world_rank());
+    const auto pending = [&](const Comm& comm) {
+      return self.machine().match_probe(comm.context(), self.world_rank(),
+                                        kAnySource, kAnyTag, nullptr);
+    };
     if (self.world_rank() == 0) {
       const int v = 42;
       self.send(self.world(), 1, 7, SendBuf::of(&v, 1));
     } else {
       self.process().advance(util::milliseconds(1));  // message has arrived
-      EXPECT_FALSE(self.iprobe(other, kAnySource, kAnyTag));
-      EXPECT_TRUE(self.iprobe(self.world(), kAnySource, kAnyTag));
+      EXPECT_FALSE(pending(other));
+      EXPECT_TRUE(pending(self.world()));
       int value = -1;
       const Status st =
           self.recv(self.world(), kAnySource, kAnyTag, RecvBuf::of(&value, 1));
       EXPECT_EQ(value, 42);
       EXPECT_EQ(st.tag, 7);
-      EXPECT_FALSE(self.iprobe(other, kAnySource, kAnyTag));
+      EXPECT_FALSE(pending(other));
     }
   });
 }
@@ -236,10 +240,22 @@ TEST(Matching, CrashCompletesOrphanedReceivesNewestFirst) {
 
 TEST(Matching, ProbeThenRecvConsistency) {
   // Whatever probe reports (source, tag, bytes) must be exactly what the
-  // subsequent filtered receive consumes, message after message.
+  // subsequent filtered receive consumes, message after message. The probe
+  // is the look a stream's idle loop takes: Machine::match_probe, parking
+  // as a probe waiter until the next arrival while nothing matches.
   constexpr int kCount = 16;
   testing::run_program(testing::tiny_machine(3), [&](Rank& self) {
     const int me = self.world_rank();
+    auto& machine = self.machine();
+    const auto probe = [&] {
+      Status st;
+      while (!machine.match_probe(self.world().context(), me, kAnySource,
+                                  kAnyTag, &st)) {
+        machine.add_probe_waiter(me, self.process().id());
+        self.process().suspend();
+      }
+      return st;
+    };
     if (me < 2) {
       for (int i = 0; i < kCount; ++i) {
         const std::int64_t value = me * 100 + i;
@@ -247,7 +263,7 @@ TEST(Matching, ProbeThenRecvConsistency) {
       }
     } else {
       for (int i = 0; i < 2 * kCount; ++i) {
-        const Status probed = self.probe(self.world(), kAnySource, kAnyTag);
+        const Status probed = probe();
         std::int64_t value = -1;
         const Status got = self.recv(self.world(), probed.source, probed.tag,
                                      RecvBuf::of(&value, 1));

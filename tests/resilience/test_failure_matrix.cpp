@@ -421,9 +421,9 @@ TEST(FailureMatrix, ConsumerCrashAfterTheReleaseNeedsNoAdoption) {
 TEST(FailureMatrix, RestartedConsumerRejoinsAndFlowsRebalanceBack) {
   // Crash consumer 1 mid-stream, restart it later: the respawned
   // incarnation attaches to the channel (no collective), producers observe
-  // the rejoin epoch, hand its flows back voluntarily, and the cursor sync
-  // from the interim owner keeps delivery exactly-once across all three
-  // views (survivor, dead incarnation, rejoined incarnation).
+  // the membership epoch move, hand its flows back voluntarily, and the
+  // cursor sync from the interim owner keeps delivery exactly-once across
+  // all three views (survivor, dead incarnation, rejoined incarnation).
   static constexpr int kProducers = 2, kConsumers = 2, kEach = 120;
   auto config = testing::tiny_machine(kProducers + kConsumers);
   config.faults.crash(/*consumer 1=*/3, util::microseconds(60))

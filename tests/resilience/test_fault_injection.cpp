@@ -63,7 +63,7 @@ TEST(FaultInjection, PostedReceiveFailsAndMailboxDrains) {
   });
   EXPECT_FALSE(victim_got_data);
   EXPECT_TRUE(machine.rank_failed(1));
-  EXPECT_EQ(machine.failure_epoch(), 1u);
+  EXPECT_EQ(machine.membership_epoch(), 1u);
   // No pooled operation slot may stay pinned after the run drains.
   EXPECT_EQ(machine.pool_stats().send.outstanding(), 0u);
   EXPECT_EQ(machine.pool_stats().recv.outstanding(), 0u);

@@ -3,13 +3,14 @@
 
 The baseline document's top-level "bench" key selects the mode:
 
-  * "topology_sweep" (BENCH_topology.json): every scenario the baseline
-    records must exist in the fresh output, and every numeric metric must
-    match within a relative tolerance (default 1%, override with
-    DS_BENCH_VT_TOLERANCE). The sweep is virtual-time deterministic — a
-    pure function of the machine model, independent of the host — so a
-    drift means the simulated network or placement behavior changed; the
-    tight default is intentional.
+  * "topology_sweep" (BENCH_topology.json) and "fig3_model"
+    (BENCH_fig3.json): every scenario the baseline records must exist in
+    the fresh output, and every numeric metric must match within a
+    relative tolerance (default 1%, override with DS_BENCH_VT_TOLERANCE).
+    Both benches are virtual-time deterministic — a pure function of the
+    machine model and the seed, independent of the host — so a drift means
+    the simulated network, placement or execution-model behavior changed;
+    the tight default is intentional.
 
   * "fault_recovery" (BENCH_fault_recovery.json): the resilience contract
     gate. Every scenario the baseline records must exist in the fresh
@@ -115,8 +116,8 @@ def check_drift(name, key, reference, got, tolerance):
              f"(> {tolerance:.4g} relative drift)")
 
 
-def check_topology(baseline_doc, fresh_doc):
-    """Virtual-time determinism gate: fresh metrics must reproduce the
+def check_every_number(baseline_doc, fresh_doc):
+    """Virtual-time determinism gate: every fresh metric must reproduce the
     committed baseline within a tight relative tolerance."""
     tolerance = vt_tolerance()
     scenarios = baseline_doc.get("scenarios")
@@ -137,8 +138,8 @@ def check_topology(baseline_doc, fresh_doc):
             got = metric(fresh, key, "fresh", name)
             if got is not None:
                 check_drift(name, key, float(value), got, tolerance)
-    print(f"topology sweep: {len(scenarios)} scenario(s) compared at "
-          f"relative tolerance {tolerance:.4g}")
+    print(f"{baseline_doc['bench']}: {len(scenarios)} scenario(s) compared "
+          f"at relative tolerance {tolerance:.4g}")
 
 
 def check_fault_recovery(baseline_doc, fresh_doc):
@@ -244,7 +245,8 @@ def check_fig9(baseline_doc, fresh_doc):
 
 
 MODES = {
-    "topology_sweep": check_topology,
+    "topology_sweep": check_every_number,
+    "fig3_model": check_every_number,
     "fault_recovery": check_fault_recovery,
     "fig9_termination": check_fig9,
 }
