@@ -14,16 +14,18 @@
 //    fault_free), replayed elements, and verifies the exactly-once contract
 //    — every element reaches some consumer, no element reaches any single
 //    consumer twice, per-producer replay stays within
-//    checkpoint_interval + credit-window slack, and the survivors' filters
-//    drop no duplicate.
+//    checkpoint_interval + credit-window slack, the survivors' filters
+//    drop no duplicate, and no operator runs on a consumer after its crash
+//    (fail-stop).
 //
 // With --churn a fourth scenario runs the crash/rejoin stress: ten
 // crash/rejoin cycles sweep across the consumer group while producers keep
 // streaming at a fixed pace. Every respawned incarnation re-attaches to the
 // live channel (Channel::attach, no collective), producers hand its flows
 // back voluntarily, and the run is gated on exactly-once delivery per
-// consumer view (0 duplicates), full coverage across all views, and churn
-// goodput >= 80% of the same paced run without faults.
+// consumer view (0 duplicates), full coverage across all views, no
+// delivery to a crashed incarnation, and churn goodput >= 80% of the same
+// paced run without faults.
 //
 // With --setup-crash another scenario crashes a consumer one nanosecond in
 // — strictly inside Channel::create's role exchange. The failure-aware
@@ -69,6 +71,7 @@ struct RunResult {
   std::uint64_t retained_max = 0;    ///< peak replay retention, any producer
   std::uint64_t durable_acks = 0;
   std::uint64_t duplicates_filtered = 0;
+  std::uint64_t dead_deliveries = 0; ///< operator invocations after a crash
   std::uint32_t failovers = 0;
   bool exactly_once = true;   ///< no element twice at any single consumer
   bool complete = true;       ///< every element seen somewhere
@@ -111,6 +114,7 @@ RunResult run_stream(int elements_per_producer, bool resilient,
     const int me = ch.my_consumer_index(self);
     stream::Stream s = stream::Stream::attach(
         ch, mpi::Datatype::int64(), [&](const stream::StreamElement& el) {
+          if (self.failed()) ++result.dead_deliveries;
           std::uint64_t id = 0;
           std::memcpy(&id, el.data, sizeof id);
           delivered[static_cast<std::size_t>(me)].push_back(id);
@@ -171,6 +175,7 @@ struct ChurnResult {
   std::uint64_t unique = 0;      ///< distinct elements across all views
   std::uint64_t replayed = 0;
   std::uint64_t duplicates_filtered = 0;
+  std::uint64_t dead_deliveries = 0;  ///< operator invocations after a crash
   std::uint32_t failovers = 0;
   std::uint32_t rebalances = 0;  ///< voluntary handbacks (rejoins observed)
   int rejoined_views = 0;        ///< incarnation>0 views that saw elements
@@ -225,6 +230,7 @@ ChurnResult run_churn(int elements_per_producer, bool inject) {
         me * kMaxIncarnations + std::min(inc, kMaxIncarnations - 1));
     stream::Stream s = stream::Stream::attach(
         ch, mpi::Datatype::int64(), [&](const stream::StreamElement& el) {
+          if (self.failed()) ++result.dead_deliveries;
           std::uint64_t id = 0;
           std::memcpy(&id, el.data, sizeof id);
           views[view].push_back(id);
@@ -372,6 +378,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(crash.duplicates_filtered));
     ok = false;
   }
+  // Fail-stop: a crashed consumer takes no further action, so its operator
+  // never runs after the crash instant.
+  if (crash.dead_deliveries != 0) {
+    std::printf("FAIL: %llu elements reached a crashed consumer's operator\n",
+                static_cast<unsigned long long>(crash.dead_deliveries));
+    ok = false;
+  }
   const double recovery_s = crash.virtual_s - fault_free.virtual_s;
   std::snprintf(note, sizeof note, "recovery %.3f ms, %u failovers",
                 recovery_s * 1e3, crash.failovers);
@@ -434,6 +447,12 @@ int main(int argc, char** argv) {
           churned.failovers, churned.rebalances, churned.rejoined_views);
       ok = false;
     }
+    if (churned.dead_deliveries != 0) {
+      std::printf("FAIL: churn delivered %llu elements to crashed "
+                  "incarnations' operators\n",
+                  static_cast<unsigned long long>(churned.dead_deliveries));
+      ok = false;
+    }
     // Goodput gate: useful-work rate (distinct elements per virtual second)
     // under churn must hold >= 80% of the same paced run without faults.
     const double ref_goodput =
@@ -480,7 +499,8 @@ int main(int argc, char** argv) {
         "\"delivered\":%llu,\"replayed_elements\":%llu,"
         "\"max_replayed_one_producer\":%llu,\"replay_bound\":%llu,"
         "\"recovery_virtual_s\":%.9f,\"failovers\":%u,"
-        "\"duplicates_filtered\":%llu,\"goodput_eps_virtual\":%.1f}",
+        "\"duplicates_filtered\":%llu,\"dead_deliveries\":%llu,"
+        "\"goodput_eps_virtual\":%.1f}",
         kProducers + kConsumers, kProducers, kConsumers, elements, kInterval,
         kWindow, baseline.virtual_s, baseline.wall_s,
         static_cast<unsigned long long>(baseline.delivered),
@@ -495,6 +515,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(replay_bound), recovery_s,
         crash.failovers,
         static_cast<unsigned long long>(crash.duplicates_filtered),
+        static_cast<unsigned long long>(crash.dead_deliveries),
         crash.virtual_s > 0
             ? static_cast<double>(crash.delivered) / crash.virtual_s
             : 0.0);
@@ -517,7 +538,8 @@ int main(int argc, char** argv) {
           "\"wall_s\":%.6f,\"delivered\":%llu,\"unique\":%llu,"
           "\"replayed_elements\":%llu,\"failovers\":%u,\"rebalances\":%u,"
           "\"rejoined_views\":%d,\"duplicates_filtered\":%llu,"
-          "\"exactly_once\":%d,\"complete\":%d,\"goodput_ratio\":%.4f}",
+          "\"dead_deliveries\":%llu,\"exactly_once\":%d,\"complete\":%d,"
+          "\"goodput_ratio\":%.4f}",
           churn_ref.virtual_s, churn_ref.wall_s,
           static_cast<unsigned long long>(churn_ref.delivered),
           static_cast<unsigned long long>(churn_ref.unique), kChurnCycles,
@@ -527,6 +549,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(churned.replayed), churned.failovers,
           churned.rebalances, churned.rejoined_views,
           static_cast<unsigned long long>(churned.duplicates_filtered),
+          static_cast<unsigned long long>(churned.dead_deliveries),
           churned.exactly_once ? 1 : 0, churned.complete ? 1 : 0,
           goodput_ratio);
     std::fprintf(f, "]}\n");

@@ -9,8 +9,9 @@
 // Exactly-once holds per consumer view: no helper ever sees a record twice.
 // Records the crashed helper processed but had not yet made durable are
 // replayed to the survivor by design, so they count once as re-deliveries.
-// The program exits nonzero unless every record arrives and no helper sees
-// a duplicate.
+// Fail-stop holds too: the crashed helper handles no record from its crash
+// instant on. The program exits nonzero unless every record arrives, no
+// helper sees a duplicate, and no record reaches a crashed helper.
 #include <cstdio>
 #include <vector>
 
@@ -39,6 +40,7 @@ struct HelperView {
   std::vector<int> arrivals = std::vector<int>(kRecords, 0);
   int delivered = 0;
   int duplicates = 0;
+  int after_crash = 0;  ///< records handled once the helper had crashed
 };
 
 }  // namespace
@@ -76,6 +78,7 @@ int main() {
           auto& in = ctx[samples];
           auto& view = views[static_cast<std::size_t>(ctx.helper_index())];
           in.on_receive([&](const decouple::Element<Sample>& el) {
+            if (self.failed()) ++view.after_crash;
             const int id =
                 el.record.worker * kRecordsPerWorker + el.record.seq;
             ++view.delivered;
@@ -87,7 +90,7 @@ int main() {
   });
 
   int distinct = 0, redelivered = 0;
-  bool duplicates = false;
+  bool duplicates = false, after_crash = false;
   for (int id = 0; id < kRecords; ++id) {
     int arrivals = 0;
     for (const HelperView& view : views)
@@ -105,9 +108,14 @@ int main() {
                 kWorkers + h, kWorkers + h == kCrashedRank ? " (crashed)" : "",
                 view.delivered, view.duplicates);
     duplicates = duplicates || view.duplicates > 0;
+    if (view.after_crash > 0) {
+      std::printf("  FAIL: helper rank %d handled %d record(s) after its crash\n",
+                  kWorkers + h, view.after_crash);
+      after_crash = true;
+    }
   }
   std::printf("  re-deliveries: %d records the crashed helper processed but "
               "had not made durable, replayed to the survivor\n",
               redelivered);
-  return distinct == kRecords && !duplicates ? 0 : 1;
+  return distinct == kRecords && !duplicates && !after_crash ? 0 : 1;
 }

@@ -44,9 +44,8 @@ std::vector<int> tail_per_node(const mpi::Comm& parent, int ranks_per_node,
 StreamBase::~StreamBase() {
   // The stream's state goes before the rank waits in the teardown
   // collective. A rank that crashes while it waits there (or that an
-  // aborted run fails there) must not throw out of a destructor; the crash
-  // stays recorded in the machine, so the rank's next runtime call throws
-  // again.
+  // aborted run kills there) must not throw out of a destructor; its fiber
+  // stays killed, so its next blocking call throws again.
   stream_ = stream::Stream{};
   try {
     if (self_ != nullptr) channel_.free(*self_);

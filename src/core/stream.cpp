@@ -628,15 +628,9 @@ int Stream::term_root(mpi::Rank& self) const {
 }
 
 void Stream::park(mpi::Rank& self, const char* what) {
-  auto& machine = self.machine();
-  // A rank crashed while it ran (mid-advance, say) must unwind here: the
-  // crash notification that would have woken it has already fired.
-  machine.ensure_alive(self.world_rank());
-  machine.add_probe_waiter(self.world_rank(), self.process().id());
-  machine.add_failure_waiter(self.process().id());
+  self.machine().add_probe_waiter(self.world_rank());
   self.process().set_state_note(blocked_note(what));
   self.process().suspend();
-  machine.ensure_alive(self.world_rank());
   self.process().set_state_note({});
 }
 
@@ -766,16 +760,14 @@ void Stream::await_credit(mpi::Rank& self) {
                                       /*fused_wake=*/true);
   if (coalesce_->resilient) {
     // A credit may never come if the consumer holding it just crashed: wait
-    // interruptibly, re-evaluating failover on every crash notification.
-    // Rebinding replays the lost elements to the adopting consumer, whose
-    // consumption then produces the acks this loop is blocked on.
-    auto& machine = self.machine();
+    // interruptibly, re-evaluating failover at every membership change
+    // (kill_rank and restart_rank wake every live rank). Rebinding replays
+    // the lost elements to the adopting consumer, whose consumption then
+    // produces the acks this loop is blocked on.
     while (!req->complete) {
       req->waiter_pid = self.process().id();
-      machine.add_failure_waiter(self.process().id());
       self.process().set_state_note("blocked in stream credit wait");
       self.process().suspend();
-      machine.ensure_alive(self.world_rank());
       check_producer_membership(self);
     }
     req->waiter_pid = -1;

@@ -534,9 +534,9 @@ class Stream {
   /// waits for the durable point), or -1.
   int announce_ack_owed_to_ = -1;
 
-  /// Resilient idle wait: sleep until the next arrival, crash or rejoin
-  /// (probe + failure waiters), unwinding first if this rank has crashed.
-  /// `what` names the wait in deadlock reports.
+  /// Idle wait: sleep until the next arrival in this rank's mailbox, or
+  /// until a crash or rejoin anywhere (kill_rank and restart_rank wake
+  /// every live rank). `what` names the wait in deadlock reports.
   void park(mpi::Rank& self, const char* what);
   /// Deadlock-report detail: the blocked-state notes below snprintf the
   /// stream's termination progress into this buffer so a hung run's report

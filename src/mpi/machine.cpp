@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 #include "mpi/rank.hpp"
@@ -18,7 +17,8 @@ Machine::Machine(MachineConfig config)
       world_(/*context=*/1, Group::world(config_.world_size)),
       mailboxes_(static_cast<std::size_t>(config_.world_size)),
       dead_(static_cast<std::size_t>(config_.world_size), 0),
-      incarnation_(static_cast<std::size_t>(config_.world_size), 0) {
+      incarnation_(static_cast<std::size_t>(config_.world_size), 0),
+      pid_(static_cast<std::size_t>(config_.world_size), -1) {
   if (config_.observability.metrics) {
     metrics_ = std::make_unique<obs::Metrics>();
     // Pull-style machine state: snapshotted by collect()/to_json(), never
@@ -52,12 +52,13 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
   } catch (...) {
     // An aborted run (deadlock, collective timeout, an escaping exception)
     // must not discard the suspended fibers with everything their stacks
-    // own. Failing every rank makes each fiber throw RankFailure at its next
-    // interaction, and its RAII cleanup skip protocol traffic, exactly as
-    // after a crash; the engine then unwinds them.
-    std::fill(dead_.begin(), dead_.end(), std::uint8_t{1});
-    dead_ranks_.resize(dead_.size());
-    std::iota(dead_ranks_.begin(), dead_ranks_.end(), 0);
+    // own. Killing every fiber makes each throw RankFailure out of its
+    // blocking call, and its RAII cleanup skip protocol traffic, exactly as
+    // after a crash; the engine then unwinds them. (A crashed incarnation's
+    // fiber is killed already.)
+    for (int r = 0; r < config_.world_size; ++r)
+      engine_.kill(pid_[static_cast<std::size_t>(r)],
+                   std::make_exception_ptr(RankFailure(r)));
     engine_.unwind_processes();
     throw;
   }
@@ -65,7 +66,7 @@ util::SimTime Machine::run(std::function<void(Rank&)> program) {
 }
 
 void Machine::spawn_rank(int r) {
-  engine_.spawn([this, r](sim::Process& p) {
+  pid_[static_cast<std::size_t>(r)] = engine_.spawn([this, r](sim::Process& p) {
     // Every incarnation of a world rank records on the same trace track,
     // even though restart_rank fibers get fresh engine pids.
     p.set_trace_rank(r);
@@ -73,8 +74,8 @@ void Machine::spawn_rank(int r) {
     try {
       program_(rank);
     } catch (const RankFailure&) {
-      // Fail-stop: the crashed fiber unwinds here and simply ends; the
-      // rest of the simulation keeps running.
+      // Fail-stop: the killed fiber unwinds here and simply ends; the rest
+      // of the simulation keeps running.
     }
   });
 }
@@ -102,6 +103,8 @@ void Machine::kill_rank(int world_rank) {
   dead = 1;
   dead_ranks_.push_back(world_rank);
   ++membership_epoch_;
+  const int pid = pid_[static_cast<std::size_t>(world_rank)];
+  engine_.kill(pid, std::make_exception_ptr(RankFailure(world_rank)));
   if (auto* t = engine_.trace()) {
     // Fail-stop cuts the rank's activity off mid-span; close what is open so
     // the track stays balanced, then mark the crash as an instant event.
@@ -113,8 +116,8 @@ void Machine::kill_rank(int world_rank) {
   // Drain the dead rank's mailbox. Unexpected arrivals are dropped — taking
   // them releases the queue's references, so the pooled send ops recycle
   // (completing any rendezvous sender still waiting on a match). Posted
-  // receives complete with Status::failed, waking the dead fiber so its next
-  // wait() observes the crash and unwinds.
+  // receives complete with Status::failed, ending the dead fiber's wait on
+  // them so it unwinds.
   auto& box = mailboxes_.at(static_cast<std::size_t>(world_rank));
   for (auto& [context, q] : box.contexts) {
     (void)context;
@@ -129,10 +132,12 @@ void Machine::kill_rank(int world_rank) {
       complete_op(*recv);
     }
   }
-  // The dead fiber may be parked in a stream wait as a probe waiter; wake it
-  // so it can unwind.
-  for (const int pid : box.probe_waiters) engine_.wake(pid);
-  box.probe_waiters.clear();
+  // The dead fiber may be parked in a stream wait for an arrival that will
+  // never come now; wake it so it unwinds.
+  if (box.probe_waiting) {
+    box.probe_waiting = false;
+    engine_.wake(pid);
+  }
 
   // Satisfied-by-failure on the survivors: a posted receive that names the
   // dead rank as its only possible sender can never match now. Complete each
@@ -159,10 +164,9 @@ void Machine::kill_rank(int world_rank) {
     complete_op(*recv);
   }
 
-  // Wake blocked protocol loops (credit waits) on every rank: routing toward
-  // the dead rank must be re-evaluated.
-  for (const int pid : failure_waiters_) engine_.wake(pid);
-  failure_waiters_.clear();
+  // Blocked protocol loops (credit, term and agreement waits) must
+  // re-evaluate routing toward the dead rank.
+  wake_live_ranks();
 }
 
 void Machine::restart_rank(int world_rank) {
@@ -177,10 +181,15 @@ void Machine::restart_rank(int world_rank) {
   if (metrics_) metrics_->counter("resilience.rejoins", world_rank).add();
   spawn_rank(world_rank);
   // Rejoin is a membership change exactly like a crash: blocked protocol
-  // loops (credit/term waits) must re-evaluate routing so flows the adopters
-  // took over can be rebalanced back to the respawned rank.
-  for (const int pid : failure_waiters_) engine_.wake(pid);
-  failure_waiters_.clear();
+  // loops must re-evaluate routing so flows the adopters took over can be
+  // rebalanced back to the respawned rank. (The new fiber, not yet started,
+  // keeps the token for its first suspend.)
+  wake_live_ranks();
+}
+
+void Machine::wake_live_ranks() {
+  for (std::size_t r = 0; r < dead_.size(); ++r)
+    if (dead_[r] == 0) engine_.wake(pid_[r]);
 }
 
 std::shared_ptr<resilience::Agreement> Machine::agreement(std::uint64_t key,
@@ -224,15 +233,6 @@ void Machine::release_exchange(std::uint64_t key,
   const auto it = exchanges_.find(key);
   if (it != exchanges_.end() && it->second.get() == &entry)
     exchanges_.erase(it);
-}
-
-void Machine::add_failure_waiter(int pid) {
-  // Registrations outlive individual waits (they are only consumed by the
-  // next crash), so keep the list unique: one entry per fiber bounds it by
-  // the world size instead of growing with every credit-stall wakeup.
-  for (const int waiting : failure_waiters_)
-    if (waiting == pid) return;
-  failure_waiters_.push_back(pid);
 }
 
 std::uint64_t Machine::derive_context(std::uint64_t parent, std::uint64_t salt,
@@ -404,11 +404,9 @@ void Machine::deposit(const detail::OpRef<detail::SendOp>& msg) {
     return;
   }
   q.unexpected.push_back(msg);
-  if (!box.probe_waiters.empty()) {
-    // wake() only enqueues resume events, so iterating in place is safe;
-    // clear() (not a move) keeps the vector's capacity for the next waiter.
-    for (int pid : box.probe_waiters) engine_.wake(pid);
-    box.probe_waiters.clear();
+  if (box.probe_waiting) {
+    box.probe_waiting = false;
+    engine_.wake(pid_[static_cast<std::size_t>(msg->dst_world)]);
   }
 }
 
@@ -460,8 +458,8 @@ bool Machine::match_probe(std::uint64_t context, int dst_world, int src_filter,
   return true;
 }
 
-void Machine::add_probe_waiter(int dst_world, int pid) {
-  mailboxes_.at(static_cast<std::size_t>(dst_world)).probe_waiters.push_back(pid);
+void Machine::add_probe_waiter(int dst_world) {
+  mailboxes_.at(static_cast<std::size_t>(dst_world)).probe_waiting = true;
 }
 
 }  // namespace ds::mpi

@@ -143,8 +143,9 @@ class Machine {
   bool match_probe(std::uint64_t context, int dst_world, int src_filter,
                    int tag_filter, Status* out);
 
-  /// Register a fiber to be woken at the next arrival for dst_world.
-  void add_probe_waiter(int dst_world, int pid);
+  /// Wake dst_world's fiber at the next arrival in its mailbox (or at its
+  /// crash). Only the mailbox's own fiber parks on it.
+  void add_probe_waiter(int dst_world);
 
   /// Deterministic derived context id (same inputs -> same id on all ranks,
   /// no coordination needed).
@@ -195,29 +196,23 @@ class Machine {
     return incarnation_[static_cast<std::size_t>(world_rank)];
   }
 
-  /// Fail-stop `world_rank` now (fiber or event context): marks it dead,
-  /// drops its unexpected messages (releasing their pool slots), completes
-  /// its posted receives with Status::failed (waking the fiber so it can
-  /// unwind via RankFailure), and wakes registered failure waiters. Messages
-  /// already in flight toward the rank are dropped on arrival; rendezvous
-  /// senders targeting it complete without transferring.
+  /// Fail-stop `world_rank` now (fiber or event context): marks it dead and
+  /// kills its fiber (sim::Engine::kill with RankFailure), which unwinds
+  /// when its current wait ends and takes no further action. Drops the
+  /// rank's unexpected messages (releasing their pool slots), completes its
+  /// posted receives with Status::failed, and wakes its fiber if it is
+  /// parked for an arrival. Messages already in flight toward the rank are
+  /// dropped on arrival; rendezvous senders targeting it complete without
+  /// transferring. Then wakes every live rank's fiber in rank order, so
+  /// blocked protocol loops (credit, term and agreement waits) re-evaluate
+  /// membership without registering for it.
   void kill_rank(int world_rank);
 
   /// Respawn the program fiber of a previously crashed rank (incarnation
   /// bumped). The new fiber starts at the current virtual time with a fresh
   /// stack; reintegration into application protocols is the program's job.
+  /// Like a crash, wakes every live rank's fiber in rank order.
   void restart_rank(int world_rank);
-
-  /// Throw RankFailure if `world_rank` has been crashed. Called by the Rank
-  /// facade at every runtime interaction — the fail-stop observation point.
-  void ensure_alive(int world_rank) const {
-    if (rank_failed(world_rank)) throw RankFailure(world_rank);
-  }
-
-  /// Register the calling fiber to be woken at the next crash or rejoin
-  /// (one-shot, like add_probe_waiter): used by blocking protocol loops
-  /// (credit/term waits) that must re-evaluate routing when membership moves.
-  void add_failure_waiter(int pid);
 
   /// Fetch-or-create the shared agreement ledger for one Rank::agree
   /// instance (`key` = context derived from the communicator and the
@@ -255,6 +250,8 @@ class Machine {
 
  private:
   void spawn_rank(int r);
+  /// Wake the fiber of every rank not dead, in rank order.
+  void wake_live_ranks();
   void install_faults();
   void apply_fault(const sim::FaultEvent& event);
   /// Address `op`, whose payload is attached, and put it on the fabric.
@@ -286,8 +283,8 @@ class Machine {
   std::vector<std::uint8_t> dead_;         ///< fail-stopped ranks
   std::vector<int> dead_ranks_;            ///< the same ranks, listed
   std::vector<int> incarnation_;           ///< fiber (re)starts per rank
+  std::vector<int> pid_;                   ///< engine pid of each rank's fiber
   std::uint64_t membership_epoch_ = 0;     ///< crashes + restarts so far
-  std::vector<int> failure_waiters_;  ///< pids to wake on the next crash/rejoin
   /// Live agreement ledgers (see agreement()); erased when read out.
   std::unordered_map<std::uint64_t, std::shared_ptr<resilience::Agreement>>
       agreements_;

@@ -545,7 +545,7 @@ struct Mailbox {
   static constexpr std::uint32_t kSweepInterval = 1024;
 
   std::unordered_map<std::uint64_t, ContextQueues> contexts;
-  std::vector<int> probe_waiters;  ///< pids to wake on any new arrival
+  bool probe_waiting = false;  ///< wake the owner's fiber on the next arrival
   std::uint32_t ops_since_sweep = 0;
 
   /// Bucket for `context`, marked live for this sweep interval.

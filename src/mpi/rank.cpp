@@ -25,7 +25,6 @@ namespace {
 }  // namespace
 
 Request Rank::isend(const Comm& comm, int dst, int tag, SendBuf data) {
-  machine_->ensure_alive(world_rank_);
   const int me = require_member(comm, world_rank_, "isend");
   if (tag < kMinUserTag) throw std::invalid_argument("isend: user tags must be >= 0");
   process_->advance(machine_->config().network.send_overhead);
@@ -34,7 +33,6 @@ Request Rank::isend(const Comm& comm, int dst, int tag, SendBuf data) {
 }
 
 Request Rank::irecv(const Comm& comm, int src, int tag, RecvBuf out) {
-  machine_->ensure_alive(world_rank_);
   (void)require_member(comm, world_rank_, "irecv");
   if (tag != kAnyTag && tag < kMinUserTag)
     throw std::invalid_argument("irecv: user tags must be >= 0 or kAnyTag");
@@ -68,7 +66,6 @@ Status Rank::sendrecv(const Comm& comm, int dst, int send_tag, SendBuf data,
 
 void Rank::wait(const Request& req) {
   if (!req) throw std::invalid_argument("wait: null request");
-  machine_->ensure_alive(world_rank_);
   if (!req->complete) {
     // Span only over actual blocking: an already-complete request costs one
     // branch, and traces show genuine blocked time rather than wait() calls.
@@ -79,10 +76,6 @@ void Rank::wait(const Request& req) {
       req->waiter_pid = process_->id();
       process_->set_state_note("blocked in wait()");
       process_->suspend();
-      // Fail-stop observation point: kill_rank completes this rank's posted
-      // receives (Status::failed) and wakes it precisely so the fiber lands
-      // here and unwinds.
-      machine_->ensure_alive(world_rank_);
     }
   }
   req->waiter_pid = -1;
@@ -122,7 +115,6 @@ bool try_freeze(Machine& machine, resilience::Agreement& a, const Comm& comm) {
 }  // namespace
 
 AgreeResult Rank::agree(const Comm& comm, std::uint64_t contribution) {
-  machine_->ensure_alive(world_rank_);
   const sim::SpanScope span(*process_, obs::SpanKind::Agreement, "agree");
   const int me = require_member(comm, world_rank_, "agree");
   // All participants of the same call derive the same ledger key from the
@@ -147,12 +139,12 @@ AgreeResult Rank::agree(const Comm& comm, std::uint64_t contribution) {
   // Its outcome is irrelevant (the ledger is the source of truth); what
   // matters is that it never hangs and prices the exchange.
   wait(ibarrier(comm));
+  // A crash of a member that has not deposited may complete the freeze
+  // condition; kill_rank wakes every live rank to re-check it.
   while (!ledger->frozen && !try_freeze(*machine_, *ledger, comm)) {
     ledger->waiters.push_back(process_->id());
-    machine_->add_failure_waiter(process_->id());
     process_->set_state_note("blocked in agree()");
     process_->suspend();
-    machine_->ensure_alive(world_rank_);
   }
   process_->set_state_note({});
   AgreeResult out{ledger->value, ledger->survivors, ledger->failed};

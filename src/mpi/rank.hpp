@@ -96,16 +96,15 @@ class Rank {
 
   /// Busy the rank for `nominal` virtual time, noise-perturbed and traced.
   void compute(util::SimTime nominal, const char* label = "comp") {
-    machine_->ensure_alive(world_rank_);
     process_->compute(nominal, label);
   }
 
-  /// True once fault injection has crashed this rank. RAII cleanup that runs
-  /// while a crashed fiber unwinds (channel release, stream termination)
-  /// checks this and backs off instead of starting new communication.
-  [[nodiscard]] bool failed() const noexcept {
-    return machine_->rank_failed(world_rank_);
-  }
+  /// True once this incarnation's fiber has been killed: fault injection
+  /// crashed the rank, or the run aborted. It stays true after the rank
+  /// restarts, which is a new fiber. RAII cleanup that runs while a killed
+  /// fiber unwinds (channel release, stream termination) checks this and
+  /// backs off instead of starting new communication.
+  [[nodiscard]] bool failed() const noexcept { return process_->killed(); }
   /// Fiber (re)starts of this rank: 0 for the original incarnation.
   [[nodiscard]] int incarnation() const noexcept {
     return machine_->incarnation(world_rank_);

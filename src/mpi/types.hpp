@@ -30,13 +30,14 @@ struct Status {
 };
 
 /// Thrown inside a simulated process when fault injection has crashed its
-/// rank (fail-stop): the fiber observes the crash at its next runtime
-/// interaction (compute, send/recv, wait, collective) and unwinds. Caught by
+/// rank (fail-stop): Machine::kill_rank kills the rank's fiber, whose
+/// current advance or suspend throws this instead of returning, when that
+/// wait would have ended (sim::Engine::kill), and so does every later one.
+/// The crashed incarnation takes no further action. Caught by
 /// Machine::run's program wrapper, so the rest of the simulation continues;
 /// RAII cleanup along the unwind path must not start new communication
 /// (Channel::free, which a decouple stream's destructor runs, and stream
-/// termination check Machine::rank_failed and become no-ops on a crashed
-/// rank).
+/// termination check Rank::failed and become no-ops on a killed fiber).
 class RankFailure : public std::runtime_error {
  public:
   explicit RankFailure(int world_rank)

@@ -6,12 +6,21 @@
 // cannot survive a rank loss cannot finish. This module gives the simulator
 // a deterministic fault model to measure that against:
 //
-//  * rank crash   — fail-stop: the rank's fiber unwinds at its next runtime
-//    interaction (mpi::RankFailure), its mailbox is drained, its posted
-//    receives complete with Status::failed, and messages addressed to it are
-//    dropped on arrival. Pooled operation slots are released, never leaked.
+//  * rank crash   — fail-stop: the rank takes no further action. Its fiber
+//    is killed (sim::Engine::kill): the wait it is in ends when it would
+//    have ended — a compute runs to its end — and throws mpi::RankFailure
+//    instead of returning, so the fiber unwinds. Its mailbox is drained,
+//    its posted receives complete with Status::failed, and messages
+//    addressed to it are dropped on arrival. Pooled operation slots are
+//    released, never leaked.
 //  * rank restart — the machine respawns the program fiber for a previously
-//    crashed rank; Rank::incarnation() tells restarted code apart.
+//    crashed rank; Rank::incarnation() tells restarted code apart. The
+//    crashed incarnation stays killed, so it never runs beside its
+//    successor.
+//
+// Both wake every live rank's fiber, so protocol loops blocked on
+// membership (credit, term and agreement waits) re-check their condition
+// without registering for it.
 //
 // Slow ranks and links are not faults here: load imbalance (OS noise,
 // workload skew) is sim::NoiseModel's job.

@@ -7,20 +7,24 @@ namespace ds::sim {
 
 util::SimTime Process::now() const noexcept { return engine_->now(); }
 
+void Process::rethrow_if_killed() const {
+  if (killed_) std::rethrow_exception(killed_);
+}
+
 void Process::advance(util::SimTime d) {
   if (d < 0) throw std::logic_error("Process::advance: negative duration");
   if (engine_->current() != this)
     throw std::logic_error("Process::advance called from outside the process");
-  Engine& eng = *engine_;
-  const int pid = id_;
-  eng.schedule(eng.now() + d, [&eng, pid] { eng.wake(pid); });
-  // advance() models busy CPU time, yet any wake resumes it: one that
-  // arrives before `d` has elapsed (a probe or failure-waiter registration
-  // the process left behind) cuts the advance short, and a wake token
-  // pending from before is left for the next suspend. A known defect (see
-  // ROADMAP item 2): fixing it moves virtual time in crashed runs.
-  state_ = State::Suspended;
+  rethrow_if_killed();
+  // The deadline ends the busy period, and the resume is a second event at
+  // the same time, as for any wake: wakes that land before the deadline
+  // only leave their token.
+  engine_->schedule(engine_->now() + d, [this] {
+    if (state_ == State::Busy) engine_->make_runnable(*this);
+  });
+  state_ = State::Busy;
   Fiber::yield();
+  rethrow_if_killed();
 }
 
 void Process::compute(util::SimTime nominal, const char* label) {
@@ -33,12 +37,14 @@ void Process::compute(util::SimTime nominal, const char* label) {
 void Process::suspend() {
   if (engine_->current() != this)
     throw std::logic_error("Process::suspend called from outside the process");
+  rethrow_if_killed();
   if (wake_pending_) {
     wake_pending_ = false;
     return;
   }
   state_ = State::Suspended;
   Fiber::yield();
+  rethrow_if_killed();
 }
 
 void Process::trace_begin(const char* label, obs::SpanKind kind) {
@@ -47,6 +53,7 @@ void Process::trace_begin(const char* label, obs::SpanKind kind) {
 }
 
 void Process::trace_end() {
+  if (killed_) return;
   if (auto* t = engine_->trace()) t->end(trace_rank_, engine_->now());
 }
 
@@ -68,7 +75,10 @@ int Engine::spawn(std::function<void(Process&)> body) {
   auto process = std::unique_ptr<Process>(new Process(this, pid, config_.seed));
   Process* p = process.get();
   p->fiber_ = std::make_unique<Fiber>(
-      [p, body = std::move(body)] { body(*p); }, stacks_);
+      [p, body = std::move(body)] {
+        if (!p->killed()) body(*p);
+      },
+      stacks_);
   p->state_ = Process::State::Runnable;
   processes_.push_back(std::move(process));
   ++live_;
@@ -87,12 +97,11 @@ void Engine::schedule_after(util::SimTime delay, Callback action) {
 
 void Engine::wake(int pid) {
   Process& p = *processes_.at(static_cast<std::size_t>(pid));
-  if (p.state_ == Process::State::Finished) return;
   if (p.state_ == Process::State::Suspended) {
-    p.state_ = Process::State::Runnable;
-    queue_.push(clock_, [this, pp = &p] { resume_process(*pp); });
-  } else {
-    // Not yet suspended: leave a token so the upcoming suspend doesn't sleep.
+    make_runnable(p);
+  } else if (p.state_ != Process::State::Finished) {
+    // Busy, or not yet suspended: leave a token so the next suspend doesn't
+    // sleep.
     p.wake_pending_ = true;
   }
 }
@@ -100,20 +109,35 @@ void Engine::wake(int pid) {
 void Engine::wake_at(int pid, util::SimTime t) {
   if (t < clock_) throw std::logic_error("Engine::wake_at: time in the past");
   Process* p = processes_.at(static_cast<std::size_t>(pid)).get();
-  queue_.push(t, [this, p] {
-    if (p->state_ == Process::State::Finished) return;
-    if (p->state_ == Process::State::Suspended) {
+  // A process suspended now is busy until t, like an advance. Any other
+  // resumes at t only if it is suspended by then, and otherwise keeps the
+  // usual token (see wake()).
+  const auto resumes_from = p->state_ == Process::State::Suspended
+                                ? Process::State::Busy
+                                : Process::State::Suspended;
+  if (resumes_from == Process::State::Busy) p->state_ = resumes_from;
+  queue_.push(t, [this, p, resumes_from] {
+    if (p->state_ == resumes_from) {
       p->state_ = Process::State::Runnable;
       resume_process(*p);
-    } else {
-      // Not suspended at fire time: leave the usual token (see wake()).
+    } else if (p->state_ != Process::State::Finished) {
       p->wake_pending_ = true;
     }
   });
 }
 
+void Engine::kill(int pid, std::exception_ptr reason) {
+  Process& p = *processes_.at(static_cast<std::size_t>(pid));
+  if (p.state_ == Process::State::Finished || p.killed()) return;
+  p.killed_ = std::move(reason);
+}
+
+void Engine::make_runnable(Process& p) {
+  p.state_ = Process::State::Runnable;
+  queue_.push(clock_, [this, pp = &p] { resume_process(*pp); });
+}
+
 void Engine::resume_process(Process& p) {
-  if (p.state_ == Process::State::Finished) return;
   // A process can be woken twice (token + event). The second resume of an
   // already-running or runnable-but-moved-on process must be harmless.
   if (p.state_ != Process::State::Runnable) return;
@@ -138,9 +162,8 @@ void Engine::run() {
 }
 
 void Engine::unwind_processes() noexcept {
-  constexpr int kMaxResumes = 64;
   for (const auto& p : processes_) {
-    for (int i = 0; i < kMaxResumes && !p->fiber_->finished(); ++i) {
+    if (!p->fiber_->finished()) {
       p->state_ = Process::State::Running;
       running_ = p.get();
       try {

@@ -14,8 +14,18 @@
 //  * Process::compute(d, l) — advance with noise applied and trace label l.
 //  * Process::suspend()     — sleep until Engine::wake(pid); a wake arriving
 //    before the suspend is not lost (binary token, condition-loop friendly).
+//
+// One wait contract holds for all of them:
+//  * A process whose resume time is fixed — its own advance, or a fused
+//    Engine::wake_at — is busy until that time. Any other wake that lands
+//    meanwhile leaves the token for its next suspend.
+//  * A process marked by Engine::kill never returns from advance or
+//    suspend: each rethrows the kill's reason instead, on entry and at the
+//    process's next resume, which comes no earlier than its wait would
+//    have ended.
 #pragma once
 
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -53,9 +63,9 @@ class Process {
   [[nodiscard]] util::SimTime now() const noexcept;
   [[nodiscard]] util::Rng& rng() noexcept { return rng_; }
 
-  /// Occupy this process for `d` of virtual time (no noise). A wake from
-  /// elsewhere that arrives first ends it early (a known defect; see
-  /// engine.cpp).
+  /// Occupy this process for `d` of virtual time (no noise). The process
+  /// is busy until then: a wake that arrives meanwhile leaves its token for
+  /// the next suspend instead of ending the advance early.
   void advance(util::SimTime d);
 
   /// Occupy this process for `nominal` perturbed by the engine's noise model;
@@ -66,10 +76,16 @@ class Process {
   /// arrived since the last suspend.
   void suspend();
 
+  /// True once Engine::kill has marked this process: it runs no further
+  /// than the unwinding of its current blocking call.
+  [[nodiscard]] bool killed() const noexcept { return killed_ != nullptr; }
+
   /// Trace-section helpers (no-ops when tracing is off). The runtime layers
   /// auto-instrument their spans through these; applications rarely need
   /// them directly (compute() labels cover the usual case).
   void trace_begin(const char* label, obs::SpanKind kind = obs::SpanKind::Other);
+  /// Close the innermost open span. A killed process closes nothing: its
+  /// track may already carry a successor's spans (see set_trace_rank).
   void trace_end();
   /// Record an instant event on this process's trace track (no-op when
   /// tracing is off).
@@ -93,7 +109,11 @@ class Process {
       : engine_(engine), id_(id), trace_rank_(id),
         rng_(util::Rng::for_stream(seed, static_cast<std::uint64_t>(id))) {}
 
-  enum class State { Created, Runnable, Running, Suspended, Finished };
+  /// Busy: suspended with a fixed resume time (advance, fused wake_at).
+  enum class State { Created, Runnable, Running, Suspended, Busy, Finished };
+
+  /// Throw the kill's reason if this process has been killed.
+  void rethrow_if_killed() const;
 
   Engine* engine_;
   int id_;
@@ -102,6 +122,7 @@ class Process {
   State state_ = State::Created;
   bool wake_pending_ = false;
   const char* state_note_ = nullptr;
+  std::exception_ptr killed_;  ///< Engine::kill's reason, once killed
   std::unique_ptr<Fiber> fiber_;
 };
 
@@ -115,7 +136,8 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Create a simulated process; `body` starts at the current virtual time.
+  /// Create a simulated process; `body` starts at the current virtual time,
+  /// unless the process is killed first, in which case it never starts.
   /// Returns the process id (dense, starting at 0).
   int spawn(std::function<void(Process&)> body);
 
@@ -125,27 +147,36 @@ class Engine {
   void schedule(util::SimTime t, Callback action);
   void schedule_after(util::SimTime delay, Callback action);
 
-  /// Wake a suspended process. Safe to call before the process suspends.
+  /// Wake a suspended process. Safe to call before the process suspends;
+  /// a busy process (see wake_at) keeps the token for its next suspend.
   void wake(int pid);
 
   /// Wake `pid` at absolute virtual time `t` (must be >= now()), fused into
   /// one event: the scheduled action resumes the process directly instead of
   /// enqueueing a second wake event at `t`. The building block for charging
   /// a receive overhead *at* the wake-up rather than as a separate advance
-  /// (which costs its own event and context-switch pair). Same token
-  /// semantics as wake() when the process is not suspended at `t`.
+  /// (which costs its own event and context-switch pair). A process
+  /// suspended now is busy until `t`, as in an advance; any other process
+  /// gets wake()'s semantics at `t`.
   void wake_at(int pid, util::SimTime t);
+
+  /// Fail-stop `pid`: mark it so that its blocking calls throw `reason`
+  /// instead of returning (see the wait contract above). Wakes nothing: a
+  /// process blocked now unwinds when its wait would have ended, so the
+  /// event-driven state it waits on never outlives the buffers its stack
+  /// owns. A process not yet started never starts its body. No effect on a
+  /// finished or already killed process.
+  void kill(int pid, std::exception_ptr reason);
 
   /// Run until every process finished. Throws DeadlockError if the event
   /// queue drains first; propagates exceptions thrown by process bodies.
   void run();
 
-  /// Tear-down after an aborted run(): resume every unfinished process so
-  /// its fiber unwinds its stack, running the destructors of what it owns,
-  /// instead of the stack being discarded with them. The caller makes each
-  /// body throw at its next interaction first; exceptions escaping a body
-  /// are swallowed, and a body that keeps suspending is left after a
-  /// bounded number of resumes.
+  /// Tear-down after an aborted run(): resume every unfinished process once
+  /// so its fiber unwinds its stack, running the destructors of what it
+  /// owns, instead of the stack being discarded with them. The caller kills
+  /// every process first, so each resume throws out of the blocking call
+  /// and no body can block again; exceptions escaping a body are swallowed.
   void unwind_processes() noexcept;
 
   [[nodiscard]] util::SimTime now() const noexcept { return clock_; }
@@ -165,6 +196,8 @@ class Engine {
 
  private:
   friend class Process;
+  /// Make a suspended or busy `p` runnable, resuming it in a new event now.
+  void make_runnable(Process& p);
   void resume_process(Process& p);
   [[noreturn]] void report_deadlock() const;
 

@@ -369,7 +369,8 @@ std::vector<int> finished_after_teardown_crash(bool resilient) {
             self.compute(util::milliseconds(5));
           });
     }  // the producer waits here; the crash lands while it does
-    // A crashed rank unwinds at its next runtime call, like after any crash.
+    // The killed fiber's next blocking call throws again, like after any
+    // crash.
     self.compute(util::microseconds(1));
     finished[static_cast<std::size_t>(self.world_rank())] = 1;
   });
@@ -383,9 +384,9 @@ TEST(Pipeline, CrashWhileWaitingInTeardownEndsOnlyTheCrashedRank) {
 
 TEST(Pipeline, DeadlockWhileWaitingInTeardownReportsTheDeadlock) {
   // Rank 0 waits in its channel's teardown while rank 1 waits in a world
-  // barrier rank 0 never joins. The aborted run fails every rank before it
-  // unwinds them, so rank 0's teardown wait throws on a crashed rank; the
-  // run must still end with the engine's deadlock report.
+  // barrier rank 0 never joins. The aborted run kills every rank's fiber
+  // before it unwinds them, so rank 0's teardown wait throws; the run must
+  // still end with the engine's deadlock report.
   mpi::Machine machine(testing::tiny_machine(2));
   EXPECT_THROW(machine.run([](Rank& self) {
                  auto pipeline =

@@ -242,7 +242,7 @@ TEST(Matching, ProbeThenRecvConsistency) {
   // Whatever probe reports (source, tag, bytes) must be exactly what the
   // subsequent filtered receive consumes, message after message. The probe
   // is the look a stream's idle loop takes: Machine::match_probe, parking
-  // as a probe waiter until the next arrival while nothing matches.
+  // on its own mailbox until the next arrival while nothing matches.
   constexpr int kCount = 16;
   testing::run_program(testing::tiny_machine(3), [&](Rank& self) {
     const int me = self.world_rank();
@@ -251,7 +251,7 @@ TEST(Matching, ProbeThenRecvConsistency) {
       Status st;
       while (!machine.match_probe(self.world().context(), me, kAnySource,
                                   kAnyTag, &st)) {
-        machine.add_probe_waiter(me, self.process().id());
+        machine.add_probe_waiter(me);
         self.process().suspend();
       }
       return st;

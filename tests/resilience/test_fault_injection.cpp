@@ -2,6 +2,10 @@
 // mailbox draining, pool-slot accounting, and restart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/machine_helpers.hpp"
@@ -25,8 +29,9 @@ TEST(FaultPlan, BuilderValidates) {
 }
 
 TEST(FaultInjection, CrashUnwindsAtNextInteraction) {
-  // The victim observes the crash at its next runtime interaction and never
-  // executes code past it; the machine run still completes.
+  // The compute the crash lands in runs to its end and throws RankFailure
+  // instead of returning: the victim never executes code past it, and the
+  // machine run still completes.
   auto config = testing::tiny_machine(2);
   config.faults.crash(1, util::microseconds(50));
   bool before = false, after = false;
@@ -35,7 +40,6 @@ TEST(FaultInjection, CrashUnwindsAtNextInteraction) {
     self.compute(util::microseconds(10));
     before = true;
     self.compute(util::microseconds(100));  // crash lands inside this segment
-    self.compute(util::microseconds(1));    // observation point -> unwind
     after = true;
   });
   EXPECT_TRUE(before);
@@ -125,6 +129,77 @@ TEST(FaultInjection, RestartRespawnsWithBumpedIncarnation) {
   EXPECT_TRUE(exchanged_after_restart);
   EXPECT_FALSE(machine.rank_failed(1));
   EXPECT_EQ(machine.incarnation(1), 1);
+}
+
+/// Two ranks; rank 1 is crashed at 10 us, inside its first compute, and
+/// restarted at 50 us.
+mpi::MachineConfig crash_and_restart_inside_a_compute(bool trace) {
+  auto config = testing::tiny_machine(2);
+  config.faults.crash(1, util::microseconds(10))
+      .restart(1, util::microseconds(50));
+  config.observability.trace = trace;
+  return config;
+}
+
+TEST(FaultInjection, CrashedIncarnationNeverRunsAgain) {
+  // The crashed incarnation's compute must not return at its end (1 ms): it
+  // would run on beside its successor and enter the barrier a second time
+  // for rank 1, which no barrier survives.
+  mpi::Machine machine(crash_and_restart_inside_a_compute(false));
+  int rank1_barrier_entries = 0;
+  const util::SimTime makespan = machine.run([&](Rank& self) {
+    self.compute(self.world_rank() == 0 ? util::milliseconds(2)
+                                        : util::milliseconds(1));
+    if (self.world_rank() == 1) ++rank1_barrier_entries;
+    (void)self.barrier(self.world());
+  });
+  EXPECT_EQ(rank1_barrier_entries, 1);
+  EXPECT_EQ(makespan, 2'000'356);
+}
+
+/// The end of the span "second", recorded by rank 1's restarted incarnation
+/// with tracing on, and the trace's dropped ends. Rank 1's first incarnation
+/// runs `first` and is crashed inside it.
+std::pair<util::SimTime, std::uint64_t> second_span_after_restart(
+    const std::function<void(Rank&)>& first) {
+  mpi::Machine machine(crash_and_restart_inside_a_compute(true));
+  machine.run([&](Rank& self) {
+    if (self.incarnation() > 0)
+      self.compute(util::milliseconds(2), "second");
+    else
+      first(self);
+  });
+  const obs::Recorder& trace = *machine.engine().trace();
+  const auto& spans = trace.intervals();
+  const auto second =
+      std::find_if(spans.begin(), spans.end(), [](const obs::Span& s) {
+        return s.rank == 1 && s.label == "second";
+      });
+  return {second == spans.end() ? -1 : second->end, trace.dropped_ends()};
+}
+
+TEST(FaultInjection, RestartedRankKeepsOneTraceTimeline) {
+  // Both incarnations record on rank 1's track. The crashed one closes
+  // nothing after its crash, whether it unwinds at the end of a compute or
+  // when a blocking send completes after the restart, so the successor's
+  // span keeps its own end.
+  const std::pair<util::SimTime, std::uint64_t> intact{
+      util::microseconds(2050), 0};
+  EXPECT_EQ(second_span_after_restart([](Rank& self) {
+              if (self.world_rank() == 1)
+                self.compute(util::milliseconds(1), "first");
+            }),
+            intact);
+  std::vector<std::byte> big(256 * 1024);  // rendezvous-class payload
+  EXPECT_EQ(second_span_after_restart([&](Rank& self) {
+              if (self.world_rank() == 1) {
+                self.send(self.world(), 0, 3, SendBuf{big.data(), big.size()});
+                return;
+              }
+              self.compute(util::milliseconds(1));
+              self.recv(self.world(), 1, 3, RecvBuf{big.data(), big.size()});
+            }),
+            intact);
 }
 
 }  // namespace

@@ -100,6 +100,41 @@ TEST(StreamFailover, BlockMappingSurvivorDeliversExactlyOnce) {
   (void)survivor_dupes_filtered;  // informational; app-level view is above
 }
 
+TEST(StreamFailover, ACrashDoesNotCutASurvivorsComputeShort) {
+  // One producer (world rank 0) feeds consumer 0 (rank 1); consumer 1
+  // (rank 2) crashes at 200 us, after consumer 0 left operate() for a
+  // 500 us compute. The crash may wake the survivor's fiber to re-check
+  // membership, but a compute is busy time and runs to its end.
+  constexpr int kEach = 8;
+  auto config = testing::tiny_machine(3);
+  config.faults.crash(2, util::microseconds(200));
+  util::SimTime computed = -1;
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() == 0;
+    ChannelConfig cfg;
+    cfg.checkpoint_interval = 4;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [](const StreamElement&) {});
+    if (producer) {
+      for (int i = 0; i < kEach; ++i) {
+        self.compute(util::microseconds(2));
+        const std::uint64_t id = element_id(0, i);
+        s.isend(self, SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+      return;
+    }
+    s.operate(self);
+    if (self.world_rank() != 1) return;
+    const util::SimTime start = self.now();
+    self.compute(util::microseconds(500));
+    computed = self.now() - start;
+  });
+  EXPECT_EQ(computed, util::microseconds(500));
+}
+
 TEST(StreamFailover, DirectedTreeRepairsAnnouncedCountsAndExhausts) {
   // Directed spray over 3 consumers with tree termination; consumer 2 (a
   // tree leaf) dies mid-stream. Producers move the undurable announced

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace ds::sim {
@@ -47,16 +48,107 @@ TEST(Engine, SchedulingInThePastThrows) {
 }
 
 TEST(Engine, WakeBeforeSuspendIsNotLost) {
+  // The wake lands inside the advance, which still runs to its deadline;
+  // the token it leaves makes the following suspend return at once.
   Engine eng;
-  bool resumed = false;
+  util::SimTime advanced_at = -1, resumed_at = -1;
   int pid = eng.spawn([&](Process& p) {
-    p.advance(util::microseconds(2));  // let the early wake land first
-    p.suspend();                       // token pending -> returns immediately
-    resumed = true;
+    p.advance(util::microseconds(2));
+    advanced_at = p.now();
+    p.suspend();  // token pending -> returns immediately
+    resumed_at = p.now();
   });
   eng.schedule(util::microseconds(1), [&eng, pid] { eng.wake(pid); });
   eng.run();
-  EXPECT_TRUE(resumed);
+  EXPECT_EQ(advanced_at, util::microseconds(2));
+  EXPECT_EQ(resumed_at, util::microseconds(2));
+}
+
+TEST(Engine, AdvanceRunsToItsDeadlineDespiteAWake) {
+  // A wake inside the first advance must not end it, and no advance may end
+  // at an earlier advance's deadline.
+  Engine eng;
+  std::vector<util::SimTime> returned;
+  const int pid = eng.spawn([&](Process& p) {
+    for (int i = 0; i < 3; ++i) {
+      p.advance(util::microseconds(10));
+      returned.push_back(p.now());
+    }
+  });
+  eng.schedule(util::microseconds(5), [&eng, pid] { eng.wake(pid); });
+  eng.run();
+  EXPECT_EQ(returned,
+            (std::vector<util::SimTime>{util::microseconds(10),
+                                        util::microseconds(20),
+                                        util::microseconds(30)}));
+}
+
+TEST(Engine, FusedWakeIsBusyUntilItsTime) {
+  // wake_at on a suspended process fixes its resume time: a plain wake in
+  // between leaves a token instead of resuming it early.
+  Engine eng;
+  util::SimTime resumed_at = -1;
+  const int pid = eng.spawn([&](Process& p) {
+    p.suspend();
+    resumed_at = p.now();
+  });
+  eng.schedule(util::microseconds(1), [&eng, pid] {
+    eng.wake_at(pid, util::microseconds(10));
+  });
+  eng.schedule(util::microseconds(2), [&eng, pid] { eng.wake(pid); });
+  eng.run();
+  EXPECT_EQ(resumed_at, util::microseconds(10));
+}
+
+struct Killed : std::runtime_error {
+  Killed() : std::runtime_error("killed") {}
+};
+
+TEST(Engine, KilledProcessNeverReturnsFromItsWait) {
+  // One process is killed inside an advance, the other inside a suspend.
+  // Neither runs the code after its call: each call throws the kill's
+  // reason instead, the advance at its deadline and the suspend when it is
+  // woken.
+  Engine eng;
+  bool advance_returned = false, suspend_returned = false;
+  util::SimTime advance_threw_at = -1, suspend_threw_at = -1;
+  const int busy = eng.spawn([&](Process& p) {
+    try {
+      p.advance(util::microseconds(10));
+      advance_returned = true;
+    } catch (const Killed&) {
+      advance_threw_at = p.now();
+    }
+  });
+  const int asleep = eng.spawn([&](Process& p) {
+    try {
+      p.suspend();
+      suspend_returned = true;
+    } catch (const Killed&) {
+      suspend_threw_at = p.now();
+    }
+  });
+  eng.schedule(util::microseconds(5), [&] {
+    eng.kill(busy, std::make_exception_ptr(Killed{}));
+    eng.kill(asleep, std::make_exception_ptr(Killed{}));
+  });
+  eng.schedule(util::microseconds(7), [&eng, asleep] { eng.wake(asleep); });
+  eng.run();
+  EXPECT_FALSE(advance_returned);
+  EXPECT_FALSE(suspend_returned);
+  EXPECT_EQ(advance_threw_at, util::microseconds(10));
+  EXPECT_EQ(suspend_threw_at, util::microseconds(7));
+  EXPECT_EQ(eng.live_count(), 0u);
+}
+
+TEST(Engine, ProcessKilledBeforeItStartsNeverRunsItsBody) {
+  Engine eng;
+  bool started = false;
+  const int pid = eng.spawn([&](Process&) { started = true; });
+  eng.kill(pid, std::make_exception_ptr(Killed{}));
+  eng.run();
+  EXPECT_FALSE(started);
+  EXPECT_EQ(eng.live_count(), 0u);
 }
 
 TEST(Engine, SuspendBlocksUntilWake) {

@@ -19,9 +19,10 @@ The baseline document's top-level "bench" key selects the mode:
     deterministic, so a drift means the resilience protocol's cost moved.
     The fresh churn scenario (when the baseline has one) must
     uphold the failure-matrix acceptance contract: >= 10 crash/rejoin
-    cycles, exactly-once delivery per consumer view, full coverage, and
-    goodput >= 80% of the paced fault-free reference (override the floor
-    with DS_BENCH_FAULT_GOODPUT). A setup_crash scenario (when the
+    cycles, exactly-once delivery per consumer view, full coverage, no
+    delivery to a crashed incarnation's operator (dead_deliveries 0:
+    fail-stop), and goodput >= 80% of the paced fault-free reference
+    (override the floor with DS_BENCH_FAULT_GOODPUT). A setup_crash scenario (when the
     baseline has one) must show exactly-once complete delivery with zero
     failovers/replay — the crash inside Channel::create must be repaired
     by membership agreement, not by the streaming failover path — and a
@@ -144,8 +145,8 @@ def check_every_number(baseline_doc, fresh_doc):
 
 def check_fault_recovery(baseline_doc, fresh_doc):
     """Resilience contract gate: scenario presence and virtual time, plus
-    the churn acceptance bounds (cycles, exactly-once, coverage, goodput
-    floor)."""
+    the churn acceptance bounds (cycles, exactly-once, coverage, fail-stop,
+    goodput floor)."""
     scenarios = baseline_doc.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         fail("baseline JSON has no 'scenarios' array")
@@ -206,6 +207,10 @@ def check_fault_recovery(baseline_doc, fresh_doc):
         value = metric(churn, key, "fresh", "churn")
         if value is not None and value != 1:
             fail(f"churn scenario violates '{key}'")
+    dead = metric(churn, "dead_deliveries", "fresh", "churn")
+    if dead is not None and dead != 0:
+        fail(f"churn delivered {dead:.0f} element(s) to crashed "
+             f"incarnations' operators (fail-stop requires 0)")
     ratio = metric(churn, "goodput_ratio", "fresh", "churn")
     if ratio is not None:
         print(f"churn goodput: {ratio:.1%} of fault-free (floor {floor:.0%})")
